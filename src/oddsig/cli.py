@@ -15,7 +15,6 @@ from pathlib import Path
 
 from . import serialize
 from .descent import (
-    family_curve,
     family_invariants,
     family_isomorphic,
     family_moduli_field,

@@ -2,7 +2,8 @@
 
 Input errors (bad documents, violated preconditions) derive from InputError;
 resource limits derive from ResourceError. The CLI maps InputError to exit
-code 2 and ResourceError to exit code 3.
+code 2, ResourceError to exit code 3 and any other OddsigError, such as
+InternalInconsistency, to exit code 1.
 """
 
 
@@ -16,6 +17,10 @@ class InputError(OddsigError):
 
 class ResourceError(OddsigError):
     pass
+
+
+class InternalInconsistency(OddsigError):
+    """A computed invariant contradicts itself; a defect, not bad input."""
 
 
 # exact arithmetic
@@ -46,10 +51,6 @@ class NotSquarefree(InputError):
 
 # projective maps and groups
 class ScalarMap(InputError):
-    pass
-
-
-class NonUnitScalar(InputError):
     pass
 
 

@@ -1,10 +1,16 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-An element is a rational-coordinate vector in the power basis
-1, zeta, ..., zeta^(phi(N)-1), reduced modulo the N-th cyclotomic polynomial
-Phi_N. zeta_N denotes the distinguished primitive root exp(2*pi*i/N) and the
-complex embedding maps it there. Elements are immutable; binary operations
-require equal orders (use lift_to / common_order to move into a larger field).
+An element is a rational vector in the power basis 1, zeta, ..., zeta^(phi(N)-1),
+reduced modulo the N-th cyclotomic polynomial Phi_N. It is stored as integer
+numerators `num` over one positive denominator `den`, kept canonical:
+gcd(den, *num) == 1, and zero has den == 1. Since Phi_N is monic over Z, every
+product, Galois image and lift stays over that one denominator and needs a
+single gcd to renormalise. `coords` is a read-only view of the same vector as
+reduced `Fraction`s; serialisation and reports go through it.
+
+zeta_N denotes the distinguished primitive root exp(2*pi*i/N) and the complex
+embedding maps it there. Elements are immutable; binary operations require
+equal orders (use lift_to / common_order to move into a larger field).
 
 Galois automorphisms of Q(zeta_N) are the maps zeta |-> zeta^k with
 gcd(k, N) = 1; k = -1 is complex conjugation.
@@ -17,14 +23,19 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import InvalidExponent, NotASubfield, OrderMismatch, SchemaError
+from .errors import InternalInconsistency, InvalidExponent, NotASubfield, OrderMismatch, SchemaError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+_PHI_CACHE: dict[int, int] = {}
+
 
 def euler_phi(n: int) -> int:
     """Euler totient by trial-division factorization (orders here are small)."""
+    cached = _PHI_CACHE.get(n)
+    if cached is not None:
+        return cached
     if n < 1:
         raise ValueError("order must be positive")
     result, m, p = 1, n, 2
@@ -38,6 +49,7 @@ def euler_phi(n: int) -> int:
         p += 1
     if m > 1:
         result *= m - 1
+    _PHI_CACHE[n] = result
     return result
 
 
@@ -61,26 +73,6 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], 
     return q, _poly_trim(a)
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _poly_trim(out)
-
-
 _CYCLO_CACHE: dict[int, tuple[Fraction, ...]] = {}
 
 
@@ -93,75 +85,130 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
     for d in range(1, n):
         if n % d == 0:
             poly, rem = _poly_divmod(poly, list(cyclotomic_polynomial(d)))
-            assert not rem, "cyclotomic division must be exact"
+            if rem:
+                raise InternalInconsistency(f"Phi_{d} does not divide x^{n} - 1 exactly")
     result = tuple(poly)
     _CYCLO_CACHE[n] = result
     return result
 
 
-_POWER_CACHE: dict[int, tuple[tuple[Fraction, ...], ...]] = {}
+class _Field:
+    """Integer tables of Q(zeta_n), built on first use of the order.
+
+    rows[k] is x^k mod Phi_n as a dense phi-vector of ints for
+    0 <= k < max(n, 2*phi - 1); sparse[k] lists its nonzero (index, value)
+    pairs. half_units lists the k with 1 < k < n/2 prime to n: with 1 and
+    the negatives, one Galois exponent from each pair {k, -k}."""
+
+    __slots__ = ("phi", "rows", "sparse", "half_units")
+
+    def __init__(self, n: int):
+        phi = euler_phi(n)
+        modulus = [int(c) for c in cyclotomic_polynomial(n)]
+        rows: list[tuple[int, ...]] = []
+        current = [1] + [0] * (phi - 1)
+        for _ in range(max(n, 2 * phi - 1)):
+            rows.append(tuple(current))
+            lead = current[-1]
+            current = [0] + current[:-1]
+            if lead:
+                for j in range(phi):
+                    current[j] -= lead * modulus[j]
+        self.phi = phi
+        self.rows = tuple(rows)
+        self.sparse = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in rows)
+        self.half_units = tuple(k for k in range(2, (n + 1) // 2) if math.gcd(k, n) == 1)
 
 
-def _power_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """x^k mod Phi_n for 0 <= k < max(n, 2*phi(n) - 1), as phi(n)-vectors."""
-    cached = _POWER_CACHE.get(n)
-    if cached is not None:
-        return cached
-    phi = euler_phi(n)
-    modulus = cyclotomic_polynomial(n)
-    rows: list[tuple[Fraction, ...]] = []
-    current = [_ONE] + [_ZERO] * (phi - 1)
-    for _ in range(max(n, 2 * phi - 1)):
-        rows.append(tuple(current))
-        nxt = [_ZERO] + current[:-1]
-        lead = current[-1]
-        if lead:
-            for j in range(phi):
-                nxt[j] -= lead * modulus[j]
-        current = nxt
-    table = tuple(rows)
-    _POWER_CACHE[n] = table
-    return table
+_FIELD_CACHE: dict[int, _Field] = {}
+
+
+def _field(n: int) -> _Field:
+    field = _FIELD_CACHE.get(n)
+    if field is None:
+        field = _FIELD_CACHE[n] = _Field(n)
+    return field
+
+
+def _mul_ints(a, b, field: _Field) -> list[int]:
+    """Product of two integer vectors modulo Phi_n: schoolbook, then each
+    x^k with k >= phi replaced by its row."""
+    phi = field.phi
+    prod = [0] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    prod[j] += x * y
+    out = prod[:phi]
+    sparse = field.sparse
+    for k in range(phi, 2 * phi - 1):
+        c = prod[k]
+        if c:
+            for j, v in sparse[k]:
+                out[j] += c * v
+    return out
+
+
+def _substitute_ints(a, step: int, n: int, field: _Field) -> list[int]:
+    """Image of an integer vector of Q(zeta_m) under zeta_m |-> zeta_n^step,
+    in the power basis of Q(zeta_n)."""
+    out = [0] * field.phi
+    sparse = field.sparse
+    for i, c in enumerate(a):
+        if c:
+            for j, v in sparse[(i * step) % n]:
+                out[j] += c * v
+    return out
 
 
 Scalar = Union[int, Fraction]
 
 
 class CyclotomicElement:
-    """An element of Q(zeta_N) in power-basis coordinates."""
+    """An element of Q(zeta_N): integer numerators over one denominator."""
 
-    __slots__ = ("order", "coords")
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coords: Iterable[Scalar]):
         phi = euler_phi(order)
-        tup = tuple(Fraction(c) for c in coords)
-        if len(tup) != phi:
-            raise ValueError(f"expected {phi} coordinates for order {order}, got {len(tup)}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coords", tup)
+        fracs = [Fraction(c) for c in coords]
+        if len(fracs) != phi:
+            raise ValueError(f"expected {phi} coordinates for order {order}, got {len(fracs)}")
+        # over the lcm of reduced denominators the numerators have gcd 1 with it
+        den = math.lcm(*(c.denominator for c in fracs))
+        _set_order(self, order)
+        _set_num(self, tuple(c.numerator * (den // c.denominator) for c in fracs))
+        _set_den(self, den)
 
     def __setattr__(self, *_):
         raise AttributeError("CyclotomicElement is immutable")
 
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The coordinates as reduced Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
+
     # constructors -------------------------------------------------------
     @classmethod
     def zero(cls, order: int) -> "CyclotomicElement":
-        return cls(order, [_ZERO] * euler_phi(order))
+        return _new(order, (0,) * euler_phi(order), 1)
 
     @classmethod
     def one(cls, order: int) -> "CyclotomicElement":
-        return cls.from_rational(_ONE, order)
+        return _new(order, (1,) + (0,) * (euler_phi(order) - 1), 1)
 
     @classmethod
     def from_rational(cls, value: Scalar, order: int) -> "CyclotomicElement":
-        coords = [_ZERO] * euler_phi(order)
-        coords[0] = Fraction(value)
-        return cls(order, coords)
+        if type(value) is not int:
+            value = Fraction(value)
+        return _new(order, (value.numerator,) + (0,) * (euler_phi(order) - 1), value.denominator)
 
     @classmethod
     def zeta(cls, order: int, power: int = 1) -> "CyclotomicElement":
         """zeta_order ** power."""
-        return cls(order, _power_table(order)[power % order])
+        return _new(order, _field(order).rows[power % order], 1)
 
     # helpers ------------------------------------------------------------
     def _coerce(self, other) -> Optional["CyclotomicElement"]:
@@ -174,36 +221,42 @@ class CyclotomicElement:
         return None
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coords[0] == 1 and all(c == 0 for c in self.coords[1:])
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     # arithmetic ---------------------------------------------------------
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CyclotomicElement(self.order, [a + b for a, b in zip(self.coords, o.coords)])
+        da, db = self.den, o.den
+        if da == db:
+            return _make(self.order, [a + b for a, b in zip(self.num, o.num)], da)
+        return _make(self.order, [a * db + b * da for a, b in zip(self.num, o.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicElement(self.order, [-a for a in self.coords])
+        return _new(self.order, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CyclotomicElement(self.order, [a - b for a, b in zip(self.coords, o.coords)])
+        da, db = self.den, o.den
+        if da == db:
+            return _make(self.order, [a - b for a, b in zip(self.num, o.num)], da)
+        return _make(self.order, [a * db - b * da for a, b in zip(self.num, o.num)], da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -215,39 +268,29 @@ class CyclotomicElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        phi = len(self.coords)
-        prod = [_ZERO] * (2 * phi - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(o.coords):
-                    if b:
-                        prod[i + j] += a * b
-        table = _power_table(self.order)
-        out = list(prod[:phi])
-        for k in range(phi, 2 * phi - 1):
-            c = prod[k]
-            if c:
-                row = table[k]
-                for j in range(phi):
-                    out[j] += c * row[j]
-        return CyclotomicElement(self.order, out)
+        return _make(self.order, _mul_ints(self.num, o.num, _field(self.order)), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicElement":
+        """1/a = prod_{k != 1} sigma_k(a) / Norm(a), over the units k mod N."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in cyclotomic field")
-        # extended Euclid in Q[x] against Phi_N (irreducible, so the gcd is a unit)
-        r0 = list(cyclotomic_polynomial(self.order))
-        r1 = _poly_trim(list(self.coords))
-        s0, s1 = [], [_ONE]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1, s0, s1 = r1, r, s1, _poly_sub(s0, _poly_mul(q, s1))
-        unit = r1[0]
-        phi = len(self.coords)
-        inv = [c / unit for c in s1] + [_ZERO] * (phi - len(s1))
-        return CyclotomicElement(self.order, inv)
+        n = self.order
+        field = _field(n)
+        a = self.num
+        others = [1]  # the empty product when N <= 2, where Q(zeta_N) = Q
+        if n > 2:
+            # sigma_k(a) * sigma_-k(a) = sigma_k(a * conj(a)) halves the products
+            conj = _substitute_ints(a, n - 1, n, field)
+            real = _mul_ints(a, conj, field)
+            others = conj
+            for k in field.half_units:
+                others = _mul_ints(others, _substitute_ints(real, k, n, field), field)
+        # a * others is the norm of the numerator vector, a nonzero rational
+        norm = _mul_ints(a, others, field)[0]
+        den = self.den if norm > 0 else -self.den
+        return _make(n, [den * c for c in others], abs(norm))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -275,14 +318,15 @@ class CyclotomicElement:
         return result
 
     def __eq__(self, other):
+        if isinstance(other, CyclotomicElement):
+            return self.order == other.order and self.den == other.den and self.num == other.num
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coords[0] == other
-        if not isinstance(other, CyclotomicElement):
-            return NotImplemented
-        return self.order == other.order and self.coords == other.coords
+            return (self.num[0] == other.numerator and self.den == other.denominator
+                    and not any(self.num[1:]))
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.order, self.coords))
+        return hash((self.order, self.num, self.den))
 
     def __repr__(self):
         return f"CyclotomicElement(order={self.order}, coords={[str(c) for c in self.coords]})"
@@ -294,14 +338,7 @@ class CyclotomicElement:
         k = exponent % n
         if math.gcd(k, n) != 1:
             raise InvalidExponent(f"exponent {exponent} is not invertible modulo {n}")
-        table = _power_table(n)
-        out = [_ZERO] * len(self.coords)
-        for i, c in enumerate(self.coords):
-            if c:
-                row = table[(i * k) % n]
-                for j in range(len(out)):
-                    out[j] += c * row[j]
-        return CyclotomicElement(n, out)
+        return _make(n, _substitute_ints(self.num, k, n, _field(n)), self.den)
 
     def conjugate(self) -> "CyclotomicElement":
         return self.galois(-1)
@@ -317,14 +354,7 @@ class CyclotomicElement:
         if order % self.order != 0:
             raise NotASubfield(f"Q(zeta_{self.order}) does not embed in Q(zeta_{order}): {self.order} does not divide {order}")
         step = order // self.order
-        table = _power_table(order)
-        out = [_ZERO] * euler_phi(order)
-        for i, c in enumerate(self.coords):
-            if c:
-                row = table[(i * step) % order]
-                for j in range(len(out)):
-                    out[j] += c * row[j]
-        return CyclotomicElement(order, out)
+        return _make(order, _substitute_ints(self.num, step, order, _field(order)), self.den)
 
     def root_of_unity_log(self) -> Optional[tuple[int, int]]:
         """Return (sign, j) with self = sign * zeta^j, or None.
@@ -332,18 +362,18 @@ class CyclotomicElement:
         Roots of unity in Q(zeta_N) are exactly +/- zeta_N^j, so comparison
         against the finite candidate set decides membership.
         """
-        table = _power_table(self.order)
-        for j in range(self.order):
-            if self.coords == table[j]:
-                return (1, j)
-        for j in range(self.order):
-            if all(a == -b for a, b in zip(self.coords, table[j])):
-                return (-1, j)
+        if self.den != 1:
+            return None
+        rows = _field(self.order).rows
+        for sign, num in ((1, self.num), (-1, tuple(-a for a in self.num))):
+            for j in range(self.order):
+                if num == rows[j]:
+                    return (sign, j)
         return None
 
     def to_complex(self) -> complex:
-        n = self.order
-        return sum(float(c) * cmath.exp(2j * cmath.pi * i / n) for i, c in enumerate(self.coords))
+        n, den = self.order, self.den
+        return sum(c / den * cmath.exp(2j * cmath.pi * i / n) for i, c in enumerate(self.num))
 
     # serialization ------------------------------------------------------
     def to_dict(self) -> dict:
@@ -363,6 +393,30 @@ class CyclotomicElement:
             return cls(order, [Fraction(c) for c in coords])
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad rational coordinate: {exc}") from exc
+
+
+_set_order = CyclotomicElement.order.__set__
+_set_num = CyclotomicElement.num.__set__
+_set_den = CyclotomicElement.den.__set__
+
+
+def _new(order: int, num: tuple[int, ...], den: int) -> CyclotomicElement:
+    """An element from numerators and a denominator that are already canonical."""
+    out = object.__new__(CyclotomicElement)
+    _set_order(out, order)
+    _set_num(out, num)
+    _set_den(out, den)
+    return out
+
+
+def _make(order: int, num: list[int], den: int) -> CyclotomicElement:
+    """An element from integer numerators over a positive denominator,
+    divided by their common gcd (which sends zero to den == 1)."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    return _new(order, tuple(num), den)
 
 
 class GaloisElement:
@@ -392,9 +446,6 @@ class GaloisElement:
 
     def is_identity(self) -> bool:
         return self.exponent == 1 % self.order
-
-    def is_conjugation(self) -> bool:
-        return self.exponent == (-1) % self.order
 
     def __eq__(self, other):
         if not isinstance(other, GaloisElement):

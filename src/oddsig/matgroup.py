@@ -81,17 +81,14 @@ def cyclic_subgroup(a: ProjMap, bound: int = DEFAULT_BOUND) -> frozenset[ProjMap
     return frozenset(out)
 
 
-def cyclic_subgroups(group: Sequence[ProjMap]) -> list[frozenset[ProjMap]]:
-    """Distinct cyclic subgroups generated by elements of the group,
-    listed in order of first appearance."""
-    seen: list[frozenset[ProjMap]] = []
-    found = set()
+def cyclic_subgroups(group: Sequence[ProjMap]) -> dict[frozenset[ProjMap], ProjMap]:
+    """Distinct cyclic subgroups generated by elements of the group, in order
+    of first appearance, each mapped to the first element whose powers
+    produced it (a generator of the subgroup)."""
+    first: dict[frozenset[ProjMap], ProjMap] = {}
     for g in group:
-        sub = cyclic_subgroup(g, bound=len(group) + 1)
-        if sub not in found:
-            found.add(sub)
-            seen.append(sub)
-    return seen
+        first.setdefault(cyclic_subgroup(g, bound=len(group) + 1), g)
+    return first
 
 
 def conjugate_subgroup(sub: Iterable[ProjMap], h: ProjMap) -> frozenset[ProjMap]:

@@ -158,10 +158,10 @@ class ProjMap:
     def __eq__(self, other):
         if not isinstance(other, ProjMap):
             return NotImplemented
-        return self.key() == other.key()
+        return self.order == other.order and self.entries == other.entries
 
     def __hash__(self):
-        return hash(self.key())
+        return hash((self.order, self.entries))
 
     def __repr__(self):
         return f"ProjMap(order={self.order}, entries={[[str(c.coords) for c in row] for row in self.entries]})"
@@ -248,11 +248,6 @@ class PlaneCurve:
 
 def conjugate_curve(curve: PlaneCurve, exponent: int = -1) -> PlaneCurve:
     return curve.galois(exponent)
-
-
-def common_field(curve: PlaneCurve, mapping: ProjMap) -> tuple[PlaneCurve, ProjMap]:
-    order = common_order(curve.order, mapping.order)
-    return curve.lift_to(order), mapping.lift_to(order)
 
 
 def is_isomorphism_onto(source: PlaneCurve, target: PlaneCurve, mapping: ProjMap):
@@ -414,10 +409,6 @@ def _y_gcd(f, g, order):
     if len(content) == 1:
         return a
     return [uni_mul(row, content, order) if row else [] for row in a]
-
-
-def _y_degree(f) -> int:
-    return len(_y_trim([r[:] for r in f])) - 1
 
 
 def _from_ylists(f, order: int) -> SparsePoly:

@@ -18,7 +18,7 @@ from .errors import (
     VariableCountMismatch,
     ZeroPolynomial,
 )
-from .exactnum import CyclotomicElement, common_order
+from .exactnum import CyclotomicElement
 
 Coeff = Union[int, Fraction, CyclotomicElement]
 
@@ -433,13 +433,6 @@ def uni_squarefree(a: Sequence[CyclotomicElement], order: int) -> list[Cyclotomi
     return uni_monic(q)
 
 
-def uni_eval(a: Sequence[CyclotomicElement], x: CyclotomicElement, order: int) -> CyclotomicElement:
-    total = CyclotomicElement.zero(order)
-    for c in reversed(list(a)):
-        total = total * x + c
-    return total
-
-
 def poly_to_uni(p: SparsePoly, var: int = 0) -> list[CyclotomicElement]:
     """Dense coefficient list of a polynomial using only variable var."""
     for exps in p.terms:
@@ -564,8 +557,3 @@ def resultant(f: SparsePoly, g: SparsePoly, var: int) -> SparsePoly:
             row[shift + idx] = c
         rows.append(row)
     return _bareiss_det(rows, order, nvars)
-
-
-def lift_pair(a: SparsePoly, b: SparsePoly) -> tuple[SparsePoly, SparsePoly]:
-    target = common_order(a.order, b.order)
-    return a.lift_to(target), b.lift_to(target)

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (
+    InternalInconsistency,
     NegativeGenus,
     NonIntegerBranchCount,
     NonIntegerGenus,
@@ -36,7 +37,6 @@ from .polyring import (
     uni_add,
     uni_divmod,
     uni_gcd,
-    uni_is_zero,
     uni_monic,
     uni_mul,
     uni_scale,
@@ -431,7 +431,9 @@ def fixed_point_count(curve: PlaneCurve, mapping: ProjMap,
     lifted = mapping.lift_to(order)
     h = _eigenvalue_modulus(lifted, bound)
     count, ledger = _count_eigen_branch(poly, lifted, h, order)
-    assert ledger == 3, "eigenspace dimensions of a finite-order map must fill space"
+    if ledger != 3:
+        raise InternalInconsistency(
+            f"eigenspace dimensions of a finite-order map sum to {ledger}, not 3")
     return count
 
 
@@ -451,17 +453,15 @@ def signature(curve: PlaneCurve, group: Sequence[ProjMap],
     genus_top = curve.genus()
     if size == 1:
         return Signature(genus_top, ())
-    subs = [s for s in cyclic_subgroups(group) if len(s) > 1]
-    fixed: dict[frozenset, int] = {}
-    for sub in subs:
-        gen = next(g for g in sub if element_order(g, bound)[0] == len(sub))
-        fixed[sub] = fixed_point_count(curve, gen, bound)
+    # a point fixed by one generator of a cyclic subgroup is fixed by all of them
+    fixed = {sub: fixed_point_count(curve, gen, bound)
+             for sub, gen in cyclic_subgroups(group).items() if len(sub) > 1}
     exact: dict[frozenset, int] = {}
-    for sub in sorted(subs, key=len, reverse=True):
+    for sub in sorted(fixed, key=len, reverse=True):
         above = sum(exact[other] for other in exact if sub < other)
         exact[sub] = fixed[sub] - above
         if exact[sub] < 0:
-            raise AssertionError("negative stabilizer count; input is not a closed group")
+            raise InternalInconsistency("negative stabilizer count; input is not a closed group")
     totals: Counter[int] = Counter()
     for sub, value in exact.items():
         totals[len(sub)] += value

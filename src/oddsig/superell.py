@@ -24,7 +24,6 @@ from .errors import (
     NonIntegerCount,
     NotSquarefree,
     PropertyViolation,
-    SchemaError,
     ShapeViolation,
     ZeroPolynomial,
 )
@@ -200,10 +199,10 @@ class RationalFunction:
         if self.order != other.order:
             order = common_order(self.order, other.order)
             return self.lift_to(order) == other.lift_to(order)
-        return self.key() == other.key()
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.key())
+        return hash((self.order, self.num, self.den))
 
     def __repr__(self):
         return f"RationalFunction({list(self.num)!r} / {list(self.den)!r})"
@@ -238,10 +237,6 @@ class QGonalMap:
     @classmethod
     def identity(cls, order: int = 1) -> "QGonalMap":
         return cls(order, [[1, 0], [0, 1]], 1)
-
-    def mobius_function(self) -> RationalFunction:
-        (a, b), (c, d) = self.mobius
-        return RationalFunction(self.order, [b, a], [d, c])
 
     def lift_to(self, order: int) -> "QGonalMap":
         if order == self.order:
@@ -304,10 +299,10 @@ class QGonalMap:
         if self.order != other.order:
             order = common_order(self.order, other.order)
             return self.lift_to(order) == other.lift_to(order)
-        return self.key() == other.key()
+        return self.mobius == other.mobius and self.multiplier == other.multiplier
 
     def __hash__(self):
-        return hash((self.order,) + self.key())
+        return hash((self.order, self.mobius, self.multiplier))
 
     def __repr__(self):
         return f"QGonalMap(order={self.order}, mobius={self.mobius!r}, r={self.multiplier!r})"
@@ -569,11 +564,6 @@ def defect_twist_map(q: int, m: int, n: int, order: Optional[int] = None) -> QGo
     o = common_order(n, order or 1)
     return QGonalMap(o, [[1, 0], [0, 1]],
                      CyclotomicElement.zeta(n, 1).lift_to(o) ** power)
-
-
-def qgonal_compose(phi2: QGonalMap, phi1: QGonalMap) -> QGonalMap:
-    """phi2 after phi1."""
-    return phi2 @ phi1
 
 
 def qgonal_is_isomorphism(source: QGonalCurve, target: QGonalCurve,

@@ -121,6 +121,15 @@ def test_signature_fermat(capsys):
     assert report["assumptions"] and report["citations"]
 
 
+def test_internal_inconsistency_exits_1(monkeypatch, capsys):
+    from oddsig import ramify
+    monkeypatch.setattr(ramify, "_count_eigen_branch", lambda *args: (0, 2))
+    code, out, err = run(capsys, "signature", "--curve", fx("quartic_c3"),
+                         "--group", fx("quartic_c3_gens"))
+    assert code == 1 and out == ""
+    assert err.startswith("internal inconsistency:")
+
+
 def test_signature_missing_file(capsys):
     code, _, err = run(capsys, "signature", "--curve", "missing.json",
                        "--group", fx("fermat_quartic_gens"))

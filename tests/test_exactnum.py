@@ -4,17 +4,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from oddsig.errors import InvalidExponent, NotASubfield, OrderMismatch, SchemaError
+from oddsig import exactnum
+from oddsig.errors import (InternalInconsistency, InvalidExponent, NotASubfield,
+                           OrderMismatch, SchemaError)
 from oddsig.exactnum import (
     CyclotomicElement as Cyc,
     GaloisElement,
+    _poly_divmod,
     common_order,
     conjugation,
     cyclotomic_polynomial,
     euler_phi,
     lift_all,
 )
+from oddsig.plane import ProjMap
 
 
 def test_euler_phi_small():
@@ -199,3 +204,158 @@ def test_minimal_field_edge_orders():
     assert minus == -1
     assert minus.conjugate() == minus
     assert one.conjugate() == one
+
+
+def test_cyclotomic_division_failure_is_typed(monkeypatch):
+    monkeypatch.setattr(exactnum, "_CYCLO_CACHE", {})
+    monkeypatch.setattr(exactnum, "_poly_divmod", lambda a, b: (a, [Fraction(1)]))
+    with pytest.raises(InternalInconsistency):
+        cyclotomic_polynomial(6)
+
+
+# differential tests against a Fraction reference ------------------------------
+
+DIFF_ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 24)
+DIFF = settings(max_examples=60, deadline=None)
+
+rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@st.composite
+def vectors(draw, order):
+    return draw(st.lists(rationals, min_size=euler_phi(order), max_size=euler_phi(order)))
+
+
+@st.composite
+def order_and_vectors(draw, count):
+    order = draw(st.sampled_from(DIFF_ORDERS))
+    return (order,) + tuple(draw(vectors(order)) for _ in range(count))
+
+
+def ref_reduce(poly, order):
+    """Coordinates of a polynomial in Q[x] modulo Phi_order."""
+    _, rem = _poly_divmod(poly, list(cyclotomic_polynomial(order)))
+    return tuple(rem) + (Fraction(0),) * (euler_phi(order) - len(rem))
+
+
+def ref_mul(a, b, order):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return ref_reduce(prod, order)
+
+
+def ref_substitute(a, step, order):
+    """zeta^i |-> zeta_order^(i * step), reduced."""
+    poly = [Fraction(0)] * order
+    for i, x in enumerate(a):
+        poly[(i * step) % order] += x
+    return ref_reduce(poly, order)
+
+
+def assert_canonical(x):
+    assert x.den > 0
+    assert math.gcd(x.den, *x.num) == 1
+    assert len(x.num) == euler_phi(x.order)
+    if not any(x.num):
+        assert x.den == 1
+
+
+@DIFF
+@given(order_and_vectors(2))
+def test_ring_operations_match_reference(data):
+    order, a, b = data
+    x, y = Cyc(order, a), Cyc(order, b)
+    for result, expected in (
+        (x * y, ref_mul(a, b, order)),
+        (x + y, tuple(p + q for p, q in zip(a, b))),
+        (x - y, tuple(p - q for p, q in zip(a, b))),
+        (-x, tuple(-p for p in a)),
+    ):
+        assert_canonical(result)
+        assert result.coords == expected
+
+
+@DIFF
+@given(order_and_vectors(1), st.integers(-50, 50))
+def test_galois_matches_reference(data, exponent):
+    order, a = data
+    assume(math.gcd(exponent, order) == 1)
+    image = Cyc(order, a).galois(exponent)
+    assert_canonical(image)
+    assert image.coords == ref_substitute(a, exponent % order, order)
+
+
+@DIFF
+@given(order_and_vectors(1), st.sampled_from((1, 2, 3, 4, 6)))
+def test_lift_matches_reference(data, factor):
+    order, a = data
+    target = order * factor
+    lifted = Cyc(order, a).lift_to(target)
+    assert_canonical(lifted)
+    assert lifted.coords == ref_substitute(a, factor, target)
+
+
+@DIFF
+@given(order_and_vectors(1))
+def test_inverse_and_canonical_form(data):
+    order, a = data
+    x = Cyc(order, a)
+    assert_canonical(x)
+    assert x.coords == tuple(Fraction(c) for c in a)
+    assert Cyc.from_dict(x.to_dict()) == x
+    if x.is_zero():
+        assert x.den == 1
+        return
+    inv = x.inverse()
+    assert_canonical(inv)
+    assert x * inv == 1
+    assert (x * inv).is_one()
+
+
+@DIFF
+@given(order_and_vectors(2), st.integers(1, 9))
+def test_equal_values_from_different_routes(data, scale):
+    order, a, b = data
+    x, y = Cyc(order, a), Cyc(order, b)
+    pairs = [
+        (x * y, y * x),
+        ((x + y) - y, x),
+        (x * scale / scale, x),
+        (Cyc(order, [c * scale for c in a]) / scale, x),
+        (Cyc(order, [str(c) for c in a]), x),
+        (x.conjugate().conjugate(), x),
+    ]
+    assert (x * 2 == x) == x.is_zero()
+    assert (x == y) == (a == b)
+    for left, right in pairs:
+        assert left == right
+        assert hash(left) == hash(right)
+        assert (left.num, left.den) == (right.num, right.den)
+
+
+small_entries = st.sampled_from((-2, -1, 0, 1, 2, Fraction(1, 2)))
+
+
+@DIFF
+@given(st.sampled_from((1, 3, 4, 8)), st.data())
+def test_projmap_equality_agrees_with_key(order, data):
+    def entry():
+        coords = data.draw(st.lists(small_entries, min_size=euler_phi(order),
+                                    max_size=euler_phi(order)))
+        return Cyc(order, coords)
+
+    rows = [[entry() for _ in range(3)] for _ in range(3)]
+    other = [[entry() for _ in range(3)] for _ in range(3)] if data.draw(st.booleans()) else rows
+    scale = entry()
+    assume(not scale.is_zero())
+    try:
+        p = ProjMap(order, rows)
+        q = ProjMap(order, [[c * scale for c in row] for row in other])
+    except ValueError:
+        assume(False)
+    assert (p == q) == (p.key() == q.key())
+    if p == q:
+        assert hash(p) == hash(q)
+    assert (p == ProjMap(order, rows)) and hash(p) == hash(ProjMap(order, rows))

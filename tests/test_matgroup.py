@@ -116,6 +116,14 @@ def test_cyclic_subgroup_sizes():
     assert sorted(len(s) for s in subs) == [1, 2, 2, 2]
 
 
+def test_cyclic_subgroup_generators_are_first_appearances():
+    group = closure([ProjMap.permutation(1, [1, 0, 2]), ProjMap.permutation(1, [2, 0, 1])])
+    first = cyclic_subgroups(group)
+    for sub in first:
+        assert cyclic_subgroup(first[sub]) == sub
+        assert first[sub] is next(g for g in group if cyclic_subgroup(g) == sub)
+
+
 def test_subgroup_conjugacy_classes_symmetric_group():
     # permutation matrices give S_3: three conjugate involutions, one 3-cycle class
     group = closure([ProjMap.permutation(1, [1, 0, 2]), ProjMap.permutation(1, [2, 0, 1])])

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from oddsig.errors import (NonIntegerGenus, NotAnAutomorphism, ScalarMap)
+from oddsig import ramify
+from oddsig.errors import (InternalInconsistency, NonIntegerGenus, NotAnAutomorphism,
+                           ScalarMap)
 from oddsig.exactnum import CyclotomicElement
 from oddsig.matgroup import closure, element_order
 from oddsig.plane import PlaneCurve, ProjMap, conjugate_curve, is_smooth
@@ -107,6 +109,24 @@ def test_fixed_point_error_paths():
         fixed_point_count(curve, shear)
     with pytest.raises(NotAnAutomorphism):
         signature(curve, [ProjMap.identity(4), shear])
+
+
+def test_eigenspace_ledger_failure_is_typed(monkeypatch):
+    real = ramify._count_eigen_branch
+    monkeypatch.setattr(ramify, "_count_eigen_branch",
+                        lambda *args: (real(*args)[0], 2))
+    with pytest.raises(InternalInconsistency):
+        fixed_point_count(fermat_quartic(), ProjMap.permutation(4, [2, 0, 1]))
+
+
+def test_negative_stabilizer_count_is_typed(monkeypatch):
+    # |Fix| = |<g>| makes the count of the order-2 subgroup inside C4 negative
+    monkeypatch.setattr(ramify, "fixed_point_count",
+                        lambda curve, gen, bound: element_order(gen)[0])
+    i = CyclotomicElement.zeta(4, 1)
+    group = closure([ProjMap.diagonal(4, i, 1, 1)])
+    with pytest.raises(InternalInconsistency):
+        signature(fermat_quartic(), group)
 
 
 def test_trivial_group_signature():
