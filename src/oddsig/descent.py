@@ -28,6 +28,7 @@ from .errors import (
     HypothesisViolation,
     ImageTooLarge,
     ImpossibleCase,
+    InternalInconsistency,
 )
 from .exactnum import CyclotomicElement, common_order
 from .matgroup import DEFAULT_BOUND, closure
@@ -129,7 +130,8 @@ def weil_descent_order2(curve: PlaneCurve, mu: ProjMap,
     for phi in candidates:
         defect = phi.conjugate() @ phi
         ok, _ = is_automorphism(lifted, defect)
-        assert ok, "cocycle defect fell outside the automorphism group"
+        if not ok:
+            raise InternalInconsistency("cocycle defect fell outside the automorphism group")
         if defect.is_identity() and witness is None:
             witness = phi
         defects.append((phi, defect))

@@ -1,13 +1,18 @@
 """Finite matrix groups in PGL_3 generated by explicit maps.
 
-Groups are plain lists of ProjMap values in the order breadth-first closure
-discovers them, so reports stay deterministic. Closure refuses to grow past
-a configurable bound instead of looping on an infinite group.
+closure returns a FiniteGroup: a sequence of ProjMap values in the order
+breadth-first closure discovers them, so reports stay deterministic, with
+the identity at index 0. Alongside the elements it keeps the lifted
+generators and integer tables for the product and the inverse, filled from
+the products closure computes anyway. Element orders, cyclic subgroups and
+conjugation are integer work on those tables; only closure multiplies
+matrices. Closure refuses to grow past a configurable bound instead of
+looping on an infinite group.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import BoundExceeded
 from .exactnum import CyclotomicElement, common_order
@@ -16,28 +21,68 @@ from .plane import ProjMap
 DEFAULT_BOUND = 360
 
 
-def closure(generators: Sequence[ProjMap], bound: int = DEFAULT_BOUND) -> list[ProjMap]:
+class FiniteGroup(Sequence):
+    """Elements of a finite subgroup of PGL_3 with integer group tables.
+
+    elements[mul[a][b]] is elements[a] @ elements[b], elements[inv[a]] is
+    the inverse of elements[a], and elements[0] is the identity. gens holds
+    the index of each lifted generator, in the order given."""
+
+    __slots__ = ("elements", "gens", "mul", "inv")
+
+    def __init__(self, elements: tuple[ProjMap, ...], gens: tuple[int, ...],
+                 mul: list[list[int]], inv: list[int]):
+        self.elements = elements
+        self.gens = gens
+        self.mul = mul
+        self.inv = inv
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __getitem__(self, index):
+        return self.elements[index]
+
+    def __iter__(self):
+        return iter(self.elements)
+
+    @property
+    def generators(self) -> list[ProjMap]:
+        return [self.elements[i] for i in self.gens]
+
+
+def closure(generators: Sequence[ProjMap], bound: int = DEFAULT_BOUND) -> FiniteGroup:
     """Breadth-first closure of the generated subgroup of PGL_3."""
     if not generators:
         raise ValueError("need at least one generator")
     order = common_order(*[g.order for g in generators])
     gens = [g.lift_to(order) for g in generators]
-    identity = ProjMap.identity(order)
-    seen = {identity}
-    queue = [identity]
-    out = [identity]
-    while queue:
-        current = queue.pop(0)
-        for g in gens:
+    out = [ProjMap.identity(order)]
+    index = {out[0]: 0}
+    right: list[list[int]] = []   # right[x][s] = index of out[x] @ gens[s]
+    origin = [None]               # origin[b] = (p, s) with out[b] first reached as out[p] @ gens[s]
+    for x, current in enumerate(out):  # out doubles as the BFS queue
+        row = []
+        for s, g in enumerate(gens):
             nxt = current @ g
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            out.append(nxt)
-            queue.append(nxt)
-            if len(out) > bound:
-                raise BoundExceeded(f"group closure exceeded bound {bound}")
-    return out
+            b = index.get(nxt)
+            if b is None:
+                b = index[nxt] = len(out)
+                out.append(nxt)
+                origin.append((x, s))
+                if len(out) > bound:
+                    raise BoundExceeded(f"group closure exceeded bound {bound}")
+            row.append(b)
+        right.append(row)
+    # a * b = (a * p) * g_s when b = p * g_s, and p precedes b in BFS order
+    mul = []
+    for a in range(len(out)):
+        row = [a]
+        for p, s in origin[1:]:
+            row.append(right[row[p]][s])
+        mul.append(row)
+    inv = [row.index(0) for row in mul]
+    return FiniteGroup(tuple(out), tuple(right[0]), mul, inv)
 
 
 def _raw_mul(a, b, order):
@@ -74,39 +119,58 @@ def element_order(a: ProjMap, bound: int = DEFAULT_BOUND) -> tuple[int, Cyclotom
 
 
 def cyclic_subgroup(a: ProjMap, bound: int = DEFAULT_BOUND) -> frozenset[ProjMap]:
-    n, _ = element_order(a, bound)
+    """Powers of a as matrices; the independent oracle for cyclic_subgroups."""
     out = [ProjMap.identity(a.order)]
-    for _ in range(n - 1):
-        out.append(out[-1] @ a)
+    power = a
+    while not power.is_identity():
+        if len(out) >= bound:
+            raise BoundExceeded(f"element order exceeded bound {bound}")
+        out.append(power)
+        power = power @ a
     return frozenset(out)
 
 
-def cyclic_subgroups(group: Sequence[ProjMap]) -> dict[frozenset[ProjMap], ProjMap]:
-    """Distinct cyclic subgroups generated by elements of the group, in order
-    of first appearance, each mapped to the first element whose powers
-    produced it (a generator of the subgroup)."""
-    first: dict[frozenset[ProjMap], ProjMap] = {}
-    for g in group:
-        first.setdefault(cyclic_subgroup(g, bound=len(group) + 1), g)
+def cyclic_subgroups(group: FiniteGroup) -> dict[frozenset[int], int]:
+    """Distinct cyclic subgroups as index sets, in order of first appearance,
+    each mapped to the index of the first element whose powers produced it
+    (a generator of the subgroup)."""
+    mul = group.mul
+    first: dict[frozenset[int], int] = {}
+    for a in range(len(group)):
+        powers = [0]
+        p = a
+        while p:
+            powers.append(p)
+            p = mul[p][a]
+        first.setdefault(frozenset(powers), a)
     return first
 
 
-def conjugate_subgroup(sub: Iterable[ProjMap], h: ProjMap) -> frozenset[ProjMap]:
-    hinv = h.inverse()
-    return frozenset(h @ g @ hinv for g in sub)
-
-
-def subgroup_conjugacy_classes(group: Sequence[ProjMap],
-                               subgroups: Sequence[frozenset[ProjMap]]) -> list[list[frozenset[ProjMap]]]:
-    remaining = list(subgroups)
-    classes: list[list[frozenset[ProjMap]]] = []
-    while remaining:
-        rep = remaining.pop(0)
+def subgroup_conjugacy_classes(group: FiniteGroup,
+                               subgroups: Iterable[frozenset[int]]) -> list[list[frozenset[int]]]:
+    """Partition of the given subgroups, which must be closed under
+    conjugation, into conjugacy classes. Classes and their members keep the
+    order of subgroups, so each class starts with its first appearance."""
+    mul, inv = group.mul, group.inv
+    position = {sub: k for k, sub in enumerate(subgroups)}
+    classes: list[list[frozenset[int]]] = []
+    done: set[frozenset[int]] = set()
+    for rep in subgroups:
+        if rep in done:
+            continue
+        # the generators generate the group, so their conjugation closes the orbit
         orbit = {rep}
-        for h in group:
-            orbit.add(conjugate_subgroup(rep, h))
-        classes.append(sorted(orbit, key=lambda s: sorted(m.key() for m in s)))
-        remaining = [s for s in remaining if s not in orbit]
+        frontier = [rep]
+        while frontier:
+            sub = frontier.pop()
+            for g in group.gens:
+                row, g_inv = mul[g], inv[g]
+                image = frozenset(mul[row[x]][g_inv] for x in sub)
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        done |= orbit
+        classes.append(sorted(orbit, key=position.__getitem__))
     return classes
 
 

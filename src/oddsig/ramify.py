@@ -7,12 +7,18 @@ Rather than factoring h, all computations run in K[x]/(m) for divisors m of
 h, splitting m whenever a zero-divisor turns up (disc-and-branch, in the
 style of dynamic evaluation). A one-dimensional eigenspace contributes a
 fixed point when its eigenvector lies on the curve; a two-dimensional one
-contributes every intersection point of the fixed line with the curve.
+contributes every intersection point of the fixed line with the curve, and
+a fixed line lying on the curve is rejected as input (FixedLineOnCurve).
 
-signature assembles the quotient data: counts of points with stabilizer
-exactly C come from Moebius inversion over the poset of cyclic subgroups,
-branch points of each index follow by orbit counting, and the quotient genus
-comes out of Riemann-Hurwitz. The verdict is ODD exactly when the quotient
+signature assembles the quotient data. It checks only the generators of the
+group: the closure of automorphisms consists of automorphisms. Conjugate
+elements have equally many fixed points, Fix(h g h^-1) = h Fix(g), so it
+counts fixed points once per conjugacy class of nontrivial cyclic subgroups,
+at the first generator of the class, and gives that count to every subgroup
+in the class. Counts of points with stabilizer exactly C come from Moebius
+inversion over the poset of cyclic subgroups, branch points of each index
+follow by orbit counting, and the quotient genus comes out of
+Riemann-Hurwitz. The verdict is ODD exactly when the quotient
 is rational and some branch index appears an odd number of times.
 """
 
@@ -23,6 +29,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
+    FixedLineOnCurve,
     InternalInconsistency,
     NegativeGenus,
     NonIntegerBranchCount,
@@ -31,7 +38,14 @@ from .errors import (
     ScalarMap,
 )
 from .exactnum import CyclotomicElement, common_order
-from .matgroup import DEFAULT_BOUND, cyclic_subgroups, element_order
+from .matgroup import (
+    DEFAULT_BOUND,
+    FiniteGroup,
+    closure,
+    cyclic_subgroups,
+    element_order,
+    subgroup_conjugacy_classes,
+)
 from .plane import PlaneCurve, ProjMap, is_automorphism
 from .polyring import (
     uni_add,
@@ -100,7 +114,7 @@ def _ainv(p, m, order):
         return s
     if len(g) < len(m):
         raise _Split(g)
-    raise AssertionError("inverting zero residue")
+    raise InternalInconsistency("inverting zero residue")
 
 
 def _zero_part(p, m, order):
@@ -131,7 +145,8 @@ def _eigenvalue_modulus(mapping: ProjMap, bound: int) -> list[CyclotomicElement]
     power[0] = -scalar
     power[n] = CyclotomicElement.one(order)
     h = uni_gcd(_char_poly(mapping), power, order)
-    assert len(h) >= 2, "finite order map must have an eigenvalue candidate"
+    if len(h) < 2:
+        raise InternalInconsistency("finite order map must have an eigenvalue candidate")
     return h
 
 
@@ -273,7 +288,8 @@ def _gcd_degree_in_s(a, b, m, order) -> int:
                 r.pop()
             r = strip(r)
         a, b = bm, strip(r)
-    assert a, "gcd of two zero polynomials"
+    if not a:
+        raise InternalInconsistency("gcd of two zero polynomials")
     return len(a) - 1
 
 
@@ -291,19 +307,20 @@ def _affine_distinct_sum(dense, m, order) -> int:
                 # leading coefficient vanishes on all of m: drop and retry
                 return _affine_distinct_sum(work[:-1], m, order)
         if not work:
-            raise AssertionError("curve contains a fixed line")
+            raise FixedLineOnCurve("curve contains a line fixed pointwise by a group element")
         n_eff = len(work) - 1
         if n_eff == 0:
             return 0
         deriv = _deriv_in_s(work, order)
         if not deriv:
-            raise AssertionError("inseparable restriction in characteristic zero")
+            raise InternalInconsistency("inseparable restriction in characteristic zero")
         gdeg = _gcd_degree_in_s(work, deriv, m, order)
         return (len(m) - 1) * (n_eff - gdeg)
     except _Split as split:
         g = uni_monic(split.factor)
         q, r = uni_divmod(m, g, order)
-        assert not r
+        if r:
+            raise InternalInconsistency("split factor does not divide the modulus")
         return (_affine_distinct_sum(dense, g, order)
                 + _affine_distinct_sum(dense, uni_monic(q), order))
 
@@ -313,7 +330,8 @@ def _binary_distinct_sum(form, degree, m, order) -> int:
     total = 0
     g_inf = _zero_part(form.get((degree, 0), []), m, order)
     finite_part, r = uni_divmod(m, g_inf, order)
-    assert not r
+    if r:
+        raise InternalInconsistency("root-at-infinity factor does not divide the modulus")
     finite_part = uni_monic(finite_part)
     for part, at_infinity in ((uni_monic(g_inf), True), (finite_part, False)):
         if len(part) <= 1:
@@ -340,14 +358,16 @@ def _rank2_contribution(poly, adj, m, order) -> int:
                 continue
             g = _zero_part(entry, rem, order)
             live, rr = uni_divmod(rem, g, order)
-            assert not rr
+            if rr:
+                raise InternalInconsistency("zero-part factor does not divide the modulus")
             live = uni_monic(live)
             if len(live) > 1:
                 v = [_mod(adj[k][c], live, order) for k in range(3)]
                 on_curve = _eval_curve_at(poly, v, live, order)
                 total += len(_zero_part(on_curve, live, order)) - 1
             rem = uni_monic(g)
-    assert len(rem) <= 1, "adjugate vanished on a rank-two branch"
+    if len(rem) > 1:
+        raise InternalInconsistency("adjugate vanished on a rank-two branch")
     return total
 
 
@@ -365,7 +385,8 @@ def _rank1_contribution(poly, b, m, order) -> int:
                 continue
             g = _zero_part(entry, rem, order)
             live, rr = uni_divmod(rem, g, order)
-            assert not rr
+            if rr:
+                raise InternalInconsistency("zero-part factor does not divide the modulus")
             live = uni_monic(live)
             if len(live) > 1:
                 try:
@@ -383,11 +404,13 @@ def _rank1_contribution(poly, b, m, order) -> int:
                 except _Split as split:
                     gg = uni_monic(split.factor)
                     qq, rr2 = uni_divmod(live, gg, order)
-                    assert not rr2
+                    if rr2:
+                        raise InternalInconsistency("split factor does not divide the modulus")
                     total += _rank1_contribution(poly, b, gg, order)
                     total += _rank1_contribution(poly, b, uni_monic(qq), order)
             rem = uni_monic(g)
-    assert len(rem) <= 1, "scalar branch inside eigenplane handler"
+    if len(rem) > 1:
+        raise InternalInconsistency("scalar branch inside eigenplane handler")
     return total
 
 
@@ -405,7 +428,8 @@ def _count_eigen_branch(poly, mapping, m, order) -> tuple[int, int]:
             break
     plane_part = uni_monic(g_adj)
     point_part, r0 = uni_divmod(m, plane_part, order)
-    assert not r0
+    if r0:
+        raise InternalInconsistency("eigenplane factor does not divide the modulus")
     point_part = uni_monic(point_part)
     count = 0
     ledger = 0
@@ -441,27 +465,38 @@ def fixed_point_count(curve: PlaneCurve, mapping: ProjMap,
 
 def signature(curve: PlaneCurve, group: Sequence[ProjMap],
               bound: int = DEFAULT_BOUND, verify: bool = True) -> Signature:
-    """Signature of the quotient of the curve by the given full group."""
-    size = len(group)
-    if size == 0:
+    """Signature of the quotient of the curve by the given full group.
+
+    A FiniteGroup from closure is taken as it is; any other sequence is a
+    generating set, closed here after its elements are verified."""
+    if len(group) == 0:
         raise ValueError("empty group")
+    generators = group.generators if isinstance(group, FiniteGroup) else group
     if verify:
-        for g in group:
+        for g in generators:
             ok, _ = is_automorphism(curve, g)
             if not ok:
                 raise NotAnAutomorphism("group element does not preserve the curve")
+    if not isinstance(group, FiniteGroup):
+        group = closure(group, bound)
+    size = len(group)
     genus_top = curve.genus()
     if size == 1:
         return Signature(genus_top, ())
+    subgroups = cyclic_subgroups(group)
+    count_of: dict[frozenset[int], int] = {}
+    for cls in subgroup_conjugacy_classes(group, subgroups):
+        if len(cls[0]) > 1:
+            count = fixed_point_count(curve, group[subgroups[cls[0]]], bound)
+            count_of.update((sub, count) for sub in cls)
     # a point fixed by one generator of a cyclic subgroup is fixed by all of them
-    fixed = {sub: fixed_point_count(curve, gen, bound)
-             for sub, gen in cyclic_subgroups(group).items() if len(sub) > 1}
+    fixed = {sub: count_of[sub] for sub in subgroups if len(sub) > 1}
     exact: dict[frozenset, int] = {}
     for sub in sorted(fixed, key=len, reverse=True):
         above = sum(exact[other] for other in exact if sub < other)
         exact[sub] = fixed[sub] - above
         if exact[sub] < 0:
-            raise InternalInconsistency("negative stabilizer count; input is not a closed group")
+            raise InternalInconsistency("negative stabilizer count in the Moebius inversion")
     totals: Counter[int] = Counter()
     for sub, value in exact.items():
         totals[len(sub)] += value

@@ -130,6 +130,23 @@ def test_internal_inconsistency_exits_1(monkeypatch, capsys):
     assert err.startswith("internal inconsistency:")
 
 
+def test_signature_curve_containing_fixed_line(tmp_path, capsys):
+    # x^3 y + x y^3 + x z^3 = x (x^2 y + y^3 + z^3): diag(-1, 1, 1) fixes x = 0 pointwise
+    curve = {"kind": "plane_curve", "order": 1, "variables": ["x", "y", "z"],
+             "terms": [{"coefficient": ["1"], "exponents": exps}
+                       for exps in ([3, 1, 0], [1, 3, 0], [1, 0, 3])]}
+    flip = [[["-1"], ["0"], ["0"]], [["0"], ["1"], ["0"]], [["0"], ["0"], ["1"]]]
+    group = {"kind": "group",
+             "generators": [{"kind": "projective_map", "order": 1, "entries": flip}]}
+    (tmp_path / "curve.json").write_text(json.dumps(curve), encoding="utf-8")
+    (tmp_path / "group.json").write_text(json.dumps(group), encoding="utf-8")
+    code, out, err = run(capsys, "signature", "--curve", str(tmp_path / "curve.json"),
+                         "--group", str(tmp_path / "group.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "fixed pointwise" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_signature_missing_file(capsys):
     code, _, err = run(capsys, "signature", "--curve", "missing.json",
                        "--group", fx("fermat_quartic_gens"))

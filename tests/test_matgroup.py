@@ -3,7 +3,7 @@ import random
 import pytest
 
 from oddsig.errors import BoundExceeded
-from oddsig.exactnum import CyclotomicElement
+from oddsig.exactnum import CyclotomicElement, common_order
 from oddsig.matgroup import (closure, cyclic_subgroup, cyclic_subgroups,
                              element_order, is_group,
                              subgroup_conjugacy_classes)
@@ -119,9 +119,10 @@ def test_cyclic_subgroup_sizes():
 def test_cyclic_subgroup_generators_are_first_appearances():
     group = closure([ProjMap.permutation(1, [1, 0, 2]), ProjMap.permutation(1, [2, 0, 1])])
     first = cyclic_subgroups(group)
-    for sub in first:
-        assert cyclic_subgroup(first[sub]) == sub
-        assert first[sub] is next(g for g in group if cyclic_subgroup(g) == sub)
+    for sub, gen in first.items():
+        matrices = frozenset(group[i] for i in sub)
+        assert cyclic_subgroup(group[gen]) == matrices
+        assert gen == next(a for a, g in enumerate(group) if cyclic_subgroup(g) == matrices)
 
 
 def test_subgroup_conjugacy_classes_symmetric_group():
@@ -129,10 +130,88 @@ def test_subgroup_conjugacy_classes_symmetric_group():
     group = closure([ProjMap.permutation(1, [1, 0, 2]), ProjMap.permutation(1, [2, 0, 1])])
     assert len(group) == 6
     subs = cyclic_subgroups(group)
-    classes = subgroup_conjugacy_classes(group, subs)
+    classes = subgroup_conjugacy_classes(group, list(subs))
     sizes = sorted((len(cls), len(cls[0])) for cls in classes)
     # one trivial class, one class of three order-2 subgroups, one order-3 subgroup
     assert sizes == [(1, 1), (1, 3), (3, 2)]
+    assert_classes_match_matrix_conjugation(group, classes)
+
+
+def assert_classes_match_matrix_conjugation(group, classes):
+    """Each class is the orbit of its first member under conjugation by
+    every element, computed with matrices."""
+    for cls in classes:
+        rep = [group[i] for i in cls[0]]
+        orbit = {frozenset(h @ g @ h.inverse() for g in rep) for h in group}
+        assert orbit == {frozenset(group[i] for i in sub) for sub in cls}
+
+
+def s4_generators():
+    return [ProjMap.permutation(1, [1, 0, 2]), ProjMap.permutation(1, [2, 0, 1]),
+            ProjMap.diagonal(1, -1, 1, 1)]
+
+
+def order16_generators():
+    i = CyclotomicElement.zeta(4, 1)
+    return [ProjMap.diagonal(4, i, 1, 1), ProjMap.diagonal(4, 1, -1, 1),
+            ProjMap.permutation(4, [0, 2, 1])]
+
+
+def naive_closure(generators):
+    order = common_order(*[g.order for g in generators])
+    gens = [g.lift_to(order) for g in generators]
+    out = [ProjMap.identity(order)]
+    queue = list(out)
+    while queue:
+        current = queue.pop(0)
+        for g in gens:
+            nxt = current @ g
+            if nxt not in out:
+                out.append(nxt)
+                queue.append(nxt)
+    return out
+
+
+@pytest.mark.parametrize("generators, size", [(s4_generators, 24), (order16_generators, 16)])
+def test_group_tables_on_small_groups(generators, size):
+    group = closure(generators())
+    assert len(group) == size
+    assert list(group) == naive_closure(generators())
+    for a in range(size):
+        assert (group[a] @ group[group.inv[a]]).is_identity()
+        for b in range(size):
+            assert group[group.mul[a][b]] == group[a] @ group[b]
+    assert group.generators == [g.lift_to(group[0].order) for g in generators()]
+    first = cyclic_subgroups(group)
+    for sub, gen in first.items():
+        assert frozenset(group[i] for i in sub) == cyclic_subgroup(group[gen])
+    assert_classes_match_matrix_conjugation(group, subgroup_conjugacy_classes(group, list(first)))
+
+
+@pytest.mark.parametrize("generators, seed", [(fermat_generators, 11), (klein_generators, 12)])
+def test_group_tables_on_sampled_pairs(generators, seed):
+    group = closure(generators())
+    assert list(group) == naive_closure(generators())
+    rng = random.Random(seed)
+    for _ in range(300):
+        a, b = rng.randrange(len(group)), rng.randrange(len(group))
+        assert group[group.mul[a][b]] == group[a] @ group[b]
+    for a in range(len(group)):
+        assert (group[a] @ group[group.inv[a]]).is_identity()
+
+
+@pytest.mark.parametrize("generators, subgroups, classes",
+                         [(fermat_generators, 50, 8), (klein_generators, 79, 5)])
+def test_cyclic_subgroup_classes_of_large_groups(generators, subgroups, classes):
+    group = closure(generators())
+    first = cyclic_subgroups(group)
+    assert len(first) == subgroups
+    for sub, gen in first.items():
+        assert frozenset(group[i] for i in sub) == cyclic_subgroup(group[gen])
+    found = subgroup_conjugacy_classes(group, list(first))
+    assert len(found) == classes
+    members = [sub for cls in found for sub in cls]
+    assert len(members) == len(first) and set(members) == set(first)
 
 
 def test_is_group_rejects_broken_sets():

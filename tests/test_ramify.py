@@ -109,6 +109,9 @@ def test_fixed_point_error_paths():
         fixed_point_count(curve, shear)
     with pytest.raises(NotAnAutomorphism):
         signature(curve, [ProjMap.identity(4), shear])
+    # a closed group is verified through its generators
+    with pytest.raises(NotAnAutomorphism):
+        signature(quartic_family(1, 3, 5), closure([ProjMap.permutation(1, [1, 0, 2])]))
 
 
 def test_eigenspace_ledger_failure_is_typed(monkeypatch):
@@ -117,6 +120,20 @@ def test_eigenspace_ledger_failure_is_typed(monkeypatch):
                         lambda *args: (real(*args)[0], 2))
     with pytest.raises(InternalInconsistency):
         fixed_point_count(fermat_quartic(), ProjMap.permutation(4, [2, 0, 1]))
+
+
+def test_zero_residue_inverse_is_typed():
+    # m is a nonzero polynomial that is zero as a residue mod m
+    m = [CyclotomicElement.from_rational(c, 4) for c in (-1, 0, 1)]
+    with pytest.raises(InternalInconsistency):
+        ramify._ainv(m, m, 4)
+
+
+def test_constant_eigenvalue_modulus_is_typed(monkeypatch):
+    monkeypatch.setattr(ramify, "uni_gcd",
+                        lambda *args: [CyclotomicElement.one(4)])
+    with pytest.raises(InternalInconsistency):
+        ramify._eigenvalue_modulus(ProjMap.permutation(4, [2, 0, 1]), 10)
 
 
 def test_negative_stabilizer_count_is_typed(monkeypatch):
@@ -135,22 +152,39 @@ def test_trivial_group_signature():
     assert sig == Signature(3, ())
 
 
-def test_fermat_signature():
+def count_fixed_point_calls(monkeypatch):
+    calls = []
+    real = ramify.fixed_point_count
+
+    def counted(curve, gen, bound):
+        calls.append(gen)
+        return real(curve, gen, bound)
+
+    monkeypatch.setattr(ramify, "fixed_point_count", counted)
+    return calls
+
+
+def test_fermat_signature(monkeypatch):
     curve = fermat_quartic()
     group = closure(fermat_generators())
     assert len(group) == 96
+    calls = count_fixed_point_calls(monkeypatch)
     sig = signature(curve, group)
     assert sig == Signature(0, (2, 3, 8))
     assert odd_signature_verdict(sig) == "ODD"
+    # one count per conjugacy class of nontrivial cyclic subgroups
+    assert len(calls) == 7
 
 
-def test_klein_signature():
+def test_klein_signature(monkeypatch):
     curve = klein_quartic()
     group = closure(klein_generators())
     assert len(group) == 168
+    calls = count_fixed_point_calls(monkeypatch)
     sig = signature(curve, group)
     assert sig == Signature(0, (2, 3, 7))
     assert odd_signature_verdict(sig) == "ODD"
+    assert len(calls) == 4
 
 
 def test_bielliptic_family_member_full_group():
