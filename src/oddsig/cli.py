@@ -180,7 +180,7 @@ def _cmd_qgonal_signature(args):
 
 def _cmd_qgonal_family(args):
     curve = qgonal_family_curve(args.q, args.m, args.n)
-    sig = family_signature(args.q, args.m, args.n)
+    sig = family_signature(curve)
     verdict = odd_signature_verdict(sig)
     result = {"q": args.q, "m": args.m, "n": args.n, "genus": curve.genus,
               "curve": serialize.qgonal_curve_document(curve),

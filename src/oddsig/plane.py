@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import (
+    InternalInconsistency,
     NotAnIsomorphism,
     OrderMismatch,
     SchemaError,
@@ -121,7 +122,10 @@ class ProjMap:
         return ProjMap(self.order, cof)
 
     def is_identity(self) -> bool:
-        return self == ProjMap.identity(self.order)
+        # canonical form scales the first nonzero entry to 1, so a scalar
+        # matrix is stored as the identity matrix
+        return all(e.is_one() if r == c else e.is_zero()
+                   for r, row in enumerate(self.entries) for c, e in enumerate(row))
 
     def is_diagonal(self) -> bool:
         return all(self.entries[r][c].is_zero() for r in range(3) for c in range(3) if r != c)
@@ -359,7 +363,8 @@ def _y_divide_content(f, content, order):
             out.append([])
         else:
             q, r = uni_divmod(row, content, order)
-            assert not r, "content must divide"
+            if r:
+                raise InternalInconsistency("y-content does not divide a coefficient")
             out.append(q)
     return out
 
@@ -529,7 +534,8 @@ def _candidates_have_common_root(d, ypolys, order) -> bool:
         except _NeedSplit as split:
             g = uni_monic(split.factor)
             q, r = uni_divmod(modulus, g, order)
-            assert not r, "split factor must divide the modulus"
+            if r:
+                raise InternalInconsistency("split factor does not divide the modulus")
             stack.append(g)
             stack.append(q)
     return False
@@ -574,7 +580,8 @@ def has_common_affine_zero(polys: list[SparsePoly]) -> bool:
     for i in range(len(ypos)):
         for j in range(i + 1, len(ypos)):
             res = resultant(ypos[i], ypos[j], 1)
-            assert not res.is_zero(), "coprime polynomials have nonzero resultant"
+            if res.is_zero():
+                raise InternalInconsistency("coprime polynomials have a zero resultant")
             candidates.append(_to_ylists(res)[0])
     d: list[CyclotomicElement] = []
     for c in candidates:

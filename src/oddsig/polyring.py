@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
+    InternalInconsistency,
     OrderMismatch,
     SchemaError,
     VariableCountMismatch,
@@ -429,7 +430,8 @@ def uni_squarefree(a: Sequence[CyclotomicElement], order: int) -> list[Cyclotomi
         return uni_monic(a)
     g = uni_gcd(a, uni_derivative(a), order)
     q, r = uni_divmod(a, g, order)
-    assert not r, "gcd must divide"
+    if r:
+        raise InternalInconsistency("gcd(a, a') does not divide a")
     return uni_monic(q)
 
 
@@ -531,8 +533,8 @@ def resultant(f: SparsePoly, g: SparsePoly, var: int) -> SparsePoly:
     """
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("resultant of zero polynomial")
-    fo = f._coerce(g)
-    assert fo is g
+    if f._coerce(g) is not g:
+        raise InternalInconsistency("resultant operands did not coerce unchanged")
     order, nvars = f.order, f.nvars
     fc = _poly_coeffs_in(f, var)
     gc = _poly_coeffs_in(g, var)

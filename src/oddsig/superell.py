@@ -10,7 +10,11 @@ conjugate. The defining polynomial is a product of factors
 (x^n - a_i)(x^n + 1/conj(a_i)) whose constant term is -1; that normalization
 is exactly what makes x -> 1/(zeta_2n x) lift to an isomorphism with the
 conjugate curve. Whether the curve descends to the reals then reduces to a
-finite cocycle-defect enumeration over the known automorphisms.
+finite cocycle-defect enumeration over the known automorphisms. Each member
+is built, and its genus computed, once: a Galois image or lift of a curve
+copies the genus, which a field embedding preserves. Of the q*n candidate
+isomorphisms only the three generating maps are tested; the rest are their
+composites.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from typing import Optional, Sequence
 from .errors import (
     GenusTooSmall,
     HypothesisViolation,
+    InternalInconsistency,
     NonIntegerCount,
     NotSquarefree,
     PropertyViolation,
@@ -72,6 +77,21 @@ def _linear_powers(linear, top: int, order: int):
     for _ in range(top):
         table.append(uni_mul(table[-1], linear, order))
     return table
+
+
+def _pull_back(rows, top: int, order: int, *polys) -> list:
+    """(c x + d)^top p((a x + b)/(c x + d)) for each dense p of degree at
+    most top, followed by (c x + d)^top itself."""
+    (a, b), (c, d) = rows
+    pn = _linear_powers(uni_trim([b, a]), top, order)
+    pd = _linear_powers(uni_trim([d, c]), top, order)
+    out = []
+    for p in polys:
+        total: list[CyclotomicElement] = []
+        for i, coeff in enumerate(p):
+            total = uni_add(total, uni_scale(uni_mul(pn[i], pd[top - i], order), coeff), order)
+        out.append(total)
+    return out + [pd[top]]
 
 
 class RationalFunction:
@@ -172,21 +192,11 @@ class RationalFunction:
 
     def compose_mobius(self, rows) -> "RationalFunction":
         """r((a x + b)/(c x + d)) as a reduced rational function."""
-        order = self.order
-        a, b = rows[0]
-        c, d = rows[1]
         k = max(len(self.num), len(self.den)) - 1
         if k < 0:
             return self
-        pn = _linear_powers(uni_trim([b, a]), k, order)
-        pd = _linear_powers(uni_trim([d, c]), k, order)
-        num: list[CyclotomicElement] = []
-        den: list[CyclotomicElement] = []
-        for i, coeff in enumerate(self.num):
-            num = uni_add(num, uni_scale(uni_mul(pn[i], pd[k - i], order), coeff), order)
-        for j, coeff in enumerate(self.den):
-            den = uni_add(den, uni_scale(uni_mul(pn[j], pd[k - j], order), coeff), order)
-        return RationalFunction(order, num, den)
+        num, den, _ = _pull_back(rows, k, self.order, self.num, self.den)
+        return RationalFunction(self.order, num, den)
 
     def key(self):
         return (self.order,
@@ -330,7 +340,8 @@ def genus_qgonal(q: int, f: SparsePoly) -> int:
         raise NotSquarefree("defining polynomial has a repeated root")
     branch = degree if degree % q == 0 else degree + 1
     doubled = -2 * q + branch * (q - 1)
-    assert doubled % 2 == 0
+    if doubled % 2:
+        raise InternalInconsistency(f"Riemann-Hurwitz gives odd 2g - 2 = {doubled - 2}")
     genus = doubled // 2 + 1
     if genus < 2:
         raise GenusTooSmall(f"cover has genus {genus} < 2")
@@ -358,14 +369,20 @@ class QGonalCurve:
     def order(self) -> int:
         return self.poly.order
 
-    def coefficients(self) -> list[CyclotomicElement]:
-        return poly_to_uni(self.poly)
+    def _image(self, poly: SparsePoly) -> "QGonalCurve":
+        # A field embedding is a ring isomorphism of K[x] onto its image: it
+        # keeps the degree of f and gcd(f, f') = 1, hence the genus, which is
+        # therefore copied rather than recomputed.
+        image = object.__new__(QGonalCurve)
+        for name, value in zip(self.__slots__, (self.q, poly, self.genus, self.m, self.n)):
+            object.__setattr__(image, name, value)
+        return image
 
     def lift_to(self, order: int) -> "QGonalCurve":
-        return QGonalCurve(self.q, self.poly.lift_to(order), self.m, self.n)
+        return self._image(self.poly.lift_to(order))
 
     def galois(self, exponent: int) -> "QGonalCurve":
-        return QGonalCurve(self.q, self.poly.galois(exponent), self.m, self.n)
+        return self._image(self.poly.galois(exponent))
 
     def conjugate(self) -> "QGonalCurve":
         return self.galois(-1)
@@ -453,12 +470,7 @@ def moebius_permutes_roots(f: SparsePoly, rows) -> bool:
     if (a * d - b * c).is_zero():
         raise ValueError("moebius map must be invertible")
     coeffs = poly_to_uni(f.lift_to(order))
-    top = len(coeffs) - 1
-    pn = _linear_powers(uni_trim([b, a]), top, order)
-    pd = _linear_powers(uni_trim([d, c]), top, order)
-    pulled: list[CyclotomicElement] = []
-    for i, coeff in enumerate(coeffs):
-        pulled = uni_add(pulled, uni_scale(uni_mul(pn[i], pd[top - i], order), coeff), order)
+    pulled, _ = _pull_back([[a, b], [c, d]], len(coeffs) - 1, order, coeffs)
     if uni_is_zero(pulled):
         return True
     return uni_is_zero(uni_divmod(pulled, coeffs, order)[1])
@@ -518,12 +530,14 @@ def family_curve(q: int, m: int, n: int) -> QGonalCurve:
     return QGonalCurve(q, build_family(m, n), m=m, n=n)
 
 
-def family_signature(q: int, m: int, n: int) -> Signature:
-    """Quotient signature of the family member, cross-checked against its genus."""
-    curve = family_curve(q, m, n)
+def family_signature(curve: QGonalCurve) -> Signature:
+    """Quotient signature of a family member built by family_curve,
+    cross-checked against its genus."""
+    q, m, n = curve.q, curve.m, curve.n
     shape = "N0" if (2 * m * n) % q == 0 else "N1"
     sig = qgonal_signature(q, n, shape, curve.genus)
-    assert sig.indices.count(q) >= 2 * m
+    if sig.indices.count(q) < 2 * m:
+        raise InternalInconsistency(f"signature {sig} has fewer than 2m indices q")
     return sig
 
 
@@ -576,13 +590,7 @@ def qgonal_is_isomorphism(source: QGonalCurve, target: QGonalCurve,
     f_src = poly_to_uni(source.poly.lift_to(order))
     f_tgt = poly_to_uni(target.poly.lift_to(order))
     lifted = phi.lift_to(order)
-    (a, b), (c, d) = lifted.mobius
-    top = len(f_tgt) - 1
-    pn = _linear_powers(uni_trim([b, a]), top, order)
-    pd = _linear_powers(uni_trim([d, c]), top, order)
-    pulled: list[CyclotomicElement] = []
-    for i, coeff in enumerate(f_tgt):
-        pulled = uni_add(pulled, uni_scale(uni_mul(pn[i], pd[top - i], order), coeff), order)
+    pulled, denom = _pull_back(lifted.mobius, len(f_tgt) - 1, order, f_tgt)
     r_num = uni_trim(list(lifted.multiplier.num))
     r_den = uni_trim(list(lifted.multiplier.den))
     num_q = [CyclotomicElement.one(order)]
@@ -590,7 +598,7 @@ def qgonal_is_isomorphism(source: QGonalCurve, target: QGonalCurve,
     for _ in range(q):
         num_q = uni_mul(num_q, r_num, order)
         den_q = uni_mul(den_q, r_den, order)
-    lhs = uni_mul(uni_mul(num_q, f_src, order), pd[top], order)
+    lhs = uni_mul(uni_mul(num_q, f_src, order), denom, order)
     rhs = uni_mul(pulled, den_q, order)
     return uni_trim(lhs) == uni_trim(rhs)
 
@@ -603,21 +611,26 @@ def qgonal_real_descent(q: int, m: int, n: int) -> dict:
     When q does not divide mn the quotient signature settles it at once.
     Otherwise every isomorphism onto the conjugate curve has the fibered
     form mirror . deck^j . rotation^k, and the curve descends exactly when
-    some choice has an identity cocycle defect conj(phi) . phi."""
+    some choice has an identity cocycle defect conj(phi) . phi.
+
+    The curve is built once and its conjugate copies the genus. Only the
+    generators are checked: mirror onto the conjugate, deck and rotation
+    onto the curve (f lies in K[x^n]); every candidate is their composite."""
     if not _is_prime(q) or q == 2:
         raise HypothesisViolation(f"cover degree {q} must be an odd prime")
     if m < 2 or n < 2:
         raise HypothesisViolation("family needs m > 1 and n > 1")
     curve = family_curve(q, m, n)
-    sig = family_signature(q, m, n)
+    sig = family_signature(curve)
     report = {
         "q": q, "m": m, "n": n,
         "genus": curve.genus,
         "signature": sig,
         "odd_signature_verdict": odd_signature_verdict(sig),
     }
+    if is_odd_signature(sig) != bool((m * n) % q):
+        raise InternalInconsistency(f"oddness of {sig} disagrees with whether q divides mn")
     if (m * n) % q:
-        assert is_odd_signature(sig), "branch indices of the unramified-at-zero shape"
         report.update({
             "verdict": "DEFINABLE",
             "method": "odd-signature",
@@ -625,19 +638,21 @@ def qgonal_real_descent(q: int, m: int, n: int) -> dict:
             "defects": None,
         })
         return report
-    assert not is_odd_signature(sig)
     order = common_order(curve.order, 2 * n, 2 * q)
     twin = curve.conjugate()
     mirror = mirror_map(q, m, n, order)
     deck = deck_map(q, order)
     rotation = rotation_map(n, order)
+    for name, target, phi in (("mirror", twin, mirror), ("deck", curve, deck),
+                              ("rotation", curve, rotation)):
+        if not qgonal_is_isomorphism(curve, target, phi):
+            raise InternalInconsistency(f"the {name} map is not an isomorphism")
     defects = []
     witness = None
     candidate = mirror
     for j in range(q):
         inner = candidate
         for k in range(n):
-            assert qgonal_is_isomorphism(curve, twin, inner)
             defect = inner.conjugate() @ inner
             flat = defect.is_identity()
             defects.append({"j": j, "k": k, "defect": defect, "is_identity": flat})

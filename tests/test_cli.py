@@ -7,7 +7,7 @@ import pytest
 
 from oddsig import serialize
 from oddsig.cli import run_command
-from oddsig.errors import ParseError, SchemaError
+from oddsig.errors import InternalInconsistency, ParseError, SchemaError
 from oddsig.exactnum import GaloisElement
 from oddsig.plane import PlaneCurve, ProjMap
 
@@ -128,6 +128,28 @@ def test_internal_inconsistency_exits_1(monkeypatch, capsys):
                          "--group", fx("quartic_c3_gens"))
     assert code == 1 and out == ""
     assert err.startswith("internal inconsistency:")
+
+
+def test_qgonal_descend_failed_generator_check_exits_1(monkeypatch, capsys):
+    from oddsig import superell
+    real, rotation = superell.qgonal_is_isomorphism, superell.rotation_map(3)
+    monkeypatch.setattr(superell, "qgonal_is_isomorphism",
+                        lambda source, target, phi: phi != rotation and real(source, target, phi))
+    with pytest.raises(InternalInconsistency, match="rotation"):
+        superell.qgonal_real_descent(3, 3, 3)
+    code, out, err = run(capsys, "qgonal", "descend", "--q", "3", "--m", "3", "--n", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("internal inconsistency:")
+
+
+def test_qgonal_family_builds_once(monkeypatch, capsys):
+    from oddsig import superell
+    calls, real = [], superell.build_family
+    monkeypatch.setattr(superell, "build_family",
+                        lambda m, n: calls.append((m, n)) or real(m, n))
+    report = run_structured(capsys, "qgonal", "family", "--q", "3", "--m", "3", "--n", "3")
+    assert report["result"]["genus"] == 16
+    assert calls == [(3, 3)]
 
 
 def test_signature_curve_containing_fixed_line(tmp_path, capsys):

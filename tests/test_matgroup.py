@@ -49,6 +49,19 @@ def test_closure_klein_group():
     assert len(group) == 168
 
 
+def test_is_identity_matches_identity_map():
+    for group in (closure(fermat_generators()), closure(klein_generators())):
+        identity = ProjMap.identity(group[0].order)
+        assert [g.is_identity() for g in group] == [g == identity for g in group]
+        assert sum(g.is_identity() for g in group) == 1
+    z = CyclotomicElement.zeta(7, 1)
+    for order, scalar in ((1, 2), (7, z)):
+        g = ProjMap.diagonal(order, scalar, scalar, scalar)
+        assert g.is_identity() and g == ProjMap.identity(order)
+    assert not ProjMap.diagonal(7, 1, 1, z).is_identity()
+    assert not ProjMap(1, [[1, 0, 0], [0, 1, 0], [2, 0, 1]]).is_identity()
+
+
 def test_closure_sign_group():
     group = closure(sign_generators())
     assert len(group) == 4

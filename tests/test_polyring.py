@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oddsig.errors import OrderMismatch, SchemaError, VariableCountMismatch, ZeroPolynomial
+from oddsig import polyring
+from oddsig.errors import (InternalInconsistency, OrderMismatch, SchemaError,
+                           VariableCountMismatch, ZeroPolynomial)
 from oddsig.exactnum import CyclotomicElement as Cyc
 from oddsig.polyring import (
     SparsePoly,
@@ -148,6 +150,14 @@ def test_uni_gcd_and_squarefree():
     assert sf == from_roots([r1, r2])
     gg, s, t = uni_xgcd(f, g, order)
     assert gg == gcd
+
+
+def test_squarefree_gcd_that_does_not_divide(monkeypatch):
+    one = Cyc.one(1)
+    # x - 5 does not divide x^2 - 1
+    monkeypatch.setattr(polyring, "uni_gcd", lambda a, b, order: [Cyc.from_rational(-5, 1), one])
+    with pytest.raises(InternalInconsistency):
+        uni_squarefree([-one, Cyc.zero(1), one], 1)
 
 
 def test_distinct_root_count_examples():

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
+from oddsig import serialize, superell
 from oddsig.errors import (
     GenusTooSmall,
     HypothesisViolation,
@@ -283,16 +285,53 @@ def test_isomorphism_recognition():
 
 
 def test_family_signatures_match_quotient_shape():
-    assert family_signature(3, 3, 3) == Signature(0, (3,) * 8)
-    assert family_signature(3, 3, 2) == Signature(0, (2, 2, 3, 3, 3, 3, 3, 3))
-    assert family_signature(5, 2, 2) == Signature(0, (2, 5, 5, 5, 5, 10))
-    assert family_signature(5, 2, 5) == Signature(0, (5,) * 6)
+    assert family_signature(family_curve(3, 3, 3)) == Signature(0, (3,) * 8)
+    assert family_signature(family_curve(3, 3, 2)) == Signature(0, (2, 2, 3, 3, 3, 3, 3, 3))
+    assert family_signature(family_curve(5, 2, 2)) == Signature(0, (2, 5, 5, 5, 5, 10))
+    assert family_signature(family_curve(5, 2, 5)) == Signature(0, (5,) * 6)
 
 
 def test_genus_agrees_with_quotient_data():
     for q, m, n in [(3, 2, 3), (3, 3, 3), (5, 2, 2), (3, 3, 2)]:
         curve = family_curve(q, m, n)
-        assert curve.genus == rh_genus(q * n, family_signature(q, m, n))
+        assert curve.genus == rh_genus(q * n, family_signature(family_curve(q, m, n)))
+
+
+def test_genus_carried_across_embeddings():
+    curves = [family_curve(q, m, n) for q, m, n in [(3, 3, 2), (3, 3, 3), (5, 2, 5)]]
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    for path in sorted(fixtures.glob("qgonal_family_*.json")):
+        curves.append(serialize.parse_input(path.read_text(encoding="utf-8")).value)
+    assert len(curves) == 5
+    for curve in curves:
+        for image in (curve.conjugate(), curve.lift_to(2 * curve.order)):
+            assert image.genus == genus_qgonal(image.q, image.poly)
+            assert (image.m, image.n) == (curve.m, curve.n)
+
+
+def test_every_cocycle_candidate_is_an_isomorphism():
+    # qgonal_real_descent checks only mirror, deck and rotation; here every
+    # composite mirror . deck^j . rotation^k is checked on its own
+    for q, m, n in [(3, 3, 3), (3, 4, 3), (3, 6, 2), (3, 3, 4), (5, 5, 2)]:
+        curve = family_curve(q, m, n)
+        twin = curve.conjugate()
+        mirror, deck, rotation = mirror_map(q, m, n), deck_map(q), rotation_map(n)
+        for j in range(q):
+            for k in range(n):
+                phi = mirror @ deck.power(j) @ rotation.power(k)
+                assert qgonal_is_isomorphism(curve, twin, phi), (q, m, n, j, k)
+
+
+def test_descent_builds_once_and_checks_three_maps(monkeypatch):
+    counts = {"build_family": 0, "genus_qgonal": 0, "qgonal_is_isomorphism": 0}
+    for name in counts:
+        def counted(*args, _name=name, _real=getattr(superell, name)):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(superell, name, counted)
+    report = qgonal_real_descent(3, 4, 3)
+    assert report["method"] == "weil-cocycle" and len(report["defects"]) == 9
+    assert counts == {"build_family": 1, "genus_qgonal": 1, "qgonal_is_isomorphism": 3}
 
 
 def test_defect_closed_form():
