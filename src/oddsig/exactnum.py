@@ -23,21 +23,38 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import InternalInconsistency, InvalidExponent, NotASubfield, OrderMismatch, SchemaError
+from .errors import (BoundExceeded, InternalInconsistency, InvalidExponent, NotASubfield,
+                     OrderMismatch, SchemaError)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# Q(zeta_N) keeps tables of about 2*phi(N)^2 ints, and euler_phi factors N by
+# trial division; every order a fixture, report or test uses is far below this.
+MAX_ORDER = 1024
+
 _PHI_CACHE: dict[int, int] = {}
 
 
+def check_order(order) -> int:
+    """A field order read from a document: a positive int, at most MAX_ORDER."""
+    if not isinstance(order, int) or order < 1:
+        raise SchemaError(f"bad order: {order!r}")
+    if order > MAX_ORDER:
+        raise BoundExceeded(f"field order {order} exceeds the bound {MAX_ORDER}")
+    return order
+
+
 def euler_phi(n: int) -> int:
-    """Euler totient by trial-division factorization (orders here are small)."""
+    """Euler totient of a field order by trial division; an order above
+    MAX_ORDER raises BoundExceeded before any factoring."""
     cached = _PHI_CACHE.get(n)
     if cached is not None:
         return cached
     if n < 1:
         raise ValueError("order must be positive")
+    if n > MAX_ORDER:
+        raise BoundExceeded(f"field order {n} exceeds the bound {MAX_ORDER}")
     result, m, p = 1, n, 2
     while p * p <= m:
         if m % p == 0:
@@ -383,9 +400,7 @@ class CyclotomicElement:
     def from_dict(cls, obj: dict) -> "CyclotomicElement":
         if not isinstance(obj, dict) or "order" not in obj or "coords" not in obj:
             raise SchemaError("cyclotomic element needs 'order' and 'coords'")
-        order = obj["order"]
-        if not isinstance(order, int) or order < 1:
-            raise SchemaError(f"bad cyclotomic order: {order!r}")
+        order = check_order(obj["order"])
         coords = obj["coords"]
         if not isinstance(coords, list) or len(coords) != euler_phi(order):
             raise SchemaError(f"expected {euler_phi(order)} coordinates for order {order}")

@@ -6,7 +6,9 @@ the identity at index 0. Alongside the elements it keeps the lifted
 generators and integer tables for the product and the inverse, filled from
 the products closure computes anyway. Element orders, cyclic subgroups and
 conjugation are integer work on those tables; only closure multiplies
-matrices. Closure refuses to grow past a configurable bound instead of
+maps. element_order raises the stored representative to powers with the
+same sparse product, unnormalized, to read off the scalar A^n = c * I.
+Closure refuses to grow past a configurable bound instead of
 looping on an infinite group.
 """
 
@@ -16,7 +18,7 @@ from collections.abc import Iterable, Sequence
 
 from .errors import BoundExceeded
 from .exactnum import CyclotomicElement, common_order
-from .plane import ProjMap
+from .plane import ProjMap, matrix_product
 
 DEFAULT_BOUND = 360
 
@@ -85,14 +87,6 @@ def closure(generators: Sequence[ProjMap], bound: int = DEFAULT_BOUND) -> Finite
     return FiniteGroup(tuple(out), tuple(right[0]), mul, inv)
 
 
-def _raw_mul(a, b, order):
-    zero = CyclotomicElement.zero(order)
-    return tuple(
-        tuple(sum((a[r][k] * b[k][c] for k in range(3)), zero) for c in range(3))
-        for r in range(3)
-    )
-
-
 def _raw_scalar(m) -> CyclotomicElement | None:
     if any(not m[r][c].is_zero() for r in range(3) for c in range(3) if r != c):
         return None
@@ -107,14 +101,12 @@ def element_order(a: ProjMap, bound: int = DEFAULT_BOUND) -> tuple[int, Cyclotom
     Returns (n, c) where A^n = c * identity. n is the order of the map in
     PGL_3; c depends on the canonical representative.
     """
-    one = CyclotomicElement.one(a.order)
-    power = tuple(tuple(one if r == c else CyclotomicElement.zero(a.order)
-                        for c in range(3)) for r in range(3))
+    power = a.entries
     for n in range(1, bound + 1):
-        power = _raw_mul(power, a.entries, a.order)
         scalar = _raw_scalar(power)
         if scalar is not None:
             return n, scalar
+        power = matrix_product(power, a.entries, a.order)
     raise BoundExceeded(f"element order exceeded bound {bound}")
 
 

@@ -3,6 +3,10 @@
 Maps are stored as 3x3 matrices normalized so the first nonzero entry in
 row-major order is 1; equality of normalized matrices is equality in PGL_3
 (for matrices over the same field the proportionality scalar lies in it).
+The product and the determinant multiply only nonzero entries: for monomial
+maps a product costs 3 field multiplications instead of 27, a determinant 2
+instead of 9. A product is normalized without re-coercing its entries, and
+every map, products included, is checked to be invertible.
 
 Smoothness is decided exactly: a curve is singular iff its three partial
 derivatives share a projective zero. The line z = 0 is checked through
@@ -24,7 +28,7 @@ from .errors import (
     VariableCountMismatch,
     ZeroPolynomial,
 )
-from .exactnum import CyclotomicElement, common_order
+from .exactnum import CyclotomicElement, check_order, common_order
 from .polyring import (
     SparsePoly,
     resultant,
@@ -57,13 +61,19 @@ class ProjMap:
                 c = e if isinstance(e, CyclotomicElement) else CyclotomicElement.from_rational(e, order)
                 out.append(c.lift_to(order) if c.order != order else c)
             rows.append(out)
+        self._set_canonical(order, rows)
+
+    def _set_canonical(self, order: int, rows) -> None:
+        """Store rows over Q(zeta_order) scaled so the first nonzero entry is
+        1; raise ValueError unless they form an invertible matrix."""
         pivot = next((c for row in rows for c in row if not c.is_zero()), None)
         if pivot is None:
             raise ValueError("zero matrix is not a projective map")
-        inv = pivot.inverse()
-        rows = tuple(tuple(c * inv for c in row) for row in rows)
+        if not pivot.is_one():
+            inv = pivot.inverse()
+            rows = [[c if c.is_zero() else c * inv for c in row] for row in rows]
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "entries", tuple(tuple(row) for row in rows))
         if self.det().is_zero():
             raise ValueError("projective map must be invertible")
 
@@ -87,21 +97,27 @@ class ProjMap:
         return cls(order, rows)
 
     def det(self) -> CyclotomicElement:
+        """Cofactor expansion along row 0 that skips zero entries and zero
+        2x2 terms: 9 multiplications for a dense matrix, 2 for a monomial one."""
         m = self.entries
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
+        total = CyclotomicElement.zero(self.order)
+        for c in range(3):
+            if m[0][c].is_zero():
+                continue
+            j, k = (c + 1) % 3, (c + 2) % 3  # the cyclic order carries the cofactor sign
+            plus = None if m[1][j].is_zero() or m[2][k].is_zero() else m[1][j] * m[2][k]
+            if not (m[1][k].is_zero() or m[2][j].is_zero()):
+                minus = m[1][k] * m[2][j]
+                plus = -minus if plus is None else plus - minus
+            if plus is not None:
+                total = total + m[0][c] * plus
+        return total
 
     def compose(self, other: "ProjMap") -> "ProjMap":
         """self after other (matrix product self * other)."""
         if other.order != self.order:
             raise OrderMismatch("compose requires a common field; lift first")
-        a, b = self.entries, other.entries
-        zero = CyclotomicElement.zero(self.order)
-        rows = [[sum((a[r][k] * b[k][c] for k in range(3)), zero) for c in range(3)] for r in range(3)]
-        return ProjMap(self.order, rows)
+        return _canonical(self.order, matrix_product(self.entries, other.entries, self.order))
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -181,10 +197,8 @@ class ProjMap:
     def from_dict(cls, obj: dict) -> "ProjMap":
         if "order" not in obj or "entries" not in obj:
             raise SchemaError("projective map document needs 'order' and 'entries'")
-        order = obj["order"]
+        order = check_order(obj["order"])
         entries = obj["entries"]
-        if not isinstance(order, int) or order < 1:
-            raise SchemaError(f"bad order: {order!r}")
         if not isinstance(entries, list) or len(entries) != 3 or any(not isinstance(r, list) or len(r) != 3 for r in entries):
             raise SchemaError("entries must be a 3x3 array")
         try:
@@ -192,6 +206,31 @@ class ProjMap:
             return cls(order, rows)
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
+
+
+def matrix_product(a, b, order: int) -> tuple[tuple[CyclotomicElement, ...], ...]:
+    """The 3x3 product a * b over Q(zeta_order), without normalizing. Only
+    pairs of nonzero entries are multiplied; an entry with no such pair is zero."""
+    b_rows = [[(c, y) for c, y in enumerate(row) if not y.is_zero()] for row in b]
+    zero = CyclotomicElement.zero(order)
+    out = []
+    for row in a:
+        acc = [None, None, None]
+        for x, terms in zip(row, b_rows):
+            if terms and not x.is_zero():
+                for c, y in terms:
+                    t = x * y
+                    acc[c] = t if acc[c] is None else acc[c] + t
+        out.append(tuple(zero if e is None else e for e in acc))
+    return tuple(out)
+
+
+def _canonical(order: int, rows) -> ProjMap:
+    """A ProjMap from rows whose entries already lie in Q(zeta_order), such as
+    a product of two maps: no coercion pass, the invertibility check kept."""
+    out = object.__new__(ProjMap)
+    out._set_canonical(order, rows)
+    return out
 
 
 class PlaneCurve:

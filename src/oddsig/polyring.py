@@ -19,7 +19,7 @@ from .errors import (
     VariableCountMismatch,
     ZeroPolynomial,
 )
-from .exactnum import CyclotomicElement
+from .exactnum import CyclotomicElement, check_order
 
 Coeff = Union[int, Fraction, CyclotomicElement]
 
@@ -300,9 +300,7 @@ class SparsePoly:
         for key in ("order", "variables", "terms"):
             if key not in obj:
                 raise SchemaError(f"polynomial document missing '{key}'")
-        order, variables, raw_terms = obj["order"], obj["variables"], obj["terms"]
-        if not isinstance(order, int) or order < 1:
-            raise SchemaError(f"bad order: {order!r}")
+        order, variables, raw_terms = check_order(obj["order"]), obj["variables"], obj["terms"]
         if not isinstance(variables, list) or not variables:
             raise SchemaError("variables must be a nonempty list")
         nvars = len(variables)

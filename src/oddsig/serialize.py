@@ -14,7 +14,7 @@ from typing import Any, Sequence
 
 from .descent import FamilyTriple
 from .errors import InputError, ParseError, SchemaError
-from .exactnum import CyclotomicElement, GaloisElement
+from .exactnum import CyclotomicElement, GaloisElement, check_order
 from .plane import PlaneCurve, ProjMap
 from .polyring import SparsePoly
 from .superell import QGonalCurve, QGonalMap, RationalFunction
@@ -83,9 +83,7 @@ def _load_qgonal_curve(obj: dict) -> QGonalCurve:
 
 
 def _load_qgonal_map(obj: dict) -> QGonalMap:
-    order = _require(obj, "order", int)
-    if order < 1:
-        raise SchemaError(f"bad order: {order!r}")
+    order = check_order(_require(obj, "order", int))
     rows = _require(obj, "mobius", list)
     if len(rows) != 2 or any(not isinstance(r, list) or len(r) != 2 for r in rows):
         raise SchemaError("mobius part must be a 2x2 array")
@@ -101,9 +99,7 @@ def _load_qgonal_map(obj: dict) -> QGonalMap:
 
 
 def _load_family_triple(obj: dict) -> FamilyTriple:
-    order = _require(obj, "order", int)
-    if order < 1:
-        raise SchemaError(f"bad order: {order!r}")
+    order = check_order(_require(obj, "order", int))
     values = _require(obj, "values", list)
     if len(values) != 3:
         raise SchemaError("family triple needs exactly three values")
@@ -114,10 +110,8 @@ def _load_family_triple(obj: dict) -> FamilyTriple:
 
 
 def _load_galois_action(obj: dict) -> GaloisElement:
-    order = _require(obj, "order", int)
+    order = check_order(_require(obj, "order", int))
     exponent = _require(obj, "exponent", int)
-    if order < 1:
-        raise SchemaError(f"bad order: {order!r}")
     try:
         return GaloisElement(order, exponent)
     except InputError as exc:

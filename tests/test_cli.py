@@ -1,14 +1,15 @@
 """Document parsing and the command-line front end."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from oddsig import serialize
+from oddsig import exactnum, serialize
 from oddsig.cli import run_command
-from oddsig.errors import InternalInconsistency, ParseError, SchemaError
-from oddsig.exactnum import GaloisElement
+from oddsig.errors import BoundExceeded, InternalInconsistency, ParseError, SchemaError
+from oddsig.exactnum import MAX_ORDER, GaloisElement
 from oddsig.plane import PlaneCurve, ProjMap
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -64,6 +65,63 @@ def test_parse_rejects_bad_schemas():
         serialize.parse_input(json.dumps(
             {"kind": "plane_curve", "order": 1,
              "variables": ["x", "y", "z"], "terms": []}))
+
+
+def test_field_order_above_the_cap_is_refused(monkeypatch):
+    phi_args = []
+    original = exactnum.euler_phi
+
+    def spy(n):
+        phi_args.append(n)
+        return original(n)
+
+    monkeypatch.setattr(exactnum, "euler_phi", spy)
+    big = 2**61 - 1
+    entries = [[["1"], ["0"], ["0"]], [["0"], ["1"], ["0"]], [["0"], ["0"], ["1"]]]
+    docs = [
+        {"kind": "plane_curve", "order": big, "variables": ["x", "y", "z"], "terms": []},
+        {"kind": "projective_map", "order": big, "entries": entries},
+        {"kind": "group", "generators": [{"kind": "projective_map", "order": big,
+                                          "entries": entries}]},
+        {"kind": "family_triple", "order": big, "values": [["1"], ["3"], ["5"]]},
+        {"kind": "galois_action", "order": big, "exponent": -1},
+        {"kind": "qgonal_map", "order": big, "mobius": [[["1"], ["0"]], [["0"], ["1"]]],
+         "multiplier_num": [["1"]], "multiplier_den": [["1"]]},
+    ]
+    for doc in docs:
+        with pytest.raises(BoundExceeded):
+            serialize.parse_input(json.dumps(doc))
+    assert all(n <= MAX_ORDER for n in phi_args)
+    # an order computed inside the program is refused before any factoring
+    with pytest.raises(BoundExceeded):
+        exactnum.CyclotomicElement.zero(MAX_ORDER + 1)
+    # the cap is above every order in use
+    assert exactnum.check_order(MAX_ORDER) == MAX_ORDER
+    assert len(exactnum.CyclotomicElement.zero(840).num) == 192
+
+
+def test_field_order_above_the_cap_exits_3(tmp_path, capsys):
+    curve = json.loads(Path(fx("fermat_quartic")).read_text(encoding="utf-8"))
+    curve["order"] = 2**61 - 1
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(curve), encoding="utf-8")
+    started = time.perf_counter()
+    code, _, err = run(capsys, "signature", "--curve", str(path),
+                       "--group", fx("fermat_quartic_gens"))
+    assert code == 3 and "exceeds the bound" in err
+    code, _, err = run(capsys, "qgonal", "descend", "--q", "3", "--m", str(2**61 - 1), "--n", "2")
+    assert code == 3 and "exceeds the bound" in err
+    assert time.perf_counter() - started < 1.0
+
+
+def test_singular_map_exits_2(tmp_path, capsys):
+    gens = json.loads(Path(fx("fermat_quartic_gens")).read_text(encoding="utf-8"))
+    entries = gens["generators"][0]["entries"]
+    entries[1] = entries[0]
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(gens), encoding="utf-8")
+    code, _, err = run(capsys, "group-closure", "--group", str(path))
+    assert code == 2 and "invertible" in err
 
 
 def test_parse_galois_action():

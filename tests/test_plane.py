@@ -2,14 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oddsig.errors import (NotAnIsomorphism, OrderMismatch, SchemaError,
                            VariableCountMismatch, ZeroPolynomial)
-from oddsig.exactnum import CyclotomicElement
-from oddsig.plane import (PlaneCurve, ProjMap, conjugate_curve,
+from oddsig.exactnum import CyclotomicElement, _poly_divmod, cyclotomic_polynomial, euler_phi
+from oddsig.plane import (PlaneCurve, ProjMap, _canonical, conjugate_curve,
                           has_common_affine_zero, is_automorphism,
-                          is_isomorphism_onto, is_smooth, require_isomorphism,
-                          restrict_to_line)
+                          is_isomorphism_onto, is_smooth, matrix_product,
+                          require_isomorphism, restrict_to_line)
 from oddsig.polyring import SparsePoly
 
 
@@ -111,6 +112,94 @@ def test_projmap_serialization_round_trip():
     singular["entries"][1] = singular["entries"][0]
     with pytest.raises(SchemaError):
         ProjMap.from_dict(singular)
+
+
+# the sparse 3x3 kernel against a dense Fraction reference ---------------------
+
+KERNEL_ORDERS = (1, 3, 4, 7, 8, 12, 24)
+KERNEL = settings(max_examples=60, deadline=None)
+SHAPES = ("monomial", "dense", "sparse", "zero_row", "dependent")
+
+
+def ref_mul(a, b, order):
+    """Coordinates of a * b: schoolbook in Q[x], reduced modulo Phi_order."""
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    _, rem = _poly_divmod(prod, list(cyclotomic_polynomial(order)))
+    return tuple(rem) + (Fraction(0),) * (len(a) - len(rem))
+
+
+def ref_add(*terms):
+    return tuple(sum(c) for c in zip(*terms))
+
+
+def ref_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def ref_product(a, b, order):
+    return [[ref_add(*(ref_mul(a[r][k], b[k][c], order) for k in range(3)))
+             for c in range(3)] for r in range(3)]
+
+
+def ref_det(m, order):
+    """The dense cofactor formula along row 0."""
+    def minor(j, k):
+        return ref_sub(ref_mul(m[1][j], m[2][k], order), ref_mul(m[1][k], m[2][j], order))
+    return ref_add(ref_mul(m[0][0], minor(1, 2), order),
+                   tuple(-c for c in ref_mul(m[0][1], minor(0, 2), order)),
+                   ref_mul(m[0][2], minor(0, 1), order))
+
+
+@st.composite
+def matrices(draw, order):
+    """Coordinate rows of a 3x3 matrix with a drawn zero pattern; the last
+    two shapes are singular."""
+    phi = euler_phi(order)
+    zero = (Fraction(0),) * phi
+    entries = st.lists(st.sampled_from((-2, -1, 0, 1, 2, Fraction(1, 2))),
+                       min_size=phi, max_size=phi)
+    nonzero = entries.filter(any).map(lambda c: tuple(Fraction(x) for x in c))
+    shape = draw(st.sampled_from(SHAPES))
+    if shape == "monomial":
+        perm = draw(st.permutations(range(3)))
+        return [[draw(nonzero) if c == perm[r] else zero for c in range(3)] for r in range(3)]
+    entry = st.one_of(st.just(zero), nonzero) if shape == "sparse" else nonzero
+    m = [[draw(entry) for _ in range(3)] for _ in range(3)]
+    if shape == "zero_row":
+        m[draw(st.integers(0, 2))] = [zero] * 3
+    elif shape == "dependent":
+        m[2] = [ref_add(x, y) for x, y in zip(m[0], m[1])]
+    return m
+
+
+def as_elements(order, m):
+    return tuple(tuple(CyclotomicElement(order, c) for c in row) for row in m)
+
+
+@KERNEL
+@given(st.sampled_from(KERNEL_ORDERS), st.data())
+def test_kernel_matches_dense_reference(order, data):
+    a, b = data.draw(matrices(order)), data.draw(matrices(order))
+    expected = ref_product(a, b, order)
+    rows = as_elements(order, expected)
+    assert matrix_product(as_elements(order, a), as_elements(order, b), order) == rows
+    if not any(ref_det(expected, order)):
+        # a singular product, also one with a zero row, is refused by both routes
+        with pytest.raises(ValueError):
+            _canonical(order, rows)
+        with pytest.raises(ValueError):
+            ProjMap(order, rows)
+        return
+    p = ProjMap(order, rows)
+    trusted = _canonical(order, rows)
+    assert trusted == p and trusted.key() == p.key()
+    # det(AB) = det A det B is nonzero, so both factors are maps
+    assert ProjMap(order, as_elements(order, a)) @ ProjMap(order, as_elements(order, b)) == p
+    canonical = [[c.coords for c in row] for row in p.entries]
+    assert p.det().coords == ref_det(canonical, order)
 
 
 def test_plane_curve_validation_and_genus():
