@@ -70,6 +70,39 @@ def euler_phi(n: int) -> int:
     return result
 
 
+# Miller-Rabin on the first 13 primes as bases has no strong pseudoprime below
+# this bound (Sorenson-Webster, Math. Comp. 2017), so is_prime is exact under it.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality; n at or above _MR_LIMIT
+    (about 3.3e24) raises BoundExceeded instead of guessing."""
+    if n < 2:
+        return False
+    if n >= _MR_LIMIT:
+        raise BoundExceeded(f"primality of {n} is only decided below {_MR_LIMIT}")
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _poly_trim(c: list[Fraction]) -> list[Fraction]:
     while c and c[-1] == 0:
         c.pop()

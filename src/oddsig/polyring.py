@@ -5,6 +5,8 @@ canonical term order is graded lexicographic with earlier variables larger.
 Univariate helpers (dense coefficient lists, low degree first) back the gcd,
 squarefree and root-counting machinery; the resultant uses a Sylvester matrix
 with fraction-free (Bareiss) elimination so entries stay polynomial.
+uni_coprime_mod_p proves gcd(a, b) = 1 from the images of a and b in F_p[x],
+and never disproves it, so a caller falls back to the exact uni_gcd.
 """
 
 from __future__ import annotations
@@ -13,15 +15,25 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
+    BoundExceeded,
     InternalInconsistency,
     OrderMismatch,
     SchemaError,
     VariableCountMismatch,
     ZeroPolynomial,
 )
-from .exactnum import CyclotomicElement, check_order
+from .exactnum import CyclotomicElement, check_order, euler_phi, is_prime
 
 Coeff = Union[int, Fraction, CyclotomicElement]
+
+# Dense coefficient lists grow with the degree; the largest degree a fixture,
+# report, test or benchmark case uses is 98 (the q-gonal family member m = n = 7).
+MAX_DEGREE = 128
+
+
+def check_degree(degree: int, what: str) -> None:
+    if degree > MAX_DEGREE:
+        raise BoundExceeded(f"{what} {degree} exceeds the bound {MAX_DEGREE}")
 
 
 def _gl_key(exponents: tuple[int, ...]) -> tuple:
@@ -313,6 +325,7 @@ class SparsePoly:
             exps = item["exponents"]
             if not isinstance(exps, list) or len(exps) != nvars or any(not isinstance(e, int) or e < 0 for e in exps):
                 raise SchemaError(f"bad exponent vector: {exps!r}")
+            check_degree(sum(exps), "term degree")
             coeff = CyclotomicElement.from_dict({"order": order, "coords": item["coefficient"]})
             key = tuple(exps)
             if key in acc:
@@ -396,6 +409,72 @@ def uni_gcd(a: Sequence[CyclotomicElement], b: Sequence[CyclotomicElement], orde
         _, r = uni_divmod(r0, r1, order)
         r0, r1 = r1, uni_monic(r)
     return uni_monic(r0)
+
+
+_SPLIT_PRIMES: dict[int, tuple[int, int]] = {}
+
+
+def _split_prime(order: int) -> tuple[int, int]:
+    """The first prime p = 1 (mod order) above 2^31, and an element w of
+    exact order `order` in F_p, so a root of Phi_order mod p."""
+    cached = _SPLIT_PRIMES.get(order)
+    if cached is not None:
+        return cached
+    p = (2**31 // order + 1) * order + 1
+    while not is_prime(p):
+        p += order
+    factors = [r for r in range(2, order + 1) if order % r == 0 and is_prime(r)]
+    h = 2
+    while True:
+        w = pow(h, (p - 1) // order, p)
+        if all(pow(w, order // r, p) != 1 for r in factors):
+            break
+        h += 1
+    _SPLIT_PRIMES[order] = p, w
+    return p, w
+
+
+def _image_mod_p(c: Sequence[CyclotomicElement], p: int, powers: list[int]) -> Optional[list[int]]:
+    """Image under zeta |-> w, or None when a denominator is divisible by p."""
+    out = []
+    for e in c:
+        if e.den % p == 0:
+            return None
+        out.append(sum(x * y for x, y in zip(e.num, powers)) * pow(e.den, -1, p) % p)
+    return out
+
+
+def uni_coprime_mod_p(a: Sequence[CyclotomicElement], b: Sequence[CyclotomicElement], order: int) -> bool:
+    """True proves gcd(a, b) = 1 in K[x], K = Q(zeta_order); False proves nothing.
+
+    zeta |-> w is a ring map from Z[zeta][1/den] onto F_p for every den prime
+    to p. When it keeps both leading coefficients it sends Res(a, b) to
+    Res(a mod p, b mod p), so a gcd of degree 0 in F_p[x] proves Res(a, b) != 0.
+    A denominator or leading coefficient divisible by p, or a common factor
+    mod p, returns False, and the caller decides with the exact uni_gcd."""
+    a, b = uni_trim(list(a)), uni_trim(list(b))
+    p, w = _split_prime(order)
+    if not a or not b or p <= max(len(a), len(b)) - 1:
+        return False
+    powers = [pow(w, i, p) for i in range(euler_phi(order))]
+    r0, r1 = _image_mod_p(a, p, powers), _image_mod_p(b, p, powers)
+    if r0 is None or r1 is None or not r0[-1] or not r1[-1]:
+        return False
+    while len(r1) > 1:
+        inv = pow(r1[-1], -1, p)
+        top = len(r1) - 1
+        for i in range(len(r0) - len(r1), -1, -1):
+            coef = r0[i + top] * inv % p
+            if coef:
+                for j, y in enumerate(r1):
+                    r0[i + j] = (r0[i + j] - coef * y) % p
+        del r0[top:]
+        while r0 and not r0[-1]:
+            r0.pop()
+        if not r0:
+            return False
+        r0, r1 = r1, r0
+    return True
 
 
 def uni_xgcd(a: Sequence[CyclotomicElement], b: Sequence[CyclotomicElement], order: int):

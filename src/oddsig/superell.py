@@ -15,6 +15,15 @@ is built, and its genus computed, once: a Galois image or lift of a curve
 copies the genus, which a field embedding preserves. Of the q*n candidate
 isomorphisms only the three generating maps are tested; the rest are their
 composites.
+
+Both costs of that path stay quadratic in the degree. A Moebius pull-back
+is a Horner scheme on the homogenised form, one linear factor per step, and
+squarefreeness of f is proven by the modular certificate
+polyring.uni_coprime_mod_p on (f, f'); only when the certificate cannot
+decide does the exact gcd over Q(zeta_N) run, so NotSquarefree is never a
+guess. The degree 2mn of a family member is capped by polyring.MAX_DEGREE
+and the cover degree q by exactnum.MAX_ORDER, since the deck transformation
+lives in Q(zeta_q).
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .errors import (
+    BoundExceeded,
     GenusTooSmall,
     HypothesisViolation,
     InternalInconsistency,
@@ -32,11 +42,12 @@ from .errors import (
     ShapeViolation,
     ZeroPolynomial,
 )
-from .exactnum import CyclotomicElement, common_order
+from .exactnum import MAX_ORDER, CyclotomicElement, common_order, is_prime
 from .polyring import (
     SparsePoly,
+    check_degree,
     poly_to_uni,
-    uni_add,
+    uni_coprime_mod_p,
     uni_derivative,
     uni_divmod,
     uni_gcd,
@@ -51,15 +62,13 @@ from .ramify import Signature, is_odd_signature, odd_signature_verdict
 SHAPES = ("N0", "N1", "N2")
 
 
-def _is_prime(k: int) -> bool:
-    if k < 2:
-        return False
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            return False
-        d += 1
-    return True
+def _is_prime_degree(q: int) -> bool:
+    """Whether the cover degree q is prime. The deck transformation
+    y -> zeta_q y needs Q(zeta_q), so a q above MAX_ORDER raises
+    BoundExceeded before any arithmetic on it."""
+    if q > MAX_ORDER:
+        raise BoundExceeded(f"cover degree {q} exceeds the bound {MAX_ORDER}")
+    return is_prime(q)
 
 
 def _lift_coeffs(values, order: int) -> list[CyclotomicElement]:
@@ -72,26 +81,48 @@ def _lift_coeffs(values, order: int) -> list[CyclotomicElement]:
     return out
 
 
-def _linear_powers(linear, top: int, order: int):
-    table = [[CyclotomicElement.one(order)]]
-    for _ in range(top):
-        table.append(uni_mul(table[-1], linear, order))
-    return table
+def _times_linear(h, a, b, zero):
+    """h (a x + b), skipping zero coefficients and multiplications by one."""
+    out = [zero] * (len(h) + 1)
+    for factor, shift in ((b, 0), (a, 1)):
+        if factor.is_zero():
+            continue
+        unit = factor.is_one()
+        for k, x in enumerate(h, shift):
+            if not x.is_zero():
+                y = x if unit else x * factor
+                out[k] = y if out[k] is zero else out[k] + y
+    return out
 
 
 def _pull_back(rows, top: int, order: int, *polys) -> list:
     """(c x + d)^top p((a x + b)/(c x + d)) for each dense p of degree at
-    most top, followed by (c x + d)^top itself."""
+    most top, followed by (c x + d)^top itself.
+
+    Horner on the homogenised form: H <- H (a x + b) + p_i (c x + d)^(top - i)
+    for i from deg p down to 0, so O(top^2) multiplications in all, and a zero
+    p_i adds nothing."""
     (a, b), (c, d) = rows
-    pn = _linear_powers(uni_trim([b, a]), top, order)
-    pd = _linear_powers(uni_trim([d, c]), top, order)
+    zero = CyclotomicElement.zero(order)
+    pd = [[CyclotomicElement.one(order)]]
+    for _ in range(top):
+        pd.append(_times_linear(pd[-1], c, d, zero))
     out = []
     for p in polys:
-        total: list[CyclotomicElement] = []
-        for i, coeff in enumerate(p):
-            total = uni_add(total, uni_scale(uni_mul(pn[i], pd[top - i], order), coeff), order)
-        out.append(total)
-    return out + [pd[top]]
+        h: list[CyclotomicElement] = []
+        for i in range(len(p) - 1, -1, -1):
+            if h:
+                h = _times_linear(h, a, b, zero)
+            coeff = p[i]
+            if coeff.is_zero():
+                continue
+            power = pd[top - i]
+            h.extend([zero] * (len(power) - len(h)))
+            for j, y in enumerate(power):
+                if not y.is_zero():
+                    h[j] = h[j] + coeff * y
+        out.append(uni_trim(h))
+    return out + [uni_trim(pd[top])]
 
 
 class RationalFunction:
@@ -107,7 +138,7 @@ class RationalFunction:
         if uni_is_zero(num):
             num, den = [], [CyclotomicElement.one(order)]
         else:
-            g = uni_gcd(num, den, order)
+            g = [] if uni_coprime_mod_p(num, den, order) else uni_gcd(num, den, order)
             if len(g) > 1:
                 num = uni_divmod(num, g, order)[0]
                 den = uni_divmod(den, g, order)[0]
@@ -330,13 +361,17 @@ class QGonalMap:
 
 def genus_qgonal(q: int, f: SparsePoly) -> int:
     """Genus of y^q = f(x) for squarefree f, by Riemann-Hurwitz."""
-    if not _is_prime(q):
+    if not _is_prime_degree(q):
         raise HypothesisViolation(f"cover degree {q} is not prime")
     coeffs = poly_to_uni(f)
     degree = len(coeffs) - 1
     if degree < 3:
         raise GenusTooSmall(f"defining polynomial has degree {degree} < 3")
-    if len(uni_gcd(coeffs, uni_derivative(coeffs), f.order)) > 1:
+    # the modular certificate proves gcd(f, f') = 1 in one F_p pass; only
+    # when it cannot does the exact gcd over Q(zeta_N) decide
+    deriv = uni_derivative(coeffs)
+    if (not uni_coprime_mod_p(coeffs, deriv, f.order)
+            and len(uni_gcd(coeffs, deriv, f.order)) > 1):
         raise NotSquarefree("defining polynomial has a repeated root")
     branch = degree if degree % q == 0 else degree + 1
     doubled = -2 * q + branch * (q - 1)
@@ -407,7 +442,7 @@ def qgonal_signature(q: int, n: int, shape: str, g: int) -> Signature:
     one of index nq (N1), or two of index nq (N2)."""
     if shape not in SHAPES:
         raise ShapeViolation(f"unknown shape {shape!r}")
-    if not _is_prime(q) or n < 2 or g < 2:
+    if not _is_prime_degree(q) or n < 2 or g < 2:
         raise HypothesisViolation("need q prime, n > 1 and genus at least 2")
     scale = n * (q - 1)
     if shape == "N0":
@@ -522,6 +557,7 @@ def build_family(m: int, n: int) -> SparsePoly:
     """Defining polynomial of the standard self-conjugate family member."""
     if m < 2 or n < 2:
         raise HypothesisViolation("family needs m > 1 and n > 1")
+    check_degree(2 * m * n, "family degree 2mn =")
     order, values = _family_values(m, n)
     return family_polynomial(values, n, order)
 
@@ -616,7 +652,7 @@ def qgonal_real_descent(q: int, m: int, n: int) -> dict:
     The curve is built once and its conjugate copies the genus. Only the
     generators are checked: mirror onto the conjugate, deck and rotation
     onto the curve (f lies in K[x^n]); every candidate is their composite."""
-    if not _is_prime(q) or q == 2:
+    if not _is_prime_degree(q) or q == 2:
         raise HypothesisViolation(f"cover degree {q} must be an odd prime")
     if m < 2 or n < 2:
         raise HypothesisViolation("family needs m > 1 and n > 1")
@@ -672,7 +708,7 @@ def qgonal_real_descent(q: int, m: int, n: int) -> dict:
 # covers with extra symmetry beyond the fibered class ---------------------------
 
 def _odd_primes(limit: int, start: int = 3):
-    return [p for p in range(start, limit + 1) if _is_prime(p)]
+    return [p for p in range(start, limit + 1) if is_prime(p)]
 
 
 def exceptional_qgonal_rows(q_max: int = 13) -> list[dict]:

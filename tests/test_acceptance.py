@@ -282,6 +282,20 @@ def test_criterion_06_qgonal_real_descent_parity():
         assert seen_k == set(range(n))
 
 
+def test_criterion_06_long_family_members():
+    """The two members once too long to run, (5, 5, 3) and (7, 7, 7), have
+    q | mn and odd n, so each descends, and every defect has the closed form."""
+    for q, m, n in [(5, 5, 3), (7, 7, 7)]:
+        report = qgonal_real_descent(q, m, n)
+        assert report["verdict"] == "DEFINABLE" and report["method"] == "weil-cocycle"
+        assert len(report["defects"]) == q * n
+        twist, rotation = defect_twist_map(q, m, n), rotation_map(n)
+        for entry in report["defects"]:
+            k = entry["k"]
+            assert entry["defect"] == twist.power(2 * k + 1) @ rotation.power(2 * k + 1)
+            assert entry["is_identity"] == ((2 * k + 1) % n == 0)
+
+
 def test_criterion_07_family_real_descent_cases():
     """The three realizable conjugation matches for X_{a,b,c} each descend
     with the expected explicit witness; the pure-cycle match is impossible."""

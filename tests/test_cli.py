@@ -114,6 +114,26 @@ def test_field_order_above_the_cap_exits_3(tmp_path, capsys):
     assert time.perf_counter() - started < 1.0
 
 
+def test_oversized_qgonal_inputs_exit_3(tmp_path, capsys):
+    # a huge prime cover degree, a huge family degree and a huge exponent used
+    # to run past any timeout
+    curve = {"kind": "qgonal_curve", "q": 3,
+             "poly": {"order": 1, "variables": ["x"],
+                      "terms": [{"exponents": [e], "coefficient": [c]}
+                                for e, c in ((20000, "1"), (1, "-1"), (0, "1"))]}}
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(curve), encoding="utf-8")
+    q = str(2**61 - 1)
+    for argv in (["qgonal", "descend", "--q", q, "--m", "3", "--n", "3"],
+                 ["qgonal", "signature", "--q", q, "--n", "2", "--shape", "N0", "--genus", "5"],
+                 ["qgonal", "descend", "--q", "3", "--m", "3", "--n", "50000000"],
+                 ["qgonal", "genus", "--curve", str(path)]):
+        started = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and "exceeds the bound" in err, argv
+        assert time.perf_counter() - started < 1.0, argv
+
+
 def test_singular_map_exits_2(tmp_path, capsys):
     gens = json.loads(Path(fx("fermat_quartic_gens")).read_text(encoding="utf-8"))
     entries = gens["generators"][0]["entries"]

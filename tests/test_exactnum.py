@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oddsig import exactnum
-from oddsig.errors import (InternalInconsistency, InvalidExponent, NotASubfield,
+from oddsig.errors import (BoundExceeded, InternalInconsistency, InvalidExponent, NotASubfield,
                            OrderMismatch, SchemaError)
 from oddsig.exactnum import (
     CyclotomicElement as Cyc,
@@ -17,9 +17,27 @@ from oddsig.exactnum import (
     conjugation,
     cyclotomic_polynomial,
     euler_phi,
+    is_prime,
     lift_all,
 )
 from oddsig.plane import ProjMap
+
+
+def test_is_prime_matches_a_sieve_and_known_pseudoprimes():
+    limit = 20000
+    sieve = [False, False] + [True] * (limit - 1)
+    for k in range(2, int(limit ** 0.5) + 1):
+        if sieve[k]:
+            sieve[k * k::k] = [False] * len(sieve[k * k::k])
+    assert [k for k in range(limit + 1) if is_prime(k)] == [k for k in range(limit + 1) if sieve[k]]
+    # Carmichael numbers and strong pseudoprimes to the bases 2 .. 23 and 2 .. 37
+    for composite in (561, 41041, 2047, 3215031751, 3825123056546413051,
+                      318665857834031151167461, (2**61 - 1) * (2**17 - 1)):
+        assert not is_prime(composite)
+    for prime in (2**31 - 1, 2**61 - 1, 2147483659):
+        assert is_prime(prime)
+    with pytest.raises(BoundExceeded):
+        is_prime(exactnum._MR_LIMIT)
 
 
 def test_euler_phi_small():

@@ -5,15 +5,19 @@ import numpy as np
 import pytest
 
 from oddsig import polyring
-from oddsig.errors import (InternalInconsistency, OrderMismatch, SchemaError,
+from oddsig.errors import (BoundExceeded, InternalInconsistency, OrderMismatch, SchemaError,
                            VariableCountMismatch, ZeroPolynomial)
-from oddsig.exactnum import CyclotomicElement as Cyc
+from oddsig.exactnum import CyclotomicElement as Cyc, cyclotomic_polynomial, is_prime
 from oddsig.polyring import (
+    MAX_DEGREE,
     SparsePoly,
+    _split_prime,
     distinct_root_count,
     poly_to_uni,
     resultant,
     squarefree_part,
+    uni_coprime_mod_p,
+    uni_derivative,
     uni_gcd,
     uni_squarefree,
     uni_to_poly,
@@ -282,6 +286,47 @@ def test_serialization_round_trip():
         SparsePoly.from_dict({"order": 4, "variables": ["x"], "terms": [{"exponents": [-1], "coefficient": ["1", "0"]}]})
     with pytest.raises(SchemaError):
         SparsePoly.from_dict({"order": 4, "variables": ["x"], "terms": "nope"})
+
+
+def test_degree_above_the_cap_is_refused():
+    def doc(*exponents):
+        return {"order": 1, "variables": ["x", "y"][:len(exponents[0])],
+                "terms": [{"exponents": list(e), "coefficient": ["1"]} for e in exponents]}
+
+    with pytest.raises(BoundExceeded, match="exceeds the bound"):
+        SparsePoly.from_dict(doc((20000,), (1,), (0,)))
+    with pytest.raises(BoundExceeded):                      # total degree, not one exponent
+        SparsePoly.from_dict(doc((MAX_DEGREE // 2 + 1, MAX_DEGREE // 2)))
+    assert SparsePoly.from_dict(doc((MAX_DEGREE, 0), (0, 0))).total_degree() == MAX_DEGREE
+
+
+def test_split_prime_root_has_exact_order():
+    for order in range(1, 121):
+        p, w = _split_prime(order)
+        assert p > 2**31 and p % order == 1 % order and is_prime(p)
+        assert not any(is_prime(r) for r in range(p - order, 2**31, -order))
+        assert pow(w, order, p) == 1
+        assert all(pow(w, d, p) != 1 for d in range(1, order) if order % d == 0)
+        # w is a root of Phi_order mod p, so zeta |-> w is a ring map
+        assert sum(int(c) * pow(w, i, p) for i, c in enumerate(cyclotomic_polynomial(order))) % p == 0
+
+
+def test_coprime_certificate_is_sound():
+    rng = random.Random(4099)
+    order = 12
+    proven = 0
+    for _ in range(60):
+        a = [Cyc(order, [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4)])
+             for _ in range(rng.randint(1, 6))]
+        b = uni_derivative(a) if rng.random() < 0.5 else a[:rng.randint(1, len(a))][::-1]
+        if rng.random() < 0.3:                              # force a common factor
+            common = [Cyc.zeta(order, rng.randrange(order)), Cyc.one(order)]
+            a, b = polyring.uni_mul(a, common, order), polyring.uni_mul(b, common, order)
+        exact = len(uni_gcd(a, b, order)) == 1 if a and b else False
+        if uni_coprime_mod_p(a, b, order):
+            proven += 1
+            assert exact
+    assert proven > 15
 
 
 def test_squarefree_part_poly_wrapper():

@@ -1,12 +1,15 @@
 import random
+import time
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oddsig import serialize, superell
+from oddsig import polyring, serialize, superell
 from oddsig.errors import (
+    BoundExceeded,
     GenusTooSmall,
     HypothesisViolation,
     NonIntegerCount,
@@ -15,13 +18,15 @@ from oddsig.errors import (
     ShapeViolation,
     ZeroPolynomial,
 )
-from oddsig.exactnum import CyclotomicElement as Cyc
-from oddsig.polyring import poly_to_uni, uni_mul, uni_to_poly
+from oddsig.exactnum import CyclotomicElement as Cyc, euler_phi
+from oddsig.polyring import (MAX_DEGREE, _split_prime, poly_to_uni, uni_add, uni_coprime_mod_p,
+                             uni_derivative, uni_mul, uni_to_poly, uni_trim)
 from oddsig.ramify import Signature, is_odd_signature
 from oddsig.superell import (
     QGonalCurve,
     QGonalMap,
     RationalFunction,
+    _pull_back,
     build_family,
     deck_map,
     defect_twist_map,
@@ -417,3 +422,98 @@ def test_extra_symmetry_catalog():
         seen.add(key)
     assert rows[0]["group"] == "GL(2,3)" and rows[0]["genus"] == 2
     assert any(row["group"] == "S5" for row in rows)
+
+
+# Horner pull-back and the modular squarefree certificate ----------------------
+
+def dense_pull_back(rows, top, order, p):
+    """Sum of p_i (a x + b)^i (c x + d)^(top - i), each product formed in full."""
+    (a, b), (c, d) = rows
+    total = []
+    for i, coeff in enumerate(p):
+        term = [coeff]
+        for _ in range(i):
+            term = uni_mul(term, [b, a], order)
+        for _ in range(top - i):
+            term = uni_mul(term, [d, c], order)
+        total = uni_add(total, term, order)
+    return uni_trim(total)
+
+
+@st.composite
+def elements(draw, order):
+    # zero one time in three, so a = 0, c = 0 and sparse p all occur
+    if draw(st.integers(0, 2)) == 0:
+        return Cyc.zero(order)
+    phi = euler_phi(order)
+    nums = draw(st.lists(st.integers(-3, 3), min_size=phi, max_size=phi))
+    return Cyc(order, [Fraction(x, draw(st.integers(1, 3))) for x in nums])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((1, 3, 4, 12, 24)), st.data())
+def test_horner_pull_back_matches_dense_oracle(order, data):
+    top = data.draw(st.integers(0, 7))
+    a, b, c, d = (data.draw(elements(order)) for _ in range(4))
+    polys = [[data.draw(elements(order)) for _ in range(data.draw(st.integers(0, top + 1)))]
+             for _ in range(2)]                            # deg p < top included
+    rows = [[a, b], [c, d]]
+    *pulled, denom = _pull_back(rows, top, order, *polys)
+    assert pulled == [dense_pull_back(rows, top, order, p) for p in polys]
+    assert denom == dense_pull_back(rows, top, order, [Cyc.one(order)])
+
+
+def test_repeated_root_is_not_squarefree():
+    # f = g^2 h over Q(zeta_12): the certificate cannot prove gcd(f, f') = 1,
+    # and the exact gcd finds the repeated root
+    z = Cyc.zeta(12, 1)
+    g = [-z, Cyc.one(12)]
+    h = poly_to_uni(U(12, [5, 2, 1]))
+    f = uni_mul(uni_mul(g, g, 12), h, 12)
+    assert not uni_coprime_mod_p(f, uni_derivative(f), 12)
+    with pytest.raises(NotSquarefree):
+        genus_qgonal(3, uni_to_poly(f, 12))
+
+
+@pytest.mark.parametrize("order", [1, 12])
+def test_certificate_fallback_keeps_the_exact_verdict(order, monkeypatch):
+    p, _ = _split_prime(order)
+    exact_calls = []
+
+    def counted(*args):
+        exact_calls.append(args)
+        return polyring.uni_gcd(*args)
+
+    monkeypatch.setattr(superell, "uni_gcd", counted)
+    # a leading coefficient p, or a coefficient with p in its denominator, has
+    # no image in F_p
+    for scale, root in ((p, 1), (1, Fraction(1, p))):
+        squarefree = U(order, [1, root, 0, 0, scale])               # scale x^4 + root x + 1
+        square = poly_to_uni(U(order, [root * root, -2 * root, 1]))  # (x - root)^2
+        repeated = uni_to_poly(uni_mul(square, poly_to_uni(U(order, [scale, scale, scale])), order),
+                               order)
+        for f in (squarefree, repeated):
+            coeffs = poly_to_uni(f)
+            assert not uni_coprime_mod_p(coeffs, uni_derivative(coeffs), order)
+        assert genus_qgonal(3, squarefree) == 3
+        with pytest.raises(NotSquarefree):
+            genus_qgonal(3, repeated)
+    assert len(exact_calls) == 4
+    # an ordinary squarefree polynomial is proven without the exact gcd
+    assert genus_qgonal(3, U(order, [1, 1, 0, 0, 1])) == 3
+    assert len(exact_calls) == 4
+
+
+def test_family_degree_is_bounded():
+    started = time.perf_counter()
+    with pytest.raises(BoundExceeded, match="exceeds the bound"):
+        build_family(3, 50_000_000)
+    assert time.perf_counter() - started < 1.0
+    # the largest degree in use, 2mn = 98 for m = n = 7, stays below the cap
+    assert len(poly_to_uni(build_family(7, 7))) - 1 == 98 < MAX_DEGREE
+
+
+def test_long_family_members_are_proven_squarefree(monkeypatch):
+    monkeypatch.setattr(superell, "uni_gcd", None)        # the exact gcd is never reached
+    for q, m, n, genus in [(5, 5, 3, 56), (7, 7, 7, 288)]:
+        assert family_curve(q, m, n).genus == genus
