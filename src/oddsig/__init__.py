@@ -33,7 +33,6 @@ from .ramify import (
     odd_signature_verdict,
     plane_quartic_stratum_rows,
     signature,
-    signature_report,
 )
 from .serialize import InputDocument, parse_input, to_document
 from .superell import (
@@ -79,7 +78,6 @@ __all__ = [
     "qgonal_signature",
     "require_isomorphism",
     "signature",
-    "signature_report",
     "to_document",
     "weil_descent_order2",
 ]

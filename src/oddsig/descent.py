@@ -38,6 +38,7 @@ from .plane import (
     conjugate_curve,
     is_automorphism,
     require_isomorphism,
+    require_verdict_curve,
 )
 from .polyring import SparsePoly
 
@@ -122,7 +123,9 @@ def weil_descent_order2(curve: PlaneCurve, mu: ProjMap,
     """Decide real definability given one isomorphism onto the conjugate.
 
     Every candidate differs from mu by an automorphism, so the verdict does
-    not depend on which isomorphism is supplied."""
+    not depend on which isomorphism is supplied. The list of candidates is
+    complete only for a curve that passes plane.require_verdict_curve."""
+    require_verdict_curve(curve)
     candidates = isomorphism_orbit(curve, mu, aut_generators, bound)
     lifted = curve.lift_to(candidates[0].order) if candidates else curve
     defects = []

@@ -513,10 +513,3 @@ def conjugation(order: int) -> GaloisElement:
 
 def common_order(*orders: int) -> int:
     return math.lcm(*orders) if orders else 1
-
-
-def lift_all(elements: Iterable[CyclotomicElement], order: Optional[int] = None) -> list[CyclotomicElement]:
-    """Lift a collection into a single field Q(zeta_M), M = lcm of all orders."""
-    elems = list(elements)
-    target = common_order(*(e.order for e in elems), *( [order] if order else [] ))
-    return [e.lift_to(target) for e in elems]

@@ -11,8 +11,10 @@ every map, products included, is checked to be invertible.
 Smoothness is decided exactly: a curve is singular iff its three partial
 derivatives share a projective zero. The line z = 0 is checked through
 binary-form gcds; the affine chart z = 1 reduces to candidate x-values via
-pairwise resultants, and candidates are verified by gcd computations in
-(K[x]/(d))[y], splitting the modulus whenever a zero divisor appears.
+pairwise resultants, cut out by a squarefree d, and the shared y-root above
+them is decided by the gcd in (K[x]/(d))[y] of polyring's splitting algebra.
+require_verdict_curve refuses, before any verdict, a curve outside the
+theorem: degree below 4 or above MAX_PLANE_DEGREE, or singular.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import (
+    BoundExceeded,
+    GenusTooSmall,
+    HypothesisViolation,
     InternalInconsistency,
     NotAnIsomorphism,
     OrderMismatch,
@@ -31,19 +36,23 @@ from .errors import (
 from .exactnum import CyclotomicElement, check_order, common_order
 from .polyring import (
     SparsePoly,
+    mod_branches,
+    mod_gcd,
     resultant,
     uni_divmod,
     uni_gcd,
-    uni_is_zero,
     uni_monic,
     uni_mul,
     uni_squarefree,
     uni_sub,
     uni_trim,
-    uni_xgcd,
 )
 
 Entry = Union[int, Fraction, CyclotomicElement]
+
+# the largest degree a verdict accepts: the exact is_smooth grows about 4x
+# per degree on dense curves, and every fixture and benchmark curve is a quartic
+MAX_PLANE_DEGREE = 7
 
 
 class ProjMap:
@@ -142,9 +151,6 @@ class ProjMap:
         # matrix is stored as the identity matrix
         return all(e.is_one() if r == c else e.is_zero()
                    for r, row in enumerate(self.entries) for c, e in enumerate(row))
-
-    def is_diagonal(self) -> bool:
-        return all(self.entries[r][c].is_zero() for r in range(3) for c in range(3) if r != c)
 
     def apply(self, point: Sequence[CyclotomicElement]) -> tuple[CyclotomicElement, ...]:
         zero = CyclotomicElement.zero(self.order)
@@ -322,12 +328,6 @@ def require_isomorphism(source: PlaneCurve, target: PlaneCurve, mapping: ProjMap
     return lam
 
 
-def restrict_to_line(poly: SparsePoly, u: Sequence[CyclotomicElement], w: Sequence[CyclotomicElement]) -> SparsePoly:
-    """Binary form F(s*u + t*w) in (s, t) for a spanning pair u, w."""
-    matrix = [[u[i], w[i]] for i in range(3)]
-    return poly.substitute_linear(matrix)
-
-
 # smoothness ------------------------------------------------------------------
 
 def _dehomogenize(poly: SparsePoly, var: int) -> SparsePoly:
@@ -464,122 +464,6 @@ def _from_ylists(f, order: int) -> SparsePoly:
     return SparsePoly(order, 2, terms)
 
 
-class _NeedSplit(Exception):
-    def __init__(self, factor):
-        self.factor = factor
-
-
-def _mod_reduce(row, modulus, order):
-    _, r = uni_divmod(row, modulus, order)
-    return r
-
-
-def _branch_has_common_root(modulus, ypolys, order) -> bool:
-    """Decide whether some root x0 of the squarefree modulus admits a common
-    y-root of all polynomials; raises _NeedSplit when the modulus must split."""
-    reduced = []
-    for f in ypolys:
-        g = _y_trim([_mod_reduce(row, modulus, order) for row in f])
-        if g:
-            reduced.append(g)
-    if not reduced:
-        return True
-
-    def invert_or_split(c):
-        g, s, _ = uni_xgcd(c, modulus, order)
-        if len(g) == 1:
-            return s
-        if len(g) <= len(modulus) - 1:
-            raise _NeedSplit(g)
-        return None  # c is zero mod modulus; callers strip zeros first
-
-    # y-degree-0 entries are pure constraints c(x) = 0
-    work = []
-    for f in reduced:
-        if len(f) == 1:
-            g = uni_gcd(f[0], modulus, order)
-            if len(g) == 1:
-                return False
-            if len(g) < len(modulus):
-                raise _NeedSplit(g)
-            # g == modulus means c = 0 mod modulus: no constraint (cannot happen: stripped)
-        else:
-            work.append(f)
-    if not work:
-        return True
-    # fold gcds in (K[x]/modulus)[y]
-    current = work[0]
-    for nxt in work[1:]:
-        a, b = current, nxt
-        while True:
-            b = _y_trim([row[:] for row in b])
-            # strip top coefficients that vanish modulo the branch
-            while b and uni_is_zero(_mod_reduce(b[-1], modulus, order)):
-                b.pop()
-            if not b:
-                break
-            if len(b) == 1:
-                g = uni_gcd(b[0], modulus, order)
-                if len(g) == 1:
-                    return False
-                if len(g) < len(modulus):
-                    raise _NeedSplit(g)
-                break
-            if len(a) < len(b):
-                a, b = b, a
-                continue
-            inv = invert_or_split(b[-1])
-            bm = [ _mod_reduce(uni_mul(row, inv, order), modulus, order) for row in b]
-            bm[-1] = [CyclotomicElement.one(order)]
-            # reduce a by monic bm
-            r = [ _mod_reduce(row, modulus, order) for row in a]
-            r = _y_trim(r)
-            while len(r) >= len(bm):
-                top = r[-1]
-                shift = len(r) - len(bm)
-                for i, gi in enumerate(bm):
-                    r[i + shift] = _mod_reduce(uni_sub(r[i + shift], uni_mul(top, gi, order), order), modulus, order)
-                r[len(r) - 1] = []
-                r = _y_trim(r)
-            a, b = bm, r
-        current = _y_trim(a)
-        if not current:
-            return True  # both reduced to zero: no constraint on this branch
-    # survivors: current is the branch gcd
-    while current and uni_is_zero(_mod_reduce(current[-1], modulus, order)):
-        current.pop()
-    if not current:
-        return True
-    if len(current) == 1:
-        g = uni_gcd(current[0], modulus, order)
-        if len(g) == 1:
-            return False
-        if len(g) < len(modulus):
-            raise _NeedSplit(g)
-        return True
-    return True  # positive y-degree gcd: common root above every branch point
-
-
-def _candidates_have_common_root(d, ypolys, order) -> bool:
-    """Dynamic evaluation driver over the squarefree candidate modulus d."""
-    stack = [uni_monic(d)]
-    while stack:
-        modulus = stack.pop()
-        if len(modulus) <= 1:
-            continue
-        try:
-            if _branch_has_common_root(modulus, ypolys, order):
-                return True
-        except _NeedSplit as split:
-            g = uni_monic(split.factor)
-            q, r = uni_divmod(modulus, g, order)
-            if r:
-                raise InternalInconsistency("split factor does not divide the modulus")
-            stack.append(g)
-            stack.append(q)
-    return False
-
-
 def has_common_affine_zero(polys: list[SparsePoly]) -> bool:
     """Do bivariate polynomials share a zero over the algebraic closure?"""
     live = [p for p in polys if not p.is_zero()]
@@ -629,8 +513,18 @@ def has_common_affine_zero(polys: list[SparsePoly]) -> bool:
             return False
     if len(d) == 1:
         return False
-    d = uni_squarefree(d, order)
-    return _candidates_have_common_root(d, [_to_ylists(p) for p in ypos], order)
+    ylists = [_to_ylists(p) for p in ypos]
+
+    def shared_y_root(m) -> bool:
+        # the gcd over K[x]/(m) is a unit exactly when no y-root is shared
+        g: list = []
+        for f in ylists:
+            g = mod_gcd(g, f, m, order)
+            if len(g) == 1:
+                return False
+        return True
+
+    return any(mod_branches(shared_y_root, uni_squarefree(d, order), order))
 
 
 def is_smooth(curve: PlaneCurve) -> bool:
@@ -644,3 +538,22 @@ def is_smooth(curve: PlaneCurve) -> bool:
     # the affine chart z = 1
     chart = [_dehomogenize(p, 2) for p in partials]
     return not has_common_affine_zero(chart)
+
+
+def require_verdict_curve(curve: PlaneCurve) -> None:
+    """Refuse a curve that a plane-curve verdict does not apply to.
+
+    On a smooth plane curve of degree d >= 4 every automorphism is linear,
+    induced by PGL_3, since the degree-d linear series is unique; that is
+    what makes the PGL_3 group closure and the descend-real candidate list
+    complete, and it needs genus (d-1)(d-2)/2 >= 2 as the theorem does.
+    Checked cheapest first: degree above MAX_PLANE_DEGREE raises
+    BoundExceeded, degree below 4 GenusTooSmall, a singular curve
+    HypothesisViolation."""
+    degree = curve.degree
+    if degree > MAX_PLANE_DEGREE:
+        raise BoundExceeded(f"plane curve degree {degree} exceeds the bound {MAX_PLANE_DEGREE}")
+    if degree < 4:
+        raise GenusTooSmall(f"plane curve of degree {degree} has genus {curve.genus()} < 2")
+    if not is_smooth(curve):
+        raise HypothesisViolation("plane curve is singular")

@@ -7,6 +7,13 @@ squarefree and root-counting machinery; the resultant uses a Sylvester matrix
 with fraction-free (Bareiss) elimination so entries stay polynomial.
 uni_coprime_mod_p proves gcd(a, b) = 1 from the images of a and b in F_p[x],
 and never disproves it, so a caller falls back to the exact uni_gcd.
+
+The splitting-algebra section is the one arithmetic for K[x]/(m), m
+squarefree, used by plane.is_smooth and ramify.fixed_point_count: reduce,
+multiply, inverse-or-split, the zero part gcd(p, m), the monic gcd in
+(K[x]/(m))[y], and mod_branches, which splits m on a zero divisor and reruns
+on both factors (dynamic evaluation: Della Dora, Dicrescenzo and Duval,
+EUROCAL 1985).
 """
 
 from __future__ import annotations
@@ -241,14 +248,17 @@ class SparsePoly:
             for _ in range(max_pow[i]):
                 row_powers.append(row_powers[-1] * forms[i])
             powers.append(row_powers)
-        total = SparsePoly.zero(self.order, new_nvars)
+        # one dict for the whole sum: adding SparsePolys would copy and
+        # re-validate the partial sum once per term
+        acc: dict[tuple[int, ...], CyclotomicElement] = {}
         for exps, coeff in self.terms.items():
             term = SparsePoly.constant(coeff, self.order, new_nvars)
             for i, e in enumerate(exps):
                 if e:
                     term = term * powers[i][e]
-            total = total + term
-        return total
+            for key, c in term.terms.items():
+                acc[key] = acc[key] + c if key in acc else c
+        return SparsePoly(self.order, new_nvars, acc)
 
     def derivative(self, var: int) -> "SparsePoly":
         out: dict[tuple[int, ...], CyclotomicElement] = {}
@@ -535,6 +545,105 @@ def uni_to_poly(coeffs: Sequence[CyclotomicElement], order: int, nvars: int = 1,
     return SparsePoly(order, nvars, terms)
 
 
+# the splitting algebra K[x]/(m) ---------------------------------------------
+# Dynamic evaluation: residues are dense lists reduced mod a squarefree m, and
+# polynomials over K[x]/(m) in a second variable y are lists of residues,
+# index = y-degree. Computing as if K[x]/(m) were a field either succeeds
+# uniformly over every root of m, or meets a zero divisor and raises Split
+# with a proper factor of m; mod_branches then reruns on the factor and the
+# cofactor.
+
+class Split(Exception):
+    """A zero divisor showed up; the modulus factors through .factor."""
+
+    def __init__(self, factor):
+        self.factor = factor
+
+
+def mod_reduce(p: Sequence[CyclotomicElement], m: Sequence[CyclotomicElement], order: int) -> list[CyclotomicElement]:
+    if len(p) < len(m):
+        return uni_trim(list(p))  # already reduced: no division, no inverse
+    return uni_divmod(p, m, order)[1]
+
+
+def mod_mul(p, q, m, order: int) -> list[CyclotomicElement]:
+    if not p or not q:
+        return []
+    return mod_reduce(uni_mul(p, q, order), m, order)
+
+
+def mod_inverse(p, m, order: int) -> list[CyclotomicElement]:
+    """Inverse mod m, or Split when p is a zero divisor. p must be nonzero mod m."""
+    g, s, _ = uni_xgcd(p, m, order)
+    if len(g) == 1:
+        return s
+    if len(g) < len(m):
+        raise Split(g)
+    raise InternalInconsistency("inverting zero residue")
+
+
+def zero_part(p, m, order: int) -> list[CyclotomicElement]:
+    """Monic divisor of m cutting out the roots where p vanishes."""
+    if not p:
+        return uni_monic(m)
+    return uni_gcd(p, m, order)
+
+
+def split_modulus(m, factor, order: int) -> tuple[list[CyclotomicElement], list[CyclotomicElement]]:
+    """(factor, m / factor), both monic; the division must be exact."""
+    factor = uni_monic(factor)
+    cofactor, r = uni_divmod(m, factor, order)
+    if r:
+        raise InternalInconsistency("factor does not divide the modulus")
+    return factor, uni_monic(cofactor)
+
+
+def mod_strip(p, m, order: int) -> list[list[CyclotomicElement]]:
+    """The y-list p reduced mod m without the leading coefficients that
+    vanish mod m; Split when the leading one left is a zero divisor."""
+    p = [mod_reduce(row, m, order) for row in p]
+    while p and not p[-1]:
+        p.pop()
+    if p:
+        g = zero_part(p[-1], m, order)
+        if len(g) > 1:
+            raise Split(g)
+    return p
+
+
+def mod_gcd(a, b, m, order: int) -> list[list[CyclotomicElement]]:
+    """Monic gcd of the y-lists a and b over K[x]/(m); [] when both vanish
+    mod m. Raises Split on a zero divisor."""
+    a, b = mod_strip(a, m, order), mod_strip(b, m, order)
+    if not b:
+        a, b = b, a
+    while b:
+        inv = mod_inverse(b[-1], m, order)
+        bm = [mod_mul(row, inv, m, order) for row in b[:-1]] + [[CyclotomicElement.one(order)]]
+        r = a
+        while len(r) >= len(bm):
+            # subtract top * y^shift * bm; the monic leading terms cancel
+            top = r.pop()
+            shift = len(r) + 1 - len(bm)
+            for i, gi in enumerate(bm[:-1]):
+                r[i + shift] = mod_reduce(uni_sub(r[i + shift], uni_mul(top, gi, order), order), m, order)
+            r = mod_strip(r, m, order)
+        a, b = bm, r
+    return a
+
+
+def mod_branches(fn, m, order: int):
+    """Yield fn(branch) over a splitting of m: fn runs on m and, when it
+    raises Split, on the factor and the cofactor instead."""
+    try:
+        value = fn(m)
+    except Split as split:
+        for part in split_modulus(m, split.factor, order):
+            yield from mod_branches(fn, part, order)
+        return
+    yield value
+
+
 # binary forms ---------------------------------------------------------------
 
 def distinct_root_count(form: SparsePoly) -> int:
@@ -560,11 +669,6 @@ def distinct_root_count(form: SparsePoly) -> int:
     if len(dense) == 1:
         return at_infinity
     return at_infinity + (len(uni_squarefree(dense, order)) - 1)
-
-
-def squarefree_part(p: SparsePoly, var: int = 0) -> SparsePoly:
-    """Monic squarefree part of a univariate polynomial."""
-    return uni_to_poly(uni_squarefree(poly_to_uni(p, var), p.order), p.order, p.nvars, var)
 
 
 # resultants -----------------------------------------------------------------

@@ -3,9 +3,9 @@
 fixed_point_count works eigenvalue by eigenvalue. The candidate eigenvalues
 of a map A of projective order n with A^n = c*I are the roots of
 gcd(charpoly(A), x^n - c), a squarefree polynomial h of degree at most 3.
-Rather than factoring h, all computations run in K[x]/(m) for divisors m of
-h, splitting m whenever a zero-divisor turns up (disc-and-branch, in the
-style of dynamic evaluation). A one-dimensional eigenspace contributes a
+Rather than factoring h, all computations run in polyring's splitting
+algebra K[x]/(m) for divisors m of h, which splits m on a zero divisor.
+A one-dimensional eigenspace contributes a
 fixed point when its eigenvector lies on the curve; a two-dimensional one
 contributes every intersection point of the fixed line with the curve, and
 a fixed line lying on the curve is rejected as input (FixedLineOnCurve).
@@ -19,7 +19,9 @@ in the class. Counts of points with stabilizer exactly C come from Moebius
 inversion over the poset of cyclic subgroups, branch points of each index
 follow by orbit counting, and the quotient genus comes out of
 Riemann-Hurwitz. The verdict is ODD exactly when the quotient
-is rational and some branch index appears an odd number of times.
+is rational and some branch index appears an odd number of times. A verified
+signature first refuses, through plane.require_verdict_curve, a curve that
+is singular or of degree outside 4..MAX_PLANE_DEGREE.
 """
 
 from __future__ import annotations
@@ -46,17 +48,22 @@ from .matgroup import (
     element_order,
     subgroup_conjugacy_classes,
 )
-from .plane import PlaneCurve, ProjMap, is_automorphism
+from .plane import PlaneCurve, ProjMap, is_automorphism, require_verdict_curve
 from .polyring import (
+    mod_branches,
+    mod_gcd,
+    mod_inverse,
+    mod_mul,
+    mod_reduce,
+    mod_strip,
+    split_modulus,
     uni_add,
-    uni_divmod,
     uni_gcd,
     uni_monic,
-    uni_mul,
     uni_scale,
     uni_sub,
     uni_trim,
-    uni_xgcd,
+    zero_part,
 )
 
 
@@ -84,44 +91,6 @@ def is_odd_signature(sig: Signature) -> bool:
 
 def odd_signature_verdict(sig: Signature) -> str:
     return "ODD" if is_odd_signature(sig) else "INCONCLUSIVE"
-
-
-# arithmetic in A = K[x]/(m) --------------------------------------------------
-
-class _Split(Exception):
-    """A zero divisor showed up; the modulus factors through .factor."""
-
-    def __init__(self, factor):
-        self.factor = factor
-
-
-def _mod(p, m, order):
-    if not p:
-        return []
-    return uni_divmod(p, m, order)[1]
-
-
-def _amul(p, q, m, order):
-    if not p or not q:
-        return []
-    return _mod(uni_mul(p, q, order), m, order)
-
-
-def _ainv(p, m, order):
-    """Inverse mod m, or _Split when p is a zero divisor. p must be nonzero."""
-    g, s, _ = uni_xgcd(p, m, order)
-    if len(g) == 1:
-        return s
-    if len(g) < len(m):
-        raise _Split(g)
-    raise InternalInconsistency("inverting zero residue")
-
-
-def _zero_part(p, m, order):
-    """Monic divisor of m cutting out the roots where p vanishes."""
-    if not p:
-        return uni_monic(m)
-    return uni_gcd(p, m, order)
 
 
 # candidate eigenvalue modulus ------------------------------------------------
@@ -161,7 +130,7 @@ def _b_entries(mapping: ProjMap, m, order):
         for c in range(3):
             const = mapping.entries[r][c]
             coeffs = [const, minus_one] if r == c else [const]
-            row.append(_mod(uni_trim(coeffs), m, order))
+            row.append(mod_reduce(uni_trim(coeffs), m, order))
         rows.append(row)
     return rows
 
@@ -170,8 +139,8 @@ def _adjugate(b, m, order):
     def minor(i, j):
         rs = [r for r in range(3) if r != i]
         cs = [c for c in range(3) if c != j]
-        return uni_sub(_amul(b[rs[0]][cs[0]], b[rs[1]][cs[1]], m, order),
-                       _amul(b[rs[0]][cs[1]], b[rs[1]][cs[0]], m, order), order)
+        return uni_sub(mod_mul(b[rs[0]][cs[0]], b[rs[1]][cs[1]], m, order),
+                       mod_mul(b[rs[0]][cs[1]], b[rs[1]][cs[0]], m, order), order)
 
     adj = [[None] * 3 for _ in range(3)]
     for i in range(3):
@@ -179,7 +148,7 @@ def _adjugate(b, m, order):
             entry = minor(j, i)
             if (i + j) % 2:
                 entry = uni_scale(entry, -CyclotomicElement.one(order))
-            adj[i][j] = _mod(entry, m, order)
+            adj[i][j] = mod_reduce(entry, m, order)
     return adj
 
 
@@ -194,16 +163,16 @@ def _eval_curve_at(poly, v, m, order):
     for i in range(3):
         row = [one]
         for _ in range(maxdeg[i]):
-            row.append(_amul(row[-1], v[i], m, order))
+            row.append(mod_mul(row[-1], v[i], m, order))
         powers.append(row)
     acc: list[CyclotomicElement] = []
     for exps, coeff in poly.terms.items():
         term = [coeff]
         for i, e in enumerate(exps):
             if e:
-                term = _amul(term, powers[i][e], m, order)
+                term = mod_mul(term, powers[i][e], m, order)
         acc = uni_add(acc, term, order)
-    return _mod(acc, m, order)
+    return mod_reduce(acc, m, order)
 
 
 def _bform_mul(p, q, m, order):
@@ -211,7 +180,7 @@ def _bform_mul(p, q, m, order):
     for e1, c1 in p.items():
         for e2, c2 in q.items():
             key = (e1[0] + e2[0], e1[1] + e2[1])
-            prod = _amul(c1, c2, m, order)
+            prod = mod_mul(c1, c2, m, order)
             if not prod:
                 continue
             out[key] = uni_add(out.get(key, []), prod, order)
@@ -251,95 +220,31 @@ def _deriv_in_s(dense, order):
     return out
 
 
-def _gcd_degree_in_s(a, b, m, order) -> int:
-    """Degree in s of gcd(a, b) over K[x]/(m); raises _Split on zero divisors."""
-
-    def strip(p):
-        p = [row[:] for row in p]
-        while p:
-            top = _mod(p[-1], m, order)
-            if not top:
-                p.pop()
-                continue
-            g = _zero_part(top, m, order)
-            if len(g) > 1:
-                raise _Split(g)
-            p[-1] = top
-            break
-        return [_mod(row, m, order) for row in p]
-
-    a, b = strip(a), strip(b)
-    while b:
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        inv = _ainv(b[-1], m, order)
-        bm = [_amul(row, inv, m, order) for row in b]
-        bm[-1] = [CyclotomicElement.one(order)]
-        r = [row[:] for row in a]
-        while len(r) >= len(bm):
-            top = r[-1]
-            if top:
-                shift = len(r) - len(bm)
-                for i, gi in enumerate(bm):
-                    r[i + shift] = _mod(uni_sub(r[i + shift], uni_mul(top, gi, order), order), m, order)
-            r[-1] = []
-            while r and not r[-1]:
-                r.pop()
-            r = strip(r)
-        a, b = bm, strip(r)
-    if not a:
-        raise InternalInconsistency("gcd of two zero polynomials")
-    return len(a) - 1
-
-
-def _affine_distinct_sum(dense, m, order) -> int:
-    """Sum over the roots of m of the number of distinct s-roots."""
-    try:
-        work = [_mod(row, m, order) for row in dense]
-        while work and not work[-1]:
-            work.pop()
-        if work:
-            g = _zero_part(work[-1], m, order)
-            if 1 < len(g) < len(m):
-                raise _Split(g)
-            if len(g) == len(m):
-                # leading coefficient vanishes on all of m: drop and retry
-                return _affine_distinct_sum(work[:-1], m, order)
-        if not work:
-            raise FixedLineOnCurve("curve contains a line fixed pointwise by a group element")
-        n_eff = len(work) - 1
-        if n_eff == 0:
-            return 0
-        deriv = _deriv_in_s(work, order)
-        if not deriv:
-            raise InternalInconsistency("inseparable restriction in characteristic zero")
-        gdeg = _gcd_degree_in_s(work, deriv, m, order)
-        return (len(m) - 1) * (n_eff - gdeg)
-    except _Split as split:
-        g = uni_monic(split.factor)
-        q, r = uni_divmod(m, g, order)
-        if r:
-            raise InternalInconsistency("split factor does not divide the modulus")
-        return (_affine_distinct_sum(dense, g, order)
-                + _affine_distinct_sum(dense, uni_monic(q), order))
+def _affine_distinct_count(dense, m, order) -> int:
+    """Sum over the roots of m of the number of distinct s-roots; raises
+    Split where the roots of m disagree."""
+    work = mod_strip(dense, m, order)
+    if not work:
+        raise FixedLineOnCurve("curve contains a line fixed pointwise by a group element")
+    n_eff = len(work) - 1
+    if n_eff == 0:
+        return 0
+    deriv = _deriv_in_s(work, order)
+    if not deriv:
+        raise InternalInconsistency("inseparable restriction in characteristic zero")
+    gdeg = len(mod_gcd(work, deriv, m, order)) - 1
+    return (len(m) - 1) * (n_eff - gdeg)
 
 
 def _binary_distinct_sum(form, degree, m, order) -> int:
     """Sum over the roots of m of distinct projective roots of the form."""
-    total = 0
-    g_inf = _zero_part(form.get((degree, 0), []), m, order)
-    finite_part, r = uni_divmod(m, g_inf, order)
-    if r:
-        raise InternalInconsistency("root-at-infinity factor does not divide the modulus")
-    finite_part = uni_monic(finite_part)
-    for part, at_infinity in ((uni_monic(g_inf), True), (finite_part, False)):
-        if len(part) <= 1:
-            continue
-        dense = [form.get((k, degree - k), []) for k in range(degree + 1)]
-        total += _affine_distinct_sum(dense, part, order)
-        if at_infinity:
-            total += len(part) - 1
+    at_infinity, finite = split_modulus(m, zero_part(form.get((degree, 0), []), m, order), order)
+    dense = [form.get((k, degree - k), []) for k in range(degree + 1)]
+    total = len(at_infinity) - 1
+    for part in (at_infinity, finite):
+        if len(part) > 1:
+            total += sum(mod_branches(lambda branch: _affine_distinct_count(dense, branch, order),
+                                      part, order))
     return total
 
 
@@ -353,62 +258,51 @@ def _rank2_contribution(poly, adj, m, order) -> int:
         for c in range(3):
             if len(rem) <= 1:
                 return total
-            entry = _mod(adj[r][c], rem, order)
+            entry = mod_reduce(adj[r][c], rem, order)
             if not entry:
                 continue
-            g = _zero_part(entry, rem, order)
-            live, rr = uni_divmod(rem, g, order)
-            if rr:
-                raise InternalInconsistency("zero-part factor does not divide the modulus")
-            live = uni_monic(live)
+            g, live = split_modulus(rem, zero_part(entry, rem, order), order)
             if len(live) > 1:
-                v = [_mod(adj[k][c], live, order) for k in range(3)]
+                v = [mod_reduce(adj[k][c], live, order) for k in range(3)]
                 on_curve = _eval_curve_at(poly, v, live, order)
-                total += len(_zero_part(on_curve, live, order)) - 1
-            rem = uni_monic(g)
+                total += len(zero_part(on_curve, live, order)) - 1
+            rem = g
     if len(rem) > 1:
         raise InternalInconsistency("adjugate vanished on a rank-two branch")
     return total
 
 
+def _fixed_line_points(poly, row, c, entry, m, order) -> int:
+    """Fixed points on the eigenplane row . v = 0, where entry = row[c] is a
+    unit mod m."""
+    minus_one = -CyclotomicElement.one(order)
+    inv = mod_inverse(mod_reduce(entry, m, order), m, order)
+    basis = []
+    for idx in (k for k in range(3) if k != c):
+        vec = [[], [], []]
+        vec[idx] = [CyclotomicElement.one(order)]
+        vec[c] = mod_reduce(uni_scale(mod_mul(row[idx], inv, m, order), minus_one), m, order)
+        basis.append(vec)
+    section = _restrict_to_plane(poly, basis[0], basis[1], m, order)
+    return _binary_distinct_sum(section, poly.total_degree(), m, order)
+
+
 def _rank1_contribution(poly, b, m, order) -> int:
     """Eigenvalues with a two-dimensional eigenspace: fixed line section."""
     total = 0
-    degree = poly.total_degree()
     rem = uni_monic(m)
     for r in range(3):
         for c in range(3):
             if len(rem) <= 1:
                 return total
-            entry = _mod(b[r][c], rem, order)
+            entry = mod_reduce(b[r][c], rem, order)
             if not entry:
                 continue
-            g = _zero_part(entry, rem, order)
-            live, rr = uni_divmod(rem, g, order)
-            if rr:
-                raise InternalInconsistency("zero-part factor does not divide the modulus")
-            live = uni_monic(live)
+            g, live = split_modulus(rem, zero_part(entry, rem, order), order)
             if len(live) > 1:
-                try:
-                    inv = _ainv(_mod(entry, live, order), live, order)
-                    others = [k for k in range(3) if k != c]
-                    basis = []
-                    for idx in others:
-                        vec = [[], [], []]
-                        vec[idx] = [CyclotomicElement.one(order)]
-                        vec[c] = _mod(uni_scale(_amul(b[r][idx], inv, live, order),
-                                                -CyclotomicElement.one(order)), live, order)
-                        basis.append(vec)
-                    section = _restrict_to_plane(poly, basis[0], basis[1], live, order)
-                    total += _binary_distinct_sum(section, degree, live, order)
-                except _Split as split:
-                    gg = uni_monic(split.factor)
-                    qq, rr2 = uni_divmod(live, gg, order)
-                    if rr2:
-                        raise InternalInconsistency("split factor does not divide the modulus")
-                    total += _rank1_contribution(poly, b, gg, order)
-                    total += _rank1_contribution(poly, b, uni_monic(qq), order)
-            rem = uni_monic(g)
+                total += sum(mod_branches(
+                    lambda part: _fixed_line_points(poly, b[r], c, entry, part, order), live, order))
+            rem = g
     if len(rem) > 1:
         raise InternalInconsistency("scalar branch inside eigenplane handler")
     return total
@@ -421,16 +315,12 @@ def _count_eigen_branch(poly, mapping, m, order) -> tuple[int, int]:
     g_adj = uni_monic(m)
     for r in range(3):
         for c in range(3):
-            g_adj = _zero_part(adj[r][c], g_adj, order) if adj[r][c] else g_adj
+            g_adj = zero_part(adj[r][c], g_adj, order) if adj[r][c] else g_adj
             if len(g_adj) == 1:
                 break
         if len(g_adj) == 1:
             break
-    plane_part = uni_monic(g_adj)
-    point_part, r0 = uni_divmod(m, plane_part, order)
-    if r0:
-        raise InternalInconsistency("eigenplane factor does not divide the modulus")
-    point_part = uni_monic(point_part)
+    plane_part, point_part = split_modulus(m, g_adj, order)
     count = 0
     ledger = 0
     if len(point_part) > 1:
@@ -468,11 +358,14 @@ def signature(curve: PlaneCurve, group: Sequence[ProjMap],
     """Signature of the quotient of the curve by the given full group.
 
     A FiniteGroup from closure is taken as it is; any other sequence is a
-    generating set, closed here after its elements are verified."""
+    generating set, closed here after its elements are verified. With
+    verify, the curve must also pass plane.require_verdict_curve: smooth of
+    degree 4 to MAX_PLANE_DEGREE, where every automorphism is linear."""
     if len(group) == 0:
         raise ValueError("empty group")
     generators = group.generators if isinstance(group, FiniteGroup) else group
     if verify:
+        require_verdict_curve(curve)
         for g in generators:
             ok, _ = is_automorphism(curve, g)
             if not ok:
@@ -519,17 +412,6 @@ def signature(curve: PlaneCurve, group: Sequence[ProjMap],
         raise NegativeGenus("quotient genus came out negative")
     return Signature(quotient_genus, tuple(indices))
 
-
-def signature_report(curve: PlaneCurve, group: Sequence[ProjMap],
-                     bound: int = DEFAULT_BOUND) -> dict:
-    sig = signature(curve, group, bound)
-    return {
-        "group_order": len(group),
-        "curve_genus": curve.genus(),
-        "quotient_genus": sig.quotient_genus,
-        "indices": list(sig.indices),
-        "verdict": odd_signature_verdict(sig),
-    }
 
 # plane quartic strata ----------------------------------------------------------
 

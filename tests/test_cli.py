@@ -8,9 +8,12 @@ import pytest
 
 from oddsig import exactnum, serialize
 from oddsig.cli import run_command
-from oddsig.errors import BoundExceeded, InternalInconsistency, ParseError, SchemaError
+from oddsig.errors import (BoundExceeded, FixedLineOnCurve, InternalInconsistency, ParseError,
+                           SchemaError)
 from oddsig.exactnum import MAX_ORDER, GaloisElement
 from oddsig.plane import PlaneCurve, ProjMap
+from oddsig.polyring import SparsePoly
+from oddsig.ramify import fixed_point_count, signature
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -134,6 +137,58 @@ def test_oversized_qgonal_inputs_exit_3(tmp_path, capsys):
         assert time.perf_counter() - started < 1.0, argv
 
 
+def test_dense_curve_above_the_verdict_degree_exits_3(tmp_path, capsys):
+    # all 8 385 monomials of degree 128, inside polyring.MAX_DEGREE
+    curve = {"kind": "plane_curve", "order": 1, "variables": ["x", "y", "z"],
+             "terms": [{"exponents": [i, j, 128 - i - j], "coefficient": ["1"]}
+                       for i in range(129) for j in range(129 - i)]}
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(curve), encoding="utf-8")
+    started = time.perf_counter()
+    code, _, err = run(capsys, "signature", "--curve", str(path), "--group", fx("quartic_s3_gens"))
+    assert code == 3 and "exceeds the bound" in err
+    assert time.perf_counter() - started < 1.0
+
+
+def test_curves_outside_the_theorem_exit_2(tmp_path, capsys):
+    w = exactnum.CyclotomicElement.zeta(3, 1)
+    swap, cycle = ProjMap.permutation(1, [1, 0, 2]), ProjMap.permutation(1, [1, 2, 0])
+
+    def poly(order, items):
+        return SparsePoly.build(order, 3, items)
+
+    cases = {
+        "conic": (poly(1, [(1, (2, 0, 0)), (1, (0, 2, 0)), (1, (0, 0, 2))]), [swap, cycle], "genus 0"),
+        # the lines x +- y +- z = 0
+        "four_lines": (poly(1, [(1, (4, 0, 0)), (1, (0, 4, 0)), (1, (0, 0, 4)),
+                                (-2, (2, 2, 0)), (-2, (0, 2, 2)), (-2, (2, 0, 2))]),
+                       [swap, cycle], "singular"),
+        # 2(x^2 y^2 + y^2 z^2 + z^2 x^2) + xyz(x + y + z)
+        "c3_quartic": (poly(1, [(2, tuple(2 * (i != k) for i in range(3))) for k in range(3)]
+                            + [(1, tuple(1 + (i == k) for i in range(3))) for k in range(3)]),
+                       [cycle], "singular"),
+        "fermat_cubic": (poly(3, [(1, (3, 0, 0)), (1, (0, 3, 0)), (1, (0, 0, 3))]),
+                         [ProjMap.diagonal(3, w, 1, 1), ProjMap.diagonal(3, 1, w, 1),
+                          swap.lift_to(3), cycle.lift_to(3)], "genus 1"),
+    }
+    for name, (f, gens, message) in cases.items():
+        curve_path, group_path = tmp_path / f"{name}.json", tmp_path / f"{name}_gens.json"
+        curve_path.write_text(json.dumps({"kind": "plane_curve", **f.to_dict(["x", "y", "z"])}),
+                              encoding="utf-8")
+        group_path.write_text(json.dumps({"kind": "group",
+                                          "generators": [g.to_dict() for g in gens]}),
+                              encoding="utf-8")
+        for command in ("signature", "odd-signature"):
+            code, out, err = run(capsys, command, "--curve", str(curve_path),
+                                 "--group", str(group_path))
+            assert code == 2 and out == "" and message in err, (name, command, err)
+    mu = tmp_path / "identity.json"
+    mu.write_text(json.dumps(ProjMap.identity(1).to_dict()), encoding="utf-8")
+    code, out, err = run(capsys, "descend-real", "--curve", str(tmp_path / "four_lines.json"),
+                         "--mu", str(mu))
+    assert code == 2 and "singular" in err
+
+
 def test_singular_map_exits_2(tmp_path, capsys):
     gens = json.loads(Path(fx("fermat_quartic_gens")).read_text(encoding="utf-8"))
     entries = gens["generators"][0]["entries"]
@@ -242,9 +297,17 @@ def test_signature_curve_containing_fixed_line(tmp_path, capsys):
     (tmp_path / "group.json").write_text(json.dumps(group), encoding="utf-8")
     code, out, err = run(capsys, "signature", "--curve", str(tmp_path / "curve.json"),
                          "--group", str(tmp_path / "group.json"))
+    # the reducible curve is singular, so the hypothesis check refuses it first
     assert code == 2 and out == ""
-    assert err.startswith("input error:") and "fixed pointwise" in err
+    assert err.startswith("input error:") and "singular" in err
     assert len(err.strip().splitlines()) == 1
+    # past that check, the fixed-point count has its own typed guard
+    doc_curve = serialize.parse_input(json.dumps(curve)).value
+    doc_flip = ProjMap.from_dict({"order": 1, "entries": flip})
+    with pytest.raises(FixedLineOnCurve, match="fixed pointwise"):
+        fixed_point_count(doc_curve, doc_flip)
+    with pytest.raises(FixedLineOnCurve):
+        signature(doc_curve, [doc_flip], verify=False)
 
 
 def test_signature_missing_file(capsys):

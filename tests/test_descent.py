@@ -24,7 +24,9 @@ from oddsig.descent import (
     weil_descent_order2,
 )
 from oddsig.errors import (
+    BoundExceeded,
     DegenerateTriple,
+    GenusTooSmall,
     HypothesisViolation,
     ImageTooLarge,
     ImpossibleCase,
@@ -129,6 +131,21 @@ def test_rational_curve_descends_with_identity():
     assert verdict.status == "DEFINABLE"
     assert verdict.witness.is_identity()
     assert verdict.field == "R"
+
+
+def test_descent_refuses_curves_outside_the_theorem():
+    # rational curves: the identity maps each onto its conjugate
+    four_lines = PlaneCurve(SparsePoly.build(4, 3, [
+        (1, (4, 0, 0)), (1, (0, 4, 0)), (1, (0, 0, 4)),
+        (-2, (2, 2, 0)), (-2, (0, 2, 2)), (-2, (2, 0, 2))]))
+    with pytest.raises(HypothesisViolation):
+        weil_descent_order2(four_lines, ProjMap.identity(4), [])
+    with pytest.raises(GenusTooSmall):
+        weil_descent_order2(PlaneCurve(SparsePoly.build(4, 3, [
+            (1, (3, 0, 0)), (1, (0, 3, 0)), (1, (0, 0, 3))])), ProjMap.identity(4), [])
+    with pytest.raises(BoundExceeded):
+        weil_descent_order2(PlaneCurve(SparsePoly.build(4, 3, [
+            (1, (8, 0, 0)), (1, (0, 8, 0)), (1, (0, 0, 8))])), ProjMap.identity(4), [])
 
 
 def test_verdict_validation():

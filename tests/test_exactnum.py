@@ -18,7 +18,6 @@ from oddsig.exactnum import (
     cyclotomic_polynomial,
     euler_phi,
     is_prime,
-    lift_all,
 )
 from oddsig.plane import ProjMap
 
@@ -124,9 +123,9 @@ def test_lift_to_tower():
     assert ((1 + i) * (2 - i)).lift_to(12) == (1 + i.lift_to(12)) * (2 - i.lift_to(12))
 
 
-def test_lift_all_common_order():
+def test_lift_to_common_order():
     a, b = Cyc.zeta(3), Cyc.zeta(4)
-    la, lb = lift_all([a, b])
+    la, lb = (e.lift_to(common_order(a.order, b.order)) for e in (a, b))
     assert la.order == lb.order == 12
     assert common_order(3, 4, 6) == 12
     prod = la * lb

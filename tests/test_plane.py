@@ -10,7 +10,7 @@ from oddsig.exactnum import CyclotomicElement, _poly_divmod, cyclotomic_polynomi
 from oddsig.plane import (PlaneCurve, ProjMap, _canonical, conjugate_curve,
                           has_common_affine_zero, is_automorphism,
                           is_isomorphism_onto, is_smooth, matrix_product,
-                          require_isomorphism, restrict_to_line)
+                          require_isomorphism)
 from oddsig.polyring import SparsePoly
 
 
@@ -57,8 +57,9 @@ def test_projmap_normalization_and_equality():
     c = ProjMap(4, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     assert b == c
     assert hash(b) == hash(c)
-    assert b.is_diagonal() is False
-    assert ProjMap.diagonal(4, 1, 2, 3).is_diagonal()
+    off_diagonal = [(r, c) for r in range(3) for c in range(3) if r != c]
+    assert not all(b.entries[r][c].is_zero() for r, c in off_diagonal)
+    assert all(ProjMap.diagonal(4, 1, 2, 3).entries[r][c].is_zero() for r, c in off_diagonal)
 
 
 def test_projmap_compose_inverse_power():
@@ -278,7 +279,8 @@ def test_isomorphism_onto():
 def test_restrict_to_line():
     f = fermat_quartic().poly
     one, zero = rational(4, 1), rational(4, 0)
-    form = restrict_to_line(f, (one, zero, zero), (zero, one, zero))
+    # F(s*u + t*w) for u = (1, 0, 0), w = (0, 1, 0): the 3x2 matrix [u w]
+    form = f.substitute_linear([[one, zero], [zero, one], [zero, zero]])
     assert form == P(4, 2, [(1, (4, 0)), (1, (0, 4))])
 
 
@@ -347,6 +349,8 @@ def test_has_common_affine_zero_constraint_branches():
         biv(1, [(1, (1, 1)), (-1, (0, 0))]),
         biv(1, [(1, (1, 0))]),
     ])
+    # (x^2 - 2) y vanishes identically over both roots of x^2 - 2: every y is shared
+    assert has_common_affine_zero([x2_minus_2, biv(1, [(1, (2, 1)), (-2, (0, 1))])])
 
 
 def test_has_common_affine_zero_modulus_splitting():

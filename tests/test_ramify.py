@@ -1,17 +1,19 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from oddsig import ramify
-from oddsig.errors import (InternalInconsistency, NonIntegerGenus, NotAnAutomorphism,
-                           ScalarMap)
+from oddsig import polyring, ramify
+from oddsig.errors import (BoundExceeded, GenusTooSmall, HypothesisViolation,
+                           InternalInconsistency, NonIntegerGenus, NotAnAutomorphism, ScalarMap)
 from oddsig.exactnum import CyclotomicElement
-from oddsig.matgroup import closure, element_order
+from oddsig.matgroup import closure, cyclic_subgroups, element_order, subgroup_conjugacy_classes
 from oddsig.plane import PlaneCurve, ProjMap, conjugate_curve, is_smooth
 from oddsig.polyring import SparsePoly
 from oddsig.ramify import (Signature, fixed_point_count, is_odd_signature,
                            odd_signature_verdict, plane_quartic_stratum_rows,
-                           signature, signature_report)
+                           signature)
 
 
 def P(order, nvars, items):
@@ -126,7 +128,7 @@ def test_zero_residue_inverse_is_typed():
     # m is a nonzero polynomial that is zero as a residue mod m
     m = [CyclotomicElement.from_rational(c, 4) for c in (-1, 0, 1)]
     with pytest.raises(InternalInconsistency):
-        ramify._ainv(m, m, 4)
+        polyring.mod_inverse(m, m, 4)
 
 
 def test_constant_eigenvalue_modulus_is_typed(monkeypatch):
@@ -312,12 +314,23 @@ def test_riemann_hurwitz_rejects_bad_input():
     i = CyclotomicElement.zeta(4, 1)
     group = closure([ProjMap.diagonal(4, 1, i, 1)])
     assert len(group) == 4
-    with pytest.raises(NonIntegerGenus):
+    # the hypothesis check refuses the singular curve; past it, the guard holds
+    with pytest.raises(HypothesisViolation):
         signature(quad_line, group)
+    with pytest.raises(NonIntegerGenus):
+        signature(quad_line, group, verify=False)
 
 
 def test_signature_report_contents():
-    report = signature_report(quartic_family(1, 3, 5), sign_group())
+    curve, group = quartic_family(1, 3, 5), sign_group()
+    sig = signature(curve, group)
+    report = {
+        "group_order": len(group),
+        "curve_genus": curve.genus(),
+        "quotient_genus": sig.quotient_genus,
+        "indices": list(sig.indices),
+        "verdict": odd_signature_verdict(sig),
+    }
     assert report == {
         "group_order": 4,
         "curve_genus": 3,
@@ -339,3 +352,103 @@ def test_plane_quartic_stratum_catalog():
         total += sum((n // c) * (c - 1) for c in sig.indices)
         assert total == 4
         assert row["verdict"] == odd_signature_verdict(sig)
+
+
+# field operations of the fixed-point count --------------------------------------
+
+# multiplications and inverses over the class representatives, measured
+# before ramify and plane shared one splitting algebra; a bound, not a target
+FIXED_POINT_OPS = {"fermat": (7, 1686, 682), "klein": (4, 1627, 508)}
+
+
+def test_fixed_point_count_field_operations_are_pinned(monkeypatch):
+    counts = {"mul": 0, "inverse": 0}
+    real_mul, real_inverse = CyclotomicElement.__mul__, CyclotomicElement.inverse
+
+    def mul(a, b):
+        counts["mul"] += 1
+        return real_mul(a, b)
+
+    def inverse(a):
+        counts["inverse"] += 1
+        return real_inverse(a)
+
+    for name, curve, gens in (("fermat", fermat_quartic(), fermat_generators()),
+                              ("klein", klein_quartic(), klein_generators())):
+        group = closure(gens)
+        subs = cyclic_subgroups(group)
+        reps = [group[subs[cls[0]]] for cls in subgroup_conjugacy_classes(group, subs)
+                if len(cls[0]) > 1]
+        classes, mul_bound, inverse_bound = FIXED_POINT_OPS[name]
+        assert len(reps) == classes
+        counts.update(mul=0, inverse=0)
+        with monkeypatch.context() as patch:
+            patch.setattr(CyclotomicElement, "__mul__", mul)
+            patch.setattr(CyclotomicElement, "inverse", inverse)
+            for g in reps:
+                fixed_point_count(curve, g)
+        assert counts["mul"] <= mul_bound, (name, counts)
+        assert counts["inverse"] <= inverse_bound, (name, counts)
+
+
+# curves outside the theorem ----------------------------------------------------
+
+def invariant_quartic(coeffs, perms):
+    """Sum over the orbits of quartic monomials under coordinate permutations,
+    the k-th orbit weighted by coeffs[k]."""
+    orbits, seen = [], set()
+    for e in sorted(e for e in itertools.product(range(5), repeat=3) if sum(e) == 4):
+        if e not in seen:
+            orbit = sorted({tuple(e[p[i]] for i in range(3)) for p in perms})
+            seen.update(orbit)
+            orbits.append(orbit)
+    return PlaneCurve(P(1, 3, [(c, e) for c, orbit in zip(coeffs, orbits) if c for e in orbit]))
+
+
+C3_PERMS = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+S3_PERMS = list(itertools.permutations(range(3)))
+
+
+def permutation_group(perms, order=1):
+    return [ProjMap.permutation(order, p) for p in perms if p != (0, 1, 2)]
+
+
+def test_signature_refuses_curves_outside_the_theorem():
+    s3 = permutation_group(S3_PERMS)
+    conic = PlaneCurve(P(1, 3, [(1, (2, 0, 0)), (1, (0, 2, 0)), (1, (0, 0, 2))]))
+    # x^4 + y^4 + z^4 - 2(x^2 y^2 + y^2 z^2 + z^2 x^2), the lines x +- y +- z = 0
+    four_lines = invariant_quartic([1, 0, -2], S3_PERMS)
+    # 2(x^2 y^2 + y^2 z^2 + z^2 x^2) + xyz(x + y + z), singular at the coordinate points
+    c3_quartic = invariant_quartic([0, 0, 2, 0, 1], C3_PERMS)
+    w = CyclotomicElement.zeta(3, 1)
+    fermat_cubic = PlaneCurve(P(3, 3, [(1, (3, 0, 0)), (1, (0, 3, 0)), (1, (0, 0, 3))]))
+    group54 = closure([ProjMap.diagonal(3, w, 1, 1), ProjMap.diagonal(3, 1, w, 1)]
+                      + permutation_group(S3_PERMS, 3))
+    assert len(group54) == 54
+    fermat_octic = PlaneCurve(P(1, 3, [(1, (8, 0, 0)), (1, (0, 8, 0)), (1, (0, 0, 8))]))
+    cases = [(conic, s3, GenusTooSmall, "(0; 2, 2, 3)"),
+             (four_lines, s3, HypothesisViolation, "(0; 2, 2, 2, 2, 3)"),
+             (c3_quartic, permutation_group(C3_PERMS), HypothesisViolation, "(1; 3, 3)"),
+             (fermat_cubic, group54, GenusTooSmall, "(0; 2, 3, 6)"),
+             (fermat_octic, s3, BoundExceeded, None)]
+    for curve, group, error, unchecked in cases:
+        with pytest.raises(error):
+            signature(curve, group)
+        if unchecked is not None:
+            # what the verdict paths reported before the check
+            assert str(signature(curve, group, verify=False)) == unchecked
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(-2, 2), min_size=5, max_size=5), st.booleans())
+def test_signature_on_invariant_quartics_raises_or_is_smooth(coeffs, symmetric):
+    perms = S3_PERMS if symmetric else C3_PERMS
+    assume(any(coeffs[:4 if symmetric else 5]))            # S3 has 4 orbits, C3 has 5
+    curve = invariant_quartic(coeffs, perms)
+    try:
+        signature(curve, permutation_group(perms))
+    except HypothesisViolation:
+        assert not is_smooth(curve)
+        return
+    assert is_smooth(curve)
+
