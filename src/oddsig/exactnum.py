@@ -37,8 +37,9 @@ _PHI_CACHE: dict[int, int] = {}
 
 
 def check_order(order) -> int:
-    """A field order read from a document: a positive int, at most MAX_ORDER."""
-    if not isinstance(order, int) or order < 1:
+    """A field order read from a document: a positive int, at most MAX_ORDER.
+    A JSON boolean is not an int here, although bool subclasses int."""
+    if type(order) is not int or order < 1:
         raise SchemaError(f"bad order: {order!r}")
     if order > MAX_ORDER:
         raise BoundExceeded(f"field order {order} exceeds the bound {MAX_ORDER}")
@@ -326,6 +327,8 @@ class CyclotomicElement:
         """1/a = prod_{k != 1} sigma_k(a) / Norm(a), over the units k mod N."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in cyclotomic field")
+        if self.is_one():  # a monic leading coefficient: no norm to compute
+            return self
         n = self.order
         field = _field(n)
         a = self.num

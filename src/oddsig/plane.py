@@ -13,6 +13,9 @@ derivatives share a projective zero. The line z = 0 is checked through
 binary-form gcds; the affine chart z = 1 reduces to candidate x-values via
 pairwise resultants, cut out by a squarefree d, and the shared y-root above
 them is decided by the gcd in (K[x]/(d))[y] of polyring's splitting algebra.
+A zero resultant decides a shared chart factor by itself: by Bezout the
+factor's curve meets the third partial, off z = 0 once that line is
+cleared, so the curve is singular and no gcd over K[x][y] is needed.
 require_verdict_curve refuses, before any verdict, a curve outside the
 theorem: degree below 4 or above MAX_PLANE_DEGREE, or singular.
 """
@@ -26,7 +29,6 @@ from .errors import (
     BoundExceeded,
     GenusTooSmall,
     HypothesisViolation,
-    InternalInconsistency,
     NotAnIsomorphism,
     OrderMismatch,
     SchemaError,
@@ -39,12 +41,9 @@ from .polyring import (
     mod_branches,
     mod_gcd,
     resultant,
-    uni_divmod,
     uni_gcd,
     uni_monic,
-    uni_mul,
     uni_squarefree,
-    uni_sub,
     uni_trim,
 )
 
@@ -366,8 +365,8 @@ def _binary_common_root(forms: list[SparsePoly], order: int) -> bool:
     return len(g) > 1
 
 
-# bivariate helpers for the affine chart: polynomials in y over K[x],
-# represented as lists (index = y-degree) of dense x-coefficient lists.
+# a polynomial of the affine chart as a polynomial in y over K[x]: a list
+# (index = y-degree) of dense x-coefficient lists.
 
 def _to_ylists(p: SparsePoly) -> list[list[CyclotomicElement]]:
     dy = p.degree_in(1)
@@ -379,93 +378,14 @@ def _to_ylists(p: SparsePoly) -> list[list[CyclotomicElement]]:
     return [uni_trim(row) for row in out]
 
 
-def _y_trim(f: list[list[CyclotomicElement]]) -> list[list[CyclotomicElement]]:
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def _y_content(f: list[list[CyclotomicElement]], order: int) -> list[CyclotomicElement]:
-    g: list[CyclotomicElement] = []
-    for row in f:
-        if row:
-            g = uni_gcd(g, row, order) if g else uni_monic(row)
-            if len(g) == 1:
-                break
-    return g
-
-
-def _y_divide_content(f, content, order):
-    out = []
-    for row in f:
-        if not row:
-            out.append([])
-        else:
-            q, r = uni_divmod(row, content, order)
-            if r:
-                raise InternalInconsistency("y-content does not divide a coefficient")
-            out.append(q)
-    return out
-
-
-def _y_prem(f, g, order):
-    """Pseudo-remainder of f by g in y (coefficients in K[x])."""
-    dg = len(g) - 1
-    lc = g[-1]
-    r = [row[:] for row in f]
-    while len(r) - 1 >= dg and _y_trim(r):
-        r = _y_trim(r)
-        if len(r) - 1 < dg:
-            break
-        dr = len(r) - 1
-        top = r[-1]
-        new = [uni_mul(row, lc, order) for row in r]
-        shift = dr - dg
-        for i, gi in enumerate(g):
-            new[i + shift] = uni_sub(new[i + shift], uni_mul(top, gi, order), order)
-        new[dr] = []
-        r = _y_trim(new)
-    return r
-
-
-def _y_gcd(f, g, order):
-    """Full gcd in K[x][y]: content gcd times primitive-PRS gcd."""
-    f, g = _y_trim([r[:] for r in f]), _y_trim([r[:] for r in g])
-    if not f:
-        return g
-    if not g:
-        return f
-    cf, cg = _y_content(f, order), _y_content(g, order)
-    pf, pg = _y_divide_content(f, cf, order), _y_divide_content(g, cg, order)
-    a, b = (pf, pg) if len(pf) >= len(pg) else (pg, pf)
-    while _y_trim(b):
-        r = _y_prem(a, b, order)
-        r = _y_trim(r)
-        if r:
-            rc = _y_content(r, order)
-            r = _y_divide_content(r, rc, order)
-        a, b = b, r
-    # normalize: monic leading x-coefficient
-    lead = a[-1]
-    inv = lead[-1].inverse()
-    a = [[c * inv for c in row] for row in a]
-    content = uni_gcd(cf, cg, order)
-    if len(content) == 1:
-        return a
-    return [uni_mul(row, content, order) if row else [] for row in a]
-
-
-def _from_ylists(f, order: int) -> SparsePoly:
-    terms = {}
-    for ey, row in enumerate(f):
-        for ex, c in enumerate(row):
-            if not c.is_zero():
-                terms[(ex, ey)] = c
-    return SparsePoly(order, 2, terms)
-
-
 def has_common_affine_zero(polys: list[SparsePoly]) -> bool:
-    """Do bivariate polynomials share a zero over the algebraic closure?"""
+    """Do the chart partials of one plane form share a zero over the
+    algebraic closure?
+
+    Precondition: polys are the z = 1 dehomogenised partials of a form F,
+    and the partials have no common zero on the line z = 0 (is_smooth
+    checks that line first). A zero resultant answers True only because
+    of it; is_smooth is the caller."""
     live = [p for p in polys if not p.is_zero()]
     if not live:
         return True
@@ -474,45 +394,24 @@ def has_common_affine_zero(polys: list[SparsePoly]) -> bool:
         return False
     if len(live) == 1:
         return True
-    xonly = [p for p in live if p.degree_in(1) == 0]
     ypos = [p for p in live if p.degree_in(1) > 0]
-    if not ypos:
-        g: list[CyclotomicElement] = []
-        for p in xonly:
-            dense = _to_ylists(p)[0]
-            g = uni_gcd(g, dense, order) if g else uni_monic(dense)
-        return len(g) > 1
-    # split off common factors between y-positive polynomials
-    for i in range(len(ypos)):
-        for j in range(i + 1, len(ypos)):
-            fi, fj = _to_ylists(ypos[i]), _to_ylists(ypos[j])
-            h = _y_gcd(fi, fj, order)
-            hp = _from_ylists(h, order)
-            if hp.total_degree() == 0:
-                continue
-            rest = xonly + [p for k, p in enumerate(ypos) if k not in (i, j)]
-            if has_common_affine_zero([hp] + rest):
-                return True
-            fi_red = ypos[i].exact_div(hp)
-            fj_red = ypos[j].exact_div(hp)
-            return has_common_affine_zero([fi_red, fj_red] + rest)
-    # now the y-positive polynomials are pairwise coprime in K[x][y]
-    candidates: list[list[CyclotomicElement]] = []
-    for p in xonly:
-        candidates.append(_to_ylists(p)[0])
+    candidates = [_to_ylists(p)[0] for p in live if p.degree_in(1) == 0]
     for i in range(len(ypos)):
         for j in range(i + 1, len(ypos)):
             res = resultant(ypos[i], ypos[j], 1)
             if res.is_zero():
-                raise InternalInconsistency("coprime polynomials have a zero resultant")
+                # Res_y = 0: the two share a factor h of positive y-degree
+                # (Gauss's lemma over K(x)). Homogenised, h divides two of
+                # F_x, F_y, F_z, so by Bezout V(h) meets the third partial's
+                # curve in P^2 at a common zero of all three; the
+                # precondition puts it off z = 0, so it is affine.
+                return True
             candidates.append(_to_ylists(res)[0])
     d: list[CyclotomicElement] = []
     for c in candidates:
         d = uni_gcd(d, c, order) if d else uni_monic(c)
         if len(d) == 1:
             return False
-    if len(d) == 1:
-        return False
     ylists = [_to_ylists(p) for p in ypos]
 
     def shared_y_root(m) -> bool:

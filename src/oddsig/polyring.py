@@ -333,7 +333,7 @@ class SparsePoly:
             if not isinstance(item, dict) or "exponents" not in item or "coefficient" not in item:
                 raise SchemaError("each term needs 'exponents' and 'coefficient'")
             exps = item["exponents"]
-            if not isinstance(exps, list) or len(exps) != nvars or any(not isinstance(e, int) or e < 0 for e in exps):
+            if not isinstance(exps, list) or len(exps) != nvars or any(type(e) is not int or e < 0 for e in exps):
                 raise SchemaError(f"bad exponent vector: {exps!r}")
             check_degree(sum(exps), "term degree")
             coeff = CyclotomicElement.from_dict({"order": order, "coords": item["coefficient"]})

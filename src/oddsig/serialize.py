@@ -35,7 +35,8 @@ def _require(obj: dict, key: str, expect=None):
     if key not in obj:
         raise SchemaError(f"document missing '{key}'")
     value = obj[key]
-    if expect is not None and not isinstance(value, expect):
+    # bool subclasses int, but a JSON true is not an integer field
+    if expect is not None and (not isinstance(value, expect) or (expect is int and type(value) is bool)):
         raise SchemaError(f"'{key}' has the wrong type: {value!r}")
     return value
 
@@ -74,7 +75,7 @@ def _load_qgonal_curve(obj: dict) -> QGonalCurve:
     poly = SparsePoly.from_dict(poly_doc)
     m, n = obj.get("m"), obj.get("n")
     for label, value in (("m", m), ("n", n)):
-        if value is not None and not isinstance(value, int):
+        if value is not None and type(value) is not int:
             raise SchemaError(f"'{label}' must be an integer")
     try:
         return QGonalCurve(q, poly, m, n)
@@ -134,7 +135,7 @@ def parse_document(obj: Any) -> InputDocument:
     if not isinstance(obj, dict):
         raise SchemaError("document must be a JSON object")
     kind = obj.get("kind")
-    if kind not in _LOADERS:
+    if not isinstance(kind, str) or kind not in _LOADERS:
         raise SchemaError(f"unknown document kind {kind!r}")
     return InputDocument(kind, _LOADERS[kind](obj))
 

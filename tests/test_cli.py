@@ -42,7 +42,7 @@ def test_parse_rejects_bad_json():
     assert "line 1 column" in str(info.value)
 
 
-def test_parse_rejects_bad_schemas():
+def test_parse_rejects_bad_schemas(tmp_path, capsys):
     with pytest.raises(SchemaError):
         serialize.parse_input("[1, 2, 3]")
     with pytest.raises(SchemaError):
@@ -68,6 +68,33 @@ def test_parse_rejects_bad_schemas():
         serialize.parse_input(json.dumps(
             {"kind": "plane_curve", "order": 1,
              "variables": ["x", "y", "z"], "terms": []}))
+    # a kind that is not a string is a schema error, not an unhashable key
+    for kind in ([1], {"a": 1}):
+        with pytest.raises(SchemaError):
+            serialize.parse_input(json.dumps({"kind": kind, "order": 1}))
+    bad_kind = tmp_path / "bad_kind.json"
+    bad_kind.write_text(json.dumps({"kind": [1], "order": 1}), encoding="utf-8")
+    code, _, err = run(capsys, "group-closure", "--group", str(bad_kind))
+    assert code == 2 and "Traceback" not in err
+    # a JSON boolean is not an integer, although bool subclasses int
+    identity = [[["1"], ["0"], ["0"]], [["0"], ["1"], ["0"]], [["0"], ["0"], ["1"]]]
+    quartic = {"order": 1, "variables": ["x"],
+               "terms": [{"exponents": [4], "coefficient": ["1"]},
+                         {"exponents": [0], "coefficient": ["1"]}]}
+    for doc in (
+        {"kind": "projective_map", "order": True, "entries": identity},
+        {"kind": "plane_curve", "order": 1, "variables": ["x", "y", "z"],
+         "terms": [{"exponents": [True, 3, 0], "coefficient": ["1"]}]},
+        {"kind": "qgonal_curve", "q": 3, "poly": quartic, "m": True},
+        {"kind": "qgonal_curve", "q": 3, "poly": quartic, "n": True},
+        {"kind": "galois_action", "order": 4, "exponent": True},
+    ):
+        with pytest.raises(SchemaError):
+            serialize.parse_input(json.dumps(doc))
+    with pytest.raises(SchemaError, match="'q' has the wrong type"):
+        serialize.parse_input(json.dumps({"kind": "qgonal_curve", "q": True, "poly": quartic}))
+    assert serialize.parse_input(json.dumps({"kind": "qgonal_curve", "q": 3, "poly": quartic,
+                                             "m": 1, "n": 3})).value.m == 1
 
 
 def test_field_order_above_the_cap_is_refused(monkeypatch):

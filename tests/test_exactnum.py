@@ -73,6 +73,22 @@ def test_order_mismatch_is_an_error():
         Cyc.zeta(3) + Cyc.zeta(4)
 
 
+def test_inverse_of_one_multiplies_nothing(monkeypatch):
+    calls = []
+    original = exactnum._mul_ints
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(exactnum, "_mul_ints", spy)
+    one = Cyc.one(24)
+    assert one.inverse() is one
+    assert calls == []
+    assert Cyc.zeta(24).inverse() * Cyc.zeta(24) == one
+    assert calls
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         Cyc.one(5) / Cyc.zero(5)

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oddsig import plane
 from oddsig.errors import (NotAnIsomorphism, OrderMismatch, SchemaError,
                            VariableCountMismatch, ZeroPolynomial)
 from oddsig.exactnum import CyclotomicElement, _poly_divmod, cyclotomic_polynomial, euler_phi
-from oddsig.plane import (PlaneCurve, ProjMap, _canonical, conjugate_curve,
+from oddsig.plane import (PlaneCurve, ProjMap, _canonical, _dehomogenize, conjugate_curve,
                           has_common_affine_zero, is_automorphism,
                           is_isomorphism_onto, is_smooth, matrix_product,
                           require_isomorphism)
@@ -365,16 +366,34 @@ def test_has_common_affine_zero_modulus_splitting():
     assert not has_common_affine_zero([dead, q, r])
 
 
+def chart_partials(form):
+    return [_dehomogenize(form.derivative(v), 2) for v in range(3)]
+
+
 def test_has_common_affine_zero_shared_factor_split():
-    y_minus_x = biv(1, [(1, (0, 1)), (-1, (1, 0))])
-    a = y_minus_x * biv(1, [(1, (0, 1)), (1, (1, 0)), (1, (0, 0))])
-    b = y_minus_x * biv(1, [(1, (0, 1)), (-5, (0, 0))])
+    # -y^2 z^2 + x y^3 - 2 x^2 y^2 - 3 x^3 y: F_x and F_z share the factor y,
+    # the partials have no common zero on z = 0, and all three vanish at (0, 0)
+    form = P(1, 3, [(-1, (0, 2, 2)), (1, (1, 3, 0)), (-2, (2, 2, 0)), (-3, (3, 1, 0))])
+    assert has_common_affine_zero(chart_partials(form))
+    # coprime polynomials with inconsistent constraints
     x_minus_3 = biv(1, [(1, (1, 0)), (-3, (0, 0))])
-    assert has_common_affine_zero([a, b, x_minus_3])
-    # removing the shared factor leaves inconsistent constraints
     a2 = biv(1, [(1, (0, 1)), (1, (1, 0)), (1, (0, 0))])
     b2 = biv(1, [(1, (0, 1)), (-5, (0, 0))])
     assert not has_common_affine_zero([a2, b2, x_minus_3])
+
+
+def test_is_smooth_leaves_through_a_zero_resultant(monkeypatch):
+    # 3x^3 y - 2y^3 z: the chart partials 9x^2 y and -2y^3 share the factor y
+    results = []
+    original = plane.resultant
+
+    def spy(f, g, var):
+        results.append(original(f, g, var))
+        return results[-1]
+
+    monkeypatch.setattr(plane, "resultant", spy)
+    assert not is_smooth(PlaneCurve(P(1, 3, [(3, (3, 1, 0)), (-2, (0, 3, 1))])))
+    assert [r.is_zero() for r in results] == [False, True]
 
 
 def test_has_common_affine_zero_resultant_path():

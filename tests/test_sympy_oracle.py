@@ -1,5 +1,5 @@
 """sympy as an independent oracle for cyclotomic polynomials, determinants,
-squarefree verdicts, distinct-root counts and smoothness."""
+squarefree verdicts, distinct-root counts, resultants and smoothness."""
 
 import itertools
 import random
@@ -11,8 +11,8 @@ import pytest
 from oddsig.errors import NotSquarefree
 from oddsig.exactnum import CyclotomicElement, cyclotomic_polynomial
 from oddsig.plane import PlaneCurve, ProjMap, is_smooth
-from oddsig.polyring import (SparsePoly, distinct_root_count, uni_coprime_mod_p, uni_derivative,
-                             uni_to_poly)
+from oddsig.polyring import (SparsePoly, distinct_root_count, resultant, uni_coprime_mod_p,
+                             uni_derivative, uni_to_poly)
 from oddsig.serialize import parse_input
 from oddsig.superell import genus_qgonal
 
@@ -92,6 +92,50 @@ def test_distinct_root_count_matches_sympy_sqf_list():
         assert distinct_root_count(form) == expected
 
 
+def test_resultant_matches_sympy():
+    """Res_y(f, g) is the determinant of sympy's Sylvester matrix and agrees
+    with sympy.resultant up to sign (which sympy gets wrong for some degree-1
+    inputs, e.g. y(x - 3) against y^3 + 3xy^2 - 3y - 3x); it is zero exactly
+    when gcd(f, g) has positive y-degree, the rule is_smooth reads a zero
+    resultant by."""
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.subresultants_qq_zz import sylvester
+
+    x, y = sympy.symbols("x y")
+    rng = random.Random(6011)
+
+    def draw(max_degree):
+        while True:
+            items = [(rng.randint(-3, 3), (i, j)) for i in range(max_degree + 1)
+                     for j in range(max_degree + 1 - i) if rng.random() < 0.5]
+            p = SparsePoly.build(1, 2, items)
+            if not p.is_zero() and p.degree_in(1) > 0:
+                return p
+
+    def expr(p):
+        return sum(sympy.Rational(c.coords[0].numerator, c.coords[0].denominator) * x**e[0] * y**e[1]
+                   for e, c in p.terms.items())
+
+    zero = 0
+    for k in range(60):
+        f, g = draw(3), draw(3)
+        if k % 3 == 1:                       # a planted factor of positive y-degree
+            h = draw(2)
+            f, g = f * h, g * h
+        elif k % 3 == 2:                     # a planted factor in x alone
+            h = SparsePoly.build(1, 2, [(1, (1, 0)), (rng.randint(-3, 3), (0, 0))])
+            f, g = f * h, g * h
+        ours = resultant(f, g, 1)
+        matrix = DomainMatrix.from_Matrix(sylvester(expr(f), expr(g), y))
+        assert sympy.expand(expr(ours) - matrix.domain.to_sympy(matrix.det())) == 0
+        theirs = sympy.resultant(expr(f), expr(g), y)
+        assert 0 in (sympy.expand(expr(ours) - theirs), sympy.expand(expr(ours) + theirs))
+        shared = bool(sympy.degree(sympy.gcd(expr(f), expr(g)), y) > 0)
+        assert ours.is_zero() is shared
+        zero += shared
+    assert 20 <= zero < 60
+
+
 def sympy_singular(curve):
     """Singular iff, in some chart x, y or z = 1, the three partials have a
     common zero: their Groebner basis is not [1]. Coefficients in Q(zeta_N)
@@ -138,6 +182,10 @@ def test_is_smooth_matches_sympy_groebner():
     cubic = PlaneCurve(SparsePoly.build(3, 3, [(1, (3, 0, 0)), (1, (0, 3, 0)), (1, (0, 0, 3))]))
     conic = PlaneCurve(SparsePoly.build(1, 3, [(1, (2, 0, 0)), (1, (0, 2, 0)), (1, (0, 0, 2))]))
     curves += [conic, cubic, quartic_from_orbits([1, 0, -2], s3), quartic_from_orbits([0, 0, 2, 0, 1], c3)]
+    # two chart partials share a factor, with no common zero on z = 0
+    curves += [PlaneCurve(SparsePoly.build(1, 3, [(3, (3, 1, 0)), (-2, (0, 3, 1))])),
+               PlaneCurve(SparsePoly.build(1, 3, [(-1, (0, 2, 2)), (1, (1, 3, 0)),
+                                                  (-2, (2, 2, 0)), (-3, (3, 1, 0))]))]
     rng = random.Random(4096)
     for perms, size in ((c3, 5), (s3, 4)):
         drawn = 0
@@ -148,6 +196,6 @@ def test_is_smooth_matches_sympy_groebner():
                 drawn += 1
     verdicts = [is_smooth(curve) for curve in curves]
     assert verdicts == [not sympy_singular(curve) for curve in curves]
-    assert verdicts[12:16] == [True, True, False, False]
-    assert True in verdicts[16:] and False in verdicts[16:]
+    assert verdicts[12:18] == [True, True, False, False, False, False]
+    assert True in verdicts[18:] and False in verdicts[18:]
 
