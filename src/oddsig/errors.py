@@ -79,11 +79,6 @@ class NegativeGenus(InputError):
     pass
 
 
-class FixedLineOnCurve(InputError):
-    """A group element fixes pointwise a line lying on the curve, so the
-    curve is reducible and that element has infinitely many fixed points."""
-
-
 class NonIntegerCount(InputError):
     pass
 

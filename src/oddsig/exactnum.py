@@ -409,21 +409,6 @@ class CyclotomicElement:
         step = order // self.order
         return _make(order, _substitute_ints(self.num, step, order, _field(order)), self.den)
 
-    def root_of_unity_log(self) -> Optional[tuple[int, int]]:
-        """Return (sign, j) with self = sign * zeta^j, or None.
-
-        Roots of unity in Q(zeta_N) are exactly +/- zeta_N^j, so comparison
-        against the finite candidate set decides membership.
-        """
-        if self.den != 1:
-            return None
-        rows = _field(self.order).rows
-        for sign, num in ((1, self.num), (-1, tuple(-a for a in self.num))):
-            for j in range(self.order):
-                if num == rows[j]:
-                    return (sign, j)
-        return None
-
     def to_complex(self) -> complex:
         n, den = self.order, self.den
         return sum(c / den * cmath.exp(2j * cmath.pi * i / n) for i, c in enumerate(self.num))

@@ -279,9 +279,6 @@ class PlaneCurve:
     def conjugate(self) -> "PlaneCurve":
         return self.galois(-1)
 
-    def contains(self, point: Sequence[CyclotomicElement]) -> bool:
-        return self.poly.evaluate(point).is_zero()
-
     def __eq__(self, other):
         if not isinstance(other, PlaneCurve):
             return NotImplemented

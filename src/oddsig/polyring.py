@@ -9,7 +9,7 @@ uni_coprime_mod_p proves gcd(a, b) = 1 from the images of a and b in F_p[x],
 and never disproves it, so a caller falls back to the exact uni_gcd.
 
 The splitting-algebra section is the one arithmetic for K[x]/(m), m
-squarefree, used by plane.is_smooth and ramify.fixed_point_count: reduce,
+squarefree, and serves only plane.is_smooth: reduce,
 multiply, inverse-or-split, the zero part gcd(p, m), the monic gcd in
 (K[x]/(m))[y], and mod_branches, which splits m on a zero divisor and reruns
 on both factors (dynamic evaluation: Della Dora, Dicrescenzo and Duval,

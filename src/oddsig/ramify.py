@@ -1,27 +1,24 @@
 """Ramification data of a curve quotient by a finite automorphism group.
 
-fixed_point_count works eigenvalue by eigenvalue. The candidate eigenvalues
-of a map A of projective order n with A^n = c*I are the roots of
-gcd(charpoly(A), x^n - c), a squarefree polynomial h of degree at most 3.
-Rather than factoring h, all computations run in polyring's splitting
-algebra K[x]/(m) for divisors m of h, which splits m on a zero divisor.
-A one-dimensional eigenspace contributes a
-fixed point when its eigenvector lies on the curve; a two-dimensional one
-contributes every intersection point of the fixed line with the curve, and
-a fixed line lying on the curve is rejected as input (FixedLineOnCurve).
+fixed_point_count reads |Fix(g)| off the Eichler trace formula (holomorphic
+Lefschetz): with F o A = lambda * F on a smooth plane curve of degree d,
+|Fix(g)| = 2 - t - conj(t), t = (det A / lambda) * h_{d-3}(eigenvalues of A),
+and h_{d-3} comes from the characteristic polynomial of A, so every quantity
+lies in Q(zeta_N) and no eigenvalue is ever computed. The formula needs a
+smooth curve; signature establishes that before it counts.
 
-signature assembles the quotient data. It checks only the generators of the
-group: the closure of automorphisms consists of automorphisms. Conjugate
-elements have equally many fixed points, Fix(h g h^-1) = h Fix(g), so it
-counts fixed points once per conjugacy class of nontrivial cyclic subgroups,
-at the first generator of the class, and gives that count to every subgroup
-in the class. Counts of points with stabilizer exactly C come from Moebius
-inversion over the poset of cyclic subgroups, branch points of each index
-follow by orbit counting, and the quotient genus comes out of
-Riemann-Hurwitz. The verdict is ODD exactly when the quotient
-is rational and some branch index appears an odd number of times. A verified
-signature first refuses, through plane.require_verdict_curve, a curve that
-is singular or of degree outside 4..MAX_PLANE_DEGREE.
+signature assembles the quotient data. It always refuses, through
+plane.require_verdict_curve, a curve that is singular or of degree outside
+4..MAX_PLANE_DEGREE, and checks that the generators of the group are
+automorphisms: the closure of automorphisms consists of automorphisms.
+Conjugate elements have equally many fixed points, Fix(h g h^-1) = h Fix(g),
+so it counts fixed points once per conjugacy class of nontrivial cyclic
+subgroups, at the first generator of the class, and gives that count to every
+subgroup in the class. Counts of points with stabilizer exactly C come from
+Moebius inversion over the poset of cyclic subgroups, branch points of each
+index follow by orbit counting, and the quotient genus comes out of
+Riemann-Hurwitz. The verdict is ODD exactly when the quotient is rational and
+some branch index appears an odd number of times.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
-    FixedLineOnCurve,
     InternalInconsistency,
     NegativeGenus,
     NonIntegerBranchCount,
@@ -45,26 +41,9 @@ from .matgroup import (
     FiniteGroup,
     closure,
     cyclic_subgroups,
-    element_order,
     subgroup_conjugacy_classes,
 )
 from .plane import PlaneCurve, ProjMap, is_automorphism, require_verdict_curve
-from .polyring import (
-    mod_branches,
-    mod_gcd,
-    mod_inverse,
-    mod_mul,
-    mod_reduce,
-    mod_strip,
-    split_modulus,
-    uni_add,
-    uni_gcd,
-    uni_monic,
-    uni_scale,
-    uni_sub,
-    uni_trim,
-    zero_part,
-)
 
 
 @dataclass(frozen=True)
@@ -79,9 +58,6 @@ class Signature:
                             ", ".join(str(c) for c in self.indices)]).rstrip("; ")
         return f"({inside})"
 
-    def index_counts(self) -> dict[int, int]:
-        return dict(Counter(self.indices))
-
 
 def is_odd_signature(sig: Signature) -> bool:
     if sig.quotient_genus != 0:
@@ -93,283 +69,83 @@ def odd_signature_verdict(sig: Signature) -> str:
     return "ODD" if is_odd_signature(sig) else "INCONCLUSIVE"
 
 
-# candidate eigenvalue modulus ------------------------------------------------
+# fixed points by the Eichler trace formula -----------------------------------
 
-def _char_poly(mapping: ProjMap) -> list[CyclotomicElement]:
+def _char_poly(mapping: ProjMap) -> tuple[CyclotomicElement, CyclotomicElement, CyclotomicElement]:
+    """(e1, e2, e3) with charpoly(A) = x^3 - e1 x^2 + e2 x - e3: the trace,
+    the sum of the principal 2x2 minors and the determinant."""
     m = mapping.entries
-    order = mapping.order
-    one = CyclotomicElement.one(order)
     tr = m[0][0] + m[1][1] + m[2][2]
     s2 = (m[0][0] * m[1][1] - m[0][1] * m[1][0]
           + m[0][0] * m[2][2] - m[0][2] * m[2][0]
           + m[1][1] * m[2][2] - m[1][2] * m[2][1])
-    det = mapping.det()
-    return uni_trim([-det, s2, -tr, one])
+    return tr, s2, mapping.det()
 
 
-def _eigenvalue_modulus(mapping: ProjMap, bound: int) -> list[CyclotomicElement]:
-    n, scalar = element_order(mapping, bound)
-    order = mapping.order
-    power = [CyclotomicElement.zero(order)] * (n + 1)
-    power[0] = -scalar
-    power[n] = CyclotomicElement.one(order)
-    h = uni_gcd(_char_poly(mapping), power, order)
-    if len(h) < 2:
-        raise InternalInconsistency("finite order map must have an eigenvalue candidate")
-    return h
+def fixed_point_count(curve: PlaneCurve, mapping: ProjMap) -> int:
+    """Number of points of a smooth curve fixed by a nontrivial automorphism.
 
+    Precondition: the curve is smooth of degree d >= 4. signature is the
+    caller that establishes it, through plane.require_verdict_curve; on a
+    singular curve the formula below means nothing.
 
-# eigenvector extraction over a branch ----------------------------------------
-
-def _b_entries(mapping: ProjMap, m, order):
-    """Entries of A - x*I as residues mod m."""
-    minus_one = -CyclotomicElement.one(order)
-    rows = []
-    for r in range(3):
-        row = []
-        for c in range(3):
-            const = mapping.entries[r][c]
-            coeffs = [const, minus_one] if r == c else [const]
-            row.append(mod_reduce(uni_trim(coeffs), m, order))
-        rows.append(row)
-    return rows
-
-
-def _adjugate(b, m, order):
-    def minor(i, j):
-        rs = [r for r in range(3) if r != i]
-        cs = [c for c in range(3) if c != j]
-        return uni_sub(mod_mul(b[rs[0]][cs[0]], b[rs[1]][cs[1]], m, order),
-                       mod_mul(b[rs[0]][cs[1]], b[rs[1]][cs[0]], m, order), order)
-
-    adj = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            entry = minor(j, i)
-            if (i + j) % 2:
-                entry = uni_scale(entry, -CyclotomicElement.one(order))
-            adj[i][j] = mod_reduce(entry, m, order)
-    return adj
-
-
-def _eval_curve_at(poly, v, m, order):
-    """Reduce F(v0, v1, v2) mod m for coordinates in K[x]/(m)."""
-    maxdeg = [0, 0, 0]
-    for exps in poly.terms:
-        for i, e in enumerate(exps):
-            maxdeg[i] = max(maxdeg[i], e)
-    one = [CyclotomicElement.one(order)]
-    powers = []
-    for i in range(3):
-        row = [one]
-        for _ in range(maxdeg[i]):
-            row.append(mod_mul(row[-1], v[i], m, order))
-        powers.append(row)
-    acc: list[CyclotomicElement] = []
-    for exps, coeff in poly.terms.items():
-        term = [coeff]
-        for i, e in enumerate(exps):
-            if e:
-                term = mod_mul(term, powers[i][e], m, order)
-        acc = uni_add(acc, term, order)
-    return mod_reduce(acc, m, order)
-
-
-def _bform_mul(p, q, m, order):
-    out: dict[tuple[int, int], list] = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            key = (e1[0] + e2[0], e1[1] + e2[1])
-            prod = mod_mul(c1, c2, m, order)
-            if not prod:
-                continue
-            out[key] = uni_add(out.get(key, []), prod, order)
-    return {k: v for k, v in out.items() if v}
-
-
-def _restrict_to_plane(poly, u, w, m, order):
-    """Binary form F(s*u + t*w) with coefficients in K[x]/(m)."""
-    one = [CyclotomicElement.one(order)]
-    total: dict[tuple[int, int], list] = {}
-    lines = []
-    for i in range(3):
-        form = {}
-        if u[i]:
-            form[(1, 0)] = u[i]
-        if w[i]:
-            form[(0, 1)] = w[i]
-        lines.append(form)
-    for exps, coeff in poly.terms.items():
-        term = {(0, 0): [coeff]}
-        for i, e in enumerate(exps):
-            for _ in range(e):
-                term = _bform_mul(term, lines[i], m, order)
-        for key, val in term.items():
-            total[key] = uni_add(total.get(key, []), val, order)
-    return {k: v for k, v in total.items() if v}
-
-
-# distinct-root counting for binary forms over K[x]/(m) ------------------------
-
-def _deriv_in_s(dense, order):
-    out = []
-    for k in range(1, len(dense)):
-        out.append(uni_scale(dense[k], CyclotomicElement.from_rational(k, order)))
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _affine_distinct_count(dense, m, order) -> int:
-    """Sum over the roots of m of the number of distinct s-roots; raises
-    Split where the roots of m disagree."""
-    work = mod_strip(dense, m, order)
-    if not work:
-        raise FixedLineOnCurve("curve contains a line fixed pointwise by a group element")
-    n_eff = len(work) - 1
-    if n_eff == 0:
-        return 0
-    deriv = _deriv_in_s(work, order)
-    if not deriv:
-        raise InternalInconsistency("inseparable restriction in characteristic zero")
-    gdeg = len(mod_gcd(work, deriv, m, order)) - 1
-    return (len(m) - 1) * (n_eff - gdeg)
-
-
-def _binary_distinct_sum(form, degree, m, order) -> int:
-    """Sum over the roots of m of distinct projective roots of the form."""
-    at_infinity, finite = split_modulus(m, zero_part(form.get((degree, 0), []), m, order), order)
-    dense = [form.get((k, degree - k), []) for k in range(degree + 1)]
-    total = len(at_infinity) - 1
-    for part in (at_infinity, finite):
-        if len(part) > 1:
-            total += sum(mod_branches(lambda branch: _affine_distinct_count(dense, branch, order),
-                                      part, order))
-    return total
-
-
-# per-eigenvalue fixed point contributions -------------------------------------
-
-def _rank2_contribution(poly, adj, m, order) -> int:
-    """Eigenvalues with a one-dimensional eigenspace: adjugate column test."""
-    total = 0
-    rem = uni_monic(m)
-    for r in range(3):
-        for c in range(3):
-            if len(rem) <= 1:
-                return total
-            entry = mod_reduce(adj[r][c], rem, order)
-            if not entry:
-                continue
-            g, live = split_modulus(rem, zero_part(entry, rem, order), order)
-            if len(live) > 1:
-                v = [mod_reduce(adj[k][c], live, order) for k in range(3)]
-                on_curve = _eval_curve_at(poly, v, live, order)
-                total += len(zero_part(on_curve, live, order)) - 1
-            rem = g
-    if len(rem) > 1:
-        raise InternalInconsistency("adjugate vanished on a rank-two branch")
-    return total
-
-
-def _fixed_line_points(poly, row, c, entry, m, order) -> int:
-    """Fixed points on the eigenplane row . v = 0, where entry = row[c] is a
-    unit mod m."""
-    minus_one = -CyclotomicElement.one(order)
-    inv = mod_inverse(mod_reduce(entry, m, order), m, order)
-    basis = []
-    for idx in (k for k in range(3) if k != c):
-        vec = [[], [], []]
-        vec[idx] = [CyclotomicElement.one(order)]
-        vec[c] = mod_reduce(uni_scale(mod_mul(row[idx], inv, m, order), minus_one), m, order)
-        basis.append(vec)
-    section = _restrict_to_plane(poly, basis[0], basis[1], m, order)
-    return _binary_distinct_sum(section, poly.total_degree(), m, order)
-
-
-def _rank1_contribution(poly, b, m, order) -> int:
-    """Eigenvalues with a two-dimensional eigenspace: fixed line section."""
-    total = 0
-    rem = uni_monic(m)
-    for r in range(3):
-        for c in range(3):
-            if len(rem) <= 1:
-                return total
-            entry = mod_reduce(b[r][c], rem, order)
-            if not entry:
-                continue
-            g, live = split_modulus(rem, zero_part(entry, rem, order), order)
-            if len(live) > 1:
-                total += sum(mod_branches(
-                    lambda part: _fixed_line_points(poly, b[r], c, entry, part, order), live, order))
-            rem = g
-    if len(rem) > 1:
-        raise InternalInconsistency("scalar branch inside eigenplane handler")
-    return total
-
-
-def _count_eigen_branch(poly, mapping, m, order) -> tuple[int, int]:
-    """(fixed point count, eigenspace dimension ledger) for eigenvalues mod m."""
-    b = _b_entries(mapping, m, order)
-    adj = _adjugate(b, m, order)
-    g_adj = uni_monic(m)
-    for r in range(3):
-        for c in range(3):
-            g_adj = zero_part(adj[r][c], g_adj, order) if adj[r][c] else g_adj
-            if len(g_adj) == 1:
-                break
-        if len(g_adj) == 1:
-            break
-    plane_part, point_part = split_modulus(m, g_adj, order)
-    count = 0
-    ledger = 0
-    if len(point_part) > 1:
-        count += _rank2_contribution(poly, adj, point_part, order)
-        ledger += len(point_part) - 1
-    if len(plane_part) > 1:
-        count += _rank1_contribution(poly, b, plane_part, order)
-        ledger += 2 * (len(plane_part) - 1)
-    return count, ledger
-
-
-def fixed_point_count(curve: PlaneCurve, mapping: ProjMap,
-                      bound: int = DEFAULT_BOUND) -> int:
-    """Number of points of the curve fixed by a nontrivial automorphism."""
+    With F o A = lambda * F and alpha the eigenvalues of A,
+    |Fix(g)| = 2 - t - conj(t), where t = (det A / lambda) * h_{d-3}(alpha)
+    and h_k is the complete homogeneous symmetric polynomial, from
+    h_k = e1 h_{k-1} - e2 h_{k-2} + e3 h_{k-3}, h_0 = 1, h_j = 0 for j < 0.
+    - Every fixed point of a holomorphic automorphism has index 1, so the
+      Lefschetz number is the count: |Fix(g)| = 2 - tr(g*|H^1), and
+      tr(g*|H^1) = t + conj(t) with t the trace of g* on H^0(K).
+    - On a smooth plane curve H^0(K) is the residues of P*Omega/F with
+      deg P = d - 3. Pulling back gives (det A / lambda) * (P o A) Omega / F,
+      and P -> P o A has trace h_{d-3}(alpha) on forms of degree d - 3.
+    - Scaling A by c multiplies t by c^3 c^(d-3) / c^d = 1, so the stored
+      representative does not matter; g^-1 in place of g conjugates t and
+      leaves t + conj(t) unchanged.
+    (Eichler trace formula: Farkas and Kra, Riemann Surfaces, V.2.)
+    A trace sum that is not a rational integer, or a count outside
+    [0, 2g + 2], raises InternalInconsistency."""
     if mapping.is_identity():
         raise ScalarMap("identity fixes the whole curve")
-    ok, _ = is_automorphism(curve, mapping)
+    ok, lam = is_automorphism(curve, mapping)
     if not ok:
         raise NotAnAutomorphism("map does not preserve the curve")
     order = common_order(curve.order, mapping.order)
-    poly = curve.poly.lift_to(order)
-    lifted = mapping.lift_to(order)
-    h = _eigenvalue_modulus(lifted, bound)
-    count, ledger = _count_eigen_branch(poly, lifted, h, order)
-    if ledger != 3:
+    e1, e2, e3 = _char_poly(mapping.lift_to(order))
+    # h_{k-3}, h_{k-2}, h_{k-1} at k = 2
+    h3, h2, h1 = CyclotomicElement.zero(order), CyclotomicElement.one(order), e1
+    for _ in range(curve.degree - 4):
+        h3, h2, h1 = h2, h1, e1 * h1 - e2 * h2 + e3 * h3
+    t = e3 * h1 / lam
+    trace = t + t.conjugate()
+    if not trace.is_rational() or trace.as_rational().denominator != 1:
+        raise InternalInconsistency(f"trace of g on H^1 is {trace}, not a rational integer")
+    count = 2 - int(trace.as_rational())
+    if not 0 <= count <= 2 * curve.genus() + 2:
         raise InternalInconsistency(
-            f"eigenspace dimensions of a finite-order map sum to {ledger}, not 3")
+            f"{count} fixed points lie outside [0, 2g + 2] for genus {curve.genus()}")
     return count
 
 
 # quotient signature -----------------------------------------------------------
 
 def signature(curve: PlaneCurve, group: Sequence[ProjMap],
-              bound: int = DEFAULT_BOUND, verify: bool = True) -> Signature:
+              bound: int = DEFAULT_BOUND) -> Signature:
     """Signature of the quotient of the curve by the given full group.
 
     A FiniteGroup from closure is taken as it is; any other sequence is a
-    generating set, closed here after its elements are verified. With
-    verify, the curve must also pass plane.require_verdict_curve: smooth of
-    degree 4 to MAX_PLANE_DEGREE, where every automorphism is linear."""
+    generating set, closed here after its elements are verified. The curve
+    must pass plane.require_verdict_curve: smooth of degree 4 to
+    MAX_PLANE_DEGREE, where every automorphism is linear and the trace
+    formula of fixed_point_count holds."""
     if len(group) == 0:
         raise ValueError("empty group")
+    require_verdict_curve(curve)
     generators = group.generators if isinstance(group, FiniteGroup) else group
-    if verify:
-        require_verdict_curve(curve)
-        for g in generators:
-            ok, _ = is_automorphism(curve, g)
-            if not ok:
-                raise NotAnAutomorphism("group element does not preserve the curve")
+    for g in generators:
+        ok, _ = is_automorphism(curve, g)
+        if not ok:
+            raise NotAnAutomorphism("group element does not preserve the curve")
     if not isinstance(group, FiniteGroup):
         group = closure(group, bound)
     size = len(group)
@@ -380,7 +156,7 @@ def signature(curve: PlaneCurve, group: Sequence[ProjMap],
     count_of: dict[frozenset[int], int] = {}
     for cls in subgroup_conjugacy_classes(group, subgroups):
         if len(cls[0]) > 1:
-            count = fixed_point_count(curve, group[subgroups[cls[0]]], bound)
+            count = fixed_point_count(curve, group[subgroups[cls[0]]])
             count_of.update((sub, count) for sub in cls)
     # a point fixed by one generator of a cyclic subgroup is fixed by all of them
     fixed = {sub: count_of[sub] for sub in subgroups if len(sub) > 1}

@@ -1,8 +1,9 @@
 """Acceptance gate: one test per criterion, exact arithmetic throughout.
 
-Run with -v to get one pass/fail line per criterion.  The two numerical
+Run with -v to get one pass/fail line per criterion.  The numerical
 cross-checks use their stated tolerances (1e-9 relative for the complex
-embedding, 1e-6 separation for root clustering); everything else is exact.
+embedding, 1e-6 separation for root and eigenvalue clustering, 1e-8 relative
+for a point on a curve); everything else is exact.
 """
 
 import cmath
@@ -52,17 +53,17 @@ def P(order, nvars, items):
     return SparsePoly.build(order, nvars, items)
 
 
-def fermat_quartic():
-    return PlaneCurve(P(4, 3, [(1, (4, 0, 0)), (1, (0, 4, 0)), (1, (0, 0, 4))]))
+def fermat_curve(d):
+    return PlaneCurve(P(d, 3, [(1, (d, 0, 0)), (1, (0, d, 0)), (1, (0, 0, d))]))
 
 
-def fermat_generators():
-    i = CyclotomicElement.zeta(4, 1)
+def fermat_generators(d):
+    z = CyclotomicElement.zeta(d, 1)
     return [
-        ProjMap.diagonal(4, i, 1, 1),
-        ProjMap.diagonal(4, 1, i, 1),
-        ProjMap.permutation(4, [2, 0, 1]),
-        ProjMap.permutation(4, [1, 0, 2]),
+        ProjMap.diagonal(d, z, 1, 1),
+        ProjMap.diagonal(d, 1, z, 1),
+        ProjMap.permutation(d, [2, 0, 1]),
+        ProjMap.permutation(d, [1, 0, 2]),
     ]
 
 
@@ -99,9 +100,10 @@ def group_fixtures():
     z3 = CyclotomicElement.zeta(3, 1)
     z6 = CyclotomicElement.zeta(6, 1)
     z9 = CyclotomicElement.zeta(9, 1)
+    z13 = CyclotomicElement.zeta(13, 1)
     i = CyclotomicElement.zeta(4, 1)
     raw = [
-        ("fermat", fermat_quartic(), fermat_generators(), Signature(0, (2, 3, 8))),
+        ("fermat", fermat_curve(4), fermat_generators(4), Signature(0, (2, 3, 8))),
         ("klein", klein_quartic(), klein_generators(), Signature(0, (2, 3, 7))),
         ("signs", quartic_family(1, 3, 5), sign_generators(),
          Signature(0, (2, 2, 2, 2, 2, 2))),
@@ -130,6 +132,14 @@ def group_fixtures():
         ("order16", quartic_family(0, 0, 1, order=4),
          [ProjMap.diagonal(4, i, 1, 1), ProjMap.diagonal(4, 1, -1, 1),
           ProjMap.permutation(4, [0, 2, 1])], Signature(0, (2, 2, 2, 4))),
+        # degrees 5 to 7, where the trace formula needs h_{d-3} beyond the trace
+        ("fermat5", fermat_curve(5), fermat_generators(5), Signature(0, (2, 3, 10))),
+        ("fermat6", fermat_curve(6), fermat_generators(6), Signature(0, (2, 3, 12))),
+        ("fermat7", fermat_curve(7), fermat_generators(7), Signature(0, (2, 3, 14))),
+        ("klein5",
+         PlaneCurve(P(13, 3, [(1, (4, 1, 0)), (1, (0, 4, 1)), (1, (1, 0, 4))])),
+         [ProjMap.diagonal(13, z13, z13 ** 9, z13 ** 3), ProjMap.permutation(13, [1, 2, 0])],
+         Signature(0, (3, 3, 13))),
     ]
     return tuple((name, curve, closure(gens), sig) for name, curve, gens, sig in raw)
 
@@ -149,8 +159,8 @@ def fixed_point_table(name):
 def test_criterion_01_fermat_quartic_symmetries():
     """Closure of the four standard generators has order 96 and the quotient
     signature is (0; 2, 3, 8)."""
-    curve = fermat_quartic()
-    gens = fermat_generators()
+    curve = fermat_curve(4)
+    gens = fermat_generators(4)
     for g in gens:
         ok, _ = is_automorphism(curve, g)
         assert ok
@@ -420,7 +430,7 @@ def test_criterion_09c_riemann_hurwitz_ledger():
     subgroups."""
     for name, curve, group, expected in group_fixtures():
         table = fixed_point_table(name)
-        sig = signature(curve, group, verify=False)
+        sig = signature(curve, group)
         assert sig == expected
         ledger = sum((len(group) // c) * (c - 1) for c in sig.indices)
         assert sum(table.values()) == ledger, name
@@ -459,7 +469,7 @@ def test_criterion_09c_riemann_hurwitz_ledger():
         assert quotient_doubled >= 0
         if case % 10 == 0:
             sub = [ProjMap.identity(g.order)] + list(powers.values())
-            assert signature(curve, sub, verify=False) == \
+            assert signature(curve, sub) == \
                 Signature(quotient_doubled // 2, indices)
 
 
@@ -545,18 +555,19 @@ def random_quartic_form(rng):
             return SparsePoly.build(1, 2, items), None
 
 
-def clustered_root_count(form):
-    """Distinct roots of a rational binary quartic via numerical clustering
-    with 1e-6 separation, plus the exact root at infinity when present."""
-    dense = [0] * 5
-    for exps, coeff in form.terms.items():
-        dense[exps[0]] = float(coeff.as_rational())
-    while dense and dense[-1] == 0:
-        dense.pop()
-    at_infinity = 1 if len(dense) < 5 else 0
-    if len(dense) <= 1:
+def clustered_root_count(dense):
+    """Distinct projective roots of the binary form sum_k dense[k] X^k Y^(d-k),
+    d = len(dense) - 1, with complex coefficients, via numerical clustering
+    with 1e-6 separation; Y = 0 is a root when the X^d coefficient is below
+    1e-9 of the largest."""
+    scale = max(abs(c) for c in dense)
+    top = len(dense) - 1
+    while top > 0 and abs(dense[top]) <= 1e-9 * scale:
+        top -= 1
+    at_infinity = 1 if top < len(dense) - 1 else 0
+    if top == 0:
         return at_infinity
-    roots = list(numpy.roots(list(reversed(dense))))
+    roots = list(numpy.roots(list(reversed(dense[:top + 1]))))
     labels = list(range(len(roots)))
 
     def find(x):
@@ -580,4 +591,60 @@ def test_criterion_10b_root_count_oracle():
         count = distinct_root_count(form)
         if expected is not None:
             assert count == expected
-        assert count == clustered_root_count(form)
+        dense = [float(form.terms[(k, 4 - k)].as_rational()) if (k, 4 - k) in form.terms else 0.0
+                 for k in range(5)]
+        assert count == clustered_root_count(dense)
+
+
+def geometric_fixed_point_count(curve, g):
+    """|Fix(g)| in the complex embedding, counted point by point: cluster the
+    eigenvalues of A at 1e-6; a simple eigenvalue gives a fixed point when its
+    eigenvector lies on the curve, a double one gives every point where its
+    line of eigenvectors meets the curve."""
+    a = numpy.array([[c.to_complex() for c in row] for row in g.entries])
+    a = a / numpy.abs(a).max()
+    terms = [(exps, coeff.to_complex()) for exps, coeff in curve.poly.terms.items()]
+    scale = max(abs(c) for _, c in terms)
+    clusters = []
+    for value in numpy.linalg.eigvals(a):
+        near = next((c for c in clusters if abs(c[0] - value) < 1e-6), None)
+        if near is None:
+            clusters.append([value])
+        else:
+            near.append(value)
+    count = 0
+    for cluster in clusters:
+        dim = len(cluster)
+        assert dim < 3, "a nontrivial map is not scalar"
+        _, singular, vh = numpy.linalg.svd(a - numpy.mean(cluster) * numpy.eye(3))
+        # finite order: A is diagonalizable, so the eigenspace has the full dimension
+        assert (singular[3 - dim:] < 1e-6).all() and (singular[:3 - dim] > 1e-6).all()
+        basis = vh[3 - dim:].conj()
+        if dim == 1:
+            value = sum(c * numpy.prod(basis[0] ** numpy.array(exps)) for exps, c in terms)
+            count += abs(value) < 1e-8 * scale
+            continue
+        # F(s u + t w) as sum_k dense[k] t^k s^(d-k)
+        u, w = basis
+        dense = numpy.zeros(curve.degree + 1, dtype=complex)
+        for exps, c in terms:
+            product = numpy.array([c])
+            for i, e in enumerate(exps):
+                for _ in range(e):
+                    product = numpy.polynomial.polynomial.polymul(product, [u[i], w[i]])
+            dense[:len(product)] += product
+        count += clustered_root_count(list(dense))
+    return count
+
+
+def test_criterion_10c_fixed_point_oracle():
+    """The trace formula's fixed-point counts match a geometric count in the
+    complex embedding on every nontrivial element of every group fixture."""
+    checked = 0
+    for name, curve, group, _ in group_fixtures():
+        table = fixed_point_table(name)
+        for g in group:
+            if not g.is_identity():
+                assert geometric_fixed_point_count(curve, g) == table[g.key()], (name, g)
+                checked += 1
+    assert checked == 1025

@@ -8,12 +8,12 @@ import pytest
 
 from oddsig import exactnum, serialize
 from oddsig.cli import run_command
-from oddsig.errors import (BoundExceeded, FixedLineOnCurve, InternalInconsistency, ParseError,
+from oddsig.errors import (BoundExceeded, HypothesisViolation, InternalInconsistency, ParseError,
                            SchemaError)
-from oddsig.exactnum import MAX_ORDER, GaloisElement
+from oddsig.exactnum import MAX_ORDER, CyclotomicElement, GaloisElement
 from oddsig.plane import PlaneCurve, ProjMap
 from oddsig.polyring import SparsePoly
-from oddsig.ramify import fixed_point_count, signature
+from oddsig.ramify import signature
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -283,7 +283,9 @@ def test_signature_fermat(capsys):
 
 def test_internal_inconsistency_exits_1(monkeypatch, capsys):
     from oddsig import ramify
-    monkeypatch.setattr(ramify, "_count_eigen_branch", lambda *args: (0, 2))
+    # a wrong lambda in F o A = lambda * F trips the trace formula's guard
+    lam = CyclotomicElement.from_rational(2, 3)
+    monkeypatch.setattr(ramify, "is_automorphism", lambda curve, mapping: (True, lam))
     code, out, err = run(capsys, "signature", "--curve", fx("quartic_c3"),
                          "--group", fx("quartic_c3_gens"))
     assert code == 1 and out == ""
@@ -328,13 +330,11 @@ def test_signature_curve_containing_fixed_line(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("input error:") and "singular" in err
     assert len(err.strip().splitlines()) == 1
-    # past that check, the fixed-point count has its own typed guard
+    # the library refuses it the same way, before any fixed point is counted
     doc_curve = serialize.parse_input(json.dumps(curve)).value
     doc_flip = ProjMap.from_dict({"order": 1, "entries": flip})
-    with pytest.raises(FixedLineOnCurve, match="fixed pointwise"):
-        fixed_point_count(doc_curve, doc_flip)
-    with pytest.raises(FixedLineOnCurve):
-        signature(doc_curve, [doc_flip], verify=False)
+    with pytest.raises(HypothesisViolation, match="singular"):
+        signature(doc_curve, [doc_flip])
 
 
 def test_signature_missing_file(capsys):

@@ -155,14 +155,6 @@ def test_sqrt3_lives_in_order_12():
     assert abs(sqrt3.to_complex() - math.sqrt(3)) < 1e-12
 
 
-def test_root_of_unity_detection():
-    z = Cyc.zeta(8)
-    assert (z ** 5).root_of_unity_log() == (1, 5)
-    assert (-(z ** 2)).root_of_unity_log() == (1, 6)
-    assert (z + 1).root_of_unity_log() is None
-    assert Cyc.from_rational(Fraction(1, 2), 8).root_of_unity_log() is None
-
-
 def test_abs2_detects_equal_modulus():
     i = Cyc.zeta(4)
     a = 2 + i

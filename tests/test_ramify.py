@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -65,7 +66,6 @@ def sign_group(order=1):
 def test_signature_value_object():
     sig = Signature(0, (2, 3, 8))
     assert str(sig) == "(0; 2, 3, 8)"
-    assert sig.index_counts() == {2: 1, 3: 1, 8: 1}
     assert str(Signature(3, ())) == "(3)"
     assert Signature(0, (2, 2)) == Signature(0, (2, 2))
 
@@ -116,12 +116,17 @@ def test_fixed_point_error_paths():
         signature(quartic_family(1, 3, 5), closure([ProjMap.permutation(1, [1, 0, 2])]))
 
 
-def test_eigenspace_ledger_failure_is_typed(monkeypatch):
-    real = ramify._count_eigen_branch
-    monkeypatch.setattr(ramify, "_count_eigen_branch",
-                        lambda *args: (real(*args)[0], 2))
-    with pytest.raises(InternalInconsistency):
-        fixed_point_count(fermat_quartic(), ProjMap.permutation(4, [2, 0, 1]))
+def test_trace_formula_guard_is_typed(monkeypatch):
+    # diag(i, 1, 1) on the Fermat quartic: det A * tr A = -1 + 2i and lambda = 1.
+    # A wrong lambda makes t + conj(t) = -2 / lambda: 3 gives a non-integral
+    # trace, 1/4 gives 10 > 2g + 2 fixed points and -1/4 gives -6
+    curve, g = fermat_quartic(), ProjMap.diagonal(4, CyclotomicElement.zeta(4, 1), 1, 1)
+    assert fixed_point_count(curve, g) == 4
+    for wrong in (3, Fraction(1, 4), Fraction(-1, 4)):
+        lam = CyclotomicElement.from_rational(wrong, 4)
+        monkeypatch.setattr(ramify, "is_automorphism", lambda curve, mapping: (True, lam))
+        with pytest.raises(InternalInconsistency):
+            fixed_point_count(curve, g)
 
 
 def test_zero_residue_inverse_is_typed():
@@ -131,17 +136,10 @@ def test_zero_residue_inverse_is_typed():
         polyring.mod_inverse(m, m, 4)
 
 
-def test_constant_eigenvalue_modulus_is_typed(monkeypatch):
-    monkeypatch.setattr(ramify, "uni_gcd",
-                        lambda *args: [CyclotomicElement.one(4)])
-    with pytest.raises(InternalInconsistency):
-        ramify._eigenvalue_modulus(ProjMap.permutation(4, [2, 0, 1]), 10)
-
-
 def test_negative_stabilizer_count_is_typed(monkeypatch):
     # |Fix| = |<g>| makes the count of the order-2 subgroup inside C4 negative
     monkeypatch.setattr(ramify, "fixed_point_count",
-                        lambda curve, gen, bound: element_order(gen)[0])
+                        lambda curve, gen: element_order(gen)[0])
     i = CyclotomicElement.zeta(4, 1)
     group = closure([ProjMap.diagonal(4, i, 1, 1)])
     with pytest.raises(InternalInconsistency):
@@ -158,9 +156,9 @@ def count_fixed_point_calls(monkeypatch):
     calls = []
     real = ramify.fixed_point_count
 
-    def counted(curve, gen, bound):
+    def counted(curve, gen):
         calls.append(gen)
-        return real(curve, gen, bound)
+        return real(curve, gen)
 
     monkeypatch.setattr(ramify, "fixed_point_count", counted)
     return calls
@@ -307,18 +305,20 @@ def test_fixed_count_is_conjugation_invariant():
         checked += 1
 
 
-def test_riemann_hurwitz_rejects_bad_input():
-    # a quadruple line passes the homogeneity checks but the genus formula
-    # applied to it is meaningless, and the integrality guard catches that
+def test_riemann_hurwitz_rejects_bad_input(monkeypatch):
+    # a quadruple line passes the homogeneity checks, but the hypothesis
+    # check refuses the singular curve before any count
     quad_line = PlaneCurve(P(4, 3, [(1, (4, 0, 0))]))
     i = CyclotomicElement.zeta(4, 1)
     group = closure([ProjMap.diagonal(4, 1, i, 1)])
     assert len(group) == 4
-    # the hypothesis check refuses the singular curve; past it, the guard holds
     with pytest.raises(HypothesisViolation):
         signature(quad_line, group)
+    # three fixed points of an involution on a genus-3 curve leave
+    # 2g - 2 - 3 = 1, which |G| = 2 does not divide: the integrality guard holds
+    monkeypatch.setattr(ramify, "fixed_point_count", lambda curve, gen: 3)
     with pytest.raises(NonIntegerGenus):
-        signature(quad_line, group, verify=False)
+        signature(fermat_quartic(), closure([ProjMap.diagonal(4, -1, 1, 1)]))
 
 
 def test_signature_report_contents():
@@ -356,9 +356,11 @@ def test_plane_quartic_stratum_catalog():
 
 # field operations of the fixed-point count --------------------------------------
 
-# multiplications and inverses over the class representatives, measured
-# before ramify and plane shared one splitting algebra; a bound, not a target
-FIXED_POINT_OPS = {"fermat": (7, 1686, 682), "klein": (4, 1627, 508)}
+# multiplications and inverses over the class representatives, as measured
+# for the trace formula: is_automorphism's substitution dominates the
+# multiplications, and each count inverts twice: the leading coefficient
+# inside is_automorphism, then lambda
+FIXED_POINT_OPS = {"fermat": (7, 203, 14), "klein": (4, 492, 8)}
 
 
 def test_fixed_point_count_field_operations_are_pinned(monkeypatch):
@@ -426,17 +428,14 @@ def test_signature_refuses_curves_outside_the_theorem():
                       + permutation_group(S3_PERMS, 3))
     assert len(group54) == 54
     fermat_octic = PlaneCurve(P(1, 3, [(1, (8, 0, 0)), (1, (0, 8, 0)), (1, (0, 0, 8))]))
-    cases = [(conic, s3, GenusTooSmall, "(0; 2, 2, 3)"),
-             (four_lines, s3, HypothesisViolation, "(0; 2, 2, 2, 2, 3)"),
-             (c3_quartic, permutation_group(C3_PERMS), HypothesisViolation, "(1; 3, 3)"),
-             (fermat_cubic, group54, GenusTooSmall, "(0; 2, 3, 6)"),
-             (fermat_octic, s3, BoundExceeded, None)]
-    for curve, group, error, unchecked in cases:
+    cases = [(conic, s3, GenusTooSmall),
+             (four_lines, s3, HypothesisViolation),
+             (c3_quartic, permutation_group(C3_PERMS), HypothesisViolation),
+             (fermat_cubic, group54, GenusTooSmall),
+             (fermat_octic, s3, BoundExceeded)]
+    for curve, group, error in cases:
         with pytest.raises(error):
             signature(curve, group)
-        if unchecked is not None:
-            # what the verdict paths reported before the check
-            assert str(signature(curve, group, verify=False)) == unchecked
 
 
 @settings(max_examples=25, deadline=None)
