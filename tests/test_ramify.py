@@ -116,17 +116,37 @@ def test_fixed_point_error_paths():
         signature(quartic_family(1, 3, 5), closure([ProjMap.permutation(1, [1, 0, 2])]))
 
 
-def test_trace_formula_guard_is_typed(monkeypatch):
+def test_eigenspace_ledger_failure_is_typed(monkeypatch):
+    # the count's own ledger: a count outside [0, 2g + 2] is typed.
     # diag(i, 1, 1) on the Fermat quartic: det A * tr A = -1 + 2i and lambda = 1.
-    # A wrong lambda makes t + conj(t) = -2 / lambda: 3 gives a non-integral
-    # trace, 1/4 gives 10 > 2g + 2 fixed points and -1/4 gives -6
+    # A wrong lambda makes t + conj(t) = -2 / lambda: 1/4 gives 10 > 2g + 2
+    # fixed points and -1/4 gives -6
     curve, g = fermat_quartic(), ProjMap.diagonal(4, CyclotomicElement.zeta(4, 1), 1, 1)
     assert fixed_point_count(curve, g) == 4
-    for wrong in (3, Fraction(1, 4), Fraction(-1, 4)):
+    for wrong in (Fraction(1, 4), Fraction(-1, 4)):
         lam = CyclotomicElement.from_rational(wrong, 4)
         monkeypatch.setattr(ramify, "is_automorphism", lambda curve, mapping: (True, lam))
         with pytest.raises(InternalInconsistency):
             fixed_point_count(curve, g)
+
+
+def test_constant_eigenvalue_modulus_is_typed(monkeypatch):
+    # eigenvalue data that do not belong to g: a trace sum that is not a
+    # rational integer is typed. On a quartic t = e3 * e1 / lambda, so the
+    # constant characteristic data e1 = 1, e3 = 1/3 give t + conj(t) = 2/3,
+    # and a wrong lambda = 3 for diag(i, 1, 1) gives -2/3
+    curve, g = fermat_quartic(), ProjMap.diagonal(4, CyclotomicElement.zeta(4, 1), 1, 1)
+    one, zero = CyclotomicElement.one(4), CyclotomicElement.zero(4)
+    third = CyclotomicElement.from_rational(Fraction(1, 3), 4)
+    with monkeypatch.context() as patch:
+        patch.setattr(ramify, "_char_poly", lambda mapping: (one, zero, third))
+        with pytest.raises(InternalInconsistency):
+            fixed_point_count(curve, g)
+    assert fixed_point_count(curve, g) == 4
+    lam = CyclotomicElement.from_rational(3, 4)
+    monkeypatch.setattr(ramify, "is_automorphism", lambda curve, mapping: (True, lam))
+    with pytest.raises(InternalInconsistency):
+        fixed_point_count(curve, g)
 
 
 def test_zero_residue_inverse_is_typed():
