@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from . import serialize
@@ -22,7 +23,7 @@ from .descent import (
     family_real_definability,
     weil_descent_order2,
 )
-from .errors import InputError, OddsigError, ResourceError, SchemaError
+from .errors import InputError, InternalInconsistency, OddsigError, ResourceError, SchemaError
 from .exactnum import CyclotomicElement, common_order
 from .matgroup import DEFAULT_BOUND, closure
 from .plane import is_automorphism
@@ -97,16 +98,27 @@ def _cmd_group_closure(args):
         f"closure order: {len(group)}"]
 
 
+def _group_order(sig: Signature, genus: int) -> int:
+    """|G| read off Riemann-Hurwitz, 2g - 2 = |G| (2h - 2 + sum(1 - 1/c)),
+    exact for the signature of a curve of genus g >= 2."""
+    share = 2 * sig.quotient_genus - 2 + sum(Fraction(c - 1, c) for c in sig.indices)
+    size = (2 * genus - 2) / share
+    if size.denominator != 1:
+        raise InternalInconsistency(f"Riemann-Hurwitz gives the group order {size}")
+    return size.numerator
+
+
 def _cmd_signature(args):
     curve = _read_document(args.curve, ("plane_curve",)).value
     generators = _read_document(args.group, ("group",)).value
     _, (curve, generators) = _lift_common(curve, generators)
-    group = closure(generators, args.bound)
-    sig = signature(curve, group, args.bound)
+    # signature checks the curve and the generators before it closes them
+    sig = signature(curve, generators)
+    order = _group_order(sig, curve.genus())
     verdict = odd_signature_verdict(sig)
-    result = {"group_order": len(group), "curve_genus": curve.genus(),
+    result = {"group_order": order, "curve_genus": curve.genus(),
               "signature": _signature_payload(sig), "verdict": verdict}
-    lines = [f"group order: {len(group)}", f"signature: {sig}",
+    lines = [f"group order: {order}", f"signature: {sig}",
              f"odd-signature verdict: {verdict}"]
     return result, [_GROUP_ASSUMPTION], [_SIGNATURE_CITATION, _ODD_CITATION], lines
 
@@ -151,7 +163,7 @@ def _cmd_descend_real(args):
         doc = _read_document(args.aut, ("group", "projective_map"))
         aut = doc.value if doc.kind == "group" else [doc.value]
     _, (curve, mu, aut) = _lift_common(curve, mu, aut)
-    verdict = weil_descent_order2(curve, mu, aut, args.bound)
+    verdict = weil_descent_order2(curve, mu, aut)
     result = verdict.to_dict()
     lines = [f"verdict: {verdict.status}"]
     for cand, defect in verdict.defects:
@@ -285,10 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "structured"),
                         default="text", help="stdout format")
 
-    bounded = argparse.ArgumentParser(add_help=False)
-    bounded.add_argument("--bound", type=int, default=DEFAULT_BOUND,
-                         help="group closure size bound")
-
     parser = argparse.ArgumentParser(
         prog="oddsig",
         description="Exact quotient signatures and Galois descent checks "
@@ -301,18 +309,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.set_defaults(handler=_cmd_aut_check)
 
-    p = sub.add_parser("group-closure", parents=[common, bounded],
+    p = sub.add_parser("group-closure", parents=[common],
                        help="close a generator set in PGL(3)")
     p.add_argument("--group", required=True)
+    p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
+                   help="group closure size bound")
     p.set_defaults(handler=_cmd_group_closure)
 
-    p = sub.add_parser("signature", parents=[common, bounded],
+    p = sub.add_parser("signature", parents=[common],
                        help="quotient signature of a curve by a group")
     p.add_argument("--curve", required=True)
     p.add_argument("--group", required=True)
     p.set_defaults(handler=_cmd_signature)
 
-    p = sub.add_parser("odd-signature", parents=[common, bounded],
+    p = sub.add_parser("odd-signature", parents=[common],
                        help="odd-signature verdict for a curve/group pair "
                             "or a literal signature")
     p.add_argument("--curve")
@@ -321,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--indices", help="comma-separated branch indices")
     p.set_defaults(handler=_cmd_odd_signature)
 
-    p = sub.add_parser("descend-real", parents=[common, bounded],
+    p = sub.add_parser("descend-real", parents=[common],
                        help="order-2 Weil descent check for a plane curve")
     p.add_argument("--curve", required=True)
     p.add_argument("--mu", required=True,

@@ -31,7 +31,7 @@ from .errors import (
     InternalInconsistency,
 )
 from .exactnum import CyclotomicElement, common_order
-from .matgroup import DEFAULT_BOUND, closure
+from .matgroup import closure
 from .plane import (
     PlaneCurve,
     ProjMap,
@@ -40,7 +40,7 @@ from .plane import (
     require_isomorphism,
     require_verdict_curve,
 )
-from .polyring import SparsePoly
+from .polyring import SparsePoly, uni_mul
 
 DEFINABLE = "DEFINABLE"
 OBSTRUCTED = "OBSTRUCTED"
@@ -91,8 +91,7 @@ _ORDER2_CITATION = ("Weil cocycle criterion for the order-2 Galois action: "
 
 
 def isomorphism_orbit(curve: PlaneCurve, mu: ProjMap,
-                      aut_generators: Sequence[ProjMap],
-                      bound: int = DEFAULT_BOUND) -> list[ProjMap]:
+                      aut_generators: Sequence[ProjMap]) -> list[ProjMap]:
     """All isomorphisms onto the conjugate curve: the orbit mu o Aut(X).
 
     Complete exactly when the generators produce the full automorphism
@@ -105,7 +104,7 @@ def isomorphism_orbit(curve: PlaneCurve, mu: ProjMap,
     if aut_generators:
         for g in aut_generators:
             require_isomorphism(curve, curve, g)
-        group = closure([g.lift_to(order) for g in aut_generators], bound)
+        group = closure([g.lift_to(order) for g in aut_generators])
     else:
         group = [ProjMap.identity(order)]
     lifted = mu.lift_to(order)
@@ -118,15 +117,14 @@ def isomorphism_orbit(curve: PlaneCurve, mu: ProjMap,
 
 
 def weil_descent_order2(curve: PlaneCurve, mu: ProjMap,
-                        aut_generators: Sequence[ProjMap],
-                        bound: int = DEFAULT_BOUND) -> DescentVerdict:
+                        aut_generators: Sequence[ProjMap]) -> DescentVerdict:
     """Decide real definability given one isomorphism onto the conjugate.
 
     Every candidate differs from mu by an automorphism, so the verdict does
     not depend on which isomorphism is supplied. The list of candidates is
     complete only for a curve that passes plane.require_verdict_curve."""
     require_verdict_curve(curve)
-    candidates = isomorphism_orbit(curve, mu, aut_generators, bound)
+    candidates = isomorphism_orbit(curve, mu, aut_generators)
     lifted = curve.lift_to(candidates[0].order) if candidates else curve
     defects = []
     witness = None
@@ -171,16 +169,9 @@ def bielliptic_quartic(a1, a2, a3, order: int) -> PlaneCurve:
         # (x - root z)(x + coroot z) as coefficients on x^2, xz, z^2
         return [one, coroot - root, -(root * coroot)]
 
-    def mul2(p, q):
-        out = [CyclotomicElement.zero(order)] * (len(p) + len(q) - 1)
-        for i, pi in enumerate(p):
-            for j, qj in enumerate(q):
-                out[i + j] = out[i + j] + pi * qj
-        return out
-
     quad = pair(a1, a1.inverse())
-    quart = mul2(pair(a2, a2.conjugate().inverse()),
-                 pair(a3, a3.conjugate().inverse()))
+    quart = uni_mul(pair(a2, a2.conjugate().inverse()),
+                    pair(a3, a3.conjugate().inverse()), order)
     entries = [(one, (0, 4, 0))]
     for i, coeff in enumerate(quad):
         if not coeff.is_zero():

@@ -13,6 +13,7 @@ derivatives share a projective zero. The line z = 0 is checked through
 binary-form gcds; the affine chart z = 1 reduces to candidate x-values via
 pairwise resultants, cut out by a squarefree d, and the shared y-root above
 them is decided by the gcd in (K[x]/(d))[y] of polyring's splitting algebra.
+Both run on polyring's y-lists, polynomials in y over K[x] as dense lists.
 A zero resultant decides a shared chart factor by itself: by Bezout the
 factor's curve meets the third partial, off z = 0 once that line is
 cleared, so the curve is singular and no gcd over K[x][y] is needed.
@@ -40,11 +41,12 @@ from .polyring import (
     SparsePoly,
     mod_branches,
     mod_gcd,
+    poly_to_uni,
+    poly_to_ylists,
     resultant,
     uni_gcd,
     uni_monic,
     uni_squarefree,
-    uni_trim,
 )
 
 Entry = Union[int, Fraction, CyclotomicElement]
@@ -352,27 +354,11 @@ def _binary_common_root(forms: list[SparsePoly], order: int) -> bool:
         return True
     g: Optional[list[CyclotomicElement]] = None
     for f in forms:
-        dense = [CyclotomicElement.zero(order) for _ in range(f.degree_in(0) + 1)]
-        for exps, coeff in f.terms.items():
-            dense[exps[0]] = dense[exps[0]] + coeff
-        dense = uni_trim(dense)
+        dense = poly_to_uni(_dehomogenize(f, 1))
         g = dense if g is None else uni_gcd(g, dense, order)
         if len(g) == 1:
             return False
     return len(g) > 1
-
-
-# a polynomial of the affine chart as a polynomial in y over K[x]: a list
-# (index = y-degree) of dense x-coefficient lists.
-
-def _to_ylists(p: SparsePoly) -> list[list[CyclotomicElement]]:
-    dy = p.degree_in(1)
-    dx = p.degree_in(0)
-    zero = CyclotomicElement.zero(p.order)
-    out = [[zero] * (dx + 1) for _ in range(dy + 1)]
-    for (ex, ey), coeff in p.terms.items():
-        out[ey][ex] = coeff
-    return [uni_trim(row) for row in out]
 
 
 def has_common_affine_zero(polys: list[SparsePoly]) -> bool:
@@ -392,7 +378,7 @@ def has_common_affine_zero(polys: list[SparsePoly]) -> bool:
     if len(live) == 1:
         return True
     ypos = [p for p in live if p.degree_in(1) > 0]
-    candidates = [_to_ylists(p)[0] for p in live if p.degree_in(1) == 0]
+    candidates = [poly_to_ylists(p)[0] for p in live if p.degree_in(1) == 0]
     for i in range(len(ypos)):
         for j in range(i + 1, len(ypos)):
             res = resultant(ypos[i], ypos[j], 1)
@@ -403,13 +389,13 @@ def has_common_affine_zero(polys: list[SparsePoly]) -> bool:
                 # curve in P^2 at a common zero of all three; the
                 # precondition puts it off z = 0, so it is affine.
                 return True
-            candidates.append(_to_ylists(res)[0])
+            candidates.append(poly_to_ylists(res)[0])
     d: list[CyclotomicElement] = []
     for c in candidates:
         d = uni_gcd(d, c, order) if d else uni_monic(c)
         if len(d) == 1:
             return False
-    ylists = [_to_ylists(p) for p in ypos]
+    ylists = [poly_to_ylists(p) for p in ypos]
 
     def shared_y_root(m) -> bool:
         # the gcd over K[x]/(m) is a unit exactly when no y-root is shared

@@ -2,16 +2,20 @@
 
 Terms map exponent tuples to nonzero CyclotomicElement coefficients; the
 canonical term order is graded lexicographic with earlier variables larger.
-Univariate helpers (dense coefficient lists, low degree first) back the gcd,
-squarefree and root-counting machinery; the resultant uses a Sylvester matrix
-with fraction-free (Bareiss) elimination so entries stay polynomial.
+SparsePoly carries documents, substitution and derivatives; the algorithms
+run on one layer of univariate helpers (dense coefficient lists, low degree
+first): the gcd, squarefree and root-counting machinery, and the resultant.
+poly_to_ylists turns a polynomial in two variables into y-lists, a list
+indexed by the degree in y of dense x-lists; the resultant eliminates y from
+the Sylvester matrix by fraction-free (Bareiss) elimination over K[x], each
+division by the previous pivot an exact uni_divmod.
 uni_coprime_mod_p proves gcd(a, b) = 1 from the images of a and b in F_p[x],
 and never disproves it, so a caller falls back to the exact uni_gcd.
 
 The splitting-algebra section is the one arithmetic for K[x]/(m), m
 squarefree, and serves only plane.is_smooth: reduce,
-multiply, inverse-or-split, the zero part gcd(p, m), the monic gcd in
-(K[x]/(m))[y], and mod_branches, which splits m on a zero divisor and reruns
+multiply, inverse-or-split, the zero part gcd(p, m), the monic gcd of y-lists
+over K[x]/(m), and mod_branches, which splits m on a zero divisor and reruns
 on both factors (dynamic evaluation: Della Dora, Dicrescenzo and Duval,
 EUROCAL 1985).
 """
@@ -282,28 +286,6 @@ class SparsePoly:
             return self
         return SparsePoly(order, self.nvars, {e: c.lift_to(order) for e, c in self.terms.items()})
 
-    def exact_div(self, divisor: "SparsePoly") -> "SparsePoly":
-        """Quotient self / divisor when the division is exact.
-
-        Repeated graded-lex leading-term reduction; raises ValueError if a
-        remainder survives (callers only divide when exactness is guaranteed).
-        """
-        d = self._coerce(divisor)
-        if d is None or d.is_zero():
-            raise ZeroPolynomial("division by zero polynomial")
-        lt_d, lc_d = d.leading_term()
-        quotient: dict[tuple[int, ...], CyclotomicElement] = {}
-        rem = self
-        while not rem.is_zero():
-            lt_r, lc_r = rem.leading_term()
-            diff = tuple(a - b for a, b in zip(lt_r, lt_d))
-            if any(x < 0 for x in diff):
-                raise ValueError("division is not exact")
-            q = lc_r / lc_d
-            quotient[diff] = q
-            rem = rem - SparsePoly(self.order, self.nvars, {diff: q}) * d
-        return SparsePoly(self.order, self.nvars, quotient)
-
     # serialization ------------------------------------------------------
     def to_dict(self, variables: Sequence[str]) -> dict:
         if len(variables) != self.nvars:
@@ -535,6 +517,23 @@ def poly_to_uni(p: SparsePoly, var: int = 0) -> list[CyclotomicElement]:
     return out
 
 
+def poly_to_ylists(p: SparsePoly, var: int = 1) -> list[list[CyclotomicElement]]:
+    """A nonzero p in one or two variables as a polynomial in var over K[x],
+    x the other variable: a list indexed by the degree in var of trimmed
+    dense x-lists (zero rows are []). The resultant and plane.is_smooth's
+    splitting algebra both work on this layout."""
+    if p.nvars > 2:
+        raise VariableCountMismatch("y-lists take polynomials in at most two variables")
+    zero = CyclotomicElement.zero(p.order)
+    rows: list[list[CyclotomicElement]] = [[] for _ in range(p.degree_in(var) + 1)]
+    for exps, coeff in p.terms.items():
+        row, ex = rows[exps[var]], sum(exps) - exps[var]
+        if len(row) <= ex:
+            row.extend([zero] * (ex + 1 - len(row)))
+        row[ex] = coeff
+    return rows
+
+
 def uni_to_poly(coeffs: Sequence[CyclotomicElement], order: int, nvars: int = 1, var: int = 0) -> SparsePoly:
     terms = {}
     for i, c in enumerate(coeffs):
@@ -673,70 +672,53 @@ def distinct_root_count(form: SparsePoly) -> int:
 
 # resultants -----------------------------------------------------------------
 
-def _poly_coeffs_in(p: SparsePoly, var: int) -> list[SparsePoly]:
-    """Coefficient list of p in variable var; entries keep all variables."""
-    deg = p.degree_in(var)
-    rows: list[dict] = [{} for _ in range(deg + 1)]
-    for exps, coeff in p.terms.items():
-        rest = tuple(0 if i == var else e for i, e in enumerate(exps))
-        rows[exps[var]][rest] = coeff
-    return [SparsePoly(p.order, p.nvars, r) for r in rows]
+def _bareiss_det(matrix: list[list[list[CyclotomicElement]]], order: int) -> list[CyclotomicElement]:
+    """Determinant of a square matrix over K[x] whose entries are dense lists.
 
-
-def _bareiss_det(matrix: list[list[SparsePoly]], order: int, nvars: int) -> SparsePoly:
+    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968): after step k
+    every entry below and right of the pivot is a (k+2)-minor of the input,
+    so the division by the previous pivot is exact in K[x]; a remainder
+    raises InternalInconsistency."""
     n = len(matrix)
-    if n == 0:
-        return SparsePoly.constant(1, order, nvars)
     m = [row[:] for row in matrix]
-    sign = 1
-    denom = SparsePoly.constant(1, order, nvars)
+    sign, prev = 1, None
     for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
+        if not m[k][k]:
+            pivot = next((r for r in range(k + 1, n) if m[r][k]), None)
             if pivot is None:
-                return SparsePoly.zero(order, nvars)
+                return []
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
+        top = m[k][k]
         for i in range(k + 1, n):
+            left = m[i][k]
             for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(denom)
-            m[i][k] = SparsePoly.zero(order, nvars)
-        denom = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+                num = uni_sub(uni_mul(top, m[i][j], order), uni_mul(left, m[k][j], order), order)
+                if num and prev is not None:
+                    num, rem = uni_divmod(num, prev, order)
+                    if rem:
+                        raise InternalInconsistency("Bareiss division by the previous pivot left a remainder")
+                m[i][j] = num
+        prev = top
+    det = m[n - 1][n - 1] if n else [CyclotomicElement.one(order)]
+    return det if sign == 1 else uni_neg(det)
 
 
 def resultant(f: SparsePoly, g: SparsePoly, var: int) -> SparsePoly:
-    """Sylvester resultant eliminating variable var.
+    """Sylvester resultant eliminating variable var of f and g in one or two
+    variables.
 
-    The result does not involve var. Raises ZeroPolynomial on zero inputs.
+    The result does not involve var. Raises ZeroPolynomial on zero inputs and
+    VariableCountMismatch on more than two variables.
     """
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("resultant of zero polynomial")
     if f._coerce(g) is not g:
         raise InternalInconsistency("resultant operands did not coerce unchanged")
-    order, nvars = f.order, f.nvars
-    fc = _poly_coeffs_in(f, var)
-    gc = _poly_coeffs_in(g, var)
+    fc, gc = poly_to_ylists(f, var), poly_to_ylists(g, var)
     n, m = len(fc) - 1, len(gc) - 1
-    if n == 0 and m == 0:
-        return SparsePoly.constant(1, order, nvars)
-    if n == 0:
-        return fc[0] ** m
-    if m == 0:
-        return gc[0] ** n
-    size = n + m
-    zero = SparsePoly.zero(order, nvars)
-    rows = []
-    for shift in range(m):  # m rows of f coefficients, descending powers
-        row = [zero] * size
-        for idx, c in enumerate(reversed(fc)):
-            row[shift + idx] = c
-        rows.append(row)
-    for shift in range(n):
-        row = [zero] * size
-        for idx, c in enumerate(reversed(gc)):
-            row[shift + idx] = c
-        rows.append(row)
-    return _bareiss_det(rows, order, nvars)
+    # m shifted rows of f's coefficients, then n of g's, highest power first
+    rows = [[[]] * shift + fc[::-1] + [[]] * (m - 1 - shift) for shift in range(m)]
+    rows += [[[]] * shift + gc[::-1] + [[]] * (n - 1 - shift) for shift in range(n)]
+    # the variable left is the other one, or none (index 0) for one variable
+    return uni_to_poly(_bareiss_det(rows, f.order), f.order, f.nvars, f.nvars - 1 - var)

@@ -37,7 +37,6 @@ from .errors import (
 )
 from .exactnum import CyclotomicElement, common_order
 from .matgroup import (
-    DEFAULT_BOUND,
     FiniteGroup,
     closure,
     cyclic_subgroups,
@@ -129,8 +128,7 @@ def fixed_point_count(curve: PlaneCurve, mapping: ProjMap) -> int:
 
 # quotient signature -----------------------------------------------------------
 
-def signature(curve: PlaneCurve, group: Sequence[ProjMap],
-              bound: int = DEFAULT_BOUND) -> Signature:
+def signature(curve: PlaneCurve, group: Sequence[ProjMap]) -> Signature:
     """Signature of the quotient of the curve by the given full group.
 
     A FiniteGroup from closure is taken as it is; any other sequence is a
@@ -147,7 +145,7 @@ def signature(curve: PlaneCurve, group: Sequence[ProjMap],
         if not ok:
             raise NotAnAutomorphism("group element does not preserve the curve")
     if not isinstance(group, FiniteGroup):
-        group = closure(group, bound)
+        group = closure(group)
     size = len(group)
     genus_top = curve.genus()
     if size == 1:

@@ -1,6 +1,7 @@
 """Document parsing and the command-line front end."""
 
 import json
+import shlex
 import time
 from pathlib import Path
 
@@ -269,6 +270,47 @@ def test_group_closure_bound_exceeded(capsys):
     code, _, err = run(capsys, "group-closure",
                        "--group", fx("fermat_quartic_gens"), "--bound", "10")
     assert code == 3 and "bound" in err
+
+
+def test_non_automorphism_of_infinite_order_exits_2(tmp_path, capsys):
+    # the shear is no automorphism of the Fermat quartic and generates an
+    # infinite group: the generator check must come before the closure
+    shear = [[["1"], ["1"], ["0"]], [["0"], ["1"], ["0"]], [["0"], ["0"], ["1"]]]
+    group = tmp_path / "shear.json"
+    group.write_text(json.dumps({"kind": "group", "generators": [
+        {"kind": "projective_map", "order": 1, "entries": shear}]}), encoding="utf-8")
+    for command in ("signature", "odd-signature"):
+        code, out, err = run(capsys, command, "--curve", fx("fermat_quartic"), "--group", str(group))
+        assert code == 2 and out == ""
+        assert "does not preserve" in err
+
+
+def test_only_group_closure_takes_bound(capsys):
+    code, out, _ = run(capsys, "group-closure", "--group", fx("quartic_s4_gens"), "--bound", "24")
+    assert code == 0 and "24" in out
+    for argv in (["signature", "--curve", fx("fermat_quartic"), "--group", fx("fermat_quartic_gens")],
+                 ["odd-signature", "--curve", fx("quartic_c2c2"), "--group", fx("quartic_c2c2_gens")],
+                 ["descend-real", "--curve", fx("bielliptic_quartic"),
+                  "--mu", fx("bielliptic_quartic_mu")]):
+        with pytest.raises(SystemExit) as info:
+            run_command(argv + ["--bound", "400"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --bound" in capsys.readouterr().err
+
+
+def test_readme_cli_usage_commands_exit_0(monkeypatch, capsys):
+    """Every command of README's CLI usage block runs and exits 0, so a
+    documented flag cannot outlive its code."""
+    root = FIXTURES.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI usage", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.strip() and not line.lstrip().startswith("#")]
+    assert len(commands) >= 12 and all(argv[0] == "oddsig" for argv in commands)
+    monkeypatch.chdir(root)
+    for argv in commands:
+        code, _, err = run(capsys, *argv[1:])
+        assert code == 0, (argv, err)
 
 
 def test_signature_fermat(capsys):

@@ -118,18 +118,6 @@ def test_derivative_product_rule():
             assert (f * g).derivative(v) == f.derivative(v) * g + f * g.derivative(v)
 
 
-def test_exact_div_round_trip():
-    rng = random.Random(77)
-    for _ in range(25):
-        f = rand_poly(rng, 4, 2, 3)
-        g = rand_poly(rng, 4, 2, 2)
-        if g.is_zero():
-            continue
-        assert (f * g).exact_div(g) == f
-    with pytest.raises(ValueError):
-        P(1, 2, [(1, (1, 0)), (1, (0, 0))]).exact_div(P(1, 2, [(1, (1, 0))]))
-
-
 def test_uni_gcd_and_squarefree():
     from oddsig.polyring import uni_mul
 
@@ -254,6 +242,70 @@ def test_resultant_numeric_oracle():
         approx = float(fc[-1]) ** (len(gc) - 1) * np.prod([np.polyval(gc[::-1], r) for r in roots])
         got = complex(exact.coefficient((0,)).to_complex())
         assert abs(got - approx) <= 1e-6 * max(1.0, abs(approx))
+
+
+def test_resultant_complex_sylvester_oracle_over_cyclotomic_fields():
+    """Res_y(f, g) at x = x0 equals the numpy determinant of the complex
+    Sylvester matrix of f(x0, y) and g(x0, y), taken at the formal y-degrees."""
+    rng = random.Random(7331)
+
+    def coeff(order):
+        return sum((rng.randint(-2, 2) * Cyc.zeta(order, k) for k in range(3)), Cyc.zero(order))
+
+    def draw(order, low):
+        # a y-coefficient below the top is absent half the time (the lowest
+        # only where low is 0), so the elimination meets zero pivots and swaps
+        # rows; f keeps y^0, so y is no common factor. Each row is dense in x.
+        while True:
+            top = rng.randint(1, 3)
+            rows = list(range(low)) + [j for j in range(low, top) if rng.random() < 0.5] + [top]
+            p = P(order, 2, [(coeff(order), (i, j)) for j in rows for i in range(rng.randint(1, 3))])
+            if not p.is_zero() and p.degree_in(1) > 0:
+                return p
+
+    def y_coeffs(p, x0):
+        out = [0j] * (p.degree_in(1) + 1)
+        for (ex, ey), c in p.terms.items():
+            out[ey] += c.to_complex() * x0 ** ex
+        return out[::-1]                     # highest power first
+
+    checked = 0
+    for order in (3, 4, 7):
+        for _ in range(8):
+            f, g = draw(order, 1), draw(order, 0)
+            res = resultant(f, g, 1)
+            assert all(e[1] == 0 for e in res.terms)
+            for x0 in (-2, -1, 0, 1, 3):
+                fc, gc = y_coeffs(f, x0), y_coeffs(g, x0)
+                n, m = len(fc) - 1, len(gc) - 1
+                sylvester = np.zeros((n + m, n + m), dtype=complex)
+                for shift in range(m):
+                    sylvester[shift, shift:shift + n + 1] = fc
+                for shift in range(n):
+                    sylvester[m + shift, shift:shift + m + 1] = gc
+                approx = np.linalg.det(sylvester)
+                got = sum((c.to_complex() * x0 ** e[0] for e, c in res.terms.items()), 0j)
+                assert abs(got - approx) <= 1e-6 * max(1.0, abs(approx)), (order, f, g, x0)
+                checked += 1
+    assert checked == 120
+
+
+def test_resultant_guards_are_typed(monkeypatch):
+    f = P(1, 2, [(1, (0, 2)), (1, (1, 0))])
+    g = P(1, 2, [(1, (0, 2)), (-1, (2, 1)), (3, (0, 0))])
+    assert not resultant(f, g, 1).is_zero()
+    with pytest.raises(VariableCountMismatch):
+        resultant(P(1, 3, [(1, (0, 1, 0))]), P(1, 3, [(1, (0, 2, 1))]), 1)
+    original = polyring.uni_divmod
+
+    def leaves_a_remainder(a, b, order):
+        q, _ = original(a, b, order)
+        return q, [Cyc.one(order)]
+
+    # a Bareiss division that is not exact means the elimination went wrong
+    monkeypatch.setattr(polyring, "uni_divmod", leaves_a_remainder)
+    with pytest.raises(InternalInconsistency, match="remainder"):
+        resultant(f, g, 1)
 
 
 def test_resultant_vanishes_iff_common_root():
