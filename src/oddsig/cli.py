@@ -101,8 +101,8 @@ def _cmd_group_closure(args):
 def _group_order(sig: Signature, genus: int) -> int:
     """|G| read off Riemann-Hurwitz, 2g - 2 = |G| (2h - 2 + sum(1 - 1/c)),
     exact for the signature of a curve of genus g >= 2."""
-    share = 2 * sig.quotient_genus - 2 + sum(Fraction(c - 1, c) for c in sig.indices)
-    size = (2 * genus - 2) / share
+    share = Fraction(2 * sig.quotient_genus - 2) + sum(Fraction(c - 1, c) for c in sig.indices)
+    size = Fraction(2 * genus - 2) / share
     if size.denominator != 1:
         raise InternalInconsistency(f"Riemann-Hurwitz gives the group order {size}")
     return size.numerator

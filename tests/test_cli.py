@@ -285,6 +285,20 @@ def test_non_automorphism_of_infinite_order_exits_2(tmp_path, capsys):
         assert "does not preserve" in err
 
 
+def test_unramified_signature_reads_group_order_1(tmp_path, capsys):
+    # the identity alone gives the signature (3) with no branch indices, so
+    # Riemann-Hurwitz has no index term
+    identity = [[["1"], ["0"], ["0"]], [["0"], ["1"], ["0"]], [["0"], ["0"], ["1"]]]
+    group = tmp_path / "identity.json"
+    group.write_text(json.dumps({"kind": "group", "generators": [
+        {"kind": "projective_map", "order": 1, "entries": identity}]}), encoding="utf-8")
+    for command in ("signature", "odd-signature"):
+        report = run_structured(capsys, command, "--curve", fx("fermat_quartic"), "--group", str(group))
+        assert report["result"]["group_order"] == 1
+        assert report["result"]["signature"] == {"quotient_genus": 3, "indices": [], "display": "(3)"}
+        assert report["result"]["verdict"] == "INCONCLUSIVE"
+
+
 def test_only_group_closure_takes_bound(capsys):
     code, out, _ = run(capsys, "group-closure", "--group", fx("quartic_s4_gens"), "--bound", "24")
     assert code == 0 and "24" in out
