@@ -41,8 +41,8 @@ from .polyring import (
     SparsePoly,
     mod_branches,
     mod_gcd,
+    poly_as_ylists,
     poly_to_uni,
-    poly_to_ylists,
     resultant,
     uni_gcd,
     uni_monic,
@@ -378,7 +378,7 @@ def has_common_affine_zero(polys: list[SparsePoly]) -> bool:
     if len(live) == 1:
         return True
     ypos = [p for p in live if p.degree_in(1) > 0]
-    candidates = [poly_to_ylists(p)[0] for p in live if p.degree_in(1) == 0]
+    candidates = [poly_as_ylists(p)[0] for p in live if p.degree_in(1) == 0]
     for i in range(len(ypos)):
         for j in range(i + 1, len(ypos)):
             res = resultant(ypos[i], ypos[j], 1)
@@ -389,13 +389,13 @@ def has_common_affine_zero(polys: list[SparsePoly]) -> bool:
                 # curve in P^2 at a common zero of all three; the
                 # precondition puts it off z = 0, so it is affine.
                 return True
-            candidates.append(poly_to_ylists(res)[0])
+            candidates.append(poly_as_ylists(res)[0])
     d: list[CyclotomicElement] = []
     for c in candidates:
         d = uni_gcd(d, c, order) if d else uni_monic(c)
         if len(d) == 1:
             return False
-    ylists = [poly_to_ylists(p) for p in ypos]
+    ylists = [poly_as_ylists(p) for p in ypos]
 
     def shared_y_root(m) -> bool:
         # the gcd over K[x]/(m) is a unit exactly when no y-root is shared

@@ -5,7 +5,7 @@ canonical term order is graded lexicographic with earlier variables larger.
 SparsePoly carries documents, substitution and derivatives; the algorithms
 run on one layer of univariate helpers (dense coefficient lists, low degree
 first): the gcd, squarefree and root-counting machinery, and the resultant.
-poly_to_ylists turns a polynomial in two variables into y-lists, a list
+poly_as_ylists turns a polynomial in two variables into y-lists, a list
 indexed by the degree in y of dense x-lists; the resultant eliminates y from
 the Sylvester matrix by fraction-free (Bareiss) elimination over K[x], each
 division by the previous pivot an exact uni_divmod.
@@ -517,7 +517,7 @@ def poly_to_uni(p: SparsePoly, var: int = 0) -> list[CyclotomicElement]:
     return out
 
 
-def poly_to_ylists(p: SparsePoly, var: int = 1) -> list[list[CyclotomicElement]]:
+def poly_as_ylists(p: SparsePoly, var: int = 1) -> list[list[CyclotomicElement]]:
     """A nonzero p in one or two variables as a polynomial in var over K[x],
     x the other variable: a list indexed by the degree in var of trimmed
     dense x-lists (zero rows are []). The resultant and plane.is_smooth's
@@ -715,7 +715,7 @@ def resultant(f: SparsePoly, g: SparsePoly, var: int) -> SparsePoly:
         raise ZeroPolynomial("resultant of zero polynomial")
     if f._coerce(g) is not g:
         raise InternalInconsistency("resultant operands did not coerce unchanged")
-    fc, gc = poly_to_ylists(f, var), poly_to_ylists(g, var)
+    fc, gc = poly_as_ylists(f, var), poly_as_ylists(g, var)
     n, m = len(fc) - 1, len(gc) - 1
     # m shifted rows of f's coefficients, then n of g's, highest power first
     rows = [[[]] * shift + fc[::-1] + [[]] * (m - 1 - shift) for shift in range(m)]
