@@ -18,9 +18,8 @@ about a member into finite searches through a 24-element group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     CocycleFailure,
@@ -52,10 +51,7 @@ NEGATE_AB = "negate-ab"
 NEGATE_BC = "negate-bc"
 
 
-@dataclass(frozen=True)
-class DescentVerdict:
-    """Outcome of a descent check, with the evidence that produced it."""
-
+class _VerdictFields(NamedTuple):
     status: str
     witness: Optional[ProjMap]
     defects: tuple
@@ -64,11 +60,19 @@ class DescentVerdict:
     field: Optional[str] = None
     assignment: Optional[tuple] = None
 
-    def __post_init__(self):
+
+class DescentVerdict(_VerdictFields):
+    """Outcome of a descent check, with the evidence that produced it."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.status not in (DEFINABLE, OBSTRUCTED, INCONCLUSIVE):
             raise ValueError(f"unknown verdict status {self.status!r}")
         if (self.witness is not None) != (self.status == DEFINABLE):
             raise ValueError("witness is present exactly for definable verdicts")
+        return self
 
     def to_dict(self) -> dict:
         return {
@@ -278,8 +282,7 @@ def family_invariants(t: FamilyTriple):
     return j1, j2, j3, j4, j5
 
 
-@dataclass(frozen=True)
-class TripleMove:
+class TripleMove(NamedTuple):
     """One symmetry of the family: permute the triple, then flip signs."""
 
     perm: tuple[int, int, int]

@@ -18,16 +18,12 @@ gcd(k, N) = 1; k = -1 is complex conjugation.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .errors import (BoundExceeded, InternalInconsistency, InvalidExponent, NotASubfield,
                      OrderMismatch, SchemaError)
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # Q(zeta_N) keeps tables of about 2*phi(N)^2 ints, and euler_phi factors N by
 # trial division; every order a fixture, report or test uses is far below this.
@@ -104,41 +100,43 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _poly_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder in Q[x]; coefficients low to high."""
-    a = list(a)
-    q = [_ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        coef = a[i + len(b) - 1] * inv_lead
-        if coef:
-            q[i] = coef
-            for j, bj in enumerate(b):
-                a[i + j] -= coef * bj
-    return q, _poly_trim(a)
+def _mobius(m: int) -> int:
+    """Moebius function by trial division."""
+    result, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if m > 1 else result
 
 
 _CYCLO_CACHE: dict[int, tuple[Fraction, ...]] = {}
 
 
 def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Phi_n as monic coefficients low to high, via (x^n - 1) / prod Phi_d."""
+    """Phi_n as monic coefficients low to high: the product of (x^d - 1)^mu(n/d)
+    over the divisors d of n, in integers. Every factor with mu = 1 is
+    multiplied in first, so each division by x^d - 1 is exact."""
     cached = _CYCLO_CACHE.get(n)
     if cached is not None:
         return cached
-    poly = [-_ONE] + [_ZERO] * (n - 1) + [_ONE]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = _poly_divmod(poly, list(cyclotomic_polynomial(d)))
-            if rem:
-                raise InternalInconsistency(f"Phi_{d} does not divide x^{n} - 1 exactly")
-    result = tuple(poly)
+    exponents = [(d, _mobius(n // d)) for d in range(1, n + 1) if n % d == 0]
+    poly = [1]
+    for d, mu in exponents:
+        if mu == 1:  # times x^d - 1
+            poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+    for d, mu in exponents:
+        if mu == -1:  # p = q (x^d - 1) gives q_i = q_(i-d) - p_i from the bottom up
+            quot = []
+            for i in range(len(poly) - d):
+                quot.append((quot[i - d] if i >= d else 0) - poly[i])
+            if [a - b for a, b in zip([0] * d + quot, quot + [0] * d)] != poly:
+                raise InternalInconsistency(f"x^{d} - 1 does not divide the product for Phi_{n} exactly")
+            poly = quot
+    result = tuple(Fraction(c) for c in poly)
     _CYCLO_CACHE[n] = result
     return result
 
@@ -410,6 +408,10 @@ class CyclotomicElement:
         return _make(order, _substitute_ints(self.num, step, order, _field(order)), self.den)
 
     def to_complex(self) -> complex:
+        """The complex embedding zeta -> exp(2*pi*i/N), for test oracles only;
+        cmath is imported here so that no CLI process loads it."""
+        import cmath
+
         n, den = self.order, self.den
         return sum(c / den * cmath.exp(2j * cmath.pi * i / n) for i, c in enumerate(self.num))
 
@@ -425,6 +427,11 @@ class CyclotomicElement:
         coords = obj["coords"]
         if not isinstance(coords, list) or len(coords) != euler_phi(order):
             raise SchemaError(f"expected {euler_phi(order)} coordinates for order {order}")
+        for c in coords:
+            # a JSON float is inexact and a JSON true is not a number; an
+            # exponent such as "1e99999999" would build a huge power of ten
+            if not (type(c) is int or isinstance(c, str) and "e" not in c.lower()):
+                raise SchemaError(f"a coordinate is a rational string such as \"-1/3\" or an integer, not {c!r}")
         try:
             return cls(order, [Fraction(c) for c in coords])
         except (ValueError, ZeroDivisionError) as exc:

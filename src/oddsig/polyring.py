@@ -678,7 +678,9 @@ def _bareiss_det(matrix: list[list[list[CyclotomicElement]]], order: int) -> lis
     Fraction-free elimination (Bareiss, Math. Comp. 22, 1968): after step k
     every entry below and right of the pivot is a (k+2)-minor of the input,
     so the division by the previous pivot is exact in K[x]; a remainder
-    raises InternalInconsistency."""
+    raises InternalInconsistency. The pivot's leading coefficient is
+    inverted once per step: each entry is divided by the monic pivot, which
+    needs no inverse, and the quotient is scaled back."""
     n = len(matrix)
     m = [row[:] for row in matrix]
     sign, prev = 1, None
@@ -690,6 +692,9 @@ def _bareiss_det(matrix: list[list[list[CyclotomicElement]]], order: int) -> lis
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         top = m[k][k]
+        if prev is not None:
+            inv = prev[-1].inverse()
+            prev = uni_scale(prev, inv)
         for i in range(k + 1, n):
             left = m[i][k]
             for j in range(k + 1, n):
@@ -698,6 +703,7 @@ def _bareiss_det(matrix: list[list[list[CyclotomicElement]]], order: int) -> lis
                     num, rem = uni_divmod(num, prev, order)
                     if rem:
                         raise InternalInconsistency("Bareiss division by the previous pivot left a remainder")
+                    num = uni_scale(num, inv)
                 m[i][j] = num
         prev = top
     det = m[n - 1][n - 1] if n else [CyclotomicElement.one(order)]

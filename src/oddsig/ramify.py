@@ -24,8 +24,7 @@ some branch index appears an odd number of times.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     InternalInconsistency,
@@ -45,8 +44,7 @@ from .matgroup import (
 from .plane import PlaneCurve, ProjMap, is_automorphism, require_verdict_curve
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """Quotient genus and ascending branch indices."""
 
     quotient_genus: int

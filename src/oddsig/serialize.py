@@ -9,8 +9,7 @@ value. Cyclotomic coordinates travel as exact rational strings.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .descent import FamilyTriple
 from .errors import InputError, ParseError, SchemaError
@@ -25,8 +24,7 @@ KINDS = ("plane_curve", "projective_map", "qgonal_curve", "qgonal_map",
 PLANE_VARIABLES = ("x", "y", "z")
 
 
-@dataclass(frozen=True)
-class InputDocument:
+class InputDocument(NamedTuple):
     kind: str
     value: Any
 
@@ -146,6 +144,10 @@ def parse_input(text: str) -> InputDocument:
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past the int/str digit limit, or nesting past
+        # the recursion limit
+        raise ParseError(str(exc)) from exc
     return parse_document(obj)
 
 

@@ -1,16 +1,21 @@
 """Document parsing and the command-line front end."""
 
+import copy
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oddsig import exactnum, serialize
 from oddsig.cli import run_command
-from oddsig.errors import (BoundExceeded, HypothesisViolation, InternalInconsistency, ParseError,
-                           SchemaError)
+from oddsig.errors import (BoundExceeded, HypothesisViolation, InputError, InternalInconsistency,
+                           ParseError, ResourceError, SchemaError)
 from oddsig.exactnum import MAX_ORDER, CyclotomicElement, GaloisElement
 from oddsig.plane import PlaneCurve, ProjMap
 from oddsig.polyring import SparsePoly
@@ -41,6 +46,18 @@ def test_parse_rejects_bad_json():
     with pytest.raises(ParseError) as info:
         serialize.parse_input("{not json")
     assert "line 1 column" in str(info.value)
+
+
+def test_parse_refuses_oversized_json_literals(tmp_path, capsys):
+    huge_int = '{"kind": "galois_action", "order": 1' + "0" * 5000 + ', "exponent": 1}'
+    deep = "[" * 100000 + "]" * 100000
+    for text in (huge_int, deep):
+        with pytest.raises(ParseError):
+            serialize.parse_input(text)
+    path = tmp_path / "huge.json"
+    path.write_text(huge_int, encoding="utf-8")
+    code, _, err = run(capsys, "quartic-family", "invariants", "--triple", str(path))
+    assert code == 2 and "Traceback" not in err
 
 
 def test_parse_rejects_bad_schemas(tmp_path, capsys):
@@ -242,6 +259,89 @@ def test_every_fixture_round_trips():
         again = serialize.parse_document(emitted)
         assert again.value == doc.value, path.name
         assert serialize.dumps(emitted) == path.read_text(encoding="utf-8"), path.name
+
+
+def test_input_document_is_an_immutable_value():
+    text = json.dumps({"kind": "galois_action", "order": 4, "exponent": 3})
+    doc = serialize.parse_input(text)
+    assert doc == serialize.parse_input(text) == serialize.InputDocument("galois_action", GaloisElement(4, 3))
+    assert len({doc, serialize.parse_input(text)}) == 1
+    assert doc != serialize.InputDocument("galois_action", GaloisElement(4, 1))
+    with pytest.raises(AttributeError):
+        doc.kind = "group"
+
+
+def test_inexact_coordinates_exit_2(tmp_path, capsys):
+    """A JSON float or boolean is not an exact coordinate: 0.1 would read as
+    3602879701896397/36028797018963968, and true as 1."""
+    triple = {"kind": "family_triple", "order": 4, "values": [[0.1, "0"], ["1/3", "0"], ["5", "0"]]}
+    path = tmp_path / "float_triple.json"
+    path.write_text(json.dumps(triple), encoding="utf-8")
+    code, out, err = run(capsys, "quartic-family", "invariants", "--triple", str(path))
+    assert code == 2 and out == "" and "0.1" in err
+    triple["values"][0][0] = "1/10"
+    path.write_text(json.dumps(triple), encoding="utf-8")
+    code, out, _ = run(capsys, "quartic-family", "invariants", "--triple", str(path))
+    assert code == 0 and "j1 = 1/6" in out
+
+
+# arbitrary JSON inside each document kind: a fixture (every kind has one)
+# with one or two of its nodes replaced by drawn JSON or deleted
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats(-2, 2)
+    | st.sampled_from(["0", "1", "-1/2", "3/0", "1e3", "x", ""]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12)
+_FUZZ_BASES = [json.loads(path.read_text(encoding="utf-8")) for path in sorted(FIXTURES.glob("*.json"))]
+
+
+def _node_paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+@st.composite
+def _mutated_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(_FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 2))):
+        *walk, last = draw(st.sampled_from(list(_node_paths(doc))[1:]))
+        parent = doc
+        for key in walk:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[last]
+        else:
+            parent[last] = draw(_json)
+    return doc
+
+
+def test_fuzz_bases_cover_every_kind():
+    assert {doc["kind"] for doc in _FUZZ_BASES} == set(serialize.KINDS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_documents())
+def test_parse_input_fuzz_raises_only_typed_input_errors(doc):
+    try:
+        parsed = serialize.parse_input(json.dumps(doc))
+    except (InputError, ResourceError):
+        return
+    assert parsed.kind == doc["kind"]
+
+
+def test_cli_import_loads_no_dataclasses_chain():
+    """Every CLI call is a fresh process, so what `import oddsig.cli` loads
+    is paid on every verdict; the traced benchmark patches the nine layer
+    modules right after that import, so all of them must be loaded by it."""
+    probe = "import sys, oddsig.cli; print(' '.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(Path(serialize.__file__).resolve().parents[1]))
+    loaded = set(subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                                capture_output=True, text=True).stdout.split())
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "cmath"}
+    assert {"oddsig." + name for name in ("cli", "descent", "exactnum", "matgroup", "plane",
+                                          "polyring", "ramify", "serialize", "superell")} <= loaded
 
 
 # commands ------------------------------------------------------------------

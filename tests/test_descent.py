@@ -155,6 +155,31 @@ def test_verdict_validation():
         DescentVerdict("DEFINABLE", None, (), (), "test")
     with pytest.raises(ValueError):
         DescentVerdict("MAYBE", None, (), (), "test")
+    with pytest.raises(ValueError):
+        DescentVerdict(status="DEFINABLE", witness=None, defects=(), assumptions=(), citation="test")
+
+
+def test_verdict_is_an_immutable_value():
+    verdict = DescentVerdict("DEFINABLE", ProjMap.identity(4), (), ("full group",), "test", field="Q")
+    same = DescentVerdict("DEFINABLE", ProjMap.identity(4), (), ("full group",), "test", field="Q")
+    assert verdict == same and hash(verdict) == hash(same)
+    assert verdict != DescentVerdict("OBSTRUCTED", None, (), ("full group",), "test", field="Q")
+    assert verdict.assignment is None and verdict.to_dict()["field"] == "Q"
+    with pytest.raises(AttributeError):
+        verdict.status = "OBSTRUCTED"
+    with pytest.raises(AttributeError):
+        verdict.extra = 1
+
+
+def test_triple_moves_are_immutable_values():
+    moves = family_symmetries()
+    assert len(set(moves)) == 24 and len({m.key() for m in moves}) == 24
+    identity = next(m for m in moves if m.is_identity())
+    swap = next(m for m in moves if m.perm == (1, 0, 2) and m.plain())
+    assert swap.compose(swap).is_identity() and swap.compose(swap) == identity
+    assert swap != swap.compose(swap)
+    with pytest.raises(AttributeError):
+        swap.perm = (0, 1, 2)
 
 
 # family triples ----------------------------------------------------------------

@@ -12,7 +12,6 @@ from oddsig.errors import (BoundExceeded, InternalInconsistency, InvalidExponent
 from oddsig.exactnum import (
     CyclotomicElement as Cyc,
     GaloisElement,
-    _poly_divmod,
     common_order,
     conjugation,
     cyclotomic_polynomial,
@@ -214,6 +213,15 @@ def test_serialization_round_trip():
         Cyc.from_dict({"order": 4, "coords": ["1", "x"]})
 
 
+def test_coordinates_are_exact_strings_or_ints():
+    assert Cyc.from_dict({"order": 4, "coords": [3, "-1/10"]}) == Cyc(4, [3, Fraction(-1, 10)])
+    assert Cyc.from_dict({"order": 4, "coords": ["0.25", "0"]}) == Cyc(4, [Fraction(1, 4), 0])
+    # 0.1 would read as 3602879701896397/36028797018963968 and true as 1
+    for bad in (0.1, 2.0, True, False, None, [1], "1e3", "2E-1", "1e99999999"):
+        with pytest.raises(SchemaError):
+            Cyc.from_dict({"order": 4, "coords": [bad, "0"]})
+
+
 def test_hash_and_immutability():
     a = Cyc.zeta(5)
     b = Cyc.zeta(5)
@@ -232,10 +240,20 @@ def test_minimal_field_edge_orders():
 
 
 def test_cyclotomic_division_failure_is_typed(monkeypatch):
+    # with mu(6) = mu(3) = mu(2) = -1 the product for Phi_6 divides x^6 - 1
+    # by x^3 - 1 and then x^3 + 1 by x^2 - 1, which leaves a remainder
     monkeypatch.setattr(exactnum, "_CYCLO_CACHE", {})
-    monkeypatch.setattr(exactnum, "_poly_divmod", lambda a, b: (a, [Fraction(1)]))
+    monkeypatch.setattr(exactnum, "_mobius", lambda m: 1 if m == 1 else -1)
     with pytest.raises(InternalInconsistency):
         cyclotomic_polynomial(6)
+
+
+def test_mobius_and_cyclotomic_degrees():
+    assert [exactnum._mobius(m) for m in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+    for n in (1, 2, 30, 64, 105, 210, 1024):
+        poly = cyclotomic_polynomial(n)
+        assert len(poly) == euler_phi(n) + 1 and poly[-1] == 1
+        assert all(c.denominator == 1 for c in poly)
 
 
 # differential tests against a Fraction reference ------------------------------
@@ -258,9 +276,14 @@ def order_and_vectors(draw, count):
 
 
 def ref_reduce(poly, order):
-    """Coordinates of a polynomial in Q[x] modulo Phi_order."""
-    _, rem = _poly_divmod(poly, list(cyclotomic_polynomial(order)))
-    return tuple(rem) + (Fraction(0),) * (euler_phi(order) - len(rem))
+    """Coordinates of a polynomial in Q[x] modulo Phi_order, by long division
+    by the monic Phi_order."""
+    modulus, phi = cyclotomic_polynomial(order), euler_phi(order)
+    rem = list(poly) + [Fraction(0)] * phi
+    for i in range(len(rem) - 1, phi - 1, -1):
+        for j, m in enumerate(modulus):
+            rem[i - phi + j] -= rem[i] * m
+    return tuple(rem[:phi])
 
 
 def ref_mul(a, b, order):

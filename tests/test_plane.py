@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from oddsig import plane
 from oddsig.errors import (NotAnIsomorphism, OrderMismatch, SchemaError,
                            VariableCountMismatch, ZeroPolynomial)
-from oddsig.exactnum import CyclotomicElement, _poly_divmod, cyclotomic_polynomial, euler_phi
+from oddsig.exactnum import CyclotomicElement, cyclotomic_polynomial, euler_phi
 from oddsig.plane import (PlaneCurve, ProjMap, _canonical, _dehomogenize, conjugate_curve,
                           has_common_affine_zero, is_automorphism,
                           is_isomorphism_onto, is_smooth, matrix_product,
@@ -129,8 +129,11 @@ def ref_mul(a, b, order):
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             prod[i + j] += x * y
-    _, rem = _poly_divmod(prod, list(cyclotomic_polynomial(order)))
-    return tuple(rem) + (Fraction(0),) * (len(a) - len(rem))
+    modulus, phi = cyclotomic_polynomial(order), euler_phi(order)
+    for i in range(len(prod) - 1, phi - 1, -1):  # long division by the monic Phi_order
+        for j, m in enumerate(modulus):
+            prod[i - phi + j] -= prod[i] * m
+    return tuple(prod[:phi])
 
 
 def ref_add(*terms):

@@ -67,7 +67,13 @@ def test_signature_value_object():
     sig = Signature(0, (2, 3, 8))
     assert str(sig) == "(0; 2, 3, 8)"
     assert str(Signature(3, ())) == "(3)"
+    assert repr(sig) == "Signature(quotient_genus=0, indices=(2, 3, 8))"
     assert Signature(0, (2, 2)) == Signature(0, (2, 2))
+    assert Signature(0, (2, 2)) != Signature(1, (2, 2))
+    assert len({sig, Signature(0, (2, 3, 8)), Signature(0, (2, 3, 7))}) == 2
+    assert {sig: "ODD"}[Signature(0, (2, 3, 8))] == "ODD"
+    with pytest.raises(AttributeError):
+        sig.quotient_genus = 1
 
 
 def test_odd_signature_predicate():
