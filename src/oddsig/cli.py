@@ -14,22 +14,9 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import serialize
-from .descent import (
-    family_invariants,
-    family_isomorphic,
-    family_moduli_field,
-    family_rational_descent,
-    family_real_definability,
-    weil_descent_order2,
-)
-from .errors import InputError, InternalInconsistency, OddsigError, ResourceError, SchemaError
-from .exactnum import CyclotomicElement, common_order
-from .matgroup import DEFAULT_BOUND, closure
-from .plane import is_automorphism
-from .ramify import Signature, odd_signature_verdict, signature
-from .superell import family_signature, qgonal_real_descent, qgonal_signature
-from .superell import family_curve as qgonal_family_curve
+from . import descent, exactnum, matgroup, plane, ramify, serialize, superell
+from .errors import (InputError, InternalInconsistency, OddsigError, ParseError, ResourceError,
+                     SchemaError)
 
 _SIGNATURE_CITATION = ("quotient signature from exact fixed-point counts "
                        "and the Riemann-Hurwitz ledger")
@@ -41,7 +28,11 @@ _GROUP_ASSUMPTION = ("the supplied generators are taken to generate the "
 
 
 def _read_document(path: str, kinds: tuple[str, ...]):
-    doc = serialize.parse_input(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    doc = serialize.parse_input(text)
     if doc.kind not in kinds:
         raise SchemaError(
             f"{path}: expected one of {', '.join(kinds)}, got {doc.kind}")
@@ -54,19 +45,19 @@ def _lift_common(*items):
     for item in items:
         group = item if isinstance(item, list) else [item]
         orders.extend(x.order for x in group)
-    order = common_order(*orders)
+    order = exactnum.common_order(*orders)
     lifted = [[x.lift_to(order) for x in item] if isinstance(item, list)
               else item.lift_to(order) for item in items]
     return order, lifted
 
 
-def _fmt_element(value: CyclotomicElement) -> str:
+def _fmt_element(value: exactnum.CyclotomicElement) -> str:
     if value.is_rational():
         return str(value.as_rational())
     return "[" + ", ".join(str(c) for c in value.coords) + f"] over Q(zeta_{value.order})"
 
 
-def _signature_payload(sig: Signature) -> dict:
+def _signature_payload(sig: ramify.Signature) -> dict:
     return {"quotient_genus": sig.quotient_genus,
             "indices": list(sig.indices), "display": str(sig)}
 
@@ -77,7 +68,7 @@ def _cmd_aut_check(args):
     curve = _read_document(args.curve, ("plane_curve",)).value
     mapping = _read_document(args.map, ("projective_map",)).value
     _, (curve, mapping) = _lift_common(curve, mapping)
-    ok, lam = is_automorphism(curve, mapping)
+    ok, lam = plane.is_automorphism(curve, mapping)
     result = {"is_automorphism": ok,
               "lambda": None if lam is None else lam.to_dict()}
     lines = ["automorphism: " + ("yes" if ok else "no")]
@@ -90,7 +81,10 @@ def _cmd_aut_check(args):
 def _cmd_group_closure(args):
     generators = _read_document(args.group, ("group",)).value
     _, (generators,) = _lift_common(generators)
-    group = closure(generators, args.bound)
+    bound = matgroup.DEFAULT_BOUND if args.bound is None else args.bound
+    if bound < 1:
+        raise SchemaError(f"the closure bound must be at least 1, got {bound}")
+    group = matgroup.closure(generators, bound)
     elements = sorted(group, key=lambda g: g.key())
     result = {"order": len(group),
               "elements": [g.to_dict() for g in elements]}
@@ -98,7 +92,7 @@ def _cmd_group_closure(args):
         f"closure order: {len(group)}"]
 
 
-def _group_order(sig: Signature, genus: int) -> int:
+def _group_order(sig: ramify.Signature, genus: int) -> int:
     """|G| read off Riemann-Hurwitz, 2g - 2 = |G| (2h - 2 + sum(1 - 1/c)),
     exact for the signature of a curve of genus g >= 2."""
     share = Fraction(2 * sig.quotient_genus - 2) + sum(Fraction(c - 1, c) for c in sig.indices)
@@ -113,9 +107,9 @@ def _cmd_signature(args):
     generators = _read_document(args.group, ("group",)).value
     _, (curve, generators) = _lift_common(curve, generators)
     # signature checks the curve and the generators before it closes them
-    sig = signature(curve, generators)
+    sig = ramify.signature(curve, generators)
     order = _group_order(sig, curve.genus())
-    verdict = odd_signature_verdict(sig)
+    verdict = ramify.odd_signature_verdict(sig)
     result = {"group_order": order, "curve_genus": curve.genus(),
               "signature": _signature_payload(sig), "verdict": verdict}
     lines = [f"group order: {order}", f"signature: {sig}",
@@ -138,16 +132,19 @@ def _cmd_odd_signature(args):
         if not (args.curve and args.group):
             raise SchemaError("odd-signature needs both --curve and --group")
         result, assumptions, _, _ = _cmd_signature(args)
-        sig = Signature(result["signature"]["quotient_genus"],
-                        tuple(result["signature"]["indices"]))
+        sig = ramify.Signature(result["signature"]["quotient_genus"],
+                               tuple(result["signature"]["indices"]))
     else:
         if args.quotient_genus is None or args.indices is None:
             raise SchemaError("odd-signature needs --curve/--group or "
                               "--quotient-genus/--indices")
-        sig = Signature(args.quotient_genus, _parse_indices(args.indices))
+        if args.quotient_genus < 0:
+            raise SchemaError(
+                f"the quotient genus must be at least 0, got {args.quotient_genus}")
+        sig = ramify.Signature(args.quotient_genus, _parse_indices(args.indices))
         assumptions = []
         result = {"signature": _signature_payload(sig)}
-    verdict = odd_signature_verdict(sig)
+    verdict = ramify.odd_signature_verdict(sig)
     result["verdict"] = verdict
     lines = [f"signature: {sig}", f"verdict: {verdict}"]
     if verdict == "ODD":
@@ -163,7 +160,7 @@ def _cmd_descend_real(args):
         doc = _read_document(args.aut, ("group", "projective_map"))
         aut = doc.value if doc.kind == "group" else [doc.value]
     _, (curve, mu, aut) = _lift_common(curve, mu, aut)
-    verdict = weil_descent_order2(curve, mu, aut)
+    verdict = descent.weil_descent_order2(curve, mu, aut)
     result = verdict.to_dict()
     lines = [f"verdict: {verdict.status}"]
     for cand, defect in verdict.defects:
@@ -182,8 +179,8 @@ def _cmd_qgonal_genus(args):
 
 
 def _cmd_qgonal_signature(args):
-    sig = qgonal_signature(args.q, args.n, args.shape, args.genus)
-    verdict = odd_signature_verdict(sig)
+    sig = superell.qgonal_signature(args.q, args.n, args.shape, args.genus)
+    verdict = ramify.odd_signature_verdict(sig)
     result = {"signature": _signature_payload(sig), "verdict": verdict}
     return result, ["the reduced symmetry group of the cover is cyclic of "
                     "the given order"], [_SIGNATURE_CITATION, _ODD_CITATION], [
@@ -191,9 +188,9 @@ def _cmd_qgonal_signature(args):
 
 
 def _cmd_qgonal_family(args):
-    curve = qgonal_family_curve(args.q, args.m, args.n)
-    sig = family_signature(curve)
-    verdict = odd_signature_verdict(sig)
+    curve = superell.family_curve(args.q, args.m, args.n)
+    sig = superell.family_signature(curve)
+    verdict = ramify.odd_signature_verdict(sig)
     result = {"q": args.q, "m": args.m, "n": args.n, "genus": curve.genus,
               "curve": serialize.qgonal_curve_document(curve),
               "signature": _signature_payload(sig), "verdict": verdict}
@@ -203,7 +200,7 @@ def _cmd_qgonal_family(args):
 
 
 def _cmd_qgonal_descend(args):
-    report = qgonal_real_descent(args.q, args.m, args.n)
+    report = superell.qgonal_real_descent(args.q, args.m, args.n)
     result = {
         "q": report["q"], "m": report["m"], "n": report["n"],
         "genus": report["genus"],
@@ -234,7 +231,7 @@ def _read_triple(path: str):
 def _cmd_family_invariants(args):
     triple = _read_triple(args.triple)
     names = ("j1", "j2", "j3", "j4", "j5")
-    values = family_invariants(triple)
+    values = descent.family_invariants(triple)
     result = {"triple": serialize.family_triple_document(triple),
               "invariants": {n: v.to_dict() for n, v in zip(names, values)}}
     lines = [f"{n} = {_fmt_element(v)}" for n, v in zip(names, values)]
@@ -245,8 +242,8 @@ def _cmd_family_invariants(args):
 def _cmd_family_isomorphic(args):
     triple = _read_triple(args.triple)
     other = _read_triple(args.other)
-    move = family_isomorphic(triple, other,
-                             field_contains_i=not args.without_i)
+    move = descent.family_isomorphic(triple, other,
+                                     field_contains_i=not args.without_i)
     result = {"isomorphic": move is not None,
               "permutation": None if move is None else list(move.perm),
               "signs": None if move is None else list(move.signs),
@@ -258,7 +255,7 @@ def _cmd_family_isomorphic(args):
 
 def _cmd_family_moduli(args):
     triple = _read_triple(args.triple)
-    report = family_moduli_field(triple, field_contains_i=not args.without_i)
+    report = descent.family_moduli_field(triple, field_contains_i=not args.without_i)
     result = {"field": report["field"], "rational": report["rational"],
               "generators": {n: v.to_dict()
                              for n, v in report["generators"].items()}}
@@ -271,7 +268,7 @@ def _cmd_family_moduli(args):
 
 def _cmd_family_descend(args):
     triple = _read_triple(args.triple)
-    verdict = family_real_definability(triple, case=args.case)
+    verdict = descent.family_real_definability(triple, case=args.case)
     result = verdict.to_dict()
     lines = [f"verdict: {verdict.status}"]
     if verdict.witness is not None:
@@ -281,7 +278,7 @@ def _cmd_family_descend(args):
 
 def _cmd_family_rational_descend(args):
     triple = _read_triple(args.triple)
-    verdict = family_rational_descent(triple)
+    verdict = descent.family_rational_descent(triple)
     result = verdict.to_dict()
     lines = [f"verdict: {verdict.status}"]
     if verdict.field:
@@ -312,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("group-closure", parents=[common],
                        help="close a generator set in PGL(3)")
     p.add_argument("--group", required=True)
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
-                   help="group closure size bound")
+    p.add_argument("--bound", type=int,
+                   help="group closure size bound (default: matgroup.DEFAULT_BOUND)")
     p.set_defaults(handler=_cmd_group_closure)
 
     p = sub.add_parser("signature", parents=[common],
@@ -416,6 +413,16 @@ def run_command(argv=None) -> int:
     started = time.perf_counter()
     try:
         result, assumptions, citations, lines = args.handler(args)
+        report = {
+            "command": argv,
+            "assumptions": assumptions,
+            "result": result,
+            "citations": citations,
+            "timing_seconds": round(time.perf_counter() - started, 6),
+        }
+        rendered = serialize.dumps(report)
+        if args.out:
+            Path(args.out).write_text(rendered, encoding="utf-8")
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -428,16 +435,6 @@ def run_command(argv=None) -> int:
     except OddsigError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 1
-    report = {
-        "command": argv,
-        "assumptions": assumptions,
-        "result": result,
-        "citations": citations,
-        "timing_seconds": round(time.perf_counter() - started, 6),
-    }
-    rendered = serialize.dumps(report)
-    if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
     if args.format == "structured":
         sys.stdout.write(rendered)
     else:

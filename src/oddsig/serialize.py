@@ -11,12 +11,8 @@ from __future__ import annotations
 import json
 from typing import Any, NamedTuple, Sequence
 
-from .descent import FamilyTriple
+from . import descent, exactnum, plane, polyring, superell
 from .errors import InputError, ParseError, SchemaError
-from .exactnum import CyclotomicElement, GaloisElement, check_order
-from .plane import PlaneCurve, ProjMap
-from .polyring import SparsePoly
-from .superell import QGonalCurve, QGonalMap, RationalFunction
 
 KINDS = ("plane_curve", "projective_map", "qgonal_curve", "qgonal_map",
          "group", "family_triple", "galois_action")
@@ -39,23 +35,23 @@ def _require(obj: dict, key: str, expect=None):
     return value
 
 
-def _element(order: int, coords) -> CyclotomicElement:
-    return CyclotomicElement.from_dict({"order": order, "coords": coords})
+def _element(order: int, coords) -> exactnum.CyclotomicElement:
+    return exactnum.CyclotomicElement.from_dict({"order": order, "coords": coords})
 
 
-def _load_plane_curve(obj: dict) -> PlaneCurve:
-    poly = SparsePoly.from_dict(obj)
+def _load_plane_curve(obj: dict) -> plane.PlaneCurve:
+    poly = polyring.SparsePoly.from_dict(obj)
     try:
-        return PlaneCurve(poly)
+        return plane.PlaneCurve(poly)
     except (InputError, ValueError) as exc:
         raise SchemaError(f"not a plane curve: {exc}") from exc
 
 
-def _load_projective_map(obj: dict) -> ProjMap:
-    return ProjMap.from_dict(obj)
+def _load_projective_map(obj: dict) -> plane.ProjMap:
+    return plane.ProjMap.from_dict(obj)
 
 
-def _load_group(obj: dict) -> list[ProjMap]:
+def _load_group(obj: dict) -> list[plane.ProjMap]:
     gens = _require(obj, "generators", list)
     if not gens:
         raise SchemaError("group document needs at least one generator")
@@ -63,26 +59,26 @@ def _load_group(obj: dict) -> list[ProjMap]:
     for item in gens:
         if not isinstance(item, dict):
             raise SchemaError("each generator must be a map object")
-        out.append(ProjMap.from_dict(item))
+        out.append(plane.ProjMap.from_dict(item))
     return out
 
 
-def _load_qgonal_curve(obj: dict) -> QGonalCurve:
+def _load_qgonal_curve(obj: dict) -> superell.QGonalCurve:
     q = _require(obj, "q", int)
     poly_doc = _require(obj, "poly", dict)
-    poly = SparsePoly.from_dict(poly_doc)
+    poly = polyring.SparsePoly.from_dict(poly_doc)
     m, n = obj.get("m"), obj.get("n")
     for label, value in (("m", m), ("n", n)):
         if value is not None and type(value) is not int:
             raise SchemaError(f"'{label}' must be an integer")
     try:
-        return QGonalCurve(q, poly, m, n)
+        return superell.QGonalCurve(q, poly, m, n)
     except (InputError, ValueError) as exc:
         raise SchemaError(f"not a cyclic cover: {exc}") from exc
 
 
-def _load_qgonal_map(obj: dict) -> QGonalMap:
-    order = check_order(_require(obj, "order", int))
+def _load_qgonal_map(obj: dict) -> superell.QGonalMap:
+    order = exactnum.check_order(_require(obj, "order", int))
     rows = _require(obj, "mobius", list)
     if len(rows) != 2 or any(not isinstance(r, list) or len(r) != 2 for r in rows):
         raise SchemaError("mobius part must be a 2x2 array")
@@ -90,29 +86,29 @@ def _load_qgonal_map(obj: dict) -> QGonalMap:
     den = _require(obj, "multiplier_den", list)
     try:
         mobius = [[_element(order, e) for e in row] for row in rows]
-        multiplier = RationalFunction(order, [_element(order, c) for c in num],
-                                      [_element(order, c) for c in den])
-        return QGonalMap(order, mobius, multiplier)
+        multiplier = superell.RationalFunction(order, [_element(order, c) for c in num],
+                                               [_element(order, c) for c in den])
+        return superell.QGonalMap(order, mobius, multiplier)
     except (InputError, ValueError) as exc:
         raise SchemaError(f"not a cover map: {exc}") from exc
 
 
-def _load_family_triple(obj: dict) -> FamilyTriple:
-    order = check_order(_require(obj, "order", int))
+def _load_family_triple(obj: dict) -> descent.FamilyTriple:
+    order = exactnum.check_order(_require(obj, "order", int))
     values = _require(obj, "values", list)
     if len(values) != 3:
         raise SchemaError("family triple needs exactly three values")
     try:
-        return FamilyTriple(*[_element(order, v) for v in values])
+        return descent.FamilyTriple(*[_element(order, v) for v in values])
     except InputError as exc:
         raise SchemaError(f"not a valid family triple: {exc}") from exc
 
 
-def _load_galois_action(obj: dict) -> GaloisElement:
-    order = check_order(_require(obj, "order", int))
+def _load_galois_action(obj: dict) -> exactnum.GaloisElement:
+    order = exactnum.check_order(_require(obj, "order", int))
     exponent = _require(obj, "exponent", int)
     try:
-        return GaloisElement(order, exponent)
+        return exactnum.GaloisElement(order, exponent)
     except InputError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -153,25 +149,25 @@ def parse_input(text: str) -> InputDocument:
 
 # emission ----------------------------------------------------------------------
 
-def element_coords(value: CyclotomicElement) -> list[str]:
+def element_coords(value: exactnum.CyclotomicElement) -> list[str]:
     return [str(c) for c in value.coords]
 
 
-def plane_curve_document(curve: PlaneCurve) -> dict:
+def plane_curve_document(curve: plane.PlaneCurve) -> dict:
     doc = curve.poly.to_dict(PLANE_VARIABLES)
     return {"kind": "plane_curve", **doc}
 
 
-def projective_map_document(mapping: ProjMap) -> dict:
+def projective_map_document(mapping: plane.ProjMap) -> dict:
     return {"kind": "projective_map", **mapping.to_dict()}
 
 
-def group_document(generators: Sequence[ProjMap]) -> dict:
+def group_document(generators: Sequence[plane.ProjMap]) -> dict:
     return {"kind": "group",
             "generators": [g.to_dict() for g in generators]}
 
 
-def qgonal_curve_document(curve: QGonalCurve) -> dict:
+def qgonal_curve_document(curve: superell.QGonalCurve) -> dict:
     doc = {"kind": "qgonal_curve", "q": curve.q,
            "poly": curve.poly.to_dict(("x",))}
     if curve.m is not None:
@@ -181,35 +177,35 @@ def qgonal_curve_document(curve: QGonalCurve) -> dict:
     return doc
 
 
-def qgonal_map_document(mapping: QGonalMap) -> dict:
+def qgonal_map_document(mapping: superell.QGonalMap) -> dict:
     return mapping.to_dict()
 
 
-def family_triple_document(triple: FamilyTriple) -> dict:
+def family_triple_document(triple: descent.FamilyTriple) -> dict:
     return {"kind": "family_triple", "order": triple.order,
             "values": [element_coords(v) for v in triple.values]}
 
 
-def galois_action_document(action: GaloisElement) -> dict:
+def galois_action_document(action: exactnum.GaloisElement) -> dict:
     return {"kind": "galois_action", "order": action.order,
             "exponent": action.exponent}
 
 
 def to_document(value: Any) -> dict:
-    if isinstance(value, PlaneCurve):
+    if isinstance(value, plane.PlaneCurve):
         return plane_curve_document(value)
-    if isinstance(value, ProjMap):
+    if isinstance(value, plane.ProjMap):
         return projective_map_document(value)
-    if isinstance(value, QGonalCurve):
+    if isinstance(value, superell.QGonalCurve):
         return qgonal_curve_document(value)
-    if isinstance(value, QGonalMap):
+    if isinstance(value, superell.QGonalMap):
         return qgonal_map_document(value)
-    if isinstance(value, FamilyTriple):
+    if isinstance(value, descent.FamilyTriple):
         return family_triple_document(value)
-    if isinstance(value, GaloisElement):
+    if isinstance(value, exactnum.GaloisElement):
         return galois_action_document(value)
     if isinstance(value, (list, tuple)) and value and all(
-            isinstance(g, ProjMap) for g in value):
+            isinstance(g, plane.ProjMap) for g in value):
         return group_document(value)
     raise TypeError(f"no document schema for {type(value).__name__}")
 

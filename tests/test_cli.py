@@ -1,19 +1,23 @@
 """Document parsing and the command-line front end."""
 
+import argparse
+import contextlib
 import copy
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oddsig import exactnum, serialize
-from oddsig.cli import run_command
+from oddsig import cli, exactnum, serialize
+from oddsig.cli import build_parser, run_command
 from oddsig.errors import (BoundExceeded, HypothesisViolation, InputError, InternalInconsistency,
                            ParseError, ResourceError, SchemaError)
 from oddsig.exactnum import MAX_ORDER, CyclotomicElement, GaloisElement
@@ -303,8 +307,8 @@ def _node_paths(node, path=()):
 
 
 @st.composite
-def _mutated_documents(draw):
-    doc = copy.deepcopy(draw(st.sampled_from(_FUZZ_BASES)))
+def _mutated_documents(draw, bases=_FUZZ_BASES):
+    doc = copy.deepcopy(draw(st.sampled_from(bases)))
     for _ in range(draw(st.integers(1, 2))):
         *walk, last = draw(st.sampled_from(list(_node_paths(doc))[1:]))
         parent = doc
@@ -331,17 +335,195 @@ def test_parse_input_fuzz_raises_only_typed_input_errors(doc):
     assert parsed.kind == doc["kind"]
 
 
+# drawn command lines for every subcommand: an option value is a string, a
+# flag (True), absent, or the bytes of an input file. Files come from
+# fixtures that fit together, so that a fair share of the calls computes
+@st.composite
+def _input_file(draw, name):
+    """The fixture `name` as it is (half the time), with a node or two
+    mutated, or raw bytes."""
+    doc = json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+    how = draw(st.sampled_from(["as is", "as is", "mutated", "bytes"]))
+    if how == "bytes":
+        return draw(st.binary(max_size=24))
+    return json.dumps(doc if how == "as is" else draw(_mutated_documents([doc]))).encode()
+
+
+def _input_files(*names):
+    return st.sampled_from(names).flatmap(_input_file)
+
+
+def _number(*values):
+    return st.sampled_from([str(v) for v in values])
+
+
+_PLANE_PAIRS = st.sampled_from(["quartic_c2c2", "quartic_c3", "quartic_s3", "quartic_d4", "fermat_quartic"])
+_GROUPS = _PLANE_PAIRS.flatmap(lambda name: _input_file(name + "_gens"))
+_TRIPLE = _input_files("triple_135", "triple_conjugate_swap", "triple_off_orbit",
+                       "triple_conjugate_negate_ab", "triple_conjugate_negate_bc")
+_QMN = st.fixed_dictionaries({"--q": _number(-1, 0, 2, 3, 4, 5), "--m": _number(-1, 1, 2, 3, 4),
+                              "--n": _number(-1, 1, 2, 3, 4)})
+_WITHOUT_I = {"--without-i": st.just(True)}
+_FUZZ_COMMANDS = {
+    "aut-check": st.fixed_dictionaries({
+        "--curve": _input_files("quartic_c2c2", "fermat_quartic", "klein_quartic"),
+        "--map": _input_file("sign_flip_x")}),
+    "group-closure": st.fixed_dictionaries({"--group": _GROUPS},
+                                           optional={"--bound": _number(-5, 0, 1, 24, 400)}),
+    "signature": _PLANE_PAIRS.flatmap(lambda name: st.fixed_dictionaries({
+        "--curve": _input_file(name), "--group": _input_file(name + "_gens")})),
+    "odd-signature": _PLANE_PAIRS.flatmap(lambda name: st.fixed_dictionaries({}, optional={
+        "--curve": _input_file(name), "--group": _input_file(name + "_gens"),
+        "--quotient-genus": _number(-3, 0, 1, 2),
+        "--indices": st.text("0123456789,- x", max_size=8)})),
+    "descend-real": st.fixed_dictionaries({
+        "--curve": _input_file("bielliptic_quartic"), "--mu": _input_file("bielliptic_quartic_mu")},
+        optional={"--aut": _input_files("bielliptic_quartic_nu", "sign_flip_x")}),
+    "qgonal genus": st.fixed_dictionaries({
+        "--curve": _input_files("qgonal_family_q3_m3_n2", "qgonal_family_q3_m3_n3")}),
+    "qgonal signature": st.fixed_dictionaries({
+        "--q": _number(-1, 0, 2, 3, 4, 5, 7), "--n": _number(-1, 0, 1, 2, 3, 6),
+        "--shape": st.sampled_from(["N0", "N1", "N2"]), "--genus": _number(-2, 0, 2, 3, 4, 6, 10, 12)}),
+    "qgonal family": _QMN,
+    "qgonal descend": _QMN,
+    "quartic-family invariants": st.fixed_dictionaries({"--triple": _TRIPLE}),
+    "quartic-family isomorphic": st.fixed_dictionaries({"--triple": _TRIPLE, "--other": _TRIPLE},
+                                                       optional=_WITHOUT_I),
+    "quartic-family moduli": st.fixed_dictionaries({"--triple": _TRIPLE}, optional=_WITHOUT_I),
+    "quartic-family descend": st.fixed_dictionaries({"--triple": _TRIPLE}, optional={
+        "--case": st.sampled_from(["swap", "cycle", "negate-ab", "negate-bc"])}),
+    "quartic-family rational-descend": st.fixed_dictionaries({"--triple": _TRIPLE}),
+}
+
+
+@st.composite
+def _command_lines(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    options = draw(_FUZZ_COMMANDS[command])
+    options["--format"] = draw(st.sampled_from(["text", "structured"]))
+    options["--out"] = draw(st.sampled_from([None, "report.json", "."]))
+    return command.split(), options
+
+
+def test_fuzz_commands_cover_every_subcommand():
+    def leaves(parser, prefix=""):
+        nested = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not nested:
+            return {prefix.strip()}
+        return set().union(*(leaves(sub, f"{prefix} {name}") for name, sub in nested[0].choices.items()))
+    assert leaves(build_parser()) == set(_FUZZ_COMMANDS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_command_lines())
+def test_cli_fuzz_exits_0_2_or_3(command_line):
+    """Every subcommand on drawn options and input files ends with exit 0, 2
+    or 3; exit 1 or a traceback is a bug. A failed call prints nothing on
+    stdout."""
+    command, options = command_line
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = list(command)
+        for name, value in options.items():
+            if value is None:
+                continue
+            if value is True:
+                argv.append(name)
+                continue
+            if isinstance(value, bytes):
+                path = Path(tmp) / f"input{len(argv)}.json"
+                path.write_bytes(value)
+                value = str(path)
+            elif name == "--out":
+                value = str(Path(tmp) / value)
+            argv += [name, value]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = run_command(argv)
+            except SystemExit as exc:  # argparse refuses the command line
+                code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    if code:
+        assert out.getvalue() == "", argv
+
+
+def _probe(code: str) -> str:
+    """stdout of a fresh interpreter running `code` from the repository root;
+    a fresh process, because this one has already run every layer."""
+    env = dict(os.environ, PYTHONPATH=str(Path(serialize.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=FIXTURES.parent,
+                          check=True, capture_output=True, text=True).stdout
+
+
+_TRACED_MODULES = {"oddsig." + name for name in ("cli", "descent", "exactnum", "matgroup", "plane",
+                                                 "polyring", "ramify", "serialize", "superell")}
+
+# prints the oddsig modules that have run: a registered module that has not
+# run yet is of LazyLoader's subclass of the module type
+_RAN = ("import types; print(' '.join(name for name, module in sys.modules.items()"
+        " if name.startswith('oddsig') and type(module) is types.ModuleType))")
+
+
 def test_cli_import_loads_no_dataclasses_chain():
     """Every CLI call is a fresh process, so what `import oddsig.cli` loads
     is paid on every verdict; the traced benchmark patches the nine layer
-    modules right after that import, so all of them must be loaded by it."""
-    probe = "import sys, oddsig.cli; print(' '.join(sys.modules))"
-    env = dict(os.environ, PYTHONPATH=str(Path(serialize.__file__).resolve().parents[1]))
-    loaded = set(subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                                capture_output=True, text=True).stdout.split())
+    modules right after that import, so all of them must be registered by it."""
+    loaded = set(_probe("import sys, oddsig.cli; print(' '.join(sys.modules))").split())
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "cmath"}
-    assert {"oddsig." + name for name in ("cli", "descent", "exactnum", "matgroup", "plane",
-                                          "polyring", "ramify", "serialize", "superell")} <= loaded
+    assert _TRACED_MODULES <= loaded
+
+
+def test_cli_import_runs_no_layer():
+    registered, ran = _probe("import sys, oddsig.cli; print(' '.join(sys.modules)); " + _RAN).splitlines()
+    assert _TRACED_MODULES <= set(registered.split())
+    assert set(ran.split()) == {"oddsig", "oddsig.cli", "oddsig.errors"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["odd-signature", "--quotient-genus", "0", "--indices", "2,3,7"],
+    ["signature", "--curve", "fixtures/fermat_quartic.json", "--group", "fixtures/fermat_quartic_gens.json"],
+])
+def test_plane_commands_skip_descent_and_superell(argv):
+    ran = _probe("import io, sys, contextlib, oddsig.cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    assert oddsig.cli.run_command({argv!r}) == 0\n" + _RAN).split()
+    assert {"oddsig.ramify", "oddsig.serialize"} <= set(ran)
+    assert not {"oddsig.descent", "oddsig.superell"} & set(ran)
+
+
+def test_star_import_binds_each_name_of_its_layer():
+    import importlib
+    import oddsig
+    namespace = {}
+    exec("from oddsig import *", namespace)
+    assert oddsig.__all__ == sorted(set(oddsig.__all__))
+    for name in oddsig.__all__:
+        layer = importlib.import_module("oddsig." + oddsig._HOME[name])
+        assert namespace[name] is getattr(layer, name), name
+    with pytest.raises(AttributeError):
+        oddsig.no_such_name
+
+
+def test_tracer_patches_reach_the_cli():
+    """A function the benchmark's tracer patches in its layer module after
+    `import oddsig.cli` is the one the CLI calls: each command records the
+    span of its layer entry point."""
+    commands = [["signature", "--curve", "fixtures/quartic_c3.json", "--group", "fixtures/quartic_c3_gens.json"],
+                ["aut-check", "--curve", "fixtures/quartic_c2c2.json", "--map", "fixtures/sign_flip_x.json"],
+                ["qgonal", "descend", "--q", "3", "--m", "3", "--n", "3"],
+                ["quartic-family", "rational-descend", "--triple", "fixtures/triple_conjugate_swap.json"]]
+    spans = _probe("import io, sys, contextlib, oddsig.cli\n"
+                   "sys.path.insert(0, 'perfbench')\n"
+                   "from tracer import Recorder\n"
+                   "recorder = Recorder()\n"
+                   "recorder.install()\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   f"    for argv in {commands!r}:\n"
+                   "        assert oddsig.cli.run_command(argv) == 0\n"
+                   "print(' '.join(sorted({span[0] for span in recorder.spans})))").split()
+    assert {"ramify.signature", "ramify.fixed_point_count", "plane.is_automorphism",
+            "superell.qgonal_real_descent", "descent.family_rational_descent",
+            "serialize.parse_input", "serialize.dumps", "exactnum.mul"} <= set(spans)
 
 
 # commands ------------------------------------------------------------------
@@ -505,6 +687,34 @@ def test_signature_malformed_file(tmp_path, capsys):
     code, _, err = run(capsys, "signature", "--curve", str(bad),
                        "--group", fx("fermat_quartic_gens"))
     assert code == 2 and "line 1 column" in err
+
+
+def test_undecodable_input_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ParseError, match="UTF-8"):
+        cli._read_document(str(bad), ("plane_curve",))
+    code, out, err = run(capsys, "aut-check", "--curve", str(bad), "--map", fx("sign_flip_x"))
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and len(err.strip().splitlines()) == 1
+
+
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "odd-signature", "--quotient-genus", "0", "--indices", "2,3,7",
+                         "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and len(err.strip().splitlines()) == 1
+
+
+def test_nonsense_numbers_exit_2(capsys):
+    for argv, message in ((["group-closure", "--group", fx("fermat_quartic_gens"), "--bound", "-5"], "bound"),
+                          (["group-closure", "--group", fx("fermat_quartic_gens"), "--bound", "0"], "bound"),
+                          (["odd-signature", "--quotient-genus", "-3", "--indices", "2,3,7"], "genus")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("input error:") and message in err, argv
+    code, _, err = run(capsys, "group-closure", "--group", fx("fermat_quartic_gens"), "--bound", "1")
+    assert code == 3 and "bound 1" in err
 
 
 def test_odd_signature_literal(capsys):
