@@ -408,6 +408,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    for arg in argv:
+        try:
+            arg.encode("utf-8")
+        except UnicodeEncodeError:
+            # a byte that is not UTF-8 reaches argv as a lone surrogate, which
+            # neither the report nor stdout can encode; refuse it before any
+            # handler runs or any --out file is opened
+            print(f"input error: argument {arg!r} is not valid UTF-8", file=sys.stderr)
+            return 2
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()

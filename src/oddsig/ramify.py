@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple, Sequence
 
+from . import exactnum, matgroup, plane
 from .errors import (
     InternalInconsistency,
     NegativeGenus,
@@ -34,14 +35,6 @@ from .errors import (
     NotAnAutomorphism,
     ScalarMap,
 )
-from .exactnum import CyclotomicElement, common_order
-from .matgroup import (
-    FiniteGroup,
-    closure,
-    cyclic_subgroups,
-    subgroup_conjugacy_classes,
-)
-from .plane import PlaneCurve, ProjMap, is_automorphism, require_verdict_curve
 
 
 class Signature(NamedTuple):
@@ -68,7 +61,7 @@ def odd_signature_verdict(sig: Signature) -> str:
 
 # fixed points by the Eichler trace formula -----------------------------------
 
-def _char_poly(mapping: ProjMap) -> tuple[CyclotomicElement, CyclotomicElement, CyclotomicElement]:
+def _char_poly(mapping: plane.ProjMap) -> tuple[exactnum.CyclotomicElement, ...]:
     """(e1, e2, e3) with charpoly(A) = x^3 - e1 x^2 + e2 x - e3: the trace,
     the sum of the principal 2x2 minors and the determinant."""
     m = mapping.entries
@@ -79,7 +72,7 @@ def _char_poly(mapping: ProjMap) -> tuple[CyclotomicElement, CyclotomicElement, 
     return tr, s2, mapping.det()
 
 
-def fixed_point_count(curve: PlaneCurve, mapping: ProjMap) -> int:
+def fixed_point_count(curve: plane.PlaneCurve, mapping: plane.ProjMap) -> int:
     """Number of points of a smooth curve fixed by a nontrivial automorphism.
 
     Precondition: the curve is smooth of degree d >= 4. signature is the
@@ -104,13 +97,14 @@ def fixed_point_count(curve: PlaneCurve, mapping: ProjMap) -> int:
     [0, 2g + 2], raises InternalInconsistency."""
     if mapping.is_identity():
         raise ScalarMap("identity fixes the whole curve")
-    ok, lam = is_automorphism(curve, mapping)
+    ok, lam = plane.is_automorphism(curve, mapping)
     if not ok:
         raise NotAnAutomorphism("map does not preserve the curve")
-    order = common_order(curve.order, mapping.order)
+    order = exactnum.common_order(curve.order, mapping.order)
     e1, e2, e3 = _char_poly(mapping.lift_to(order))
     # h_{k-3}, h_{k-2}, h_{k-1} at k = 2
-    h3, h2, h1 = CyclotomicElement.zero(order), CyclotomicElement.one(order), e1
+    h3, h2, h1 = (exactnum.CyclotomicElement.zero(order),
+                  exactnum.CyclotomicElement.one(order), e1)
     for _ in range(curve.degree - 4):
         h3, h2, h1 = h2, h1, e1 * h1 - e2 * h2 + e3 * h3
     t = e3 * h1 / lam
@@ -126,7 +120,7 @@ def fixed_point_count(curve: PlaneCurve, mapping: ProjMap) -> int:
 
 # quotient signature -----------------------------------------------------------
 
-def signature(curve: PlaneCurve, group: Sequence[ProjMap]) -> Signature:
+def signature(curve: plane.PlaneCurve, group: Sequence[plane.ProjMap]) -> Signature:
     """Signature of the quotient of the curve by the given full group.
 
     A FiniteGroup from closure is taken as it is; any other sequence is a
@@ -136,21 +130,21 @@ def signature(curve: PlaneCurve, group: Sequence[ProjMap]) -> Signature:
     formula of fixed_point_count holds."""
     if len(group) == 0:
         raise ValueError("empty group")
-    require_verdict_curve(curve)
-    generators = group.generators if isinstance(group, FiniteGroup) else group
+    plane.require_verdict_curve(curve)
+    generators = group.generators if isinstance(group, matgroup.FiniteGroup) else group
     for g in generators:
-        ok, _ = is_automorphism(curve, g)
+        ok, _ = plane.is_automorphism(curve, g)
         if not ok:
             raise NotAnAutomorphism("group element does not preserve the curve")
-    if not isinstance(group, FiniteGroup):
-        group = closure(group)
+    if not isinstance(group, matgroup.FiniteGroup):
+        group = matgroup.closure(group)
     size = len(group)
     genus_top = curve.genus()
     if size == 1:
         return Signature(genus_top, ())
-    subgroups = cyclic_subgroups(group)
+    subgroups = matgroup.cyclic_subgroups(group)
     count_of: dict[frozenset[int], int] = {}
-    for cls in subgroup_conjugacy_classes(group, subgroups):
+    for cls in matgroup.subgroup_conjugacy_classes(group, subgroups):
         if len(cls[0]) > 1:
             count = fixed_point_count(curve, group[subgroups[cls[0]]])
             count_of.update((sub, count) for sub in cls)

@@ -86,11 +86,19 @@ def _load_qgonal_map(obj: dict) -> superell.QGonalMap:
     den = _require(obj, "multiplier_den", list)
     try:
         mobius = [[_element(order, e) for e in row] for row in rows]
-        multiplier = superell.RationalFunction(order, [_element(order, c) for c in num],
-                                               [_element(order, c) for c in den])
-        return superell.QGonalMap(order, mobius, multiplier)
+        # the multiplier c x^k is a ratio of two monomials
+        (top, a), (bottom, b) = (_monomial(order, part) for part in (num, den))
+        return superell.QGonalMap(order, mobius, a / b, top - bottom)
     except (InputError, ValueError) as exc:
         raise SchemaError(f"not a cover map: {exc}") from exc
+
+
+def _monomial(order: int, coeffs: list) -> tuple[int, exactnum.CyclotomicElement]:
+    """(degree, coefficient) of a polynomial with exactly one nonzero term."""
+    terms = [(i, e) for i, e in enumerate(_element(order, c) for c in coeffs) if not e.is_zero()]
+    if len(terms) != 1:
+        raise SchemaError("multiplier parts must be monomials: one nonzero coefficient each")
+    return terms[0]
 
 
 def _load_family_triple(obj: dict) -> descent.FamilyTriple:

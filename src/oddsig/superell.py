@@ -1,9 +1,12 @@
 """Cyclic covers y^q = f(x): genus, quotient signatures, and real descent.
 
-Isomorphisms between two such covers that respect the degree-q projection
-are kept in fibered form: a Moebius map in x together with a y-multiplier
-r(x), acting as (x, y) -> (mobius(x), r(x) y). Composition, Galois twisting
-and the order-2 Weil cocycle check all stay inside this class.
+The isomorphisms the family uses all respect the degree-q projection and
+are monomial: (x, y) -> (s x^e, c x^k y) with e = +-1. The deck
+transformation, the rotations and the mirror onto the conjugate curve have
+this form, and composition, inversion and Galois twisting keep it in closed
+form, so the order-2 Weil cocycle check never leaves the class. Whether such
+a map is an isomorphism is still checked through its Moebius matrix, by the
+general pull-back of f.
 
 The module also builds a family of covers isomorphic to their own complex
 conjugate. The defining polynomial is a product of factors
@@ -31,6 +34,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Optional, Sequence
 
+from . import polyring
 from .errors import (
     BoundExceeded,
     GenusTooSmall,
@@ -43,20 +47,6 @@ from .errors import (
     ZeroPolynomial,
 )
 from .exactnum import MAX_ORDER, CyclotomicElement, common_order, is_prime
-from .polyring import (
-    SparsePoly,
-    check_degree,
-    poly_to_uni,
-    uni_coprime_mod_p,
-    uni_derivative,
-    uni_divmod,
-    uni_gcd,
-    uni_is_zero,
-    uni_mul,
-    uni_scale,
-    uni_to_poly,
-    uni_trim,
-)
 from .ramify import Signature, is_odd_signature, odd_signature_verdict
 
 SHAPES = ("N0", "N1", "N2")
@@ -121,179 +111,66 @@ def _pull_back(rows, top: int, order: int, *polys) -> list:
             for j, y in enumerate(power):
                 if not y.is_zero():
                     h[j] = h[j] + coeff * y
-        out.append(uni_trim(h))
-    return out + [uni_trim(pd[top])]
-
-
-class RationalFunction:
-    """Quotient of univariate polynomials in lowest terms, monic denominator."""
-
-    __slots__ = ("order", "num", "den")
-
-    def __init__(self, order: int, num, den=None):
-        num = uni_trim(_lift_coeffs(num, order))
-        den = uni_trim(_lift_coeffs(den if den is not None else [1], order))
-        if uni_is_zero(den):
-            raise ZeroPolynomial("rational function with zero denominator")
-        if uni_is_zero(num):
-            num, den = [], [CyclotomicElement.one(order)]
-        else:
-            g = [] if uni_coprime_mod_p(num, den, order) else uni_gcd(num, den, order)
-            if len(g) > 1:
-                num = uni_divmod(num, g, order)[0]
-                den = uni_divmod(den, g, order)[0]
-            inv = den[-1].inverse()
-            num = uni_scale(num, inv)
-            den = uni_scale(den, inv)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "num", tuple(num))
-        object.__setattr__(self, "den", tuple(den))
-
-    def __setattr__(self, *_):
-        raise AttributeError("RationalFunction is immutable")
-
-    @classmethod
-    def from_scalar(cls, value, order: int) -> "RationalFunction":
-        return cls(order, [value])
-
-    @classmethod
-    def monomial(cls, order: int, coeff, exponent: int) -> "RationalFunction":
-        if exponent >= 0:
-            return cls(order, [0] * exponent + [coeff])
-        return cls(order, [coeff], [0] * (-exponent) + [1])
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def is_one(self) -> bool:
-        return (len(self.num) == 1 and self.num[0].is_one()
-                and len(self.den) == 1)
-
-    def lift_to(self, order: int) -> "RationalFunction":
-        if order == self.order:
-            return self
-        return RationalFunction(order,
-                                [c.lift_to(order) for c in self.num],
-                                [c.lift_to(order) for c in self.den])
-
-    def galois(self, exponent: int) -> "RationalFunction":
-        return RationalFunction(self.order,
-                                [c.galois(exponent) for c in self.num],
-                                [c.galois(exponent) for c in self.den])
-
-    def conjugate(self) -> "RationalFunction":
-        return self.galois(-1)
-
-    def __mul__(self, other):
-        if isinstance(other, RationalFunction):
-            order = common_order(self.order, other.order)
-            a, b = self.lift_to(order), other.lift_to(order)
-            return RationalFunction(order,
-                                    uni_mul(list(a.num), list(b.num), order),
-                                    uni_mul(list(a.den), list(b.den), order))
-        if isinstance(other, CyclotomicElement):
-            order = common_order(self.order, other.order)
-            a = self.lift_to(order)
-            return RationalFunction(order,
-                                    uni_scale(list(a.num), other.lift_to(order)),
-                                    list(a.den))
-        return RationalFunction(self.order,
-                                uni_scale(list(self.num),
-                                          _lift_coeffs([other], self.order)[0]),
-                                list(self.den))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "RationalFunction":
-        if self.is_zero():
-            raise ZeroPolynomial("zero rational function has no inverse")
-        return RationalFunction(self.order, list(self.den), list(self.num))
-
-    def __pow__(self, exponent: int) -> "RationalFunction":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        out = RationalFunction.from_scalar(1, self.order)
-        base = self
-        while exponent:
-            if exponent & 1:
-                out = out * base
-            base = base * base
-            exponent >>= 1
-        return out
-
-    def compose_mobius(self, rows) -> "RationalFunction":
-        """r((a x + b)/(c x + d)) as a reduced rational function."""
-        k = max(len(self.num), len(self.den)) - 1
-        if k < 0:
-            return self
-        num, den, _ = _pull_back(rows, k, self.order, self.num, self.den)
-        return RationalFunction(self.order, num, den)
-
-    def key(self):
-        return (self.order,
-                tuple(tuple(c.coords) for c in self.num),
-                tuple(tuple(c.coords) for c in self.den))
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        if self.order != other.order:
-            order = common_order(self.order, other.order)
-            return self.lift_to(order) == other.lift_to(order)
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.order, self.num, self.den))
-
-    def __repr__(self):
-        return f"RationalFunction({list(self.num)!r} / {list(self.den)!r})"
+        out.append(polyring.uni_trim(h))
+    return out + [polyring.uni_trim(pd[top])]
 
 
 class QGonalMap:
-    """Fibered map (x, y) -> (mobius(x), r(x) y) between cyclic covers."""
+    """Monomial fibered map (x, y) -> (s x^e, c x^k y) between cyclic covers,
+    with scale s, flip e = +-1, coefficient c and exponent k. The maps of the
+    family (mirror, deck, rotation and their composites) all have this form,
+    which composition, inversion and Galois twisting keep. The constructor
+    takes x -> s x^e as an invertible diagonal or antidiagonal matrix and
+    the multiplier c x^k as (coeff, exponent)."""
 
-    __slots__ = ("order", "mobius", "multiplier")
+    __slots__ = ("order", "scale", "flip", "coeff", "exponent")
 
-    def __init__(self, order: int, mobius, multiplier):
+    def __init__(self, order: int, mobius, coeff=1, exponent: int = 0):
         rows = [_lift_coeffs(row, order) for row in mobius]
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("moebius part must be a 2x2 matrix")
-        det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-        if det.is_zero():
-            raise ValueError("moebius part must be invertible")
-        scale = next(e for r in rows for e in r if not e.is_zero()).inverse()
-        rows = [[e * scale for e in r] for r in rows]
-        if not isinstance(multiplier, RationalFunction):
-            multiplier = RationalFunction.from_scalar(multiplier, order)
-        multiplier = multiplier.lift_to(order)
-        if multiplier.is_zero():
+        (a, b), (c, d) = rows
+        if b.is_zero() and c.is_zero() and not (a.is_zero() or d.is_zero()):
+            scale, flip = a / d, 1
+        elif a.is_zero() and d.is_zero() and not (b.is_zero() or c.is_zero()):
+            scale, flip = b / c, -1
+        else:
+            raise ValueError("moebius part must be an invertible diagonal or antidiagonal matrix")
+        coeff = _lift_coeffs([coeff], order)[0]
+        if coeff.is_zero():
             raise ZeroPolynomial("zero multiplier does not define a map")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "mobius", tuple(tuple(r) for r in rows))
-        object.__setattr__(self, "multiplier", multiplier)
+        self._fill(order, scale, flip, coeff, exponent)
+
+    def _fill(self, order, scale, flip, coeff, exponent):
+        for name, value in zip(self.__slots__, (order, scale, flip, coeff, exponent)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _make(cls, order, scale, flip, coeff, exponent) -> "QGonalMap":
+        out = object.__new__(cls)
+        out._fill(order, scale, flip, coeff, exponent)
+        return out
 
     def __setattr__(self, *_):
         raise AttributeError("QGonalMap is immutable")
 
     @classmethod
     def identity(cls, order: int = 1) -> "QGonalMap":
-        return cls(order, [[1, 0], [0, 1]], 1)
+        return cls(order, [[1, 0], [0, 1]])
 
     def lift_to(self, order: int) -> "QGonalMap":
         if order == self.order:
             return self
-        rows = [[e.lift_to(order) for e in r] for r in self.mobius]
-        return QGonalMap(order, rows, self.multiplier.lift_to(order))
+        return QGonalMap._make(order, self.scale.lift_to(order), self.flip,
+                               self.coeff.lift_to(order), self.exponent)
 
     def compose(self, other: "QGonalMap") -> "QGonalMap":
         """self applied after other."""
         order = common_order(self.order, other.order)
         s, t = self.lift_to(order), other.lift_to(order)
-        rows = [[sum((s.mobius[i][k] * t.mobius[k][j] for k in range(2)),
-                     CyclotomicElement.zero(order)) for j in range(2)]
-                for i in range(2)]
-        mult = s.multiplier.compose_mobius(t.mobius) * t.multiplier
-        return QGonalMap(order, rows, mult)
+        return QGonalMap._make(order, s.scale * t.scale ** s.flip, s.flip * t.flip,
+                               s.coeff * t.coeff * t.scale ** s.exponent,
+                               t.flip * s.exponent + t.exponent)
 
     def __matmul__(self, other):
         if not isinstance(other, QGonalMap):
@@ -313,26 +190,40 @@ class QGonalMap:
         return out
 
     def inverse(self) -> "QGonalMap":
-        (a, b), (c, d) = self.mobius
-        rows = [[d, -b], [-c, a]]
-        mult = self.multiplier.compose_mobius(rows).inverse()
-        return QGonalMap(self.order, rows, mult)
+        # x = s^-e X^e, and y = c^-1 x^-k Y = c^-1 s^(ek) X^(-ek) Y
+        e, k = self.flip, self.exponent
+        return QGonalMap._make(self.order, self.scale ** -e, e,
+                               self.coeff.inverse() * self.scale ** (e * k), -e * k)
 
     def galois(self, exponent: int) -> "QGonalMap":
-        rows = [[e.galois(exponent) for e in r] for r in self.mobius]
-        return QGonalMap(self.order, rows, self.multiplier.galois(exponent))
+        return QGonalMap._make(self.order, self.scale.galois(exponent), self.flip,
+                               self.coeff.galois(exponent), self.exponent)
 
     def conjugate(self) -> "QGonalMap":
         return self.galois(-1)
 
     def is_identity(self) -> bool:
-        (a, b), (c, d) = self.mobius
-        return (a.is_one() and d.is_one() and b.is_zero() and c.is_zero()
-                and self.multiplier.is_one())
+        return (self.scale.is_one() and self.flip == 1 and self.coeff.is_one()
+                and self.exponent == 0)
 
-    def key(self):
-        return (tuple(tuple(tuple(e.coords) for e in r) for r in self.mobius),
-                self.multiplier.key()[1:])
+    @property
+    def mobius(self):
+        """The normalised matrix of x -> s x^e: [[1, 0], [0, 1/s]] or
+        [[0, 1], [1/s, 0]]."""
+        one, zero = CyclotomicElement.one(self.order), CyclotomicElement.zero(self.order)
+        inv = self.scale.inverse()
+        return ((one, zero), (zero, inv)) if self.flip == 1 else ((zero, one), (inv, zero))
+
+    def multiplier(self):
+        """(numerator, denominator) of c x^k in lowest terms, monic denominator."""
+        one, zero = CyclotomicElement.one(self.order), CyclotomicElement.zero(self.order)
+        k = self.exponent
+        if k >= 0:
+            return [zero] * k + [self.coeff], [one]
+        return [self.coeff], [zero] * (-k) + [one]
+
+    def _fields(self):
+        return (self.scale, self.flip, self.coeff, self.exponent)
 
     def __eq__(self, other):
         if not isinstance(other, QGonalMap):
@@ -340,38 +231,40 @@ class QGonalMap:
         if self.order != other.order:
             order = common_order(self.order, other.order)
             return self.lift_to(order) == other.lift_to(order)
-        return self.mobius == other.mobius and self.multiplier == other.multiplier
+        return self._fields() == other._fields()
 
     def __hash__(self):
-        return hash((self.order, self.mobius, self.multiplier))
+        return hash((self.order,) + self._fields())
 
     def __repr__(self):
-        return f"QGonalMap(order={self.order}, mobius={self.mobius!r}, r={self.multiplier!r})"
+        return (f"QGonalMap(order={self.order}, scale={self.scale!r}, flip={self.flip}, "
+                f"coeff={self.coeff!r}, exponent={self.exponent})")
 
     def to_dict(self) -> dict:
+        num, den = self.multiplier()
         return {
             "kind": "qgonal_map",
             "order": self.order,
             "mobius": [[[str(x) for x in e.coords] for e in row]
                        for row in self.mobius],
-            "multiplier_num": [[str(x) for x in c.coords] for c in self.multiplier.num],
-            "multiplier_den": [[str(x) for x in c.coords] for c in self.multiplier.den],
+            "multiplier_num": [[str(x) for x in c.coords] for c in num],
+            "multiplier_den": [[str(x) for x in c.coords] for c in den],
         }
 
 
-def genus_qgonal(q: int, f: SparsePoly) -> int:
+def genus_qgonal(q: int, f: polyring.SparsePoly) -> int:
     """Genus of y^q = f(x) for squarefree f, by Riemann-Hurwitz."""
     if not _is_prime_degree(q):
         raise HypothesisViolation(f"cover degree {q} is not prime")
-    coeffs = poly_to_uni(f)
+    coeffs = polyring.poly_to_uni(f)
     degree = len(coeffs) - 1
     if degree < 3:
         raise GenusTooSmall(f"defining polynomial has degree {degree} < 3")
     # the modular certificate proves gcd(f, f') = 1 in one F_p pass; only
     # when it cannot does the exact gcd over Q(zeta_N) decide
-    deriv = uni_derivative(coeffs)
-    if (not uni_coprime_mod_p(coeffs, deriv, f.order)
-            and len(uni_gcd(coeffs, deriv, f.order)) > 1):
+    deriv = polyring.uni_derivative(coeffs)
+    if (not polyring.uni_coprime_mod_p(coeffs, deriv, f.order)
+            and len(polyring.uni_gcd(coeffs, deriv, f.order)) > 1):
         raise NotSquarefree("defining polynomial has a repeated root")
     branch = degree if degree % q == 0 else degree + 1
     doubled = -2 * q + branch * (q - 1)
@@ -388,7 +281,7 @@ class QGonalCurve:
 
     __slots__ = ("q", "poly", "genus", "m", "n")
 
-    def __init__(self, q: int, f: SparsePoly,
+    def __init__(self, q: int, f: polyring.SparsePoly,
                  m: Optional[int] = None, n: Optional[int] = None):
         genus = genus_qgonal(q, f)
         object.__setattr__(self, "q", q)
@@ -404,7 +297,7 @@ class QGonalCurve:
     def order(self) -> int:
         return self.poly.order
 
-    def _image(self, poly: SparsePoly) -> "QGonalCurve":
+    def _image(self, poly: polyring.SparsePoly) -> "QGonalCurve":
         # A field embedding is a ring isomorphism of K[x] onto its image: it
         # keeps the degree of f and gcd(f, f') = 1, hence the genus, which is
         # therefore copied rather than recomputed.
@@ -493,7 +386,7 @@ def _tau_rows(order: int):
     return [[-one, root3 + 1], [root3 - 1, one]]
 
 
-def moebius_permutes_roots(f: SparsePoly, rows) -> bool:
+def moebius_permutes_roots(f: polyring.SparsePoly, rows) -> bool:
     """True when the Moebius map sends every root of f into the root set."""
     orders = [f.order]
     for row in rows:
@@ -504,15 +397,15 @@ def moebius_permutes_roots(f: SparsePoly, rows) -> bool:
     a, b, c, d = _lift_coeffs([rows[0][0], rows[0][1], rows[1][0], rows[1][1]], order)
     if (a * d - b * c).is_zero():
         raise ValueError("moebius map must be invertible")
-    coeffs = poly_to_uni(f.lift_to(order))
+    coeffs = polyring.poly_to_uni(f.lift_to(order))
     pulled, _ = _pull_back([[a, b], [c, d]], len(coeffs) - 1, order, coeffs)
-    if uni_is_zero(pulled):
+    if polyring.uni_is_zero(pulled):
         return True
-    return uni_is_zero(uni_divmod(pulled, coeffs, order)[1])
+    return polyring.uni_is_zero(polyring.uni_divmod(pulled, coeffs, order)[1])
 
 
 def family_polynomial(values: Sequence[CyclotomicElement], n: int,
-                      order: int) -> SparsePoly:
+                      order: int) -> polyring.SparsePoly:
     """Product of (x^n - a)(x^n + 1/conj(a)) over the given a, validated."""
     vals = _lift_coeffs(values, order)
     m = len(vals)
@@ -541,10 +434,10 @@ def family_polynomial(values: Sequence[CyclotomicElement], n: int,
     for v in vals:
         first = [-v] + [CyclotomicElement.zero(order)] * (n - 1) + [one]
         second = [v.conjugate().inverse()] + [CyclotomicElement.zero(order)] * (n - 1) + [one]
-        coeffs = uni_mul(uni_mul(coeffs, first, order), second, order)
+        coeffs = polyring.uni_mul(polyring.uni_mul(coeffs, first, order), second, order)
     if coeffs[0] != -one:
         raise PropertyViolation("constant term is not -1")
-    f = uni_to_poly(coeffs, order)
+    f = polyring.uni_to_poly(coeffs, order)
     if n == 3:
         tau_order = common_order(order, 12)
         if moebius_permutes_roots(f.lift_to(tau_order), _tau_rows(tau_order)):
@@ -553,11 +446,11 @@ def family_polynomial(values: Sequence[CyclotomicElement], n: int,
     return f
 
 
-def build_family(m: int, n: int) -> SparsePoly:
+def build_family(m: int, n: int) -> polyring.SparsePoly:
     """Defining polynomial of the standard self-conjugate family member."""
     if m < 2 or n < 2:
         raise HypothesisViolation("family needs m > 1 and n > 1")
-    check_degree(2 * m * n, "family degree 2mn =")
+    polyring.check_degree(2 * m * n, "family degree 2mn =")
     order, values = _family_values(m, n)
     return family_polynomial(values, n, order)
 
@@ -588,7 +481,7 @@ def deck_map(q: int, order: Optional[int] = None) -> QGonalMap:
 def rotation_map(n: int, order: Optional[int] = None) -> QGonalMap:
     """(x, y) -> (zeta_n x, y)."""
     o = common_order(n, order or 1)
-    return QGonalMap(o, [[CyclotomicElement.zeta(n, 1).lift_to(o), 0], [0, 1]], 1)
+    return QGonalMap(o, [[CyclotomicElement.zeta(n, 1).lift_to(o), 0], [0, 1]])
 
 
 def mirror_map(q: int, m: int, n: int, order: Optional[int] = None) -> QGonalMap:
@@ -599,10 +492,8 @@ def mirror_map(q: int, m: int, n: int, order: Optional[int] = None) -> QGonalMap
         raise HypothesisViolation(
             f"multiplier exponent 2mn/q is not an integer for (q, m, n)=({q}, {m}, {n})")
     o = common_order(2 * n, 2 * q, order or 1)
-    mult = RationalFunction.monomial(o, CyclotomicElement.zeta(2 * q, 1).lift_to(o),
-                                     -exponent)
     return QGonalMap(o, [[0, 1], [CyclotomicElement.zeta(2 * n, 1).lift_to(o), 0]],
-                     mult)
+                     CyclotomicElement.zeta(2 * q, 1).lift_to(o), -exponent)
 
 
 def defect_twist_map(q: int, m: int, n: int, order: Optional[int] = None) -> QGonalMap:
@@ -618,25 +509,27 @@ def defect_twist_map(q: int, m: int, n: int, order: Optional[int] = None) -> QGo
 
 def qgonal_is_isomorphism(source: QGonalCurve, target: QGonalCurve,
                           phi: QGonalMap) -> bool:
-    """Exact test of r(x)^q f_source(x) = f_target(mobius(x))."""
+    """Exact test of c^q x^(qk) f_source(x) = f_target(mobius(x)) for
+    phi = (mobius(x), c x^k y), with the denominators of both sides cleared.
+
+    The Moebius part is applied through the general Horner pull-back, so the
+    test does not rely on the monomial composition rules of QGonalMap."""
     if source.q != target.q:
         raise HypothesisViolation("covers have different degrees")
     q = source.q
     order = common_order(source.order, target.order, phi.order)
-    f_src = poly_to_uni(source.poly.lift_to(order))
-    f_tgt = poly_to_uni(target.poly.lift_to(order))
+    f_src = polyring.poly_to_uni(source.poly.lift_to(order))
+    f_tgt = polyring.poly_to_uni(target.poly.lift_to(order))
     lifted = phi.lift_to(order)
     pulled, denom = _pull_back(lifted.mobius, len(f_tgt) - 1, order, f_tgt)
-    r_num = uni_trim(list(lifted.multiplier.num))
-    r_den = uni_trim(list(lifted.multiplier.den))
-    num_q = [CyclotomicElement.one(order)]
-    den_q = [CyclotomicElement.one(order)]
-    for _ in range(q):
-        num_q = uni_mul(num_q, r_num, order)
-        den_q = uni_mul(den_q, r_den, order)
-    lhs = uni_mul(uni_mul(num_q, f_src, order), denom, order)
-    rhs = uni_mul(pulled, den_q, order)
-    return uni_trim(lhs) == uni_trim(rhs)
+    c_q = lifted.coeff ** q
+    lhs = polyring.uni_mul([c_q * a for a in f_src], denom, order)
+    # x^(qk) moves to the side where its exponent is nonnegative
+    shift = q * lifted.exponent
+    zero = CyclotomicElement.zero(order)
+    lhs = [zero] * max(shift, 0) + lhs
+    rhs = [zero] * max(-shift, 0) + pulled
+    return polyring.uni_trim(lhs) == polyring.uni_trim(rhs)
 
 
 # real descent ------------------------------------------------------------------

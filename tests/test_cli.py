@@ -464,6 +464,12 @@ _RAN = ("import types; print(' '.join(name for name, module in sys.modules.items
         " if name.startswith('oddsig') and type(module) is types.ModuleType))")
 
 
+def _layers_run_by(argv) -> list[str]:
+    return _probe("import io, sys, contextlib, oddsig.cli\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  f"    assert oddsig.cli.run_command({argv!r}) == 0\n" + _RAN).split()
+
+
 def test_cli_import_loads_no_dataclasses_chain():
     """Every CLI call is a fresh process, so what `import oddsig.cli` loads
     is paid on every verdict; the traced benchmark patches the nine layer
@@ -484,11 +490,23 @@ def test_cli_import_runs_no_layer():
     ["signature", "--curve", "fixtures/fermat_quartic.json", "--group", "fixtures/fermat_quartic_gens.json"],
 ])
 def test_plane_commands_skip_descent_and_superell(argv):
-    ran = _probe("import io, sys, contextlib, oddsig.cli\n"
-                 "with contextlib.redirect_stdout(io.StringIO()):\n"
-                 f"    assert oddsig.cli.run_command({argv!r}) == 0\n" + _RAN).split()
+    ran = _layers_run_by(argv)
     assert {"oddsig.ramify", "oddsig.serialize"} <= set(ran)
     assert not {"oddsig.descent", "oddsig.superell"} & set(ran)
+
+
+@pytest.mark.parametrize("argv, skips", [
+    (["odd-signature", "--quotient-genus", "0", "--indices", "2,3,7"], {"plane", "matgroup", "polyring"}),
+    (["qgonal", "signature", "--q", "3", "--n", "2", "--shape", "N0", "--genus", "4"],
+     {"descent", "plane", "matgroup", "polyring"}),
+    (["qgonal", "descend", "--q", "3", "--m", "3", "--n", "3"], {"descent", "plane", "matgroup"}),
+])
+def test_ramify_and_superell_reach_lower_layers_through_their_modules(argv, skips):
+    """ramify and superell call exactnum, matgroup, plane and polyring as
+    module attributes, so a layer runs only when a call reaches it."""
+    ran = _layers_run_by(argv)
+    assert {"oddsig.ramify", "oddsig.serialize"} <= set(ran)
+    assert not {"oddsig." + name for name in skips} & set(ran)
 
 
 def test_star_import_binds_each_name_of_its_layer():
@@ -619,11 +637,28 @@ def test_signature_fermat(capsys):
     assert report["assumptions"] and report["citations"]
 
 
+def test_argument_that_is_not_utf8_is_refused(tmp_path, monkeypatch, capsys):
+    # a non-UTF-8 byte in argv arrives as a lone surrogate (PEP 383)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "odd-signature", "--quotient-genus", "0", "--indices", "2,3,7",
+                         "--out", "\udcff.json")
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+    env = dict(os.environ, PYTHONPATH=str(Path(serialize.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "oddsig.cli", "odd-signature", "--quotient-genus", "0",
+                           "--indices", "2,3,7", "--out", b"\xff.json"],
+                          env=env, cwd=tmp_path, capture_output=True)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.startswith(b"input error:") and len(proc.stderr.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_internal_inconsistency_exits_1(monkeypatch, capsys):
-    from oddsig import ramify
+    from oddsig import plane
     # a wrong lambda in F o A = lambda * F trips the trace formula's guard
     lam = CyclotomicElement.from_rational(2, 3)
-    monkeypatch.setattr(ramify, "is_automorphism", lambda curve, mapping: (True, lam))
+    monkeypatch.setattr(plane, "is_automorphism", lambda curve, mapping: (True, lam))
     code, out, err = run(capsys, "signature", "--curve", fx("quartic_c3"),
                          "--group", fx("quartic_c3_gens"))
     assert code == 1 and out == ""

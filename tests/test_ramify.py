@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oddsig import polyring, ramify
+from oddsig import plane, polyring, ramify
 from oddsig.errors import (BoundExceeded, GenusTooSmall, HypothesisViolation,
                            InternalInconsistency, NonIntegerGenus, NotAnAutomorphism, ScalarMap)
 from oddsig.exactnum import CyclotomicElement
@@ -131,7 +131,7 @@ def test_eigenspace_ledger_failure_is_typed(monkeypatch):
     assert fixed_point_count(curve, g) == 4
     for wrong in (Fraction(1, 4), Fraction(-1, 4)):
         lam = CyclotomicElement.from_rational(wrong, 4)
-        monkeypatch.setattr(ramify, "is_automorphism", lambda curve, mapping: (True, lam))
+        monkeypatch.setattr(plane, "is_automorphism", lambda curve, mapping: (True, lam))
         with pytest.raises(InternalInconsistency):
             fixed_point_count(curve, g)
 
@@ -150,7 +150,7 @@ def test_constant_eigenvalue_modulus_is_typed(monkeypatch):
             fixed_point_count(curve, g)
     assert fixed_point_count(curve, g) == 4
     lam = CyclotomicElement.from_rational(3, 4)
-    monkeypatch.setattr(ramify, "is_automorphism", lambda curve, mapping: (True, lam))
+    monkeypatch.setattr(plane, "is_automorphism", lambda curve, mapping: (True, lam))
     with pytest.raises(InternalInconsistency):
         fixed_point_count(curve, g)
 

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -15,6 +16,7 @@ from oddsig.errors import (
     NonIntegerCount,
     NotSquarefree,
     PropertyViolation,
+    SchemaError,
     ShapeViolation,
     ZeroPolynomial,
 )
@@ -25,7 +27,6 @@ from oddsig.ramify import Signature, is_odd_signature
 from oddsig.superell import (
     QGonalCurve,
     QGonalMap,
-    RationalFunction,
     _pull_back,
     build_family,
     deck_map,
@@ -172,32 +173,6 @@ def test_moebius_root_check():
         moebius_permutes_roots(moved, [[1, 1], [1, 1]])
 
 
-def test_rational_function_normal_form():
-    r = RationalFunction(4, [0, 0, 1], [0, 1])
-    assert r == RationalFunction(4, [0, 1])
-    half = RationalFunction(1, [1], [0, 2])
-    assert list(half.den) == [Cyc.zero(1), Cyc.one(1)]
-    assert half.num[0] == Cyc.from_rational(Fraction(1, 2), 1)
-    assert RationalFunction(2, [1], [0, 1]) == RationalFunction(4, [1], [0, 1])
-    with pytest.raises(ZeroPolynomial):
-        RationalFunction(4, [1], [])
-    with pytest.raises(ZeroPolynomial):
-        RationalFunction(4, [], [1]).inverse()
-
-
-def test_rational_function_algebra():
-    i = Cyc.zeta(4, 1)
-    r = RationalFunction.monomial(4, i, -3)
-    assert (r * r.inverse()).is_one()
-    assert (r ** 0).is_one()
-    assert r ** -2 == r.inverse() ** 2
-    assert r.conjugate().conjugate() == r
-    square = RationalFunction(1, [0, 0, 1])
-    pulled = square.compose_mobius([[Cyc.one(1), Cyc.one(1)],
-                                    [Cyc.one(1), Cyc.from_rational(-1, 1)]])
-    assert pulled == RationalFunction(1, [1, 2, 1], [1, -2, 1])
-
-
 def test_map_identity_and_scaling():
     ident = QGonalMap.identity(12)
     assert ident.is_identity()
@@ -206,8 +181,11 @@ def test_map_identity_and_scaling():
     a = QGonalMap(12, [[0, 3], [i * 3, 0]], 1)
     b = QGonalMap(12, [[0, 1], [i, 0]], 1)
     assert a == b and hash(a) == hash(b)
-    with pytest.raises(ValueError):
-        QGonalMap(12, [[1, 1], [1, 1]], 1)
+    assert a.mobius == ((Cyc.zero(12), Cyc.one(12)), (i, Cyc.zero(12)))
+    assert QGonalMap(4, [[0, 1], [1, 0]], 2, -1) == QGonalMap(12, [[0, 1], [1, 0]], 2, -1)
+    for rows in ([[1, 1], [1, 1]], [[1, 1], [0, 1]], [[1, 0], [0, 0]], [[0, 1], [0, 1]]):
+        with pytest.raises(ValueError):
+            QGonalMap(12, rows, 1)
     with pytest.raises(ZeroPolynomial):
         QGonalMap(12, [[1, 0], [0, 1]], 0)
 
@@ -222,16 +200,14 @@ def test_deck_and_rotation_commute():
     assert ident @ nu == nu and nu @ ident == nu
 
 
+def rand_element(rng, order):
+    return Cyc.zeta(order, rng.randrange(order)) * rng.choice([1, -2, Fraction(1, 2), 3])
+
+
 def rand_map(rng, order):
-    while True:
-        rows = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
-        if rows[0][0] * rows[1][1] != rows[0][1] * rows[1][0]:
-            break
-    coeff = Cyc.zeta(order, rng.randrange(order)) * rng.choice([1, 2, Fraction(1, 2)])
-    mult = RationalFunction.monomial(order, coeff, rng.randint(-2, 2))
-    if rng.random() < 0.3:
-        mult = mult * RationalFunction(order, [1, 0, 1], [1, 1])
-    return QGonalMap(order, rows, mult)
+    scale, other = rand_element(rng, order), rand_element(rng, order)
+    rows = [[scale, 0], [0, other]] if rng.random() < 0.5 else [[0, scale], [other, 0]]
+    return QGonalMap(order, rows, rand_element(rng, order), rng.randint(-3, 3))
 
 
 def test_map_group_laws_randomized():
@@ -246,6 +222,65 @@ def test_map_group_laws_randomized():
         assert a.power(3) == a @ a @ a
         assert a.power(-1) == a.inverse()
         assert a.conjugate().conjugate() == a
+
+
+def apply_map(phi, point):
+    """(s x^e, c x^k y), evaluated from the fields of phi."""
+    x, y = point
+    return (phi.scale * (x if phi.flip == 1 else x.inverse()),
+            phi.coeff * x ** phi.exponent * y)
+
+
+def apply_views(phi, point):
+    """The same map evaluated from its Moebius matrix and multiplier views,
+    the ones that documents and the isomorphism check read."""
+    x, y = point
+
+    def value(coeffs):
+        return sum((c * x ** i for i, c in enumerate(coeffs)), Cyc.zero(x.order))
+
+    (a, b), (c, d) = phi.mobius
+    num, den = phi.multiplier()
+    return (a * x + b) / (c * x + d), value(num) / value(den) * y
+
+
+def test_map_algebra_against_pointwise_evaluation():
+    rng = random.Random(1729)
+    for _ in range(30):
+        phi, psi = rand_map(rng, 12), rand_map(rng, 12)
+        x0 = Cyc(12, [rng.randint(-3, 3) for _ in range(4)])
+        if x0.is_zero():
+            continue
+        point = (x0, Cyc(12, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)]))
+        image = apply_map(psi, point)
+        assert apply_map(phi @ psi, point) == apply_map(phi, image)
+        assert apply_map(phi.inverse(), apply_map(phi, point)) == point
+        assert apply_views(phi, point) == apply_map(phi, point)
+        for k in (5, 7, 11):
+            moved = tuple(v.galois(k) for v in point)
+            assert apply_map(phi.galois(k), moved) == tuple(v.galois(k) for v in apply_map(phi, point))
+
+
+def test_map_documents_hold_only_monomial_maps():
+    rng = random.Random(31)
+    for _ in range(10):
+        phi = rand_map(rng, 12)
+        assert serialize.parse_input(json.dumps(phi.to_dict())).value == phi
+    zero, one, two = (Cyc.from_rational(v, 12).coords for v in (0, 1, 2))
+    zero, one, two = ([str(c) for c in v] for v in (zero, one, two))
+    base = {"kind": "qgonal_map", "order": 12, "mobius": [[one, zero], [zero, one]],
+            "multiplier_num": [one], "multiplier_den": [one]}
+    # 2 x^3 / (2 x), written with a trailing zero, is read as x^2
+    doc = dict(base, multiplier_num=[zero, zero, zero, two], multiplier_den=[zero, two, zero])
+    assert serialize.parse_input(json.dumps(doc)).value == QGonalMap(12, [[1, 0], [0, 1]], 1, 2)
+    for key, value in (("mobius", [[one, one], [zero, one]]),
+                       ("mobius", [[one, zero], [one, one]]),
+                       ("multiplier_num", [one, one]),
+                       ("multiplier_den", [zero, one, two]),
+                       ("multiplier_num", []),
+                       ("multiplier_den", [zero])):
+        with pytest.raises(SchemaError):
+            serialize.parse_input(json.dumps(dict(base, **{key: value})))
 
 
 def test_generated_symmetry_group_size():
@@ -281,8 +316,7 @@ def test_isomorphism_recognition():
         assert not qgonal_is_isomorphism(curve, twin, QGonalMap.identity(curve.order))
         o = mirror.order
         skewed = QGonalMap(o, [[0, 1], [Cyc.zeta(2 * n, 1).lift_to(o), 0]],
-                           RationalFunction.monomial(
-                               o, Cyc.zeta(2 * q, 1).lift_to(o), -(2 * m * n // q) - 1))
+                           Cyc.zeta(2 * q, 1).lift_to(o), -(2 * m * n // q) - 1)
         assert not qgonal_is_isomorphism(curve, twin, skewed)
     with pytest.raises(HypothesisViolation):
         qgonal_is_isomorphism(family_curve(3, 3, 2), family_curve(5, 2, 2),
@@ -478,13 +512,13 @@ def test_repeated_root_is_not_squarefree():
 @pytest.mark.parametrize("order", [1, 12])
 def test_certificate_fallback_keeps_the_exact_verdict(order, monkeypatch):
     p, _ = _split_prime(order)
-    exact_calls = []
+    exact_calls, real = [], polyring.uni_gcd
 
     def counted(*args):
         exact_calls.append(args)
-        return polyring.uni_gcd(*args)
+        return real(*args)
 
-    monkeypatch.setattr(superell, "uni_gcd", counted)
+    monkeypatch.setattr(polyring, "uni_gcd", counted)
     # a leading coefficient p, or a coefficient with p in its denominator, has
     # no image in F_p
     for scale, root in ((p, 1), (1, Fraction(1, p))):
@@ -514,6 +548,6 @@ def test_family_degree_is_bounded():
 
 
 def test_long_family_members_are_proven_squarefree(monkeypatch):
-    monkeypatch.setattr(superell, "uni_gcd", None)        # the exact gcd is never reached
+    monkeypatch.setattr(polyring, "uni_gcd", None)        # the exact gcd is never reached
     for q, m, n, genus in [(5, 5, 3, 56), (7, 7, 7, 288)]:
         assert family_curve(q, m, n).genus == genus
