@@ -15,8 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import descent, exactnum, matgroup, plane, ramify, serialize, superell
-from .errors import (InputError, InternalInconsistency, OddsigError, ParseError, ResourceError,
-                     SchemaError)
+from .errors import (BoundExceeded, InputError, InternalInconsistency, OddsigError, ParseError,
+                     ResourceError, SchemaError)
 
 _SIGNATURE_CITATION = ("quotient signature from exact fixed-point counts "
                        "and the Riemann-Hurwitz ledger")
@@ -84,6 +84,9 @@ def _cmd_group_closure(args):
     bound = matgroup.DEFAULT_BOUND if args.bound is None else args.bound
     if bound < 1:
         raise SchemaError(f"the closure bound must be at least 1, got {bound}")
+    # --bound only lowers the cap: an infinite group would grow to any cap
+    if bound > matgroup.DEFAULT_BOUND:
+        raise BoundExceeded(f"the closure bound {bound} exceeds the cap {matgroup.DEFAULT_BOUND}")
     group = matgroup.closure(generators, bound)
     elements = sorted(group, key=lambda g: g.key())
     result = {"order": len(group),
@@ -310,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="close a generator set in PGL(3)")
     p.add_argument("--group", required=True)
     p.add_argument("--bound", type=int,
-                   help="group closure size bound (default: matgroup.DEFAULT_BOUND)")
+                   help="group closure size bound, at most matgroup.DEFAULT_BOUND (the default)")
     p.set_defaults(handler=_cmd_group_closure)
 
     p = sub.add_parser("signature", parents=[common],

@@ -175,7 +175,7 @@ def bielliptic_quartic(a1, a2, a3, order: int) -> PlaneCurve:
 
     quad = pair(a1, a1.inverse())
     quart = uni_mul(pair(a2, a2.conjugate().inverse()),
-                    pair(a3, a3.conjugate().inverse()), order)
+                    pair(a3, a3.conjugate().inverse()))
     entries = [(one, (0, 4, 0))]
     for i, coeff in enumerate(quad):
         if not coeff.is_zero():

@@ -355,7 +355,7 @@ def _binary_common_root(forms: list[SparsePoly], order: int) -> bool:
     g: Optional[list[CyclotomicElement]] = None
     for f in forms:
         dense = poly_to_uni(_dehomogenize(f, 1))
-        g = dense if g is None else uni_gcd(g, dense, order)
+        g = dense if g is None else uni_gcd(g, dense)
         if len(g) == 1:
             return False
     return len(g) > 1
@@ -372,7 +372,6 @@ def has_common_affine_zero(polys: list[SparsePoly]) -> bool:
     live = [p for p in polys if not p.is_zero()]
     if not live:
         return True
-    order = live[0].order
     if any(p.total_degree() == 0 for p in live):
         return False
     if len(live) == 1:
@@ -392,7 +391,7 @@ def has_common_affine_zero(polys: list[SparsePoly]) -> bool:
             candidates.append(poly_as_ylists(res)[0])
     d: list[CyclotomicElement] = []
     for c in candidates:
-        d = uni_gcd(d, c, order) if d else uni_monic(c)
+        d = uni_gcd(d, c) if d else uni_monic(c)
         if len(d) == 1:
             return False
     ylists = [poly_as_ylists(p) for p in ypos]
@@ -401,12 +400,12 @@ def has_common_affine_zero(polys: list[SparsePoly]) -> bool:
         # the gcd over K[x]/(m) is a unit exactly when no y-root is shared
         g: list = []
         for f in ylists:
-            g = mod_gcd(g, f, m, order)
+            g = mod_gcd(g, f, m)
             if len(g) == 1:
                 return False
         return True
 
-    return any(mod_branches(shared_y_root, uni_squarefree(d, order), order))
+    return any(mod_branches(shared_y_root, uni_squarefree(d)))
 
 
 def is_smooth(curve: PlaneCurve) -> bool:

@@ -9,8 +9,10 @@ poly_as_ylists turns a polynomial in two variables into y-lists, a list
 indexed by the degree in y of dense x-lists; the resultant eliminates y from
 the Sylvester matrix by fraction-free (Bareiss) elimination over K[x], each
 division by the previous pivot an exact uni_divmod.
-uni_coprime_mod_p proves gcd(a, b) = 1 from the images of a and b in F_p[x],
-and never disproves it, so a caller falls back to the exact uni_gcd.
+uni_gcd first runs uni_coprime_mod_p, which proves gcd(a, b) = 1 from the
+images in F_p[x] (Langemyr and McCallum, J. Symbolic Comput. 8, 1989) and
+never disproves it; Euclid runs only when it cannot. The list helpers read
+the field off their coefficients: zero is c - c, one is c ** 0.
 
 The splitting-algebra section is the one arithmetic for K[x]/(m), m
 squarefree, and serves only plane.is_smooth: reduce,
@@ -338,10 +340,10 @@ def uni_is_zero(c: Sequence[CyclotomicElement]) -> bool:
     return all(x.is_zero() for x in c)
 
 
-def uni_add(a: Sequence[CyclotomicElement], b: Sequence[CyclotomicElement], order: int) -> list[CyclotomicElement]:
-    out = [CyclotomicElement.zero(order) for _ in range(max(len(a), len(b)))]
-    for i, x in enumerate(a):
-        out[i] = out[i] + x
+def uni_add(a: Sequence[CyclotomicElement], b: Sequence[CyclotomicElement]) -> list[CyclotomicElement]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
     for i, x in enumerate(b):
         out[i] = out[i] + x
     return uni_trim(out)
@@ -351,14 +353,14 @@ def uni_neg(a: Sequence[CyclotomicElement]) -> list[CyclotomicElement]:
     return [-x for x in a]
 
 
-def uni_sub(a, b, order: int) -> list[CyclotomicElement]:
-    return uni_add(a, uni_neg(b), order)
+def uni_sub(a, b) -> list[CyclotomicElement]:
+    return uni_add(a, uni_neg(b))
 
 
-def uni_mul(a: Sequence[CyclotomicElement], b: Sequence[CyclotomicElement], order: int) -> list[CyclotomicElement]:
+def uni_mul(a: Sequence[CyclotomicElement], b: Sequence[CyclotomicElement]) -> list[CyclotomicElement]:
     if not a or not b:
         return []
-    out = [CyclotomicElement.zero(order) for _ in range(len(a) + len(b) - 1)]
+    out = [a[0] - a[0]] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if not x.is_zero():
             for j, y in enumerate(b):
@@ -371,12 +373,12 @@ def uni_scale(a: Sequence[CyclotomicElement], s: CyclotomicElement) -> list[Cycl
     return uni_trim([x * s for x in a])
 
 
-def uni_divmod(a: Sequence[CyclotomicElement], b: Sequence[CyclotomicElement], order: int):
+def uni_divmod(a: Sequence[CyclotomicElement], b: Sequence[CyclotomicElement]):
     """Euclidean division in K[x] for the cyclotomic field K."""
     if not b:
         raise ZeroPolynomial("univariate division by zero")
     a = list(a)
-    q = [CyclotomicElement.zero(order) for _ in range(max(0, len(a) - len(b) + 1))]
+    q = [b[-1] - b[-1]] * max(0, len(a) - len(b) + 1)
     inv_lead = b[-1].inverse()
     for i in range(len(a) - len(b), -1, -1):
         coef = a[i + len(b) - 1] * inv_lead
@@ -394,11 +396,13 @@ def uni_monic(a: Sequence[CyclotomicElement]) -> list[CyclotomicElement]:
     return uni_scale(a, a[-1].inverse())
 
 
-def uni_gcd(a: Sequence[CyclotomicElement], b: Sequence[CyclotomicElement], order: int) -> list[CyclotomicElement]:
-    """Monic gcd via the Euclidean algorithm (K is a field, no content issues)."""
+def uni_gcd(a: Sequence[CyclotomicElement], b: Sequence[CyclotomicElement]) -> list[CyclotomicElement]:
+    """Monic gcd: 1 when uni_coprime_mod_p proves it, else Euclid (K is a field)."""
     r0, r1 = uni_trim(list(a)), uni_trim(list(b))
+    if uni_coprime_mod_p(r0, r1):
+        return [r0[-1] ** 0]
     while r1:
-        _, r = uni_divmod(r0, r1, order)
+        _, r = uni_divmod(r0, r1)
         r0, r1 = r1, uni_monic(r)
     return uni_monic(r0)
 
@@ -436,18 +440,19 @@ def _image_mod_p(c: Sequence[CyclotomicElement], p: int, powers: list[int]) -> O
     return out
 
 
-def uni_coprime_mod_p(a: Sequence[CyclotomicElement], b: Sequence[CyclotomicElement], order: int) -> bool:
-    """True proves gcd(a, b) = 1 in K[x], K = Q(zeta_order); False proves nothing.
+def uni_coprime_mod_p(a: Sequence[CyclotomicElement], b: Sequence[CyclotomicElement]) -> bool:
+    """True proves gcd(a, b) = 1 in K[x], K = Q(zeta_N); False proves nothing.
 
     zeta |-> w is a ring map from Z[zeta][1/den] onto F_p for every den prime
     to p. When it keeps both leading coefficients it sends Res(a, b) to
     Res(a mod p, b mod p), so a gcd of degree 0 in F_p[x] proves Res(a, b) != 0.
     A denominator or leading coefficient divisible by p, or a common factor
-    mod p, returns False, and the caller decides with the exact uni_gcd."""
+    mod p, returns False, and uni_gcd runs the Euclidean algorithm."""
     a, b = uni_trim(list(a)), uni_trim(list(b))
-    p, w = _split_prime(order)
-    if not a or not b or p <= max(len(a), len(b)) - 1:
+    if not a or not b:
         return False
+    order = a[0].order
+    p, w = _split_prime(order)
     powers = [pow(w, i, p) for i in range(euler_phi(order))]
     r0, r1 = _image_mod_p(a, p, powers), _image_mod_p(b, p, powers)
     if r0 is None or r1 is None or not r0[-1] or not r1[-1]:
@@ -469,36 +474,33 @@ def uni_coprime_mod_p(a: Sequence[CyclotomicElement], b: Sequence[CyclotomicElem
     return True
 
 
-def uni_xgcd(a: Sequence[CyclotomicElement], b: Sequence[CyclotomicElement], order: int):
-    """(g, s, t) with s*a + t*b = g, g monic (or zero)."""
-    one = [CyclotomicElement.one(order)]
+def uni_xgcd(a: Sequence[CyclotomicElement], b: Sequence[CyclotomicElement]):
+    """(g, s) with s*a + t*b = g for some t, g monic (or zero)."""
     r0, r1 = uni_trim(list(a)), uni_trim(list(b))
-    s0, s1 = list(one), []
-    t0, t1 = [], list(one)
+    s0, s1 = [r0[-1] ** 0] if r0 else [], []
     while r1:
-        q, r = uni_divmod(r0, r1, order)
+        q, r = uni_divmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, uni_sub(s0, uni_mul(q, s1, order), order)
-        t0, t1 = t1, uni_sub(t0, uni_mul(q, t1, order), order)
+        s0, s1 = s1, uni_sub(s0, uni_mul(q, s1))
     if not r0:
-        return [], [], []
+        return [], []
     lead_inv = r0[-1].inverse()
-    return uni_scale(r0, lead_inv), uni_scale(s0, lead_inv), uni_scale(t0, lead_inv)
+    return uni_scale(r0, lead_inv), uni_scale(s0, lead_inv)
 
 
 def uni_derivative(a: Sequence[CyclotomicElement]) -> list[CyclotomicElement]:
     return uni_trim([a[i] * i for i in range(1, len(a))])
 
 
-def uni_squarefree(a: Sequence[CyclotomicElement], order: int) -> list[CyclotomicElement]:
+def uni_squarefree(a: Sequence[CyclotomicElement]) -> list[CyclotomicElement]:
     """Squarefree part a / gcd(a, a') in characteristic zero."""
     a = uni_trim(list(a))
     if not a:
         raise ZeroPolynomial("zero polynomial has no squarefree part")
     if len(a) == 1:
         return uni_monic(a)
-    g = uni_gcd(a, uni_derivative(a), order)
-    q, r = uni_divmod(a, g, order)
+    g = uni_gcd(a, uni_derivative(a))
+    q, r = uni_divmod(a, g)
     if r:
         raise InternalInconsistency("gcd(a, a') does not divide a")
     return uni_monic(q)
@@ -559,21 +561,21 @@ class Split(Exception):
         self.factor = factor
 
 
-def mod_reduce(p: Sequence[CyclotomicElement], m: Sequence[CyclotomicElement], order: int) -> list[CyclotomicElement]:
+def mod_reduce(p: Sequence[CyclotomicElement], m: Sequence[CyclotomicElement]) -> list[CyclotomicElement]:
     if len(p) < len(m):
         return uni_trim(list(p))  # already reduced: no division, no inverse
-    return uni_divmod(p, m, order)[1]
+    return uni_divmod(p, m)[1]
 
 
-def mod_mul(p, q, m, order: int) -> list[CyclotomicElement]:
+def mod_mul(p, q, m) -> list[CyclotomicElement]:
     if not p or not q:
         return []
-    return mod_reduce(uni_mul(p, q, order), m, order)
+    return mod_reduce(uni_mul(p, q), m)
 
 
-def mod_inverse(p, m, order: int) -> list[CyclotomicElement]:
+def mod_inverse(p, m) -> list[CyclotomicElement]:
     """Inverse mod m, or Split when p is a zero divisor. p must be nonzero mod m."""
-    g, s, _ = uni_xgcd(p, m, order)
+    g, s = uni_xgcd(p, m)
     if len(g) == 1:
         return s
     if len(g) < len(m):
@@ -581,64 +583,64 @@ def mod_inverse(p, m, order: int) -> list[CyclotomicElement]:
     raise InternalInconsistency("inverting zero residue")
 
 
-def zero_part(p, m, order: int) -> list[CyclotomicElement]:
+def zero_part(p, m) -> list[CyclotomicElement]:
     """Monic divisor of m cutting out the roots where p vanishes."""
     if not p:
         return uni_monic(m)
-    return uni_gcd(p, m, order)
+    return uni_gcd(p, m)
 
 
-def split_modulus(m, factor, order: int) -> tuple[list[CyclotomicElement], list[CyclotomicElement]]:
+def split_modulus(m, factor) -> tuple[list[CyclotomicElement], list[CyclotomicElement]]:
     """(factor, m / factor), both monic; the division must be exact."""
     factor = uni_monic(factor)
-    cofactor, r = uni_divmod(m, factor, order)
+    cofactor, r = uni_divmod(m, factor)
     if r:
         raise InternalInconsistency("factor does not divide the modulus")
     return factor, uni_monic(cofactor)
 
 
-def mod_strip(p, m, order: int) -> list[list[CyclotomicElement]]:
+def mod_strip(p, m) -> list[list[CyclotomicElement]]:
     """The y-list p reduced mod m without the leading coefficients that
     vanish mod m; Split when the leading one left is a zero divisor."""
-    p = [mod_reduce(row, m, order) for row in p]
+    p = [mod_reduce(row, m) for row in p]
     while p and not p[-1]:
         p.pop()
     if p:
-        g = zero_part(p[-1], m, order)
+        g = zero_part(p[-1], m)
         if len(g) > 1:
             raise Split(g)
     return p
 
 
-def mod_gcd(a, b, m, order: int) -> list[list[CyclotomicElement]]:
+def mod_gcd(a, b, m) -> list[list[CyclotomicElement]]:
     """Monic gcd of the y-lists a and b over K[x]/(m); [] when both vanish
     mod m. Raises Split on a zero divisor."""
-    a, b = mod_strip(a, m, order), mod_strip(b, m, order)
+    a, b = mod_strip(a, m), mod_strip(b, m)
     if not b:
         a, b = b, a
     while b:
-        inv = mod_inverse(b[-1], m, order)
-        bm = [mod_mul(row, inv, m, order) for row in b[:-1]] + [[CyclotomicElement.one(order)]]
+        inv = mod_inverse(b[-1], m)
+        bm = [mod_mul(row, inv, m) for row in b[:-1]] + [[m[-1] ** 0]]
         r = a
         while len(r) >= len(bm):
             # subtract top * y^shift * bm; the monic leading terms cancel
             top = r.pop()
             shift = len(r) + 1 - len(bm)
             for i, gi in enumerate(bm[:-1]):
-                r[i + shift] = mod_reduce(uni_sub(r[i + shift], uni_mul(top, gi, order), order), m, order)
-            r = mod_strip(r, m, order)
+                r[i + shift] = mod_reduce(uni_sub(r[i + shift], uni_mul(top, gi)), m)
+            r = mod_strip(r, m)
         a, b = bm, r
     return a
 
 
-def mod_branches(fn, m, order: int):
+def mod_branches(fn, m):
     """Yield fn(branch) over a splitting of m: fn runs on m and, when it
     raises Split, on the factor and the cofactor instead."""
     try:
         value = fn(m)
     except Split as split:
-        for part in split_modulus(m, split.factor, order):
-            yield from mod_branches(fn, part, order)
+        for part in split_modulus(m, split.factor):
+            yield from mod_branches(fn, part)
         return
     yield value
 
@@ -667,13 +669,13 @@ def distinct_root_count(form: SparsePoly) -> int:
         raise ZeroPolynomial("unexpected zero dehomogenization")
     if len(dense) == 1:
         return at_infinity
-    return at_infinity + (len(uni_squarefree(dense, order)) - 1)
+    return at_infinity + (len(uni_squarefree(dense)) - 1)
 
 
 # resultants -----------------------------------------------------------------
 
-def _bareiss_det(matrix: list[list[list[CyclotomicElement]]], order: int) -> list[CyclotomicElement]:
-    """Determinant of a square matrix over K[x] whose entries are dense lists.
+def _bareiss_det(matrix: list[list[list[CyclotomicElement]]]) -> list[CyclotomicElement]:
+    """Determinant of a nonempty square matrix over K[x] of dense lists.
 
     Fraction-free elimination (Bareiss, Math. Comp. 22, 1968): after step k
     every entry below and right of the pivot is a (k+2)-minor of the input,
@@ -698,15 +700,15 @@ def _bareiss_det(matrix: list[list[list[CyclotomicElement]]], order: int) -> lis
         for i in range(k + 1, n):
             left = m[i][k]
             for j in range(k + 1, n):
-                num = uni_sub(uni_mul(top, m[i][j], order), uni_mul(left, m[k][j], order), order)
+                num = uni_sub(uni_mul(top, m[i][j]), uni_mul(left, m[k][j]))
                 if num and prev is not None:
-                    num, rem = uni_divmod(num, prev, order)
+                    num, rem = uni_divmod(num, prev)
                     if rem:
                         raise InternalInconsistency("Bareiss division by the previous pivot left a remainder")
                     num = uni_scale(num, inv)
                 m[i][j] = num
         prev = top
-    det = m[n - 1][n - 1] if n else [CyclotomicElement.one(order)]
+    det = m[n - 1][n - 1]
     return det if sign == 1 else uni_neg(det)
 
 
@@ -726,5 +728,7 @@ def resultant(f: SparsePoly, g: SparsePoly, var: int) -> SparsePoly:
     # m shifted rows of f's coefficients, then n of g's, highest power first
     rows = [[[]] * shift + fc[::-1] + [[]] * (m - 1 - shift) for shift in range(m)]
     rows += [[[]] * shift + gc[::-1] + [[]] * (n - 1 - shift) for shift in range(n)]
+    # two constants in var: the empty Sylvester determinant is 1
+    det = _bareiss_det(rows) if rows else [CyclotomicElement.one(f.order)]
     # the variable left is the other one, or none (index 0) for one variable
-    return uni_to_poly(_bareiss_det(rows, f.order), f.order, f.nvars, f.nvars - 1 - var)
+    return uni_to_poly(det, f.order, f.nvars, f.nvars - 1 - var)

@@ -21,12 +21,11 @@ composites.
 
 Both costs of that path stay quadratic in the degree. A Moebius pull-back
 is a Horner scheme on the homogenised form, one linear factor per step, and
-squarefreeness of f is proven by the modular certificate
-polyring.uni_coprime_mod_p on (f, f'); only when the certificate cannot
-decide does the exact gcd over Q(zeta_N) run, so NotSquarefree is never a
-guess. The degree 2mn of a family member is capped by polyring.MAX_DEGREE
-and the cover degree q by exactnum.MAX_ORDER, since the deck transformation
-lives in Q(zeta_q).
+f is squarefree when polyring.uni_gcd(f, f') = 1; that gcd proves it in one
+F_p pass, and runs the exact Euclid over Q(zeta_N) only when the F_p images
+cannot, so NotSquarefree is never a guess. The degree 2mn of a family
+member is capped by polyring.MAX_DEGREE and the cover degree q by
+exactnum.MAX_ORDER, since the deck transformation lives in Q(zeta_q).
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ def _times_linear(h, a, b, zero):
     return out
 
 
-def _pull_back(rows, top: int, order: int, *polys) -> list:
+def _pull_back(rows, top: int, *polys) -> list:
     """(c x + d)^top p((a x + b)/(c x + d)) for each dense p of degree at
     most top, followed by (c x + d)^top itself.
 
@@ -93,8 +92,8 @@ def _pull_back(rows, top: int, order: int, *polys) -> list:
     for i from deg p down to 0, so O(top^2) multiplications in all, and a zero
     p_i adds nothing."""
     (a, b), (c, d) = rows
-    zero = CyclotomicElement.zero(order)
-    pd = [[CyclotomicElement.one(order)]]
+    zero = a - a
+    pd = [[a ** 0]]
     for _ in range(top):
         pd.append(_times_linear(pd[-1], c, d, zero))
     out = []
@@ -260,11 +259,7 @@ def genus_qgonal(q: int, f: polyring.SparsePoly) -> int:
     degree = len(coeffs) - 1
     if degree < 3:
         raise GenusTooSmall(f"defining polynomial has degree {degree} < 3")
-    # the modular certificate proves gcd(f, f') = 1 in one F_p pass; only
-    # when it cannot does the exact gcd over Q(zeta_N) decide
-    deriv = polyring.uni_derivative(coeffs)
-    if (not polyring.uni_coprime_mod_p(coeffs, deriv, f.order)
-            and len(polyring.uni_gcd(coeffs, deriv, f.order)) > 1):
+    if len(polyring.uni_gcd(coeffs, polyring.uni_derivative(coeffs))) > 1:
         raise NotSquarefree("defining polynomial has a repeated root")
     branch = degree if degree % q == 0 else degree + 1
     doubled = -2 * q + branch * (q - 1)
@@ -398,10 +393,10 @@ def moebius_permutes_roots(f: polyring.SparsePoly, rows) -> bool:
     if (a * d - b * c).is_zero():
         raise ValueError("moebius map must be invertible")
     coeffs = polyring.poly_to_uni(f.lift_to(order))
-    pulled, _ = _pull_back([[a, b], [c, d]], len(coeffs) - 1, order, coeffs)
+    pulled, _ = _pull_back([[a, b], [c, d]], len(coeffs) - 1, coeffs)
     if polyring.uni_is_zero(pulled):
         return True
-    return polyring.uni_is_zero(polyring.uni_divmod(pulled, coeffs, order)[1])
+    return polyring.uni_is_zero(polyring.uni_divmod(pulled, coeffs)[1])
 
 
 def family_polynomial(values: Sequence[CyclotomicElement], n: int,
@@ -434,7 +429,7 @@ def family_polynomial(values: Sequence[CyclotomicElement], n: int,
     for v in vals:
         first = [-v] + [CyclotomicElement.zero(order)] * (n - 1) + [one]
         second = [v.conjugate().inverse()] + [CyclotomicElement.zero(order)] * (n - 1) + [one]
-        coeffs = polyring.uni_mul(polyring.uni_mul(coeffs, first, order), second, order)
+        coeffs = polyring.uni_mul(polyring.uni_mul(coeffs, first), second)
     if coeffs[0] != -one:
         raise PropertyViolation("constant term is not -1")
     f = polyring.uni_to_poly(coeffs, order)
@@ -521,9 +516,9 @@ def qgonal_is_isomorphism(source: QGonalCurve, target: QGonalCurve,
     f_src = polyring.poly_to_uni(source.poly.lift_to(order))
     f_tgt = polyring.poly_to_uni(target.poly.lift_to(order))
     lifted = phi.lift_to(order)
-    pulled, denom = _pull_back(lifted.mobius, len(f_tgt) - 1, order, f_tgt)
+    pulled, denom = _pull_back(lifted.mobius, len(f_tgt) - 1, f_tgt)
     c_q = lifted.coeff ** q
-    lhs = polyring.uni_mul([c_q * a for a in f_src], denom, order)
+    lhs = polyring.uni_mul([c_q * a for a in f_src], denom)
     # x^(qk) moves to the side where its exponent is nonnegative
     shift = q * lifted.exponent
     zero = CyclotomicElement.zero(order)

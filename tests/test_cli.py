@@ -752,6 +752,25 @@ def test_nonsense_numbers_exit_2(capsys):
     assert code == 3 and "bound 1" in err
 
 
+def test_closure_bound_above_the_cap_exits_3(capsys, tmp_path):
+    # diag(2, 1, 1) has infinite order: --bound may only lower the cap, so a
+    # larger N is refused before any closure runs
+    entries = [[["2"], ["0"], ["0"]], [["0"], ["1"], ["0"]], [["0"], ["0"], ["1"]]]
+    infinite = tmp_path / "infinite.json"
+    infinite.write_text(json.dumps({"kind": "group", "generators": [
+        {"kind": "projective_map", "order": 1, "entries": entries}]}), encoding="utf-8")
+    for bound in ("361", "1000000000"):
+        started = time.perf_counter()
+        for group in (fx("fermat_quartic_gens"), str(infinite)):
+            code, out, err = run(capsys, "group-closure", "--group", group, "--bound", bound)
+            assert code == 3 and out == "", (group, bound)
+            assert err.startswith("resource bound exceeded:") and err.count("\n") == 1
+            assert f"bound {bound} exceeds the cap 360" in err
+        assert time.perf_counter() - started < 1.0
+    code, _, _ = run(capsys, "group-closure", "--group", fx("fermat_quartic_gens"), "--bound", "360")
+    assert code == 0
+
+
 def test_odd_signature_literal(capsys):
     report = run_structured(capsys, "odd-signature",
                             "--quotient-genus", "0", "--indices", "8,3,2")

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oddsig import plane
+from oddsig import plane, polyring
 from oddsig.errors import (NotAnIsomorphism, OrderMismatch, SchemaError,
                            VariableCountMismatch, ZeroPolynomial)
 from oddsig.exactnum import CyclotomicElement, cyclotomic_polynomial, euler_phi
@@ -323,6 +323,31 @@ def test_smooth_matches_family_criterion():
         expected = not (a * a + b * b + c * c - a * b * c == 4
                         or 4 in (a * a, b * b, c * c))
         assert is_smooth(quartic_family(a, b, c)) is expected, (a, b, c)
+
+
+def drawn_curve(order, d):
+    """A dense plane curve of degree d: each coefficient a + b zeta_order with
+    a, b drawn from -2..2 (seed 100 + d)."""
+    rng = random.Random(100 + d)
+    zeta = CyclotomicElement.zeta(order, 1)
+    return PlaneCurve(SparsePoly(order, 3, {
+        (i, j, d - i - j): zeta * rng.randint(-2, 2) + rng.randint(-2, 2)
+        for i in range(d, -1, -1) for j in range(d - i, -1, -1)}))
+
+
+@pytest.mark.parametrize("order, d", [(7, 5), (1, 6)])
+def test_smooth_drawn_curves_are_proven_in_f_p(order, d, monkeypatch):
+    # every gcd is_smooth runs on these curves is 1, and the F_p certificate
+    # inside uni_gcd proves each one before any Euclid over Q(zeta_N)
+    verdicts, real = [], polyring.uni_coprime_mod_p
+
+    def spy(a, b):
+        verdicts.append(real(a, b))
+        return verdicts[-1]
+
+    monkeypatch.setattr(polyring, "uni_coprime_mod_p", spy)
+    assert is_smooth(drawn_curve(order, d))
+    assert verdicts and all(verdicts)
 
 
 def biv(order, items):

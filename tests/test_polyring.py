@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oddsig import polyring
+from oddsig import polyring, superell
 from oddsig.errors import (BoundExceeded, InternalInconsistency, OrderMismatch, SchemaError,
                            VariableCountMismatch, ZeroPolynomial)
 from oddsig.exactnum import CyclotomicElement as Cyc, cyclotomic_polynomial, is_prime
@@ -127,7 +128,7 @@ def test_uni_gcd_and_squarefree():
     def from_roots(roots):
         out = [one]
         for r in roots:
-            out = uni_mul(out, [-r, one], order)
+            out = uni_mul(out, [-r, one])
         return out
 
     # (x-1)^2 (x-2) and (x-1)(x-3): gcd = (x-1)
@@ -136,20 +137,20 @@ def test_uni_gcd_and_squarefree():
     r3 = Cyc.from_rational(3, 1)
     f = from_roots([r1, r1, r2])
     g = from_roots([r1, r3])
-    gcd = uni_gcd(f, g, order)
+    gcd = uni_gcd(f, g)
     assert gcd == from_roots([r1])
-    sf = uni_squarefree(f, order)
+    sf = uni_squarefree(f)
     assert sf == from_roots([r1, r2])
-    gg, s, t = uni_xgcd(f, g, order)
+    gg, s = uni_xgcd(f, g)
     assert gg == gcd
 
 
 def test_squarefree_gcd_that_does_not_divide(monkeypatch):
     one = Cyc.one(1)
     # x - 5 does not divide x^2 - 1
-    monkeypatch.setattr(polyring, "uni_gcd", lambda a, b, order: [Cyc.from_rational(-5, 1), one])
+    monkeypatch.setattr(polyring, "uni_gcd", lambda a, b: [Cyc.from_rational(-5, 1), one])
     with pytest.raises(InternalInconsistency):
-        uni_squarefree([-one, Cyc.zero(1), one], 1)
+        uni_squarefree([-one, Cyc.zero(1), one])
 
 
 def test_distinct_root_count_examples():
@@ -298,9 +299,9 @@ def test_resultant_guards_are_typed(monkeypatch):
         resultant(P(1, 3, [(1, (0, 1, 0))]), P(1, 3, [(1, (0, 2, 1))]), 1)
     original = polyring.uni_divmod
 
-    def leaves_a_remainder(a, b, order):
-        q, _ = original(a, b, order)
-        return q, [Cyc.one(order)]
+    def leaves_a_remainder(a, b):
+        q, _ = original(a, b)
+        return q, [b[-1] ** 0]
 
     # a Bareiss division that is not exact means the elimination went wrong
     monkeypatch.setattr(polyring, "uni_divmod", leaves_a_remainder)
@@ -363,7 +364,9 @@ def test_split_prime_root_has_exact_order():
         assert sum(int(c) * pow(w, i, p) for i, c in enumerate(cyclotomic_polynomial(order))) % p == 0
 
 
-def test_coprime_certificate_is_sound():
+def test_coprime_certificate_is_sound(monkeypatch):
+    # the exact verdict is Euclid's: uni_gcd with its certificate switched off
+    monkeypatch.setattr(polyring, "uni_coprime_mod_p", lambda a, b: False)
     rng = random.Random(4099)
     order = 12
     proven = 0
@@ -373,9 +376,9 @@ def test_coprime_certificate_is_sound():
         b = uni_derivative(a) if rng.random() < 0.5 else a[:rng.randint(1, len(a))][::-1]
         if rng.random() < 0.3:                              # force a common factor
             common = [Cyc.zeta(order, rng.randrange(order)), Cyc.one(order)]
-            a, b = polyring.uni_mul(a, common, order), polyring.uni_mul(b, common, order)
-        exact = len(uni_gcd(a, b, order)) == 1 if a and b else False
-        if uni_coprime_mod_p(a, b, order):
+            a, b = polyring.uni_mul(a, common), polyring.uni_mul(b, common)
+        exact = len(uni_gcd(a, b)) == 1 if a and b else False
+        if uni_coprime_mod_p(a, b):
             proven += 1
             assert exact
     assert proven > 15
@@ -384,7 +387,165 @@ def test_coprime_certificate_is_sound():
 def test_squarefree_of_a_sparse_univariate():
     x = SparsePoly.variable(0, 1, 1)
     f = (x - 1) ** 2 * (x + 2)
-    assert uni_to_poly(uni_squarefree(poly_to_uni(f), 1), 1) == (x - 1) * (x + 2)
+    assert uni_to_poly(uni_squarefree(poly_to_uni(f)), 1) == (x - 1) * (x + 2)
+
+
+# the list layer reads its field from its coefficients ------------------------
+
+ZETA = [0, 1, 0, 0]                         # zeta_12 on the power basis of Q(zeta_12)
+LIST_OPERANDS = {                           # E empty, C constant, U, G and S untrimmed
+    1: {"E": [], "C": [3], "U": [1, 2, 0], "F": [-2, 1, 1], "G": [-1, 0, 1, 0], "S": [2, -3, 0, 1, 0]},
+    12: {"E": [], "C": [[0, 2, 0, 0]], "U": [ZETA, 1, 0], "F": [[0, -1, 0, 0], [-1, 1, 0, 0], 1],
+         "G": [[0, 2, 0, 0], [2, 1, 0, 0], 1, 0],
+         "S": [[0, 0, -1, 0], [0, -2, 1, 0], [-1, 2, 0, 0], 1, 0]},
+}
+# (function, order, operands, result): the results of the helpers when they
+# still took the field order as an argument (uni_xgcd's cofactor t dropped)
+LIST_LAYER = [
+    ("uni_add", 1, "EE", []),
+    ("uni_add", 1, "EC", [3]),
+    ("uni_add", 1, "CU", [4, 2]),
+    ("uni_add", 1, "UF", [-1, 3, 1]),
+    ("uni_add", 1, "GE", [-1, 0, 1]),
+    ("uni_sub", 1, "EC", [-3]),
+    ("uni_sub", 1, "UU", []),
+    ("uni_sub", 1, "FG", [-1, 1]),
+    ("uni_mul", 1, "EU", []),
+    ("uni_mul", 1, "CU", [3, 6]),
+    ("uni_mul", 1, "UG", [-1, -2, 1, 2]),
+    ("uni_divmod", 1, "EC", ([], [])),
+    ("uni_divmod", 1, "CC", ([1], [])),
+    ("uni_divmod", 1, "UC", ([Fraction(1, 3), Fraction(2, 3)], [])),
+    ("uni_divmod", 1, "GF", ([1], [1, -1])),
+    ("uni_divmod", 1, "CF", ([], [3])),
+    ("uni_gcd", 1, "EE", []),
+    ("uni_gcd", 1, "EC", [1]),
+    ("uni_gcd", 1, "EU", [Fraction(1, 2), 1]),
+    ("uni_gcd", 1, "CU", [1]),
+    ("uni_gcd", 1, "UU", [Fraction(1, 2), 1]),
+    ("uni_gcd", 1, "FG", [-1, 1]),
+    ("uni_xgcd", 1, "EE", ([], [])),
+    ("uni_xgcd", 1, "CE", ([1], [Fraction(1, 3)])),
+    ("uni_xgcd", 1, "EU", ([Fraction(1, 2), 1], [])),
+    ("uni_xgcd", 1, "CU", ([1], [Fraction(1, 3)])),
+    ("uni_xgcd", 1, "FG", ([-1, 1], [1])),
+    ("uni_squarefree", 1, "C", [1]),
+    ("uni_squarefree", 1, "U", [Fraction(1, 2), 1]),
+    ("uni_squarefree", 1, "G", [-1, 0, 1]),
+    ("uni_squarefree", 1, "E", ZeroPolynomial),
+    ("uni_squarefree", 1, "S", [-2, 1, 1]),
+    ("uni_gcd", 1, "SF", [-2, 1, 1]),
+    ("uni_xgcd", 1, "SG", ([-1, 1], [Fraction(-1, 2)])),
+    ("uni_add", 12, "EE", []),
+    ("uni_add", 12, "EC", [[0, 2, 0, 0]]),
+    ("uni_add", 12, "CU", [[0, 3, 0, 0], 1]),
+    ("uni_add", 12, "UF", [0, [0, 1, 0, 0], 1]),
+    ("uni_add", 12, "GE", [[0, 2, 0, 0], [2, 1, 0, 0], 1]),
+    ("uni_sub", 12, "EC", [[0, -2, 0, 0]]),
+    ("uni_sub", 12, "UU", []),
+    ("uni_sub", 12, "FG", [[0, -3, 0, 0], -3]),
+    ("uni_mul", 12, "EU", []),
+    ("uni_mul", 12, "CU", [[0, 0, 2, 0], [0, 2, 0, 0]]),
+    ("uni_mul", 12, "UG", [[0, 0, 2, 0], [0, 4, 1, 0], [2, 2, 0, 0], 1]),
+    ("uni_divmod", 12, "EC", ([], [])),
+    ("uni_divmod", 12, "CC", ([1], [])),
+    ("uni_divmod", 12, "UC", ([Fraction(1, 2), [0, Fraction(1, 2), 0, Fraction(-1, 2)]], [])),
+    ("uni_divmod", 12, "GF", ([1], [[0, 3, 0, 0], 3])),
+    ("uni_divmod", 12, "CF", ([], [[0, 2, 0, 0]])),
+    ("uni_gcd", 12, "EE", []),
+    ("uni_gcd", 12, "EC", [1]),
+    ("uni_gcd", 12, "EU", [[0, 1, 0, 0], 1]),
+    ("uni_gcd", 12, "CU", [1]),
+    ("uni_gcd", 12, "UU", [[0, 1, 0, 0], 1]),
+    ("uni_gcd", 12, "FG", [[0, 1, 0, 0], 1]),
+    ("uni_xgcd", 12, "EE", ([], [])),
+    ("uni_xgcd", 12, "CE", ([1], [[0, Fraction(1, 2), 0, Fraction(-1, 2)]])),
+    ("uni_xgcd", 12, "EU", ([[0, 1, 0, 0], 1], [])),
+    ("uni_xgcd", 12, "CU", ([1], [[0, Fraction(1, 2), 0, Fraction(-1, 2)]])),
+    ("uni_xgcd", 12, "FG", ([[0, 1, 0, 0], 1], [Fraction(-1, 3)])),
+    ("uni_squarefree", 12, "C", [1]),
+    ("uni_squarefree", 12, "U", [[0, 1, 0, 0], 1]),
+    ("uni_squarefree", 12, "G", [[0, 2, 0, 0], [2, 1, 0, 0], 1]),
+    ("uni_squarefree", 12, "E", ZeroPolynomial),
+    ("uni_squarefree", 12, "S", [[0, -1, 0, 0], [-1, 1, 0, 0], 1]),
+    ("uni_gcd", 12, "SF", [[0, -1, 0, 0], [-1, 1, 0, 0], 1]),
+    ("uni_xgcd", 12, "SG", ([[0, 1, 0, 0], 1], [[Fraction(2, 13), Fraction(1, 13), Fraction(2, 39), Fraction(1, 39)]])),
+]
+
+
+def as_list(order, coeffs):
+    """A dense list from rationals, or from coordinate lists over Q(zeta_order)."""
+    return [Cyc(order, c) if isinstance(c, list) else Cyc.from_rational(c, order) for c in coeffs]
+
+
+@pytest.mark.parametrize("name, order, operands, expected", LIST_LAYER)
+def test_list_layer_on_empty_constant_and_untrimmed_operands(name, order, operands, expected):
+    args = [as_list(order, LIST_OPERANDS[order][o]) for o in operands]
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            getattr(polyring, name)(*args)
+        return
+    got = getattr(polyring, name)(*args)
+    if isinstance(expected, tuple):
+        assert got == tuple(as_list(order, e) for e in expected)
+    else:
+        assert got == as_list(order, expected)
+
+
+def random_pairs(rng, order, count):
+    """Pairs of dense lists over Q(zeta_order), one in three with a planted
+    common factor of degree 1 or 2."""
+    phi = len(Cyc.zero(order).coords)
+
+    def draw(length):
+        return [Cyc(order, [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(phi)])
+                for _ in range(length)]
+
+    for k in range(count):
+        a, b = draw(rng.randint(1, 6)), draw(rng.randint(1, 6))
+        if k % 3 == 0:
+            common = draw(rng.randint(1, 2)) + [Cyc.one(order)]
+            a, b = polyring.uni_mul(a, common), polyring.uni_mul(b, common)
+        yield a, b
+
+
+def test_xgcd_cofactor_inverts_modulo_b():
+    rng = random.Random(1201)
+    shared = 0
+    for a, b in random_pairs(rng, 12, 30):
+        g, s = uni_xgcd(a, b)
+        assert g == uni_gcd(a, b)
+        shared += len(g) > 1
+        # s a = g (mod b)
+        assert polyring.uni_divmod(polyring.uni_sub(polyring.uni_mul(s, a), g), b)[1] == []
+    assert shared >= 10
+
+
+def test_list_layer_takes_no_order():
+    names = ["uni_add", "uni_sub", "uni_mul", "uni_divmod", "uni_gcd", "uni_xgcd", "uni_squarefree",
+             "uni_coprime_mod_p", "mod_reduce", "mod_mul", "mod_inverse", "zero_part", "split_modulus",
+             "mod_strip", "mod_gcd", "mod_branches", "_bareiss_det"]
+    functions = [getattr(polyring, name) for name in names] + [superell._pull_back]
+    for fn in functions:
+        assert "order" not in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_uni_gcd_matches_euclid_without_the_certificate(monkeypatch):
+    pairs = list(random_pairs(random.Random(1202), 12, 30)) + list(random_pairs(random.Random(1203), 1, 15))
+    # p in a denominator, or p as a leading coefficient: no image in F_p
+    for order in (1, 12):
+        p, _ = _split_prime(order)
+        for scale, root in ((p, 1), (1, Fraction(1, p))):
+            squarefree = as_list(order, [1, root, 0, 0, scale])
+            repeated = polyring.uni_mul(as_list(order, [root * root, -2 * root, 1]), as_list(order, [scale] * 3))
+            for f in (squarefree, repeated):
+                assert not uni_coprime_mod_p(f, uni_derivative(f))
+                pairs.append((f, uni_derivative(f)))
+    assert sum(uni_coprime_mod_p(a, b) for a, b in pairs) >= 15
+    with_certificate = [uni_gcd(a, b) for a, b in pairs]
+    monkeypatch.setattr(polyring, "uni_coprime_mod_p", lambda a, b: False)
+    assert with_certificate == [uni_gcd(a, b) for a, b in pairs]
+    assert sum(len(g) > 1 for g in with_certificate) >= 15
 
 
 # the splitting algebra K[x]/(m) --------------------------------------------
@@ -392,7 +553,7 @@ def test_squarefree_of_a_sparse_univariate():
 def from_roots(roots, order):
     out = [Cyc.one(order)]
     for r in roots:
-        out = polyring.uni_mul(out, [-r, Cyc.one(order)], order)
+        out = polyring.uni_mul(out, [-r, Cyc.one(order)])
     return out
 
 
@@ -408,7 +569,7 @@ def y_mul(a, b, order):
     out = [[] for _ in range(len(a) + len(b) - 1)] if a and b else []
     for i, p in enumerate(a):
         for j, q in enumerate(b):
-            out[i + j] = polyring.uni_add(out[i + j], polyring.uni_mul(p, q, order), order)
+            out[i + j] = polyring.uni_add(out[i + j], polyring.uni_mul(p, q))
     return out
 
 
@@ -427,7 +588,7 @@ def split_gcd_cases(draw):
     def ylist():
         rows = draw(st.lists(xpoly, min_size=1, max_size=3))
         vanish = draw(st.lists(st.sampled_from(roots), max_size=2))
-        rows[-1] = polyring.uni_mul(rows[-1] or [Cyc.one(order)], from_roots(vanish, order), order)
+        rows[-1] = polyring.uni_mul(rows[-1] or [Cyc.one(order)], from_roots(vanish, order))
         return rows
 
     a, b = ylist(), ylist()
@@ -444,12 +605,12 @@ def split_gcd_cases(draw):
 def test_mod_gcd_over_the_branches_matches_gcds_at_the_roots(case):
     order, roots, a, b = case
     expected = sum(len(uni_gcd(polyring.uni_trim([at(row, r, order) for row in a]),
-                               polyring.uni_trim([at(row, r, order) for row in b]), order)) - 1
+                               polyring.uni_trim([at(row, r, order) for row in b]))) - 1
                    for r in roots)
     m = from_roots(roots, order)
     # a branch of degree k stands for k roots that share the gcd's y-degree
     branches = list(polyring.mod_branches(
-        lambda part: (len(part) - 1, len(polyring.mod_gcd(a, b, part, order)) - 1), m, order))
+        lambda part: (len(part) - 1, len(polyring.mod_gcd(a, b, part)) - 1), m))
     assert sum(k for k, _ in branches) == len(roots)
     assert sum(k * degree for k, degree in branches) == expected
 
@@ -460,33 +621,33 @@ def test_split_exactly_on_a_proper_zero_divisor():
     m = from_roots(roots, 1)
     for mask in range(8):
         vanish = [r for k, r in enumerate(roots) if mask >> k & 1]
-        lead = polyring.uni_mul(from_roots(vanish, 1), [Cyc.from_rational(-5, 1), one], 1)
+        lead = polyring.uni_mul(from_roots(vanish, 1), [Cyc.from_rational(-5, 1), one])
         p = [[one], lead]                                  # 1 + lead(x) y
         if 0 < len(vanish) < 3:
-            for call in (lambda: polyring.mod_strip(p, m, 1),
-                         lambda: polyring.mod_gcd(p, [[one], [one]], m, 1),
-                         lambda: polyring.mod_inverse(polyring.mod_reduce(lead, m, 1), m, 1)):
+            for call in (lambda: polyring.mod_strip(p, m),
+                         lambda: polyring.mod_gcd(p, [[one], [one]], m),
+                         lambda: polyring.mod_inverse(polyring.mod_reduce(lead, m), m)):
                 with pytest.raises(polyring.Split) as info:
                     call()
                 assert info.value.factor == from_roots(vanish, 1)
         else:
             # a unit stays the leader; a leader that vanishes on all of m is dropped
-            assert len(polyring.mod_strip(p, m, 1)) == (1 if vanish else 2)
+            assert len(polyring.mod_strip(p, m)) == (1 if vanish else 2)
             if not vanish:
-                inv = polyring.mod_inverse(lead, m, 1)
-                assert polyring.mod_mul(lead, inv, m, 1) == [one]
+                inv = polyring.mod_inverse(lead, m)
+                assert polyring.mod_mul(lead, inv, m) == [one]
         # mod_branches reruns on the factor and the cofactor: y-degree 0 above
         # the roots where the leader vanishes, 1 above the others
         degrees = polyring.mod_branches(
-            lambda part: (len(part) - 1) * (len(polyring.mod_strip(p, part, 1)) - 1), m, 1)
+            lambda part: (len(part) - 1) * (len(polyring.mod_strip(p, part)) - 1), m)
         assert sum(degrees) == 3 - len(vanish)
 
 
 def test_split_modulus_checks_the_cofactor():
     one = Cyc.one(1)
     m = from_roots([one, Cyc.from_rational(2, 1)], 1)
-    factor, cofactor = polyring.split_modulus(m, [Cyc.from_rational(-2, 1), Cyc.from_rational(2, 1)], 1)
+    factor, cofactor = polyring.split_modulus(m, [Cyc.from_rational(-2, 1), Cyc.from_rational(2, 1)])
     assert factor == from_roots([one], 1) and cofactor == from_roots([Cyc.from_rational(2, 1)], 1)
     with pytest.raises(InternalInconsistency):
-        polyring.split_modulus(m, from_roots([Cyc.from_rational(3, 1)], 1), 1)
+        polyring.split_modulus(m, from_roots([Cyc.from_rational(3, 1)], 1))
 

@@ -159,7 +159,7 @@ def test_zero_residue_inverse_is_typed():
     # m is a nonzero polynomial that is zero as a residue mod m
     m = [CyclotomicElement.from_rational(c, 4) for c in (-1, 0, 1)]
     with pytest.raises(InternalInconsistency):
-        polyring.mod_inverse(m, m, 4)
+        polyring.mod_inverse(m, m)
 
 
 def test_negative_stabilizer_count_is_typed(monkeypatch):

@@ -109,7 +109,7 @@ def test_build_family_quartic_twist():
                U(4, [Fraction(-1, 3), 0, 0, 0, 1])]
     product = [Cyc.one(4)]
     for g in factors:
-        product = uni_mul(product, poly_to_uni(g), 4)
+        product = uni_mul(product, poly_to_uni(g))
     assert f == uni_to_poly(product, 4)
     coeffs = poly_to_uni(f)
     assert len(coeffs) == 17
@@ -132,7 +132,7 @@ def test_build_family_cubic_variant():
                U(12, [i / 2, 0, 0, 1])]
     product = [Cyc.one(12)]
     for g in factors:
-        product = uni_mul(product, poly_to_uni(g), 12)
+        product = uni_mul(product, poly_to_uni(g))
     assert f == uni_to_poly(product, 12)
     tau = [[-1, r3 + 1], [r3 - 1, 1]]
     assert not moebius_permutes_roots(f, tau)
@@ -467,10 +467,10 @@ def dense_pull_back(rows, top, order, p):
     for i, coeff in enumerate(p):
         term = [coeff]
         for _ in range(i):
-            term = uni_mul(term, [b, a], order)
+            term = uni_mul(term, [b, a])
         for _ in range(top - i):
-            term = uni_mul(term, [d, c], order)
-        total = uni_add(total, term, order)
+            term = uni_mul(term, [d, c])
+        total = uni_add(total, term)
     return uni_trim(total)
 
 
@@ -492,7 +492,7 @@ def test_horner_pull_back_matches_dense_oracle(order, data):
     polys = [[data.draw(elements(order)) for _ in range(data.draw(st.integers(0, top + 1)))]
              for _ in range(2)]                            # deg p < top included
     rows = [[a, b], [c, d]]
-    *pulled, denom = _pull_back(rows, top, order, *polys)
+    *pulled, denom = _pull_back(rows, top, *polys)
     assert pulled == [dense_pull_back(rows, top, order, p) for p in polys]
     assert denom == dense_pull_back(rows, top, order, [Cyc.one(order)])
 
@@ -503,39 +503,46 @@ def test_repeated_root_is_not_squarefree():
     z = Cyc.zeta(12, 1)
     g = [-z, Cyc.one(12)]
     h = poly_to_uni(U(12, [5, 2, 1]))
-    f = uni_mul(uni_mul(g, g, 12), h, 12)
-    assert not uni_coprime_mod_p(f, uni_derivative(f), 12)
+    f = uni_mul(uni_mul(g, g), h)
+    assert not uni_coprime_mod_p(f, uni_derivative(f))
     with pytest.raises(NotSquarefree):
         genus_qgonal(3, uni_to_poly(f, 12))
+
+
+def certificate_verdicts(monkeypatch) -> list:
+    """Record what the F_p certificate inside polyring.uni_gcd returns; each
+    False sends uni_gcd on to the exact Euclidean algorithm over Q(zeta_N)."""
+    verdicts, real = [], polyring.uni_coprime_mod_p
+
+    def spy(a, b):
+        verdicts.append(real(a, b))
+        return verdicts[-1]
+
+    monkeypatch.setattr(polyring, "uni_coprime_mod_p", spy)
+    return verdicts
 
 
 @pytest.mark.parametrize("order", [1, 12])
 def test_certificate_fallback_keeps_the_exact_verdict(order, monkeypatch):
     p, _ = _split_prime(order)
-    exact_calls, real = [], polyring.uni_gcd
-
-    def counted(*args):
-        exact_calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(polyring, "uni_gcd", counted)
+    verdicts = certificate_verdicts(monkeypatch)
     # a leading coefficient p, or a coefficient with p in its denominator, has
     # no image in F_p
     for scale, root in ((p, 1), (1, Fraction(1, p))):
         squarefree = U(order, [1, root, 0, 0, scale])               # scale x^4 + root x + 1
         square = poly_to_uni(U(order, [root * root, -2 * root, 1]))  # (x - root)^2
-        repeated = uni_to_poly(uni_mul(square, poly_to_uni(U(order, [scale, scale, scale])), order),
+        repeated = uni_to_poly(uni_mul(square, poly_to_uni(U(order, [scale, scale, scale]))),
                                order)
         for f in (squarefree, repeated):
             coeffs = poly_to_uni(f)
-            assert not uni_coprime_mod_p(coeffs, uni_derivative(coeffs), order)
+            assert not uni_coprime_mod_p(coeffs, uni_derivative(coeffs))
         assert genus_qgonal(3, squarefree) == 3
         with pytest.raises(NotSquarefree):
             genus_qgonal(3, repeated)
-    assert len(exact_calls) == 4
+    assert verdicts.count(False) == 4
     # an ordinary squarefree polynomial is proven without the exact gcd
     assert genus_qgonal(3, U(order, [1, 1, 0, 0, 1])) == 3
-    assert len(exact_calls) == 4
+    assert verdicts.count(False) == 4 and verdicts[-1]
 
 
 def test_family_degree_is_bounded():
@@ -548,6 +555,7 @@ def test_family_degree_is_bounded():
 
 
 def test_long_family_members_are_proven_squarefree(monkeypatch):
-    monkeypatch.setattr(polyring, "uni_gcd", None)        # the exact gcd is never reached
+    verdicts = certificate_verdicts(monkeypatch)
     for q, m, n, genus in [(5, 5, 3, 56), (7, 7, 7, 288)]:
         assert family_curve(q, m, n).genus == genus
+    assert verdicts and all(verdicts)                     # the exact gcd is never reached

@@ -67,7 +67,7 @@ def test_squarefree_verdict_matches_sympy_discriminant():
         verdicts.add(squarefree)
         dense = [CyclotomicElement.from_rational(c, 1) for c in coeffs]
         f = uni_to_poly(dense, 1)
-        if uni_coprime_mod_p(dense, uni_derivative(dense), 1):
+        if uni_coprime_mod_p(dense, uni_derivative(dense)):
             assert squarefree
         if squarefree:
             branch = poly.degree() + (1 if poly.degree() % 3 else 0)
