@@ -26,11 +26,10 @@ _EXPORTS = {
               "is_smooth", "require_isomorphism"),
     "polyring": ("SparsePoly", "distinct_root_count"),
     "ramify": ("Signature", "fixed_point_count", "is_odd_signature",
-               "odd_signature_verdict", "plane_quartic_stratum_rows",
-               "signature"),
+               "odd_signature_verdict", "signature"),
     "serialize": ("InputDocument", "parse_input", "to_document"),
-    "superell": ("QGonalCurve", "QGonalMap", "exceptional_qgonal_rows",
-                 "qgonal_real_descent", "qgonal_signature"),
+    "superell": ("QGonalCurve", "QGonalMap", "qgonal_real_descent",
+                 "qgonal_signature"),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -112,12 +112,8 @@ def isomorphism_orbit(curve: PlaneCurve, mu: ProjMap,
     else:
         group = [ProjMap.identity(order)]
     lifted = mu.lift_to(order)
-    out = {}
-    for alpha in group:
-        cand = lifted @ alpha
-        out[cand.key()] = cand
-    out.pop(lifted.key(), None)
-    return [lifted] + [out[k] for k in sorted(out)]
+    # mu o alpha is distinct for distinct alpha, and group[0] is the identity
+    return [lifted] + sorted((lifted @ alpha for alpha in group[1:]), key=ProjMap.key)
 
 
 def weil_descent_order2(curve: PlaneCurve, mu: ProjMap,
@@ -243,9 +239,6 @@ class FamilyTriple:
 
     def conjugate(self) -> "FamilyTriple":
         return self.galois(-1)
-
-    def is_real(self) -> bool:
-        return all(v.conjugate() == v for v in self.values)
 
     def __eq__(self, other):
         if not isinstance(other, FamilyTriple):
@@ -401,14 +394,13 @@ def family_real_definability(t: FamilyTriple,
                                family_aut_generators(t.order))
 
 
-def family_moduli_field(t: FamilyTriple, field_contains_i: bool = True,
-                        base_label: str = "Q") -> dict:
+def family_moduli_field(t: FamilyTriple, field_contains_i: bool = True) -> dict:
     """Generators of the moduli field: (j1, j2, j3), or (j2, j4, j5) without i."""
     j1, j2, j3, j4, j5 = family_invariants(t)
     gens = (j1, j2, j3) if field_contains_i else (j2, j4, j5)
     names = ("j1", "j2", "j3") if field_contains_i else ("j2", "j4", "j5")
     rational = all(g.is_rational() for g in gens)
-    label = base_label if rational else f"{base_label}({', '.join(names)})"
+    label = "Q" if rational else f"Q({', '.join(names)})"
     return {
         "generators": dict(zip(names, gens)),
         "rational": rational,

@@ -66,16 +66,18 @@ class BoundExceeded(ResourceError):
     pass
 
 
-# ramification bookkeeping
-class NonIntegerBranchCount(InputError):
+# ramification bookkeeping: the Riemann-Hurwitz guards of ramify.signature
+# run after the curve and the generators are verified, so a failed guard is
+# a defect, not bad input
+class NonIntegerBranchCount(InternalInconsistency):
     pass
 
 
-class NonIntegerGenus(InputError):
+class NonIntegerGenus(InternalInconsistency):
     pass
 
 
-class NegativeGenus(InputError):
+class NegativeGenus(InternalInconsistency):
     pass
 
 

@@ -407,14 +407,6 @@ class CyclotomicElement:
         step = order // self.order
         return _make(order, _substitute_ints(self.num, step, order, _field(order)), self.den)
 
-    def to_complex(self) -> complex:
-        """The complex embedding zeta -> exp(2*pi*i/N), for test oracles only;
-        cmath is imported here so that no CLI process loads it."""
-        import cmath
-
-        n, den = self.order, self.den
-        return sum(c / den * cmath.exp(2j * cmath.pi * i / n) for i, c in enumerate(self.num))
-
     # serialization ------------------------------------------------------
     def to_dict(self) -> dict:
         return {"order": self.order, "coords": [str(c) for c in self.coords]}

@@ -8,17 +8,18 @@ the products closure computes anyway. Element orders, cyclic subgroups and
 conjugation are integer work on those tables; only closure multiplies
 maps. element_order raises the stored representative to powers with the
 same sparse product, unnormalized, to read off the scalar A^n = c * I.
-Closure refuses to grow past a configurable bound instead of
-looping on an infinite group.
+Closure refuses a generator that fails a necessary test for finite order
+before it multiplies anything, and refuses to grow past a configurable
+bound instead of looping on an infinite group that passes the test.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .errors import BoundExceeded
+from .errors import BoundExceeded, HypothesisViolation
 from .exactnum import CyclotomicElement, common_order
-from .plane import ProjMap, matrix_product
+from .plane import ProjMap, char_poly, matrix_product
 
 # Harui (arXiv:1306.5842): a smooth plane curve of degree d >= 4 has at most
 # 6d^2 automorphisms, apart from the Klein quartic (168) and the Wiman sextic
@@ -56,10 +57,32 @@ class FiniteGroup(Sequence):
         return [self.elements[i] for i in self.gens]
 
 
+def _require_finite_order(a: ProjMap) -> None:
+    """Refuse a map that fails a necessary test for finite order in PGL_3.
+
+    B = A^3 / det A does not change when A is scaled, and det B = 1. If
+    A^n = c * I then B^n = I, so the eigenvalues of B are roots of unity
+    with product 1. Hence the coefficients of charpoly(B) are algebraic
+    integers, that is, of denominator 1 in the power basis of Q(zeta_N),
+    and e2(B) = e3(B) * sum(1/beta) = conj(tr B). The test reads the raw B:
+    canonical scaling would change its coefficients. A unipotent map passes
+    it, and the closure bound stops that one."""
+    m = a.entries
+    cube = matrix_product(matrix_product(m, m, a.order), m, a.order)
+    scale = a.det().inverse()
+    b = [[c if c.is_zero() else c * scale for c in row] for row in cube]
+    e1, e2, e3 = char_poly(b)
+    if any(e.den != 1 for e in (e1, e2, e3)) or e2 != e1.conjugate():
+        raise HypothesisViolation("generator of infinite order: A^3 / det A fails "
+                                  "the root-of-unity test on its characteristic polynomial")
+
+
 def closure(generators: Sequence[ProjMap], bound: int = DEFAULT_BOUND) -> FiniteGroup:
     """Breadth-first closure of the generated subgroup of PGL_3."""
     if not generators:
         raise ValueError("need at least one generator")
+    for g in generators:
+        _require_finite_order(g)
     order = common_order(*[g.order for g in generators])
     gens = [g.lift_to(order) for g in generators]
     out = [ProjMap.identity(order)]
@@ -113,18 +136,6 @@ def element_order(a: ProjMap, bound: int = DEFAULT_BOUND) -> tuple[int, Cyclotom
     raise BoundExceeded(f"element order exceeded bound {bound}")
 
 
-def cyclic_subgroup(a: ProjMap, bound: int = DEFAULT_BOUND) -> frozenset[ProjMap]:
-    """Powers of a as matrices; the independent oracle for cyclic_subgroups."""
-    out = [ProjMap.identity(a.order)]
-    power = a
-    while not power.is_identity():
-        if len(out) >= bound:
-            raise BoundExceeded(f"element order exceeded bound {bound}")
-        out.append(power)
-        power = power @ a
-    return frozenset(out)
-
-
 def cyclic_subgroups(group: FiniteGroup) -> dict[frozenset[int], int]:
     """Distinct cyclic subgroups as index sets, in order of first appearance,
     each mapped to the index of the first element whose powers produced it
@@ -167,24 +178,3 @@ def subgroup_conjugacy_classes(group: FiniteGroup,
         done |= orbit
         classes.append(sorted(orbit, key=position.__getitem__))
     return classes
-
-
-def is_group(elements: Sequence[ProjMap]) -> bool:
-    """Brute-force check of the group axioms on a finite subset of PGL_3."""
-    if not elements:
-        return False
-    order = elements[0].order
-    if any(e.order != order for e in elements):
-        return False
-    pool = set(elements)
-    if len(pool) != len(elements):
-        return False
-    if ProjMap.identity(order) not in pool:
-        return False
-    for a in elements:
-        if a.inverse() not in pool:
-            return False
-        for b in elements:
-            if a @ b not in pool:
-                return False
-    return True

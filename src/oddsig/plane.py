@@ -107,21 +107,7 @@ class ProjMap:
         return cls(order, rows)
 
     def det(self) -> CyclotomicElement:
-        """Cofactor expansion along row 0 that skips zero entries and zero
-        2x2 terms: 9 multiplications for a dense matrix, 2 for a monomial one."""
-        m = self.entries
-        total = CyclotomicElement.zero(self.order)
-        for c in range(3):
-            if m[0][c].is_zero():
-                continue
-            j, k = (c + 1) % 3, (c + 2) % 3  # the cyclic order carries the cofactor sign
-            plus = None if m[1][j].is_zero() or m[2][k].is_zero() else m[1][j] * m[2][k]
-            if not (m[1][k].is_zero() or m[2][j].is_zero()):
-                minus = m[1][k] * m[2][j]
-                plus = -minus if plus is None else plus - minus
-            if plus is not None:
-                total = total + m[0][c] * plus
-        return total
+        return matrix_det(self.entries)
 
     def compose(self, other: "ProjMap") -> "ProjMap":
         """self after other (matrix product self * other)."""
@@ -230,6 +216,35 @@ def matrix_product(a, b, order: int) -> tuple[tuple[CyclotomicElement, ...], ...
                     acc[c] = t if acc[c] is None else acc[c] + t
         out.append(tuple(zero if e is None else e for e in acc))
     return tuple(out)
+
+
+def matrix_det(m) -> CyclotomicElement:
+    """Determinant of a 3x3 matrix over one Q(zeta_N), by cofactor expansion
+    along row 0 that skips zero entries and zero 2x2 terms: 9
+    multiplications for a dense matrix, 2 for a monomial one."""
+    total = CyclotomicElement.zero(m[0][0].order)
+    for c in range(3):
+        if m[0][c].is_zero():
+            continue
+        j, k = (c + 1) % 3, (c + 2) % 3  # the cyclic order carries the cofactor sign
+        plus = None if m[1][j].is_zero() or m[2][k].is_zero() else m[1][j] * m[2][k]
+        if not (m[1][k].is_zero() or m[2][j].is_zero()):
+            minus = m[1][k] * m[2][j]
+            plus = -minus if plus is None else plus - minus
+        if plus is not None:
+            total = total + m[0][c] * plus
+    return total
+
+
+def char_poly(m) -> tuple[CyclotomicElement, CyclotomicElement, CyclotomicElement]:
+    """(e1, e2, e3) with charpoly(M) = x^3 - e1 x^2 + e2 x - e3 for the
+    3x3 matrix M as given, not rescaled: the trace, the sum of the
+    principal 2x2 minors and the determinant."""
+    tr = m[0][0] + m[1][1] + m[2][2]
+    s2 = (m[0][0] * m[1][1] - m[0][1] * m[1][0]
+          + m[0][0] * m[2][2] - m[0][2] * m[2][0]
+          + m[1][1] * m[2][2] - m[1][2] * m[2][1])
+    return tr, s2, matrix_det(m)
 
 
 def _canonical(order: int, rows) -> ProjMap:

@@ -61,17 +61,6 @@ def odd_signature_verdict(sig: Signature) -> str:
 
 # fixed points by the Eichler trace formula -----------------------------------
 
-def _char_poly(mapping: plane.ProjMap) -> tuple[exactnum.CyclotomicElement, ...]:
-    """(e1, e2, e3) with charpoly(A) = x^3 - e1 x^2 + e2 x - e3: the trace,
-    the sum of the principal 2x2 minors and the determinant."""
-    m = mapping.entries
-    tr = m[0][0] + m[1][1] + m[2][2]
-    s2 = (m[0][0] * m[1][1] - m[0][1] * m[1][0]
-          + m[0][0] * m[2][2] - m[0][2] * m[2][0]
-          + m[1][1] * m[2][2] - m[1][2] * m[2][1])
-    return tr, s2, mapping.det()
-
-
 def fixed_point_count(curve: plane.PlaneCurve, mapping: plane.ProjMap) -> int:
     """Number of points of a smooth curve fixed by a nontrivial automorphism.
 
@@ -101,7 +90,7 @@ def fixed_point_count(curve: plane.PlaneCurve, mapping: plane.ProjMap) -> int:
     if not ok:
         raise NotAnAutomorphism("map does not preserve the curve")
     order = exactnum.common_order(curve.order, mapping.order)
-    e1, e2, e3 = _char_poly(mapping.lift_to(order))
+    e1, e2, e3 = plane.char_poly(mapping.lift_to(order).entries)
     # h_{k-3}, h_{k-2}, h_{k-1} at k = 2
     h3, h2, h1 = (exactnum.CyclotomicElement.zero(order),
                   exactnum.CyclotomicElement.one(order), e1)
@@ -177,32 +166,3 @@ def signature(curve: plane.PlaneCurve, group: Sequence[plane.ProjMap]) -> Signat
     if quotient_genus < 0:
         raise NegativeGenus("quotient genus came out negative")
     return Signature(quotient_genus, tuple(indices))
-
-
-# plane quartic strata ----------------------------------------------------------
-
-def plane_quartic_stratum_rows() -> list[dict]:
-    """Automorphism strata of smooth plane quartics: group label, group order,
-    quotient signature.
-
-    Nonstandard group names are carried as opaque strings; rows are matched
-    by (order, signature), never by abstract isomorphism type. The C3 row
-    satisfies the odd-signature definition even though its group order is
-    below 5; the verdict here follows the definition."""
-    rows = [
-        ("PSL(2,7)", 168, Signature(0, (2, 3, 7))),
-        ("S3", 6, Signature(0, (2, 2, 2, 2, 3))),
-        ("C2 x C2", 4, Signature(0, (2, 2, 2, 2, 2, 2))),
-        ("D4", 8, Signature(0, (2, 2, 2, 2, 2))),
-        ("S4", 24, Signature(0, (2, 2, 2, 3))),
-        ("C4^2 : S3", 96, Signature(0, (2, 3, 8))),
-        ("C4 (o) (C2)^2", 16, Signature(0, (2, 2, 2, 4))),
-        ("C4 (o) A4", 48, Signature(0, (2, 3, 12))),
-        ("C6", 6, Signature(0, (2, 3, 3, 6))),
-        ("C9", 9, Signature(0, (3, 9, 9))),
-        ("C3", 3, Signature(0, (3, 3, 3, 3, 3))),
-        ("C2", 2, Signature(1, (2, 2, 2, 2))),
-    ]
-    return [{"group": label, "group_order": size, "signature": sig,
-             "verdict": odd_signature_verdict(sig)}
-            for label, size, sig in rows]

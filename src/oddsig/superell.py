@@ -491,17 +491,6 @@ def mirror_map(q: int, m: int, n: int, order: Optional[int] = None) -> QGonalMap
                      CyclotomicElement.zeta(2 * q, 1).lift_to(o), -exponent)
 
 
-def defect_twist_map(q: int, m: int, n: int, order: Optional[int] = None) -> QGonalMap:
-    """(x, y) -> (x, zeta_n^(mn/q) y), the twist showing up in cocycle defects."""
-    power, rem = divmod(m * n, q)
-    if rem:
-        raise HypothesisViolation(
-            f"twist exponent mn/q is not an integer for (q, m, n)=({q}, {m}, {n})")
-    o = common_order(n, order or 1)
-    return QGonalMap(o, [[1, 0], [0, 1]],
-                     CyclotomicElement.zeta(n, 1).lift_to(o) ** power)
-
-
 def qgonal_is_isomorphism(source: QGonalCurve, target: QGonalCurve,
                           phi: QGonalMap) -> bool:
     """Exact test of c^q x^(qk) f_source(x) = f_target(mobius(x)) for
@@ -591,37 +580,3 @@ def qgonal_real_descent(q: int, m: int, n: int) -> dict:
         "defects": defects,
     })
     return report
-
-
-# covers with extra symmetry beyond the fibered class ---------------------------
-
-def _odd_primes(limit: int, start: int = 3):
-    return [p for p in range(start, limit + 1) if is_prime(p)]
-
-
-def exceptional_qgonal_rows(q_max: int = 13) -> list[dict]:
-    """Known quotient signatures of covers where the degree-q subgroup is not
-    normal in the full automorphism group; every row has a rational quotient
-    and some branch index of odd multiplicity."""
-    rows = [
-        {"q": 3, "signature": Signature(0, (2, 3, 8)), "genus": 2,
-         "group": "GL(2,3)", "group_order": 48},
-        {"q": 3, "signature": Signature(0, (2, 3, 12)), "genus": 3,
-         "group": "SL(2,3)/CD", "group_order": 48},
-        {"q": 5, "signature": Signature(0, (2, 4, 5)), "genus": 4,
-         "group": "S5", "group_order": 120},
-        {"q": 7, "signature": Signature(0, (2, 3, 7)), "genus": 3,
-         "group": "PSL(2,7)", "group_order": 168},
-    ]
-    for q in _odd_primes(q_max, start=5):
-        rows.append({"q": q, "signature": Signature(0, (2, 3, 2 * q)),
-                     "genus": (q - 1) * (q - 2) // 2,
-                     "group": f"(C{q} x C{q}) : S3", "group_order": 6 * q * q})
-    for q in _odd_primes(q_max):
-        rows.append({"q": q, "signature": Signature(0, (2, 2, 2, q)),
-                     "genus": (q - 1) ** 2,
-                     "group": f"(C{q} x C{q}) : V4", "group_order": 4 * q * q})
-        rows.append({"q": q, "signature": Signature(0, (2, 4, 2 * q)),
-                     "genus": (q - 1) ** 2,
-                     "group": f"(C{q} x C{q}) : D4", "group_order": 8 * q * q})
-    return rows

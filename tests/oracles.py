@@ -1,0 +1,125 @@
+"""Independent oracles and hand-typed catalogues that only the tests use.
+
+Independence rule: an oracle here recomputes what a library function
+computes by another route, and never calls the function it checks. It
+imports from oddsig only the value types it needs (CyclotomicElement,
+ProjMap, QGonalMap, Signature) and their elementary operations. A
+catalogue here is data typed from the literature, kept beside the tests
+until the library can compute it.
+
+pytest does not collect this file (it has no test_ prefix); the test
+modules import it from their own directory.
+"""
+
+import cmath
+from math import isqrt
+
+from oddsig.exactnum import CyclotomicElement, common_order
+from oddsig.plane import ProjMap
+from oddsig.ramify import Signature
+from oddsig.superell import QGonalMap
+
+
+def to_complex(a: CyclotomicElement) -> complex:
+    """The complex embedding zeta_N -> exp(2*pi*i/N), from the power-basis
+    coordinates; the numerical check of the exact field arithmetic."""
+    return sum(c * cmath.exp(2j * cmath.pi * k / a.order) for k, c in enumerate(a.coords))
+
+
+def cyclic_subgroup(a: ProjMap, bound: int = 360) -> frozenset:
+    """Powers of a as matrices, by repeated products until the identity;
+    the oracle for matgroup.cyclic_subgroups, which works on index tables."""
+    out = [ProjMap.identity(a.order)]
+    power = a
+    while not power.is_identity():
+        if len(out) >= bound:
+            raise AssertionError(f"no identity power within {bound} steps")
+        out.append(power)
+        power = power @ a
+    return frozenset(out)
+
+
+def is_group(elements) -> bool:
+    """Brute-force check of the group axioms on a finite subset of PGL_3;
+    the oracle for matgroup.closure."""
+    if not elements:
+        return False
+    order = elements[0].order
+    if any(e.order != order for e in elements):
+        return False
+    pool = set(elements)
+    if len(pool) != len(elements):
+        return False
+    if ProjMap.identity(order) not in pool:
+        return False
+    for a in elements:
+        if a.inverse() not in pool:
+            return False
+        for b in elements:
+            if a @ b not in pool:
+                return False
+    return True
+
+
+def defect_twist_map(q: int, m: int, n: int, order=None) -> QGonalMap:
+    """(x, y) -> (x, zeta_n^(mn/q) y): with rotation^(2k+1) it gives the
+    closed form twist^(2k+1) rotation^(2k+1) of the cocycle defects of
+    superell.qgonal_real_descent."""
+    power, rem = divmod(m * n, q)
+    if rem:
+        raise ValueError(f"mn/q is not an integer for (q, m, n) = ({q}, {m}, {n})")
+    o = common_order(n, order or 1)
+    return QGonalMap(o, [[1, 0], [0, 1]], CyclotomicElement.zeta(n, 1).lift_to(o) ** power)
+
+
+def _odd_primes(limit: int, start: int = 3) -> list[int]:
+    return [p for p in range(start, limit + 1) if all(p % k for k in range(2, isqrt(p) + 1))]
+
+
+def exceptional_qgonal_rows(q_max: int = 13) -> list[dict]:
+    """Known quotient signatures of covers where the degree-q subgroup is not
+    normal in the full automorphism group; every row has a rational quotient
+    and some branch index of odd multiplicity."""
+    rows = [
+        {"q": 3, "signature": Signature(0, (2, 3, 8)), "genus": 2,
+         "group": "GL(2,3)", "group_order": 48},
+        {"q": 3, "signature": Signature(0, (2, 3, 12)), "genus": 3,
+         "group": "SL(2,3)/CD", "group_order": 48},
+        {"q": 5, "signature": Signature(0, (2, 4, 5)), "genus": 4,
+         "group": "S5", "group_order": 120},
+        {"q": 7, "signature": Signature(0, (2, 3, 7)), "genus": 3,
+         "group": "PSL(2,7)", "group_order": 168},
+    ]
+    for q in _odd_primes(q_max, start=5):
+        rows.append({"q": q, "signature": Signature(0, (2, 3, 2 * q)),
+                     "genus": (q - 1) * (q - 2) // 2,
+                     "group": f"(C{q} x C{q}) : S3", "group_order": 6 * q * q})
+    for q in _odd_primes(q_max):
+        rows.append({"q": q, "signature": Signature(0, (2, 2, 2, q)),
+                     "genus": (q - 1) ** 2,
+                     "group": f"(C{q} x C{q}) : V4", "group_order": 4 * q * q})
+        rows.append({"q": q, "signature": Signature(0, (2, 4, 2 * q)),
+                     "genus": (q - 1) ** 2,
+                     "group": f"(C{q} x C{q}) : D4", "group_order": 8 * q * q})
+    return rows
+
+
+# Automorphism strata of smooth plane quartics (Henn; Bars, "On the
+# automorphism groups of genus 3 curves", 2005): group label, the stem of the
+# curve fixture whose _gens fixture generates the group, |G| and the quotient
+# signature. Nonstandard group names are opaque strings; rows are matched by
+# (|G|, signature), never by abstract isomorphism type.
+PLANE_QUARTIC_STRATA = [
+    ("PSL(2,7)", "klein_quartic", 168, Signature(0, (2, 3, 7))),
+    ("S3", "quartic_s3", 6, Signature(0, (2, 2, 2, 2, 3))),
+    ("C2 x C2", "quartic_c2c2", 4, Signature(0, (2, 2, 2, 2, 2, 2))),
+    ("D4", "quartic_d4", 8, Signature(0, (2, 2, 2, 2, 2))),
+    ("S4", "quartic_s4", 24, Signature(0, (2, 2, 2, 3))),
+    ("C4^2 : S3", "fermat_quartic", 96, Signature(0, (2, 3, 8))),
+    ("C4 (o) (C2)^2", "quartic_c4_c2c2", 16, Signature(0, (2, 2, 2, 4))),
+    ("C4 (o) A4", "quartic_c4_a4", 48, Signature(0, (2, 3, 12))),
+    ("C6", "quartic_c6", 6, Signature(0, (2, 3, 3, 6))),
+    ("C9", "quartic_c9", 9, Signature(0, (3, 9, 9))),
+    ("C3", "quartic_c3", 3, Signature(0, (3, 3, 3, 3, 3))),
+    ("C2", "quartic_c2", 2, Signature(1, (2, 2, 2, 2))),
+]

@@ -11,9 +11,11 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+from oddsig import serialize
 from oddsig.descent import (
     FamilyTriple,
     bielliptic_quartic,
@@ -34,20 +36,22 @@ from oddsig.ramify import (
     Signature,
     fixed_point_count,
     odd_signature_verdict,
-    plane_quartic_stratum_rows,
     signature,
 )
-from oddsig.superell import (
-    defect_twist_map,
-    exceptional_qgonal_rows,
-    qgonal_real_descent,
-    rotation_map,
-)
+from oddsig.superell import qgonal_real_descent, rotation_map
+from oracles import PLANE_QUARTIC_STRATA, defect_twist_map, exceptional_qgonal_rows, to_complex
 
 numpy = pytest.importorskip("numpy")
 
 
 # fixture builders -----------------------------------------------------------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def fixture(stem):
+    return serialize.parse_input((FIXTURES / f"{stem}.json").read_text(encoding="utf-8")).value
+
 
 def P(order, nvars, items):
     return SparsePoly.build(order, nvars, items)
@@ -234,18 +238,20 @@ def test_criterion_04_order2_descent_obstruction():
 
 
 def test_criterion_05_odd_signature_sweep():
-    """Verdict sweep over the genus-3 stratum catalog and the non-normal
-    cover catalog: ODD everywhere except the two all-even strata."""
-    stratum = plane_quartic_stratum_rows()
-    assert len(stratum) == 12
+    """Verdict sweep over the genus-3 stratum catalog, computed from the 12
+    curve and generator fixture pairs, and the non-normal cover catalog: ODD
+    everywhere except the two all-even strata."""
+    assert len(PLANE_QUARTIC_STRATA) == 12
     odd_groups = {"PSL(2,7)", "S3", "D4", "S4", "C4^2 : S3", "C4 (o) (C2)^2",
                   "C4 (o) A4", "C6", "C9", "C3"}
-    for row in stratum:
-        expected = "ODD" if row["group"] in odd_groups else "INCONCLUSIVE"
-        assert row["verdict"] == expected, row["group"]
-        assert odd_signature_verdict(row["signature"]) == expected, row["group"]
-    inconclusive = {row["group"] for row in stratum if row["verdict"] != "ODD"}
-    assert inconclusive == {"C2 x C2", "C2"}
+    verdicts = {}
+    for label, stem, size, published in PLANE_QUARTIC_STRATA:
+        group = closure(fixture(f"{stem}_gens"))
+        sig = signature(fixture(stem), group)
+        assert (len(group), sig) == (size, published), label
+        verdicts[label] = odd_signature_verdict(sig)
+    assert {label for label, v in verdicts.items() if v == "ODD"} == odd_groups
+    assert {label for label, v in verdicts.items() if v == "INCONCLUSIVE"} == {"C2 x C2", "C2"}
 
     wanted = {"GL(2,3)", "SL(2,3)/CD", "S5", "PSL(2,7)",
               "(C5 x C5) : S3", "(C3 x C3) : V4", "(C3 x C3) : D4"}
@@ -323,7 +329,7 @@ def test_criterion_07_family_real_descent_cases():
         assert defect.is_identity()
         ok, _ = is_automorphism(family_curve(triple.lift_to(4)),
                                 verdict.witness)
-        assert not ok or triple.is_real()  # the witness moves the curve
+        assert not ok or triple.conjugate() == triple  # the witness moves the curve
     with pytest.raises(ImpossibleCase):
         family_real_definability(FamilyTriple(1 + 2 * i, 1 - 2 * i, 3),
                                  case=CYCLE)
@@ -486,18 +492,18 @@ def test_criterion_09d_complex_embedding_oracle():
         order = rng.choice(ORDER_POOL)
         a = random_element(rng, order)
         b = random_element(rng, order)
-        za, zb = a.to_complex(), b.to_complex()
-        close((a + b).to_complex(), za + zb)
-        close((a - b).to_complex(), za - zb)
-        close((a * b).to_complex(), za * zb)
-        close(a.conjugate().to_complex(), za.conjugate())
+        za, zb = to_complex(a), to_complex(b)
+        close(to_complex(a + b), za + zb)
+        close(to_complex(a - b), za - zb)
+        close(to_complex(a * b), za * zb)
+        close(to_complex(a.conjugate()), za.conjugate())
         if not b.is_zero() and abs(zb) > 1e-3:
-            close((a / b).to_complex(), za / zb)
+            close(to_complex(a / b), za / zb)
         k = rng.randrange(order)
-        close(CyclotomicElement.zeta(order, k).to_complex(),
+        close(to_complex(CyclotomicElement.zeta(order, k)),
               cmath.exp(2j * cmath.pi * k / order))
         if a.is_rational():
-            close(a.to_complex(), complex(Fraction(a.as_rational())))
+            close(to_complex(a), complex(Fraction(a.as_rational())))
 
 
 # brute-force oracles --------------------------------------------------------
@@ -601,9 +607,9 @@ def geometric_fixed_point_count(curve, g):
     eigenvalues of A at 1e-6; a simple eigenvalue gives a fixed point when its
     eigenvector lies on the curve, a double one gives every point where its
     line of eigenvectors meets the curve."""
-    a = numpy.array([[c.to_complex() for c in row] for row in g.entries])
+    a = numpy.array([[to_complex(c) for c in row] for row in g.entries])
     a = a / numpy.abs(a).max()
-    terms = [(exps, coeff.to_complex()) for exps, coeff in curve.poly.terms.items()]
+    terms = [(exps, to_complex(coeff)) for exps, coeff in curve.poly.terms.items()]
     scale = max(abs(c) for _, c in terms)
     clusters = []
     for value in numpy.linalg.eigvals(a):

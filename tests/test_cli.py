@@ -665,6 +665,35 @@ def test_internal_inconsistency_exits_1(monkeypatch, capsys):
     assert err.startswith("internal inconsistency:")
 
 
+def test_riemann_hurwitz_guard_exits_1(monkeypatch, capsys):
+    from oddsig import errors, ramify
+    # the curve and the generators are verified before the guards run, so a
+    # failed guard is a defect: three fixed points of the involution leave
+    # 2g - 2 - 3 = 1, which |G| = 2 does not divide
+    for name in ("NonIntegerBranchCount", "NonIntegerGenus", "NegativeGenus"):
+        assert issubclass(getattr(errors, name), InternalInconsistency)
+    monkeypatch.setattr(ramify, "fixed_point_count", lambda curve, mapping: 3)
+    code, out, err = run(capsys, "signature", "--curve", fx("quartic_c2"),
+                         "--group", fx("quartic_c2_gens"))
+    assert code == 1 and out == ""
+    assert err.startswith("internal inconsistency:") and "Riemann-Hurwitz" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_generator_of_infinite_order_exits_2(tmp_path, capsys):
+    huge = "7" * 4290
+    entries = [[[huge], ["0"], ["0"]], [["0"], ["1"], ["0"]], [["0"], ["0"], ["1"]]]
+    group = tmp_path / "huge.json"
+    group.write_text(json.dumps({"kind": "group", "generators": [
+        {"kind": "projective_map", "order": 1, "entries": entries}]}), encoding="utf-8")
+    for bound in ("60", "360"):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "group-closure", "--group", str(group), "--bound", bound)
+        assert time.perf_counter() - started < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("input error: generator of infinite order") and len(err.splitlines()) == 1
+
+
 def test_qgonal_descend_failed_generator_check_exits_1(monkeypatch, capsys):
     from oddsig import superell
     real, rotation = superell.qgonal_is_isomorphism, superell.rotation_map(3)

@@ -90,6 +90,21 @@ def test_isomorphism_orbit_lists_supplied_map_first():
     assert isomorphism_orbit(curve, mu, []) == [mu]
 
 
+def test_isomorphism_orbit_of_a_large_group_is_distinct_and_sorted():
+    # the Fermat quartic is real, so each of its 96 automorphisms is also an
+    # isomorphism onto the conjugate curve
+    curve = PlaneCurve(SparsePoly.build(4, 3, [(1, (4, 0, 0)), (1, (0, 4, 0)), (1, (0, 0, 4))]))
+    gens = [ProjMap.diagonal(4, I, 1, 1), ProjMap.diagonal(4, 1, I, 1),
+            ProjMap.permutation(4, [2, 0, 1]), ProjMap.permutation(4, [1, 0, 2])]
+    mu = ProjMap.diagonal(4, 1, 1, I)
+    orbit = isomorphism_orbit(curve, mu, gens)
+    group = closure(gens)
+    assert len(orbit) == len(set(orbit)) == 96
+    assert orbit[0] == mu
+    assert [phi.key() for phi in orbit[1:]] == sorted(phi.key() for phi in orbit[1:])
+    assert set(orbit) == {mu @ alpha for alpha in group}
+
+
 def test_quartic_descent_obstructed_with_defect_nu():
     curve = quartic_fixture()
     mu, nu = quartic_mu(), quartic_nu()
@@ -196,7 +211,7 @@ def test_family_triple_guards():
     with pytest.raises(DegenerateTriple):
         FamilyTriple(Fraction(5, 2), Fraction(10, 3), Fraction(37, 6))
     t = FamilyTriple(1, 3, 5)
-    assert t.order == 1 and t.is_real()
+    assert t.order == 1 and t.conjugate() == t
     lifted = t.lift_to(4)
     assert lifted == t and lifted.order == 4
 

@@ -1,13 +1,16 @@
 import random
+import time
+from pathlib import Path
 
 import pytest
 
-from oddsig.errors import BoundExceeded
+from oddsig import serialize
+from oddsig.errors import BoundExceeded, HypothesisViolation
 from oddsig.exactnum import CyclotomicElement, common_order
-from oddsig.matgroup import (closure, cyclic_subgroup, cyclic_subgroups,
-                             element_order, is_group,
+from oddsig.matgroup import (closure, cyclic_subgroups, element_order,
                              subgroup_conjugacy_classes)
 from oddsig.plane import ProjMap
+from oracles import cyclic_subgroup, is_group
 
 
 def fermat_generators():
@@ -74,6 +77,34 @@ def test_closure_respects_bound():
     shear = ProjMap(1, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(BoundExceeded):
         closure([shear], bound=12)
+
+
+# a diagonal entry of 4290 digits, near Python's 4300-digit limit on parsing an int
+HUGE = int("7" * 4290)
+
+
+@pytest.mark.parametrize("entries", [
+    [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[HUGE, 0, 0], [0, 1, 0], [0, 0, 1]],
+    # the companion matrix of x^3 - x - 1 passes the denominator test, but
+    # B = A^3 has tr B = 3 and e2(B) = 2
+    [[0, 0, 1], [1, 0, 1], [0, 1, 0]],
+])
+def test_closure_refuses_generators_of_infinite_order(entries):
+    started = time.perf_counter()
+    with pytest.raises(HypothesisViolation, match="infinite order"):
+        closure([ProjMap.identity(1), ProjMap(1, entries)])
+    assert time.perf_counter() - started < 1.0
+
+
+def test_fixture_generators_pass_the_finite_order_test():
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    paths = sorted(fixtures.glob("*_gens.json"))
+    assert len(paths) == 12
+    for path in paths:
+        for g in serialize.parse_input(path.read_text(encoding="utf-8")).value:
+            # a genus-3 automorphism has order at most 14
+            assert len(closure([g])) <= 14, path.name
 
 
 def test_closure_mixed_orders_lift():

@@ -1,11 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oddsig import plane, polyring, ramify
+from oddsig import plane, polyring, ramify, serialize
 from oddsig.errors import (BoundExceeded, GenusTooSmall, HypothesisViolation,
                            InternalInconsistency, NonIntegerGenus, NotAnAutomorphism, ScalarMap)
 from oddsig.exactnum import CyclotomicElement
@@ -13,8 +14,10 @@ from oddsig.matgroup import closure, cyclic_subgroups, element_order, subgroup_c
 from oddsig.plane import PlaneCurve, ProjMap, conjugate_curve, is_smooth
 from oddsig.polyring import SparsePoly
 from oddsig.ramify import (Signature, fixed_point_count, is_odd_signature,
-                           odd_signature_verdict, plane_quartic_stratum_rows,
-                           signature)
+                           odd_signature_verdict, signature)
+from oracles import PLANE_QUARTIC_STRATA
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def P(order, nvars, items):
@@ -145,7 +148,7 @@ def test_constant_eigenvalue_modulus_is_typed(monkeypatch):
     one, zero = CyclotomicElement.one(4), CyclotomicElement.zero(4)
     third = CyclotomicElement.from_rational(Fraction(1, 3), 4)
     with monkeypatch.context() as patch:
-        patch.setattr(ramify, "_char_poly", lambda mapping: (one, zero, third))
+        patch.setattr(plane, "char_poly", lambda entries: (one, zero, third))
         with pytest.raises(InternalInconsistency):
             fixed_point_count(curve, g)
     assert fixed_point_count(curve, g) == 4
@@ -366,18 +369,26 @@ def test_signature_report_contents():
     }
 
 
+def fixture(stem):
+    return serialize.parse_input((FIXTURES / f"{stem}.json").read_text(encoding="utf-8")).value
+
+
 def test_plane_quartic_stratum_catalog():
-    rows = plane_quartic_stratum_rows()
-    assert len(rows) == 12
-    odd = {r["group"] for r in rows if r["verdict"] == "ODD"}
+    # every stratum's signature is computed from its curve and generator
+    # fixtures, and compared with the published table
+    assert len(PLANE_QUARTIC_STRATA) == 12
+    odd = set()
+    for label, stem, size, expected in PLANE_QUARTIC_STRATA:
+        group = closure(fixture(f"{stem}_gens"))
+        sig = signature(fixture(stem), group)
+        assert (len(group), sig) == (size, expected), label
+        total = size * (2 * sig.quotient_genus - 2)
+        total += sum((size // c) * (c - 1) for c in sig.indices)
+        assert total == 4
+        if odd_signature_verdict(sig) == "ODD":
+            odd.add(label)
     assert odd == {"PSL(2,7)", "S3", "D4", "S4", "C4^2 : S3", "C4 (o) (C2)^2",
                    "C4 (o) A4", "C6", "C9", "C3"}
-    for row in rows:
-        sig, n = row["signature"], row["group_order"]
-        total = n * (2 * sig.quotient_genus - 2)
-        total += sum((n // c) * (c - 1) for c in sig.indices)
-        assert total == 4
-        assert row["verdict"] == odd_signature_verdict(sig)
 
 
 # field operations of the fixed-point count --------------------------------------

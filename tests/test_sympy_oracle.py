@@ -176,7 +176,7 @@ def test_is_smooth_matches_sympy_groebner():
     curves = [parse_input(path.read_text(encoding="utf-8")).value
               for path in sorted(fixtures.glob("*.json"))
               if '"plane_curve"' in path.read_text(encoding="utf-8")]
-    assert len(curves) == 12
+    assert len(curves) == 13
     c3 = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
     s3 = list(itertools.permutations(range(3)))
     cubic = PlaneCurve(SparsePoly.build(3, 3, [(1, (3, 0, 0)), (1, (0, 3, 0)), (1, (0, 0, 3))]))
@@ -196,6 +196,6 @@ def test_is_smooth_matches_sympy_groebner():
                 drawn += 1
     verdicts = [is_smooth(curve) for curve in curves]
     assert verdicts == [not sympy_singular(curve) for curve in curves]
-    assert verdicts[12:18] == [True, True, False, False, False, False]
-    assert True in verdicts[18:] and False in verdicts[18:]
+    assert verdicts[13:19] == [True, True, False, False, False, False]
+    assert True in verdicts[19:] and False in verdicts[19:]
 
