@@ -19,11 +19,10 @@ _EXPORTS = {
     "descent": ("DescentVerdict", "FamilyTriple", "bielliptic_quartic",
                 "family_rational_descent", "family_real_definability",
                 "weil_descent_order2"),
-    "exactnum": ("CyclotomicElement", "GaloisElement", "common_order",
-                 "conjugation", "euler_phi"),
+    "exactnum": ("CyclotomicElement", "common_order", "euler_phi"),
     "matgroup": ("DEFAULT_BOUND", "closure", "element_order"),
-    "plane": ("PlaneCurve", "ProjMap", "conjugate_curve", "is_automorphism",
-              "is_smooth", "require_isomorphism"),
+    "plane": ("PlaneCurve", "ProjMap", "is_automorphism", "is_smooth",
+              "require_isomorphism"),
     "polyring": ("SparsePoly", "distinct_root_count"),
     "ramify": ("Signature", "fixed_point_count", "is_odd_signature",
                "odd_signature_verdict", "signature"),

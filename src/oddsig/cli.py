@@ -15,8 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import descent, exactnum, matgroup, plane, ramify, serialize, superell
-from .errors import (BoundExceeded, InputError, InternalInconsistency, OddsigError, ParseError,
-                     ResourceError, SchemaError)
+from .errors import (BoundExceeded, HypothesisViolation, InputError, InternalInconsistency,
+                     OddsigError, ParseError, ResourceError, SchemaError)
 
 _SIGNATURE_CITATION = ("quotient signature from exact fixed-point counts "
                        "and the Riemann-Hurwitz ledger")
@@ -145,6 +145,11 @@ def _cmd_odd_signature(args):
             raise SchemaError(
                 f"the quotient genus must be at least 0, got {args.quotient_genus}")
         sig = ramify.Signature(args.quotient_genus, _parse_indices(args.indices))
+        # each term 1 - 1/c of the hyperbolic area is below 1, so with r
+        # branch points 2h - 2 + r <= 0 leaves no curve of genus >= 2
+        if 2 * sig.quotient_genus - 2 + len(sig.indices) <= 0:
+            raise HypothesisViolation(f"signature {sig} is not hyperbolic: no curve "
+                                      "of genus at least 2 has it")
         assumptions = []
         result = {"signature": _signature_payload(sig)}
     verdict = ramify.odd_signature_verdict(sig)

@@ -18,7 +18,6 @@ about a member into finite searches through a 24-element group.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -29,12 +28,11 @@ from .errors import (
     ImpossibleCase,
     InternalInconsistency,
 )
-from .exactnum import CyclotomicElement, common_order
+from .exactnum import CyclotomicElement, as_element, common_order, galois_exponents
 from .matgroup import closure
 from .plane import (
     PlaneCurve,
     ProjMap,
-    conjugate_curve,
     is_automorphism,
     require_isomorphism,
     require_verdict_curve,
@@ -101,7 +99,7 @@ def isomorphism_orbit(curve: PlaneCurve, mu: ProjMap,
     Complete exactly when the generators produce the full automorphism
     group; the supplied isomorphism comes first, the rest follow in a
     canonical order."""
-    twin = conjugate_curve(curve)
+    twin = curve.conjugate()
     require_isomorphism(curve, twin, mu)
     order = common_order(curve.order, mu.order,
                          *[g.order for g in aut_generators])
@@ -154,14 +152,9 @@ def bielliptic_quartic(a1, a2, a3, order: int) -> PlaneCurve:
     Smooth members are genus-3 curves with the visible involution
     (x : -y : z); the shape of the degree-4 part ties the curve to its
     conjugate whenever a1 is real and a2 a3 is real."""
-    vals = []
-    for v in (a1, a2, a3):
-        if not isinstance(v, CyclotomicElement):
-            v = CyclotomicElement.from_rational(v, order)
-        v = v.lift_to(order)
-        if v.is_zero():
-            raise DegenerateTriple("coefficients must be nonzero")
-        vals.append(v)
+    vals = [as_element(v, order) for v in (a1, a2, a3)]
+    if any(v.is_zero() for v in vals):
+        raise DegenerateTriple("coefficients must be nonzero")
     a1, a2, a3 = vals
     one = CyclotomicElement.one(order)
 
@@ -189,18 +182,9 @@ class FamilyTriple:
 
     __slots__ = ("order", "values")
 
-    def __init__(self, a, b, c, order: Optional[int] = None):
-        orders = [order or 1]
-        for v in (a, b, c):
-            if isinstance(v, CyclotomicElement):
-                orders.append(v.order)
-        o = common_order(*orders)
-        vals = []
-        for v in (a, b, c):
-            if isinstance(v, CyclotomicElement):
-                vals.append(v.lift_to(o))
-            else:
-                vals.append(CyclotomicElement.from_rational(v, o))
+    def __init__(self, a, b, c):
+        o = common_order(*[v.order for v in (a, b, c) if isinstance(v, CyclotomicElement)])
+        vals = [as_element(v, o) for v in (a, b, c)]
         squares = [v * v for v in vals]
         for i in range(3):
             for j in range(i + 1, 3):
@@ -408,10 +392,6 @@ def family_moduli_field(t: FamilyTriple, field_contains_i: bool = True) -> dict:
     }
 
 
-def _galois_exponents(order: int) -> list[int]:
-    return [k for k in range(1, max(order, 2)) if gcd(k, order) == 1]
-
-
 def family_rational_descent(t: FamilyTriple) -> DescentVerdict:
     """Descent to the rational moduli field via an explicit cocycle.
 
@@ -421,7 +401,7 @@ def family_rational_descent(t: FamilyTriple) -> DescentVerdict:
     generated by (j1, j2, j3)."""
     t = t.lift_to(common_order(t.order, 4))
     order = t.order
-    exponents = _galois_exponents(order)
+    exponents = galois_exponents(order)
     assignment = {}
     for k in exponents:
         image = t.galois(k)

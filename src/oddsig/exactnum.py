@@ -454,48 +454,18 @@ def _make(order: int, num: list[int], den: int) -> CyclotomicElement:
     return _new(order, tuple(num), den)
 
 
-class GaloisElement:
-    """The automorphism zeta_N |-> zeta_N^k of Q(zeta_N)."""
-
-    __slots__ = ("order", "exponent")
-
-    def __init__(self, order: int, exponent: int):
-        k = exponent % order
-        if math.gcd(k, order) != 1:
-            raise InvalidExponent(f"exponent {exponent} is not invertible modulo {order}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "exponent", k)
-
-    def __setattr__(self, *_):
-        raise AttributeError("GaloisElement is immutable")
-
-    def apply(self, element: CyclotomicElement) -> CyclotomicElement:
-        if element.order != self.order:
-            raise OrderMismatch(f"element of order {element.order} under Galois group of order {self.order}")
-        return element.galois(self.exponent)
-
-    def compose(self, other: "GaloisElement") -> "GaloisElement":
-        if other.order != self.order:
-            raise OrderMismatch("cannot compose Galois elements over different fields")
-        return GaloisElement(self.order, (self.exponent * other.exponent) % self.order)
-
-    def is_identity(self) -> bool:
-        return self.exponent == 1 % self.order
-
-    def __eq__(self, other):
-        if not isinstance(other, GaloisElement):
-            return NotImplemented
-        return self.order == other.order and self.exponent == other.exponent
-
-    def __hash__(self):
-        return hash((self.order, self.exponent))
-
-    def __repr__(self):
-        return f"GaloisElement(order={self.order}, exponent={self.exponent})"
+def as_element(value, order: int) -> CyclotomicElement:
+    """value in Q(zeta_order): an element of a subfield is lifted, an int or
+    Fraction embedded; an element of a field that does not embed raises
+    NotASubfield."""
+    if isinstance(value, CyclotomicElement):
+        return value.lift_to(order)
+    return CyclotomicElement.from_rational(value, order)
 
 
-def conjugation(order: int) -> GaloisElement:
-    return GaloisElement(order, -1)
+def galois_exponents(order: int) -> list[int]:
+    """The units k mod order, one for each automorphism zeta |-> zeta^k."""
+    return [k for k in range(1, max(order, 2)) if math.gcd(k, order) == 1]
 
 
 def common_order(*orders: int) -> int:

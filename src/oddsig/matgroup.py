@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from .errors import BoundExceeded, HypothesisViolation
-from .exactnum import CyclotomicElement, common_order
+from .exactnum import CyclotomicElement, common_order, euler_phi, galois_exponents
 from .plane import ProjMap, char_poly, matrix_product
 
 # Harui (arXiv:1306.5842): a smooth plane curve of degree d >= 4 has at most
@@ -64,15 +64,20 @@ def _require_finite_order(a: ProjMap) -> None:
     A^n = c * I then B^n = I, so the eigenvalues of B are roots of unity
     with product 1. Hence the coefficients of charpoly(B) are algebraic
     integers, that is, of denominator 1 in the power basis of Q(zeta_N),
-    and e2(B) = e3(B) * sum(1/beta) = conj(tr B). The test reads the raw B:
-    canonical scaling would change its coefficients. A unipotent map passes
-    it, and the closure bound stops that one."""
+    and e2(B) = e3(B) * sum(1/beta) = conj(tr B). Each of the phi(N)
+    embeddings of tr B is a sum of three roots of unity, of absolute value
+    at most 3, so Tr_{K/Q}(tr B * conj(tr B)) <= 9 phi(N). The test reads
+    the raw B: canonical scaling would change its coefficients. A unipotent
+    map passes it, and the closure bound stops that one."""
     m = a.entries
     cube = matrix_product(matrix_product(m, m, a.order), m, a.order)
     scale = a.det().inverse()
     b = [[c if c.is_zero() else c * scale for c in row] for row in cube]
     e1, e2, e3 = char_poly(b)
-    if any(e.den != 1 for e in (e1, e2, e3)) or e2 != e1.conjugate():
+    size = e1.abs2()
+    trace = sum(size.galois(k) for k in galois_exponents(a.order))
+    if (any(e.den != 1 for e in (e1, e2, e3)) or e2 != e1.conjugate()
+            or trace.as_rational() > 9 * euler_phi(a.order)):
         raise HypothesisViolation("generator of infinite order: A^3 / det A fails "
                                   "the root-of-unity test on its characteristic polynomial")
 

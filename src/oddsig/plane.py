@@ -36,9 +36,10 @@ from .errors import (
     VariableCountMismatch,
     ZeroPolynomial,
 )
-from .exactnum import CyclotomicElement, check_order, common_order
+from .exactnum import CyclotomicElement, as_element, check_order, common_order
 from .polyring import (
     SparsePoly,
+    dehomogenize,
     mod_branches,
     mod_gcd,
     poly_as_ylists,
@@ -64,14 +65,7 @@ class ProjMap:
     def __init__(self, order: int, entries: Sequence[Sequence[Entry]]):
         if len(entries) != 3 or any(len(row) != 3 for row in entries):
             raise VariableCountMismatch("projective map needs a 3x3 matrix")
-        rows = []
-        for row in entries:
-            out = []
-            for e in row:
-                c = e if isinstance(e, CyclotomicElement) else CyclotomicElement.from_rational(e, order)
-                out.append(c.lift_to(order) if c.order != order else c)
-            rows.append(out)
-        self._set_canonical(order, rows)
+        self._set_canonical(order, [[as_element(e, order) for e in row] for row in entries])
 
     def _set_canonical(self, order: int, rows) -> None:
         """Store rows over Q(zeta_order) scaled so the first nonzero entry is
@@ -308,10 +302,6 @@ class PlaneCurve:
         return f"PlaneCurve({self.poly!r})"
 
 
-def conjugate_curve(curve: PlaneCurve, exponent: int = -1) -> PlaneCurve:
-    return curve.galois(exponent)
-
-
 def is_isomorphism_onto(source: PlaneCurve, target: PlaneCurve, mapping: ProjMap):
     """Test F_target o A = lambda * F_source; returns (bool, lambda or None)."""
     order = common_order(source.order, target.order, mapping.order)
@@ -343,15 +333,6 @@ def require_isomorphism(source: PlaneCurve, target: PlaneCurve, mapping: ProjMap
 
 # smoothness ------------------------------------------------------------------
 
-def _dehomogenize(poly: SparsePoly, var: int) -> SparsePoly:
-    """Set variable var to 1 and drop it."""
-    terms: dict[tuple[int, ...], CyclotomicElement] = {}
-    for exps, coeff in poly.terms.items():
-        key = tuple(e for i, e in enumerate(exps) if i != var)
-        terms[key] = terms[key] + coeff if key in terms else coeff
-    return SparsePoly(poly.order, poly.nvars - 1, terms)
-
-
 def _set_var_zero(poly: SparsePoly, var: int) -> SparsePoly:
     terms = {tuple(e for i, e in enumerate(exps) if i != var): coeff
              for exps, coeff in poly.terms.items() if exps[var] == 0}
@@ -369,7 +350,7 @@ def _binary_common_root(forms: list[SparsePoly], order: int) -> bool:
         return True
     g: Optional[list[CyclotomicElement]] = None
     for f in forms:
-        dense = poly_to_uni(_dehomogenize(f, 1))
+        dense = poly_to_uni(dehomogenize(f, 1))
         g = dense if g is None else uni_gcd(g, dense)
         if len(g) == 1:
             return False
@@ -432,7 +413,7 @@ def is_smooth(curve: PlaneCurve) -> bool:
     if _binary_common_root(line_forms, f.order):
         return False
     # the affine chart z = 1
-    chart = [_dehomogenize(p, 2) for p in partials]
+    chart = [dehomogenize(p, 2) for p in partials]
     return not has_common_affine_zero(chart)
 
 

@@ -35,7 +35,7 @@ from .errors import (
     VariableCountMismatch,
     ZeroPolynomial,
 )
-from .exactnum import CyclotomicElement, check_order, euler_phi, is_prime
+from .exactnum import CyclotomicElement, as_element, check_order, euler_phi, is_prime
 
 Coeff = Union[int, Fraction, CyclotomicElement]
 
@@ -96,8 +96,7 @@ class SparsePoly:
         """Sum of coeff * x^exps entries (duplicates accumulate)."""
         acc: dict[tuple[int, ...], CyclotomicElement] = {}
         for coeff, exps in entries:
-            c = coeff if isinstance(coeff, CyclotomicElement) else CyclotomicElement.from_rational(coeff, order)
-            c = c.lift_to(order) if c.order != order else c
+            c = as_element(coeff, order)
             key = tuple(int(e) for e in exps)
             acc[key] = acc[key] + c if key in acc else c
         return cls(order, nvars, acc)
@@ -647,6 +646,15 @@ def mod_branches(fn, m):
 
 # binary forms ---------------------------------------------------------------
 
+def dehomogenize(poly: SparsePoly, var: int) -> SparsePoly:
+    """Set variable var to 1 and drop it."""
+    terms: dict[tuple[int, ...], CyclotomicElement] = {}
+    for exps, coeff in poly.terms.items():
+        key = exps[:var] + exps[var + 1:]
+        terms[key] = terms[key] + coeff if key in terms else coeff
+    return SparsePoly(poly.order, poly.nvars - 1, terms)
+
+
 def distinct_root_count(form: SparsePoly) -> int:
     """Number of distinct projective roots of a nonzero binary form."""
     if form.nvars != 2:
@@ -655,21 +663,11 @@ def distinct_root_count(form: SparsePoly) -> int:
         raise ZeroPolynomial("zero form has no root count")
     if not form.is_homogeneous():
         raise ValueError("form must be homogeneous")
-    order = form.order
     # root at [1:0] iff the second variable divides the form
     min_y = min(e[1] for e in form.terms)
     at_infinity = 1 if min_y >= 1 else 0
     # finite roots [x:1]: distinct roots of form(x, 1)
-    dense = [CyclotomicElement.zero(order) for _ in range(form.degree_in(0) + 1)] if any(e[0] for e in form.terms) else [CyclotomicElement.zero(order)]
-    for exps, coeff in form.terms.items():
-        dense[exps[0]] = dense[exps[0]] + coeff
-    dense = uni_trim(dense)
-    if not dense:
-        # form is a power of y times zero? cannot happen for nonzero form
-        raise ZeroPolynomial("unexpected zero dehomogenization")
-    if len(dense) == 1:
-        return at_infinity
-    return at_infinity + (len(uni_squarefree(dense)) - 1)
+    return at_infinity + len(uni_squarefree(poly_to_uni(dehomogenize(form, 1)))) - 1
 
 
 # resultants -----------------------------------------------------------------

@@ -9,13 +9,10 @@ value. Cyclotomic coordinates travel as exact rational strings.
 from __future__ import annotations
 
 import json
-from typing import Any, NamedTuple, Sequence
+from typing import Any, NamedTuple
 
 from . import descent, exactnum, plane, polyring, superell
 from .errors import InputError, ParseError, SchemaError
-
-KINDS = ("plane_curve", "projective_map", "qgonal_curve", "qgonal_map",
-         "group", "family_triple", "galois_action")
 
 PLANE_VARIABLES = ("x", "y", "z")
 
@@ -47,6 +44,8 @@ def _load_plane_curve(obj: dict) -> plane.PlaneCurve:
         raise SchemaError(f"not a plane curve: {exc}") from exc
 
 
+# a function, not plane.ProjMap.from_dict itself, so that building
+# _LOADERS does not load the plane layer
 def _load_projective_map(obj: dict) -> plane.ProjMap:
     return plane.ProjMap.from_dict(obj)
 
@@ -112,15 +111,6 @@ def _load_family_triple(obj: dict) -> descent.FamilyTriple:
         raise SchemaError(f"not a valid family triple: {exc}") from exc
 
 
-def _load_galois_action(obj: dict) -> exactnum.GaloisElement:
-    order = exactnum.check_order(_require(obj, "order", int))
-    exponent = _require(obj, "exponent", int)
-    try:
-        return exactnum.GaloisElement(order, exponent)
-    except InputError as exc:
-        raise SchemaError(str(exc)) from exc
-
-
 _LOADERS = {
     "plane_curve": _load_plane_curve,
     "projective_map": _load_projective_map,
@@ -128,8 +118,9 @@ _LOADERS = {
     "qgonal_map": _load_qgonal_map,
     "group": _load_group,
     "family_triple": _load_family_triple,
-    "galois_action": _load_galois_action,
 }
+
+KINDS = tuple(_LOADERS)
 
 
 def parse_document(obj: Any) -> InputDocument:
@@ -157,24 +148,6 @@ def parse_input(text: str) -> InputDocument:
 
 # emission ----------------------------------------------------------------------
 
-def element_coords(value: exactnum.CyclotomicElement) -> list[str]:
-    return [str(c) for c in value.coords]
-
-
-def plane_curve_document(curve: plane.PlaneCurve) -> dict:
-    doc = curve.poly.to_dict(PLANE_VARIABLES)
-    return {"kind": "plane_curve", **doc}
-
-
-def projective_map_document(mapping: plane.ProjMap) -> dict:
-    return {"kind": "projective_map", **mapping.to_dict()}
-
-
-def group_document(generators: Sequence[plane.ProjMap]) -> dict:
-    return {"kind": "group",
-            "generators": [g.to_dict() for g in generators]}
-
-
 def qgonal_curve_document(curve: superell.QGonalCurve) -> dict:
     doc = {"kind": "qgonal_curve", "q": curve.q,
            "poly": curve.poly.to_dict(("x",))}
@@ -185,36 +158,25 @@ def qgonal_curve_document(curve: superell.QGonalCurve) -> dict:
     return doc
 
 
-def qgonal_map_document(mapping: superell.QGonalMap) -> dict:
-    return mapping.to_dict()
-
-
 def family_triple_document(triple: descent.FamilyTriple) -> dict:
     return {"kind": "family_triple", "order": triple.order,
-            "values": [element_coords(v) for v in triple.values]}
-
-
-def galois_action_document(action: exactnum.GaloisElement) -> dict:
-    return {"kind": "galois_action", "order": action.order,
-            "exponent": action.exponent}
+            "values": [[str(c) for c in v.coords] for v in triple.values]}
 
 
 def to_document(value: Any) -> dict:
     if isinstance(value, plane.PlaneCurve):
-        return plane_curve_document(value)
+        return {"kind": "plane_curve", **value.poly.to_dict(PLANE_VARIABLES)}
     if isinstance(value, plane.ProjMap):
-        return projective_map_document(value)
+        return value.to_dict()
     if isinstance(value, superell.QGonalCurve):
         return qgonal_curve_document(value)
     if isinstance(value, superell.QGonalMap):
-        return qgonal_map_document(value)
+        return value.to_dict()
     if isinstance(value, descent.FamilyTriple):
         return family_triple_document(value)
-    if isinstance(value, exactnum.GaloisElement):
-        return galois_action_document(value)
     if isinstance(value, (list, tuple)) and value and all(
             isinstance(g, plane.ProjMap) for g in value):
-        return group_document(value)
+        return {"kind": "group", "generators": [g.to_dict() for g in value]}
     raise TypeError(f"no document schema for {type(value).__name__}")
 
 

@@ -45,7 +45,7 @@ from .errors import (
     ShapeViolation,
     ZeroPolynomial,
 )
-from .exactnum import MAX_ORDER, CyclotomicElement, common_order, is_prime
+from .exactnum import MAX_ORDER, CyclotomicElement, as_element, common_order, is_prime
 from .ramify import Signature, is_odd_signature, odd_signature_verdict
 
 SHAPES = ("N0", "N1", "N2")
@@ -58,16 +58,6 @@ def _is_prime_degree(q: int) -> bool:
     if q > MAX_ORDER:
         raise BoundExceeded(f"cover degree {q} exceeds the bound {MAX_ORDER}")
     return is_prime(q)
-
-
-def _lift_coeffs(values, order: int) -> list[CyclotomicElement]:
-    out = []
-    for v in values:
-        if isinstance(v, CyclotomicElement):
-            out.append(v.lift_to(order))
-        else:
-            out.append(CyclotomicElement.from_rational(v, order))
-    return out
 
 
 def _times_linear(h, a, b, zero):
@@ -125,7 +115,7 @@ class QGonalMap:
     __slots__ = ("order", "scale", "flip", "coeff", "exponent")
 
     def __init__(self, order: int, mobius, coeff=1, exponent: int = 0):
-        rows = [_lift_coeffs(row, order) for row in mobius]
+        rows = [[as_element(e, order) for e in row] for row in mobius]
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("moebius part must be a 2x2 matrix")
         (a, b), (c, d) = rows
@@ -135,7 +125,7 @@ class QGonalMap:
             scale, flip = b / c, -1
         else:
             raise ValueError("moebius part must be an invertible diagonal or antidiagonal matrix")
-        coeff = _lift_coeffs([coeff], order)[0]
+        coeff = as_element(coeff, order)
         if coeff.is_zero():
             raise ZeroPolynomial("zero multiplier does not define a map")
         self._fill(order, scale, flip, coeff, exponent)
@@ -389,7 +379,7 @@ def moebius_permutes_roots(f: polyring.SparsePoly, rows) -> bool:
             if isinstance(e, CyclotomicElement):
                 orders.append(e.order)
     order = common_order(*orders)
-    a, b, c, d = _lift_coeffs([rows[0][0], rows[0][1], rows[1][0], rows[1][1]], order)
+    (a, b), (c, d) = ([as_element(e, order) for e in row] for row in rows)
     if (a * d - b * c).is_zero():
         raise ValueError("moebius map must be invertible")
     coeffs = polyring.poly_to_uni(f.lift_to(order))
@@ -402,7 +392,7 @@ def moebius_permutes_roots(f: polyring.SparsePoly, rows) -> bool:
 def family_polynomial(values: Sequence[CyclotomicElement], n: int,
                       order: int) -> polyring.SparsePoly:
     """Product of (x^n - a)(x^n + 1/conj(a)) over the given a, validated."""
-    vals = _lift_coeffs(values, order)
+    vals = [as_element(v, order) for v in values]
     m = len(vals)
     if m < 2 or n < 2:
         raise HypothesisViolation("need at least two factors and n > 1")

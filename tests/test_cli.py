@@ -18,9 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from oddsig import cli, exactnum, serialize
 from oddsig.cli import build_parser, run_command
+from oddsig.descent import FamilyTriple
 from oddsig.errors import (BoundExceeded, HypothesisViolation, InputError, InternalInconsistency,
                            ParseError, ResourceError, SchemaError)
-from oddsig.exactnum import MAX_ORDER, CyclotomicElement, GaloisElement
+from oddsig.exactnum import MAX_ORDER, CyclotomicElement
 from oddsig.plane import PlaneCurve, ProjMap
 from oddsig.polyring import SparsePoly
 from oddsig.ramify import signature
@@ -53,7 +54,7 @@ def test_parse_rejects_bad_json():
 
 
 def test_parse_refuses_oversized_json_literals(tmp_path, capsys):
-    huge_int = '{"kind": "galois_action", "order": 1' + "0" * 5000 + ', "exponent": 1}'
+    huge_int = '{"kind": "family_triple", "order": 1' + "0" * 5000 + ', "values": [["1"], ["3"], ["5"]]}'
     deep = "[" * 100000 + "]" * 100000
     for text in (huge_int, deep):
         with pytest.raises(ParseError):
@@ -76,10 +77,6 @@ def test_parse_rejects_bad_schemas(tmp_path, capsys):
                        [["0"], ["0"], ["1"]]]}
     with pytest.raises(SchemaError):
         serialize.parse_input(json.dumps(bad))
-    # non-invertible exponent in a Galois action
-    with pytest.raises(SchemaError):
-        serialize.parse_input(json.dumps(
-            {"kind": "galois_action", "order": 4, "exponent": 2}))
     # degenerate family triple
     with pytest.raises(SchemaError):
         serialize.parse_input(json.dumps(
@@ -109,7 +106,6 @@ def test_parse_rejects_bad_schemas(tmp_path, capsys):
          "terms": [{"exponents": [True, 3, 0], "coefficient": ["1"]}]},
         {"kind": "qgonal_curve", "q": 3, "poly": quartic, "m": True},
         {"kind": "qgonal_curve", "q": 3, "poly": quartic, "n": True},
-        {"kind": "galois_action", "order": 4, "exponent": True},
     ):
         with pytest.raises(SchemaError):
             serialize.parse_input(json.dumps(doc))
@@ -136,7 +132,6 @@ def test_field_order_above_the_cap_is_refused(monkeypatch):
         {"kind": "group", "generators": [{"kind": "projective_map", "order": big,
                                           "entries": entries}]},
         {"kind": "family_triple", "order": big, "values": [["1"], ["3"], ["5"]]},
-        {"kind": "galois_action", "order": big, "exponent": -1},
         {"kind": "qgonal_map", "order": big, "mobius": [[["1"], ["0"]], [["0"], ["1"]]],
          "multiplier_num": [["1"]], "multiplier_den": [["1"]]},
     ]
@@ -248,29 +243,26 @@ def test_singular_map_exits_2(tmp_path, capsys):
     assert code == 2 and "invertible" in err
 
 
-def test_parse_galois_action():
-    doc = serialize.parse_input(json.dumps(
-        {"kind": "galois_action", "order": 4, "exponent": -1}))
-    assert doc.value == GaloisElement(4, 3)
-
-
 def test_every_fixture_round_trips():
     files = sorted(FIXTURES.glob("*.json"))
     assert len(files) >= 30
+    kinds = set()
     for path in files:
         doc = serialize.parse_input(path.read_text(encoding="utf-8"))
+        kinds.add(doc.kind)
         emitted = serialize.to_document(doc.value)
         again = serialize.parse_document(emitted)
         assert again.value == doc.value, path.name
         assert serialize.dumps(emitted) == path.read_text(encoding="utf-8"), path.name
+    assert kinds == set(serialize.KINDS)
 
 
 def test_input_document_is_an_immutable_value():
-    text = json.dumps({"kind": "galois_action", "order": 4, "exponent": 3})
+    text = json.dumps({"kind": "family_triple", "order": 4, "values": [["1", "0"], ["3", "0"], ["5", "0"]]})
     doc = serialize.parse_input(text)
-    assert doc == serialize.parse_input(text) == serialize.InputDocument("galois_action", GaloisElement(4, 3))
+    assert doc == serialize.parse_input(text) == serialize.InputDocument("family_triple", FamilyTriple(1, 3, 5))
     assert len({doc, serialize.parse_input(text)}) == 1
-    assert doc != serialize.InputDocument("galois_action", GaloisElement(4, 1))
+    assert doc != serialize.InputDocument("family_triple", FamilyTriple(1, 3, 7))
     with pytest.raises(AttributeError):
         doc.kind = "group"
 
@@ -810,6 +802,13 @@ def test_odd_signature_literal(capsys):
     assert code == 0 and "INCONCLUSIVE" in out
     code, _, err = run(capsys, "odd-signature", "--indices", "2,3")
     assert code == 2
+    # 2h - 2 + r <= 0 with r branch points: no curve of genus >= 2 has it
+    for genus, indices, shown in (("0", "2,3", "(0; 2, 3)"), ("0", "2", "(0; 2)"),
+                                  ("0", "", "(0)"), ("1", "", "(1)")):
+        code, out, err = run(capsys, "odd-signature",
+                             "--quotient-genus", genus, "--indices", indices)
+        assert code == 2 and out == "" and f"signature {shown} is not hyperbolic" in err
+        assert "Traceback" not in err
     code, _, err = run(capsys, "odd-signature",
                        "--quotient-genus", "0", "--indices", "2,x")
     assert code == 2

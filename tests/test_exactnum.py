@@ -11,9 +11,8 @@ from oddsig.errors import (BoundExceeded, InternalInconsistency, InvalidExponent
                            OrderMismatch, SchemaError)
 from oddsig.exactnum import (
     CyclotomicElement as Cyc,
-    GaloisElement,
+    as_element,
     common_order,
-    conjugation,
     cyclotomic_polynomial,
     euler_phi,
     is_prime,
@@ -116,15 +115,13 @@ def test_galois_composition_and_conjugation_involution():
         k1, k2 = rng.choice(units), rng.choice(units)
         assert a.galois(k1).galois(k2) == a.galois((k1 * k2) % n)
         assert a.conjugate().conjugate() == a
-    sigma = conjugation(n)
-    assert sigma.compose(sigma).is_identity()
 
 
 def test_invalid_galois_exponent():
     with pytest.raises(InvalidExponent):
         Cyc.zeta(6).galois(2)
     with pytest.raises(InvalidExponent):
-        GaloisElement(10, 5)
+        Cyc.zeta(10).galois(5)
 
 
 def test_lift_to_tower():
@@ -137,6 +134,23 @@ def test_lift_to_tower():
     # lifting respects arithmetic
     i = Cyc.zeta(4)
     assert ((1 + i) * (2 - i)).lift_to(12) == (1 + i.lift_to(12)) * (2 - i.lift_to(12))
+
+
+def test_as_element_embeds_scalars_and_lifts_subfield_elements():
+    assert as_element(3, 12) == Cyc.from_rational(3, 12)
+    assert as_element(Fraction(-2, 7), 5) == Cyc.from_rational(Fraction(-2, 7), 5)
+    assert as_element(Cyc.zeta(3), 12) == Cyc.zeta(12, 4)
+    i = Cyc.zeta(4)
+    assert as_element(i, 4) is i
+    with pytest.raises(NotASubfield):
+        as_element(Cyc.zeta(3), 8)
+
+
+def test_galois_exponents_are_the_units():
+    assert exactnum.galois_exponents(1) == exactnum.galois_exponents(2) == [1]
+    assert exactnum.galois_exponents(12) == [1, 5, 7, 11]
+    for n in range(1, 40):
+        assert len(exactnum.galois_exponents(n)) == euler_phi(n)
 
 
 def test_lift_to_common_order():

@@ -89,6 +89,11 @@ HUGE = int("7" * 4290)
     # the companion matrix of x^3 - x - 1 passes the denominator test, but
     # B = A^3 has tr B = 3 and e2(B) = 2
     [[0, 0, 1], [1, 0, 1], [0, 1, 0]],
+    # real eigenvalues l, 1/l, 1 pass both tests above, since e2(B) = tr B is
+    # rational; tr B exceeds 3, the largest absolute value of a sum of three
+    # roots of unity
+    [[10**40 + 1, 10**40, 0], [1, 1, 0], [0, 0, 1]],
+    [[2, 1, 0], [1, 1, 0], [0, 0, 1]],
 ])
 def test_closure_refuses_generators_of_infinite_order(entries):
     started = time.perf_counter()

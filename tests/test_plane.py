@@ -8,11 +8,10 @@ from oddsig import plane, polyring
 from oddsig.errors import (NotAnIsomorphism, OrderMismatch, SchemaError,
                            VariableCountMismatch, ZeroPolynomial)
 from oddsig.exactnum import CyclotomicElement, cyclotomic_polynomial, euler_phi
-from oddsig.plane import (PlaneCurve, ProjMap, _canonical, _dehomogenize, conjugate_curve,
-                          has_common_affine_zero, is_automorphism,
-                          is_isomorphism_onto, is_smooth, matrix_product,
+from oddsig.plane import (PlaneCurve, ProjMap, _canonical, has_common_affine_zero,
+                          is_automorphism, is_isomorphism_onto, is_smooth, matrix_product,
                           require_isomorphism)
-from oddsig.polyring import SparsePoly
+from oddsig.polyring import SparsePoly, dehomogenize
 
 
 def P(order, nvars, items):
@@ -224,9 +223,9 @@ def test_plane_curve_validation_and_genus():
 def test_conjugate_curve():
     i = CyclotomicElement.zeta(4, 1)
     curve = PlaneCurve(P(4, 3, [(1, (3, 0, 0)), (i, (0, 3, 0)), (1, (0, 0, 3))]))
-    conj = conjugate_curve(curve)
+    conj = curve.conjugate()
     assert conj.poly.coefficient((0, 3, 0)) == -i
-    assert conjugate_curve(conj) == curve
+    assert conj.conjugate() == curve
 
 
 def test_fermat_automorphisms():
@@ -395,7 +394,7 @@ def test_has_common_affine_zero_modulus_splitting():
 
 
 def chart_partials(form):
-    return [_dehomogenize(form.derivative(v), 2) for v in range(3)]
+    return [dehomogenize(form.derivative(v), 2) for v in range(3)]
 
 
 def test_has_common_affine_zero_shared_factor_split():

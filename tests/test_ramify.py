@@ -11,7 +11,7 @@ from oddsig.errors import (BoundExceeded, GenusTooSmall, HypothesisViolation,
                            InternalInconsistency, NonIntegerGenus, NotAnAutomorphism, ScalarMap)
 from oddsig.exactnum import CyclotomicElement
 from oddsig.matgroup import closure, cyclic_subgroups, element_order, subgroup_conjugacy_classes
-from oddsig.plane import PlaneCurve, ProjMap, conjugate_curve, is_smooth
+from oddsig.plane import PlaneCurve, ProjMap, is_smooth
 from oddsig.polyring import SparsePoly
 from oddsig.ramify import (Signature, fixed_point_count, is_odd_signature,
                            odd_signature_verdict, signature)
@@ -298,7 +298,7 @@ def test_signature_conjugation_equivariance():
     group = sign_group(4)
     sig = signature(curve, group)
     assert sig == Signature(0, (2, 2, 2, 2, 2, 2))
-    twin = conjugate_curve(curve)
+    twin = curve.conjugate()
     twin_group = [g.conjugate() for g in group]
     assert signature(twin, twin_group) == sig
 
