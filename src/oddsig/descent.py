@@ -177,12 +177,18 @@ def bielliptic_quartic(a1, a2, a3, order: int) -> PlaneCurve:
 
 # the symmetric quartic family --------------------------------------------------
 
-class FamilyTriple:
+class _TripleFields(NamedTuple):
+    a: CyclotomicElement
+    b: CyclotomicElement
+    c: CyclotomicElement
+
+
+class FamilyTriple(_TripleFields):
     """Coefficient triple (a, b, c) of a smooth member with distinct squares."""
 
-    __slots__ = ("order", "values")
+    __slots__ = ()
 
-    def __init__(self, a, b, c):
+    def __new__(cls, a, b, c):
         o = common_order(*[v.order for v in (a, b, c) if isinstance(v, CyclotomicElement)])
         vals = [as_element(v, o) for v in (a, b, c)]
         squares = [v * v for v in vals]
@@ -197,45 +203,20 @@ class FamilyTriple:
         if squares[0] + squares[1] + squares[2] - vals[0] * vals[1] * vals[2] == four:
             raise DegenerateTriple(
                 "singular member: a^2 + b^2 + c^2 - abc equals 4")
-        object.__setattr__(self, "order", o)
-        object.__setattr__(self, "values", tuple(vals))
-
-    def __setattr__(self, *_):
-        raise AttributeError("FamilyTriple is immutable")
+        return super().__new__(cls, *vals)
 
     @property
-    def a(self) -> CyclotomicElement:
-        return self.values[0]
-
-    @property
-    def b(self) -> CyclotomicElement:
-        return self.values[1]
-
-    @property
-    def c(self) -> CyclotomicElement:
-        return self.values[2]
+    def order(self) -> int:
+        return self.a.order
 
     def lift_to(self, order: int) -> "FamilyTriple":
-        return FamilyTriple(*[v.lift_to(order) for v in self.values])
+        return FamilyTriple(*[v.lift_to(order) for v in self])
 
     def galois(self, exponent: int) -> "FamilyTriple":
-        return FamilyTriple(*[v.galois(exponent) for v in self.values])
+        return FamilyTriple(*[v.galois(exponent) for v in self])
 
     def conjugate(self) -> "FamilyTriple":
         return self.galois(-1)
-
-    def __eq__(self, other):
-        if not isinstance(other, FamilyTriple):
-            return NotImplemented
-        order = common_order(self.order, other.order)
-        return ([v.lift_to(order) for v in self.values]
-                == [v.lift_to(order) for v in other.values])
-
-    def __hash__(self):
-        return hash((self.order, self.values))
-
-    def __repr__(self):
-        return f"FamilyTriple{self.values!r}"
 
 
 def family_curve(t: FamilyTriple) -> PlaneCurve:
@@ -250,7 +231,7 @@ def family_curve(t: FamilyTriple) -> PlaneCurve:
 
 def family_invariants(t: FamilyTriple):
     """(abc, sum of squares, sum of fourth powers, sum, sum of cubes)."""
-    a, b, c = t.values
+    a, b, c = t
     j1 = a * b * c
     j2 = a * a + b * b + c * c
     j3 = a ** 4 + b ** 4 + c ** 4
@@ -267,7 +248,7 @@ class TripleMove(NamedTuple):
     map: ProjMap
 
     def apply(self, t: FamilyTriple) -> FamilyTriple:
-        vals = [t.values[self.perm[i]] * self.signs[i] for i in range(3)]
+        vals = [t[self.perm[i]] * self.signs[i] for i in range(3)]
         return FamilyTriple(*vals)
 
     def compose(self, other: "TripleMove") -> "TripleMove":
@@ -297,26 +278,26 @@ def _generator_moves() -> dict[str, TripleMove]:
     }
 
 
-_MOVE_CACHE: dict[bool, list[TripleMove]] = {}
+_MOVES: list[TripleMove] = []
 
 
-def family_symmetries(include_signs: bool = True) -> list[TripleMove]:
-    """The 24 triple moves, or the 6 pure permutations."""
-    if include_signs not in _MOVE_CACHE:
-        gens = _generator_moves()
-        names = [SWAP, CYCLE] + ([NEGATE_AB, NEGATE_BC] if include_signs else [])
+def family_symmetries() -> list[TripleMove]:
+    """The 24 triple moves, sorted by key; the 6 with plain() true are the
+    pure permutations."""
+    if not _MOVES:
+        gens = list(_generator_moves().values())
         identity = TripleMove((0, 1, 2), (1, 1, 1), ProjMap.identity(4))
         seen = {identity.key(): identity}
         queue = [identity]
         while queue:
             cur = queue.pop(0)
-            for name in names:
-                nxt = gens[name].compose(cur)
+            for gen in gens:
+                nxt = gen.compose(cur)
                 if nxt.key() not in seen:
                     seen[nxt.key()] = nxt
                     queue.append(nxt)
-        _MOVE_CACHE[include_signs] = [seen[k] for k in sorted(seen)]
-    return list(_MOVE_CACHE[include_signs])
+        _MOVES.extend(seen[k] for k in sorted(seen))
+    return list(_MOVES)
 
 
 def family_isomorphic(t: FamilyTriple, t2: FamilyTriple,
@@ -328,8 +309,8 @@ def family_isomorphic(t: FamilyTriple, t2: FamilyTriple,
     coefficient field lacks i."""
     order = common_order(t.order, t2.order)
     t, t2 = t.lift_to(order), t2.lift_to(order)
-    for move in family_symmetries(field_contains_i):
-        if move.apply(t) == t2:
+    for move in family_symmetries():
+        if (field_contains_i or move.plain()) and move.apply(t) == t2:
             return move
     return None
 

@@ -19,6 +19,7 @@ gcd(k, N) = 1; k = -1 is complex conjugation.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -359,14 +360,7 @@ class CyclotomicElement:
         if not isinstance(exponent, int):
             return NotImplemented
         base = self if exponent >= 0 else self.inverse()
-        e = abs(exponent)
-        result = CyclotomicElement.one(self.order)
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(base, abs(exponent), CyclotomicElement.one(self.order))
 
     def __eq__(self, other):
         if isinstance(other, CyclotomicElement):
@@ -461,6 +455,20 @@ def as_element(value, order: int) -> CyclotomicElement:
     if isinstance(value, CyclotomicElement):
         return value.lift_to(order)
     return CyclotomicElement.from_rational(value, order)
+
+
+def power(base, exponent: int, one, mul=operator.mul):
+    """base to the power exponent >= 0 by repeated squaring, starting from
+    one and multiplying with mul; the one square-and-multiply loop of the
+    library, behind every power and __pow__."""
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = mul(result, base)
+        exponent >>= 1
+        if exponent:
+            base = mul(base, base)
+    return result
 
 
 def galois_exponents(order: int) -> list[int]:

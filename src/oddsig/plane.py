@@ -3,6 +3,8 @@
 Maps are stored as 3x3 matrices normalized so the first nonzero entry in
 row-major order is 1; equality of normalized matrices is equality in PGL_3
 (for matrices over the same field the proportionality scalar lies in it).
+ProjMap and PlaneCurve are NamedTuple records compared field by field, so a
+value and its lift to a larger field are unequal.
 The product and the determinant multiply only nonzero entries: for monomial
 maps a product costs 3 field multiplications instead of 27, a determinant 2
 instead of 9. A product is normalized without re-coercing its entries, and
@@ -23,8 +25,9 @@ theorem: degree below 4 or above MAX_PLANE_DEGREE, or singular.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     BoundExceeded,
@@ -36,7 +39,7 @@ from .errors import (
     VariableCountMismatch,
     ZeroPolynomial,
 )
-from .exactnum import CyclotomicElement, as_element, check_order, common_order
+from .exactnum import CyclotomicElement, as_element, check_order, common_order, power
 from .polyring import (
     SparsePoly,
     dehomogenize,
@@ -57,32 +60,20 @@ Entry = Union[int, Fraction, CyclotomicElement]
 MAX_PLANE_DEGREE = 7
 
 
-class ProjMap:
+class _ProjMapFields(NamedTuple):
+    order: int
+    entries: tuple[tuple[CyclotomicElement, ...], ...]
+
+
+class ProjMap(_ProjMapFields):
     """An element of PGL_3 over Q(zeta_order), stored in canonical form."""
 
-    __slots__ = ("order", "entries")
+    __slots__ = ()
 
-    def __init__(self, order: int, entries: Sequence[Sequence[Entry]]):
+    def __new__(cls, order: int, entries: Sequence[Sequence[Entry]]):
         if len(entries) != 3 or any(len(row) != 3 for row in entries):
             raise VariableCountMismatch("projective map needs a 3x3 matrix")
-        self._set_canonical(order, [[as_element(e, order) for e in row] for row in entries])
-
-    def _set_canonical(self, order: int, rows) -> None:
-        """Store rows over Q(zeta_order) scaled so the first nonzero entry is
-        1; raise ValueError unless they form an invertible matrix."""
-        pivot = next((c for row in rows for c in row if not c.is_zero()), None)
-        if pivot is None:
-            raise ValueError("zero matrix is not a projective map")
-        if not pivot.is_one():
-            inv = pivot.inverse()
-            rows = [[c if c.is_zero() else c * inv for c in row] for row in rows]
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "entries", tuple(tuple(row) for row in rows))
-        if self.det().is_zero():
-            raise ValueError("projective map must be invertible")
-
-    def __setattr__(self, *_):
-        raise AttributeError("ProjMap is immutable")
+        return _canonical(order, [[as_element(e, order) for e in row] for row in entries])
 
     @classmethod
     def identity(cls, order: int) -> "ProjMap":
@@ -150,28 +141,10 @@ class ProjMap:
 
     def power(self, exponent: int) -> "ProjMap":
         base = self if exponent >= 0 else self.inverse()
-        e = abs(exponent)
-        result = ProjMap.identity(self.order)
-        while e:
-            if e & 1:
-                result = result @ base
-            base = base @ base
-            e >>= 1
-        return result
+        return power(base, abs(exponent), ProjMap.identity(self.order), operator.matmul)
 
     def key(self) -> tuple:
         return (self.order, tuple(tuple(c.coords for c in row) for row in self.entries))
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjMap):
-            return NotImplemented
-        return self.order == other.order and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.order, self.entries))
-
-    def __repr__(self):
-        return f"ProjMap(order={self.order}, entries={[[str(c.coords) for c in row] for row in self.entries]})"
 
     def to_dict(self) -> dict:
         return {
@@ -242,19 +215,31 @@ def char_poly(m) -> tuple[CyclotomicElement, CyclotomicElement, CyclotomicElemen
 
 
 def _canonical(order: int, rows) -> ProjMap:
-    """A ProjMap from rows whose entries already lie in Q(zeta_order), such as
-    a product of two maps: no coercion pass, the invertibility check kept."""
-    out = object.__new__(ProjMap)
-    out._set_canonical(order, rows)
-    return out
+    """The ProjMap of rows whose entries already lie in Q(zeta_order), such
+    as a product of two maps, scaled so the first nonzero entry is 1: no
+    coercion pass, and ValueError unless the rows form an invertible matrix."""
+    pivot = next((c for row in rows for c in row if not c.is_zero()), None)
+    if pivot is None:
+        raise ValueError("zero matrix is not a projective map")
+    if not pivot.is_one():
+        inv = pivot.inverse()
+        rows = [[c if c.is_zero() else c * inv for c in row] for row in rows]
+    entries = tuple(tuple(row) for row in rows)
+    if matrix_det(entries).is_zero():
+        raise ValueError("projective map must be invertible")
+    return ProjMap._make((order, entries))
 
 
-class PlaneCurve:
+class _PlaneCurveFields(NamedTuple):
+    poly: SparsePoly
+
+
+class PlaneCurve(_PlaneCurveFields):
     """A plane projective curve F(x, y, z) = 0 with F homogeneous."""
 
-    __slots__ = ("poly",)
+    __slots__ = ()
 
-    def __init__(self, poly: SparsePoly):
+    def __new__(cls, poly: SparsePoly):
         if poly.nvars != 3:
             raise VariableCountMismatch("plane curve needs three variables")
         if poly.is_zero():
@@ -263,10 +248,7 @@ class PlaneCurve:
             raise ValueError("plane curve polynomial must be homogeneous")
         if poly.total_degree() < 1:
             raise ValueError("plane curve polynomial must be nonconstant")
-        object.__setattr__(self, "poly", poly)
-
-    def __setattr__(self, *_):
-        raise AttributeError("PlaneCurve is immutable")
+        return super().__new__(cls, poly)
 
     @property
     def order(self) -> int:
@@ -289,17 +271,6 @@ class PlaneCurve:
 
     def conjugate(self) -> "PlaneCurve":
         return self.galois(-1)
-
-    def __eq__(self, other):
-        if not isinstance(other, PlaneCurve):
-            return NotImplemented
-        return self.poly == other.poly
-
-    def __hash__(self):
-        return hash(self.poly)
-
-    def __repr__(self):
-        return f"PlaneCurve({self.poly!r})"
 
 
 def is_isomorphism_onto(source: PlaneCurve, target: PlaneCurve, mapping: ProjMap):

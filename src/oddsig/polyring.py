@@ -35,7 +35,7 @@ from .errors import (
     VariableCountMismatch,
     ZeroPolynomial,
 )
-from .exactnum import CyclotomicElement, as_element, check_order, euler_phi, is_prime
+from .exactnum import CyclotomicElement, as_element, check_order, euler_phi, is_prime, power
 
 Coeff = Union[int, Fraction, CyclotomicElement]
 
@@ -183,17 +183,11 @@ class SparsePoly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        result = SparsePoly.constant(1, self.order, self.nvars)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, exponent, SparsePoly.constant(1, self.order, self.nvars))
 
     def __eq__(self, other):
+        if isinstance(other, CyclotomicElement) and other.order != self.order:
+            return False  # values over different fields are unequal
         if isinstance(other, (int, Fraction, CyclotomicElement)):
             other = SparsePoly.constant(other, self.order, self.nvars)
         if not isinstance(other, SparsePoly):
@@ -429,7 +423,7 @@ def _split_prime(order: int) -> tuple[int, int]:
     return p, w
 
 
-def _image_mod_p(c: Sequence[CyclotomicElement], p: int, powers: list[int]) -> Optional[list[int]]:
+def _reduce_mod_p(c: Sequence[CyclotomicElement], p: int, powers: list[int]) -> Optional[list[int]]:
     """Image under zeta |-> w, or None when a denominator is divisible by p."""
     out = []
     for e in c:
@@ -453,7 +447,7 @@ def uni_coprime_mod_p(a: Sequence[CyclotomicElement], b: Sequence[CyclotomicElem
     order = a[0].order
     p, w = _split_prime(order)
     powers = [pow(w, i, p) for i in range(euler_phi(order))]
-    r0, r1 = _image_mod_p(a, p, powers), _image_mod_p(b, p, powers)
+    r0, r1 = _reduce_mod_p(a, p, powers), _reduce_mod_p(b, p, powers)
     if r0 is None or r1 is None or not r0[-1] or not r1[-1]:
         return False
     while len(r1) > 1:

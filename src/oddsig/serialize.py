@@ -160,7 +160,7 @@ def qgonal_curve_document(curve: superell.QGonalCurve) -> dict:
 
 def family_triple_document(triple: descent.FamilyTriple) -> dict:
     return {"kind": "family_triple", "order": triple.order,
-            "values": [[str(c) for c in v.coords] for v in triple.values]}
+            "values": [[str(c) for c in v.coords] for v in triple]}
 
 
 def to_document(value: Any) -> dict:

@@ -30,8 +30,9 @@ exactnum.MAX_ORDER, since the deck transformation lives in Q(zeta_q).
 
 from __future__ import annotations
 
+import operator
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import polyring
 from .errors import (
@@ -45,7 +46,7 @@ from .errors import (
     ShapeViolation,
     ZeroPolynomial,
 )
-from .exactnum import MAX_ORDER, CyclotomicElement, as_element, common_order, is_prime
+from .exactnum import MAX_ORDER, CyclotomicElement, as_element, common_order, is_prime, power
 from .ramify import Signature, is_odd_signature, odd_signature_verdict
 
 SHAPES = ("N0", "N1", "N2")
@@ -95,16 +96,24 @@ def _pull_back(rows, top: int, *polys) -> list:
             coeff = p[i]
             if coeff.is_zero():
                 continue
-            power = pd[top - i]
-            h.extend([zero] * (len(power) - len(h)))
-            for j, y in enumerate(power):
+            cd_pow = pd[top - i]
+            h.extend([zero] * (len(cd_pow) - len(h)))
+            for j, y in enumerate(cd_pow):
                 if not y.is_zero():
                     h[j] = h[j] + coeff * y
         out.append(polyring.uni_trim(h))
     return out + [polyring.uni_trim(pd[top])]
 
 
-class QGonalMap:
+class _QGonalMapFields(NamedTuple):
+    order: int
+    scale: CyclotomicElement
+    flip: int
+    coeff: CyclotomicElement
+    exponent: int
+
+
+class QGonalMap(_QGonalMapFields):
     """Monomial fibered map (x, y) -> (s x^e, c x^k y) between cyclic covers,
     with scale s, flip e = +-1, coefficient c and exponent k. The maps of the
     family (mirror, deck, rotation and their composites) all have this form,
@@ -112,9 +121,9 @@ class QGonalMap:
     takes x -> s x^e as an invertible diagonal or antidiagonal matrix and
     the multiplier c x^k as (coeff, exponent)."""
 
-    __slots__ = ("order", "scale", "flip", "coeff", "exponent")
+    __slots__ = ()
 
-    def __init__(self, order: int, mobius, coeff=1, exponent: int = 0):
+    def __new__(cls, order: int, mobius, coeff=1, exponent: int = 0):
         rows = [[as_element(e, order) for e in row] for row in mobius]
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("moebius part must be a 2x2 matrix")
@@ -128,20 +137,7 @@ class QGonalMap:
         coeff = as_element(coeff, order)
         if coeff.is_zero():
             raise ZeroPolynomial("zero multiplier does not define a map")
-        self._fill(order, scale, flip, coeff, exponent)
-
-    def _fill(self, order, scale, flip, coeff, exponent):
-        for name, value in zip(self.__slots__, (order, scale, flip, coeff, exponent)):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _make(cls, order, scale, flip, coeff, exponent) -> "QGonalMap":
-        out = object.__new__(cls)
-        out._fill(order, scale, flip, coeff, exponent)
-        return out
-
-    def __setattr__(self, *_):
-        raise AttributeError("QGonalMap is immutable")
+        return cls._make((order, scale, flip, coeff, exponent))
 
     @classmethod
     def identity(cls, order: int = 1) -> "QGonalMap":
@@ -150,16 +146,16 @@ class QGonalMap:
     def lift_to(self, order: int) -> "QGonalMap":
         if order == self.order:
             return self
-        return QGonalMap._make(order, self.scale.lift_to(order), self.flip,
-                               self.coeff.lift_to(order), self.exponent)
+        return QGonalMap._make((order, self.scale.lift_to(order), self.flip,
+                                self.coeff.lift_to(order), self.exponent))
 
     def compose(self, other: "QGonalMap") -> "QGonalMap":
         """self applied after other."""
         order = common_order(self.order, other.order)
         s, t = self.lift_to(order), other.lift_to(order)
-        return QGonalMap._make(order, s.scale * t.scale ** s.flip, s.flip * t.flip,
-                               s.coeff * t.coeff * t.scale ** s.exponent,
-                               t.flip * s.exponent + t.exponent)
+        return QGonalMap._make((order, s.scale * t.scale ** s.flip, s.flip * t.flip,
+                                s.coeff * t.coeff * t.scale ** s.exponent,
+                                t.flip * s.exponent + t.exponent))
 
     def __matmul__(self, other):
         if not isinstance(other, QGonalMap):
@@ -169,24 +165,17 @@ class QGonalMap:
     def power(self, exponent: int) -> "QGonalMap":
         if exponent < 0:
             return self.inverse().power(-exponent)
-        out = QGonalMap.identity(self.order)
-        base = self
-        while exponent:
-            if exponent & 1:
-                out = out @ base
-            base = base @ base
-            exponent >>= 1
-        return out
+        return power(self, exponent, QGonalMap.identity(self.order), operator.matmul)
 
     def inverse(self) -> "QGonalMap":
         # x = s^-e X^e, and y = c^-1 x^-k Y = c^-1 s^(ek) X^(-ek) Y
         e, k = self.flip, self.exponent
-        return QGonalMap._make(self.order, self.scale ** -e, e,
-                               self.coeff.inverse() * self.scale ** (e * k), -e * k)
+        return QGonalMap._make((self.order, self.scale ** -e, e,
+                                self.coeff.inverse() * self.scale ** (e * k), -e * k))
 
     def galois(self, exponent: int) -> "QGonalMap":
-        return QGonalMap._make(self.order, self.scale.galois(exponent), self.flip,
-                               self.coeff.galois(exponent), self.exponent)
+        return QGonalMap._make((self.order, self.scale.galois(exponent), self.flip,
+                                self.coeff.galois(exponent), self.exponent))
 
     def conjugate(self) -> "QGonalMap":
         return self.galois(-1)
@@ -210,24 +199,6 @@ class QGonalMap:
         if k >= 0:
             return [zero] * k + [self.coeff], [one]
         return [self.coeff], [zero] * (-k) + [one]
-
-    def _fields(self):
-        return (self.scale, self.flip, self.coeff, self.exponent)
-
-    def __eq__(self, other):
-        if not isinstance(other, QGonalMap):
-            return NotImplemented
-        if self.order != other.order:
-            order = common_order(self.order, other.order)
-            return self.lift_to(order) == other.lift_to(order)
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash((self.order,) + self._fields())
-
-    def __repr__(self):
-        return (f"QGonalMap(order={self.order}, scale={self.scale!r}, flip={self.flip}, "
-                f"coeff={self.coeff!r}, exponent={self.exponent})")
 
     def to_dict(self) -> dict:
         num, den = self.multiplier()
@@ -261,55 +232,38 @@ def genus_qgonal(q: int, f: polyring.SparsePoly) -> int:
     return genus
 
 
-class QGonalCurve:
+class _QGonalCurveFields(NamedTuple):
+    q: int
+    poly: polyring.SparsePoly
+    genus: int
+    m: Optional[int]
+    n: Optional[int]
+
+
+class QGonalCurve(_QGonalCurveFields):
     """Cyclic cover y^q = f(x) with f squarefree over a cyclotomic field."""
 
-    __slots__ = ("q", "poly", "genus", "m", "n")
+    __slots__ = ()
 
-    def __init__(self, q: int, f: polyring.SparsePoly,
-                 m: Optional[int] = None, n: Optional[int] = None):
-        genus = genus_qgonal(q, f)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "poly", f)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, *_):
-        raise AttributeError("QGonalCurve is immutable")
+    def __new__(cls, q: int, f: polyring.SparsePoly,
+                m: Optional[int] = None, n: Optional[int] = None):
+        return super().__new__(cls, q, f, genus_qgonal(q, f), m, n)
 
     @property
     def order(self) -> int:
         return self.poly.order
 
-    def _image(self, poly: polyring.SparsePoly) -> "QGonalCurve":
-        # A field embedding is a ring isomorphism of K[x] onto its image: it
-        # keeps the degree of f and gcd(f, f') = 1, hence the genus, which is
-        # therefore copied rather than recomputed.
-        image = object.__new__(QGonalCurve)
-        for name, value in zip(self.__slots__, (self.q, poly, self.genus, self.m, self.n)):
-            object.__setattr__(image, name, value)
-        return image
-
+    # A field embedding is a ring isomorphism of K[x] onto its image: it
+    # keeps the degree of f and gcd(f, f') = 1, hence the genus, which
+    # _replace therefore copies rather than recomputes.
     def lift_to(self, order: int) -> "QGonalCurve":
-        return self._image(self.poly.lift_to(order))
+        return self._replace(poly=self.poly.lift_to(order))
 
     def galois(self, exponent: int) -> "QGonalCurve":
-        return self._image(self.poly.galois(exponent))
+        return self._replace(poly=self.poly.galois(exponent))
 
     def conjugate(self) -> "QGonalCurve":
         return self.galois(-1)
-
-    def __eq__(self, other):
-        if not isinstance(other, QGonalCurve):
-            return NotImplemented
-        return self.q == other.q and self.poly == other.poly
-
-    def __hash__(self):
-        return hash((self.q, self.poly))
-
-    def __repr__(self):
-        return f"QGonalCurve(q={self.q}, f={self.poly!r})"
 
 
 def qgonal_signature(q: int, n: int, shape: str, g: int) -> Signature:

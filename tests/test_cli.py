@@ -260,7 +260,7 @@ def test_every_fixture_round_trips():
 def test_input_document_is_an_immutable_value():
     text = json.dumps({"kind": "family_triple", "order": 4, "values": [["1", "0"], ["3", "0"], ["5", "0"]]})
     doc = serialize.parse_input(text)
-    assert doc == serialize.parse_input(text) == serialize.InputDocument("family_triple", FamilyTriple(1, 3, 5))
+    assert doc == serialize.parse_input(text) == serialize.InputDocument("family_triple", FamilyTriple(1, 3, 5).lift_to(4))
     assert len({doc, serialize.parse_input(text)}) == 1
     assert doc != serialize.InputDocument("family_triple", FamilyTriple(1, 3, 7))
     with pytest.raises(AttributeError):
@@ -690,7 +690,7 @@ def test_qgonal_descend_failed_generator_check_exits_1(monkeypatch, capsys):
     from oddsig import superell
     real, rotation = superell.qgonal_is_isomorphism, superell.rotation_map(3)
     monkeypatch.setattr(superell, "qgonal_is_isomorphism",
-                        lambda source, target, phi: phi != rotation and real(source, target, phi))
+                        lambda source, target, phi: phi != rotation.lift_to(phi.order) and real(source, target, phi))
     with pytest.raises(InternalInconsistency, match="rotation"):
         superell.qgonal_real_descent(3, 3, 3)
     code, out, err = run(capsys, "qgonal", "descend", "--q", "3", "--m", "3", "--n", "3")

@@ -213,7 +213,9 @@ def test_family_triple_guards():
     t = FamilyTriple(1, 3, 5)
     assert t.order == 1 and t.conjugate() == t
     lifted = t.lift_to(4)
-    assert lifted == t and lifted.order == 4
+    assert lifted != t and lifted.order == 4
+    assert lifted == FamilyTriple(*[v.lift_to(4) for v in t])
+    assert len({t, lifted}) == 2
 
 
 def test_singularity_screen_matches_smoothness_oracle():
@@ -237,16 +239,16 @@ def test_family_invariants():
     t = FamilyTriple(1, 3, 5)
     j1, j2, j3, j4, j5 = family_invariants(t)
     assert (j1, j2, j3, j4, j5) == (15, 35, 707, 9, 153)
-    for move in family_symmetries(True):
+    for move in family_symmetries():
         image = family_invariants(move.apply(t))
         assert image[:3] == (j1, j2, j3)
-    for move in family_symmetries(False):
+    for move in [m for m in family_symmetries() if m.plain()]:
         assert family_invariants(move.apply(t)) == (j1, j2, j3, j4, j5)
 
 
 def test_symmetry_group_structure():
-    full = family_symmetries(True)
-    plain = family_symmetries(False)
+    full = family_symmetries()
+    plain = [m for m in full if m.plain()]
     assert len(full) == 24 and len(plain) == 6
     keys = {m.key() for m in full}
     assert {m.key() for m in plain} <= keys
@@ -266,7 +268,7 @@ def test_symmetry_group_structure():
 
 def test_symmetry_action_is_functorial():
     t = FamilyTriple(I * 2 + 1, 3, I)
-    full = family_symmetries(True)
+    full = family_symmetries()
     for u in full:
         require_isomorphism(family_curve(t), family_curve(u.apply(t)), u.map)
     for u in full:
@@ -299,7 +301,7 @@ def test_family_isomorphic_examples():
 
 def test_family_isomorphic_matches_moves_exactly():
     rng = random.Random(40961)
-    moves = family_symmetries(True)
+    moves = family_symmetries()
     for _ in range(120):
         t = random_triple(rng)
         m = rng.choice(moves)
