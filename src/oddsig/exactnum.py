@@ -234,6 +234,9 @@ class CyclotomicElement:
     def __setattr__(self, *_):
         raise AttributeError("CyclotomicElement is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through _new, not __setattr__
+        return _new, (self.order, self.num, self.den)
+
     @property
     def coords(self) -> tuple[Fraction, ...]:
         """The coordinates as reduced Fractions."""

@@ -75,6 +75,9 @@ class SparsePoly:
     def __setattr__(self, *_):
         raise AttributeError("SparsePoly is immutable")
 
+    def __reduce__(self):
+        return SparsePoly, (self.order, self.nvars, self.terms)
+
     # constructors -------------------------------------------------------
     @classmethod
     def zero(cls, order: int, nvars: int) -> "SparsePoly":

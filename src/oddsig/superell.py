@@ -5,8 +5,8 @@ are monomial: (x, y) -> (s x^e, c x^k y) with e = +-1. The deck
 transformation, the rotations and the mirror onto the conjugate curve have
 this form, and composition, inversion and Galois twisting keep it in closed
 form, so the order-2 Weil cocycle check never leaves the class. Whether such
-a map is an isomorphism is still checked through its Moebius matrix, by the
-general pull-back of f.
+a map is an isomorphism is checked by substituting x -> s x^e into f in
+closed form, from the map's fields alone.
 
 The module also builds a family of covers isomorphic to their own complex
 conjugate. The defining polynomial is a product of factors
@@ -19,9 +19,10 @@ copies the genus, which a field embedding preserves. Of the q*n candidate
 isomorphisms only the three generating maps are tested; the rest are their
 composites.
 
-Both costs of that path stay quadratic in the degree. A Moebius pull-back
-is a Horner scheme on the homogenised form, one linear factor per step, and
-f is squarefree when polyring.uni_gcd(f, f') = 1; that gcd proves it in one
+The one dense Moebius map left is the involution tau that an n = 3 member
+must not have; whether it permutes the roots of f is decided by exact
+evaluation of the pulled binary form at deg f + 1 integer points. f is
+squarefree when polyring.uni_gcd(f, f') = 1; that gcd proves it in one
 F_p pass, and runs the exact Euclid over Q(zeta_N) only when the F_p images
 cannot, so NotSquarefree is never a guess. The degree 2mn of a family
 member is capped by polyring.MAX_DEGREE and the cover degree q by
@@ -31,6 +32,7 @@ exactnum.MAX_ORDER, since the deck transformation lives in Q(zeta_q).
 from __future__ import annotations
 
 import operator
+from itertools import accumulate, repeat
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
@@ -59,50 +61,6 @@ def _is_prime_degree(q: int) -> bool:
     if q > MAX_ORDER:
         raise BoundExceeded(f"cover degree {q} exceeds the bound {MAX_ORDER}")
     return is_prime(q)
-
-
-def _times_linear(h, a, b, zero):
-    """h (a x + b), skipping zero coefficients and multiplications by one."""
-    out = [zero] * (len(h) + 1)
-    for factor, shift in ((b, 0), (a, 1)):
-        if factor.is_zero():
-            continue
-        unit = factor.is_one()
-        for k, x in enumerate(h, shift):
-            if not x.is_zero():
-                y = x if unit else x * factor
-                out[k] = y if out[k] is zero else out[k] + y
-    return out
-
-
-def _pull_back(rows, top: int, *polys) -> list:
-    """(c x + d)^top p((a x + b)/(c x + d)) for each dense p of degree at
-    most top, followed by (c x + d)^top itself.
-
-    Horner on the homogenised form: H <- H (a x + b) + p_i (c x + d)^(top - i)
-    for i from deg p down to 0, so O(top^2) multiplications in all, and a zero
-    p_i adds nothing."""
-    (a, b), (c, d) = rows
-    zero = a - a
-    pd = [[a ** 0]]
-    for _ in range(top):
-        pd.append(_times_linear(pd[-1], c, d, zero))
-    out = []
-    for p in polys:
-        h: list[CyclotomicElement] = []
-        for i in range(len(p) - 1, -1, -1):
-            if h:
-                h = _times_linear(h, a, b, zero)
-            coeff = p[i]
-            if coeff.is_zero():
-                continue
-            cd_pow = pd[top - i]
-            h.extend([zero] * (len(cd_pow) - len(h)))
-            for j, y in enumerate(cd_pow):
-                if not y.is_zero():
-                    h[j] = h[j] + coeff * y
-        out.append(polyring.uni_trim(h))
-    return out + [polyring.uni_trim(pd[top])]
 
 
 class _QGonalMapFields(NamedTuple):
@@ -138,6 +96,9 @@ class QGonalMap(_QGonalMapFields):
         if coeff.is_zero():
             raise ZeroPolynomial("zero multiplier does not define a map")
         return cls._make((order, scale, flip, coeff, exponent))
+
+    def __reduce__(self):  # __new__ takes a Moebius matrix, not the fields
+        return type(self)._make, (tuple(self),)
 
     @classmethod
     def identity(cls, order: int = 1) -> "QGonalMap":
@@ -249,6 +210,9 @@ class QGonalCurve(_QGonalCurveFields):
                 m: Optional[int] = None, n: Optional[int] = None):
         return super().__new__(cls, q, f, genus_qgonal(q, f), m, n)
 
+    def __reduce__(self):  # __new__ computes the genus, not takes it
+        return type(self)._make, (tuple(self),)
+
     @property
     def order(self) -> int:
         return self.poly.order
@@ -326,7 +290,10 @@ def _tau_rows(order: int):
 
 
 def moebius_permutes_roots(f: polyring.SparsePoly, rows) -> bool:
-    """True when the Moebius map sends every root of f into the root set."""
+    """True when the Moebius map sends every root of f into the root set,
+    that is, when P(x) = F(a x + b, c x + d) lies in K f, F the binary form
+    of f of degree D. With f(x0) != 0, P(x) f(x0) - P(x0) f(x) has degree at
+    most D, so it is zero exactly when it vanishes at x = 0, ..., D."""
     orders = [f.order]
     for row in rows:
         for e in row:
@@ -336,11 +303,17 @@ def moebius_permutes_roots(f: polyring.SparsePoly, rows) -> bool:
     (a, b), (c, d) = ([as_element(e, order) for e in row] for row in rows)
     if (a * d - b * c).is_zero():
         raise ValueError("moebius map must be invertible")
-    coeffs = polyring.poly_to_uni(f.lift_to(order))
-    pulled, _ = _pull_back([[a, b], [c, d]], len(coeffs) - 1, coeffs)
-    if polyring.uni_is_zero(pulled):
+    if f.is_zero():
         return True
-    return polyring.uni_is_zero(polyring.uni_divmod(pulled, coeffs)[1])
+    coeffs = polyring.poly_to_uni(f.lift_to(order))
+    top = len(coeffs) - 1
+    form = polyring.SparsePoly(order, 2, {(i, top - i): t for i, t in enumerate(coeffs)})
+    one = CyclotomicElement.one(order)
+    points = [as_element(x, order) for x in range(top + 1)]
+    x0 = next(x for x in points if not form.evaluate([x, one]).is_zero())  # f has <= D roots
+    f0, p0 = form.evaluate([x0, one]), form.evaluate([a * x0 + b, c * x0 + d])
+    return all(form.evaluate([a * x + b, c * x + d]) * f0 == p0 * form.evaluate([x, one])
+               for x in points if x != x0)
 
 
 def family_polynomial(values: Sequence[CyclotomicElement], n: int,
@@ -437,11 +410,11 @@ def mirror_map(q: int, m: int, n: int, order: Optional[int] = None) -> QGonalMap
 
 def qgonal_is_isomorphism(source: QGonalCurve, target: QGonalCurve,
                           phi: QGonalMap) -> bool:
-    """Exact test of c^q x^(qk) f_source(x) = f_target(mobius(x)) for
-    phi = (mobius(x), c x^k y), with the denominators of both sides cleared.
-
-    The Moebius part is applied through the general Horner pull-back, so the
-    test does not rely on the monomial composition rules of QGonalMap."""
+    """Exact test of c^q x^(qk) f_source(x) = f_target(s x^e) for
+    phi = (s x^e, c x^k y), with the denominators of both sides cleared:
+    f_target(s x) has coefficients t_i s^i, and x^D f_target(s/x) is that
+    list reversed. Only phi's fields are read, never compose, inverse or
+    galois, so the test checks QGonalMap's closed-form rules independently."""
     if source.q != target.q:
         raise HypothesisViolation("covers have different degrees")
     q = source.q
@@ -449,14 +422,18 @@ def qgonal_is_isomorphism(source: QGonalCurve, target: QGonalCurve,
     f_src = polyring.poly_to_uni(source.poly.lift_to(order))
     f_tgt = polyring.poly_to_uni(target.poly.lift_to(order))
     lifted = phi.lift_to(order)
-    pulled, denom = _pull_back(lifted.mobius, len(f_tgt) - 1, f_tgt)
+    scale_powers = accumulate(repeat(lifted.scale), operator.mul, initial=CyclotomicElement.one(order))
+    rhs = [t * p for t, p in zip(f_tgt, scale_powers)]
     c_q = lifted.coeff ** q
-    lhs = polyring.uni_mul([c_q * a for a in f_src], denom)
-    # x^(qk) moves to the side where its exponent is nonnegative
+    lhs = [c_q * a for a in f_src]
+    # x^(qk), and x^D for e = -1, move to the side where the exponent is nonnegative
     shift = q * lifted.exponent
+    if lifted.flip == -1:
+        rhs.reverse()
+        shift += len(f_tgt) - 1
     zero = CyclotomicElement.zero(order)
     lhs = [zero] * max(shift, 0) + lhs
-    rhs = [zero] * max(-shift, 0) + pulled
+    rhs = [zero] * max(-shift, 0) + rhs
     return polyring.uni_trim(lhs) == polyring.uni_trim(rhs)
 
 

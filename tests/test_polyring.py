@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oddsig import polyring, superell
+from oddsig import polyring
 from oddsig.errors import (BoundExceeded, InternalInconsistency, OrderMismatch, SchemaError,
                            VariableCountMismatch, ZeroPolynomial)
 from oddsig.exactnum import CyclotomicElement as Cyc, cyclotomic_polynomial, is_prime
@@ -526,7 +526,7 @@ def test_list_layer_takes_no_order():
     names = ["uni_add", "uni_sub", "uni_mul", "uni_divmod", "uni_gcd", "uni_xgcd", "uni_squarefree",
              "uni_coprime_mod_p", "mod_reduce", "mod_mul", "mod_inverse", "zero_part", "split_modulus",
              "mod_strip", "mod_gcd", "mod_branches", "_bareiss_det"]
-    functions = [getattr(polyring, name) for name in names] + [superell._pull_back]
+    functions = [getattr(polyring, name) for name in names]
     for fn in functions:
         assert "order" not in inspect.signature(fn).parameters, fn.__name__
 

@@ -1,12 +1,15 @@
 """The value types are records: field-by-field equality within one field,
-a hash that follows it, and no attribute assignment."""
+a hash that follows it, no attribute assignment, and copies that are equal."""
 
+import copy
+import pickle
 from pathlib import Path
 
 import pytest
 
 from oddsig import serialize
-from oddsig.descent import FamilyTriple
+from oddsig.descent import FamilyTriple, family_symmetries
+from oddsig.exactnum import CyclotomicElement
 from oddsig.plane import PlaneCurve, ProjMap
 from oddsig.superell import QGonalCurve, QGonalMap, deck_map, family_curve, mirror_map, rotation_map
 
@@ -47,3 +50,20 @@ def test_records_keep_the_hash_contract_across_fields():
         with pytest.raises(AttributeError):
             value.extra = 1
 
+
+
+def test_values_survive_copy_and_pickle():
+    curve = family_curve(3, 3, 3)
+    values = fixture_values() + family_symmetries() + [
+        curve, deck_map(3, curve.order), rotation_map(3, curve.order), mirror_map(3, 3, 3, curve.order),
+        curve.poly, *curve.poly.terms.values()]
+    copies = [copy.copy, copy.deepcopy] + [
+        lambda v, p=p: pickle.loads(pickle.dumps(v, protocol=p))
+        for p in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    for value in values:
+        for make in copies:
+            twin = make(value)
+            assert twin == value and hash(twin) == hash(value) and type(twin) is type(value)
+    for make in copies:
+        with pytest.raises(AttributeError):
+            make(CyclotomicElement.zeta(12, 1)).order = 4

@@ -6,7 +6,7 @@ from math import lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oddsig import polyring, serialize, superell
 from oddsig.errors import (
@@ -20,14 +20,14 @@ from oddsig.errors import (
     ShapeViolation,
     ZeroPolynomial,
 )
-from oddsig.exactnum import CyclotomicElement as Cyc, euler_phi
-from oddsig.polyring import (MAX_DEGREE, _split_prime, poly_to_uni, uni_add, uni_coprime_mod_p,
-                             uni_derivative, uni_mul, uni_to_poly, uni_trim)
+from oddsig.exactnum import CyclotomicElement as Cyc, common_order, euler_phi
+from oddsig.polyring import (MAX_DEGREE, SparsePoly, _split_prime, poly_to_uni, uni_add,
+                             uni_coprime_mod_p, uni_derivative, uni_divmod, uni_mul, uni_to_poly,
+                             uni_trim)
 from oddsig.ramify import Signature, is_odd_signature
 from oddsig.superell import (
     QGonalCurve,
     QGonalMap,
-    _pull_back,
     build_family,
     deck_map,
     family_curve,
@@ -458,7 +458,7 @@ def test_extra_symmetry_catalog():
     assert any(row["group"] == "S5" for row in rows)
 
 
-# Horner pull-back and the modular squarefree certificate ----------------------
+# dense pull-back oracle, and the modular squarefree certificate -------------
 
 def dense_pull_back(rows, top, order, p):
     """Sum of p_i (a x + b)^i (c x + d)^(top - i), each product formed in full."""
@@ -484,17 +484,103 @@ def elements(draw, order):
     return Cyc(order, [Fraction(x, draw(st.integers(1, 3))) for x in nums])
 
 
+def dense_permutes_roots(f, rows):
+    """The pull-back of f through rows is 0 modulo f."""
+    coeffs = poly_to_uni(f)
+    pulled = dense_pull_back(rows, len(coeffs) - 1, f.order, coeffs)
+    return not uni_divmod(pulled, coeffs)[1]
+
+
+def invertible_rows(data, order, involution=False):
+    a, b, c = (data.draw(elements(order)) for _ in range(3))
+    d = -a if involution else data.draw(elements(order))
+    assume(not (a * d - b * c).is_zero())
+    return [[a, b], [c, d]]
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from((1, 3, 4, 12, 24)), st.data())
-def test_horner_pull_back_matches_dense_oracle(order, data):
+def test_root_test_matches_dense_oracle(order, data):
     top = data.draw(st.integers(0, 7))
-    a, b, c, d = (data.draw(elements(order)) for _ in range(4))
-    polys = [[data.draw(elements(order)) for _ in range(data.draw(st.integers(0, top + 1)))]
-             for _ in range(2)]                            # deg p < top included
-    rows = [[a, b], [c, d]]
-    *pulled, denom = _pull_back(rows, top, *polys)
-    assert pulled == [dense_pull_back(rows, top, order, p) for p in polys]
-    assert denom == dense_pull_back(rows, top, order, [Cyc.one(order)])
+    coeffs = [data.draw(elements(order)) for _ in range(top)]
+    lead = data.draw(elements(order))
+    assume(not lead.is_zero())
+    f = uni_to_poly(coeffs + [lead], order)
+    rows = invertible_rows(data, order)
+    assert moebius_permutes_roots(f, rows) == dense_permutes_roots(f, rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((1, 3, 4, 12, 24)), st.data())
+def test_root_test_accepts_planted_root_sets(order, data):
+    # an involution tau = [[a, b], [c, -a]] and roots r, tau(r): f is tau-stable
+    rows = invertible_rows(data, order, involution=True)
+    (a, b), (c, d) = rows
+    coeffs = [Cyc.one(order)]
+    for _ in range(data.draw(st.integers(1, 6))):
+        r = Cyc.from_rational(data.draw(st.fractions(-5, 5, max_denominator=4)), order)
+        assume(not (c * r + d).is_zero())
+        image = (a * r + b) / (c * r + d)
+        coeffs = uni_mul(uni_mul(coeffs, [-r, Cyc.one(order)]), [-image, Cyc.one(order)])
+    f = uni_to_poly(coeffs, order)
+    assert moebius_permutes_roots(f, rows)
+    assert dense_permutes_roots(f, rows)
+
+
+def test_root_test_edge_points_and_degenerate_input():
+    # tau(x) = (2x + 1)/(x - 2): c x + d vanishes at x = 2, and f(0) = 0, so
+    # the reference point is not x = 0
+    tau = [[2, 1], [1, -2]]
+    fixed = U(1, [0, Fraction(-3, 2), -2, Fraction(5, 2), 1])        # x (x + 1/2)(x - 1)(x + 3)
+    assert moebius_permutes_roots(fixed, tau)
+    moved = U(1, [0, -1, 0, 1])                                       # x (x - 1)(x + 1)
+    assert not moebius_permutes_roots(moved, tau)
+    assert not dense_permutes_roots(moved, [[Cyc.from_rational(e, 1) for e in row] for row in tau])
+    for f in (SparsePoly.zero(12, 1), U(12, [5])):
+        assert moebius_permutes_roots(f, tau)
+        with pytest.raises(ValueError):
+            moebius_permutes_roots(f, [[1, 2], [2, 4]])
+
+
+def dense_is_isomorphism(source, target, phi):
+    """c^q x^(qk) f_source(x) (c' x + d')^D = (c' x + d')^D f_target(mobius(x))
+    through phi's Moebius matrix [[a', b'], [c', d']], D = deg f_target."""
+    order = common_order(source.order, target.order, phi.order)
+    f_src = poly_to_uni(source.poly.lift_to(order))
+    f_tgt = poly_to_uni(target.poly.lift_to(order))
+    phi = phi.lift_to(order)
+    top = len(f_tgt) - 1
+    pulled = dense_pull_back(phi.mobius, top, order, f_tgt)
+    denom = dense_pull_back(phi.mobius, top, order, [Cyc.one(order)])
+    lhs = uni_mul([phi.coeff ** source.q * t for t in f_src], denom)
+    shift = source.q * phi.exponent
+    zero = Cyc.zero(order)
+    return uni_trim([zero] * max(shift, 0) + lhs) == uni_trim([zero] * max(-shift, 0) + pulled)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(3, 3, 2), (3, 2, 3), (3, 3, 3)]), st.sampled_from((1, -1)), st.data())
+def test_isomorphism_check_matches_dense_oracle(qmn, flip, data):
+    q, m, n = qmn
+    curve = family_curve(q, m, n)
+    order = common_order(curve.order, 2 * n, 2 * q)
+    # a cocycle candidate (flip -1) or an automorphism (flip 1), then one
+    # field changed half of the time, so both answers occur
+    start = mirror_map(q, m, n, order) if flip == -1 else QGonalMap.identity(order)
+    phi = (start @ deck_map(q, order).power(data.draw(st.integers(0, q - 1)))
+           @ rotation_map(n, order).power(data.draw(st.integers(0, n - 1))))
+    change = data.draw(st.sampled_from((None, None, "scale", "coeff", "exponent")))
+    if change == "scale":
+        extra = data.draw(elements(order))
+        assume(not extra.is_zero())
+        phi = phi._replace(scale=phi.scale * extra)
+    elif change == "coeff":
+        phi = phi._replace(coeff=phi.coeff * Cyc.zeta(2 * q, 1).lift_to(order))
+    elif change == "exponent":
+        phi = phi._replace(exponent=phi.exponent + data.draw(st.sampled_from((-1, 1))))
+    assert phi.flip == flip
+    for target in (curve, curve.conjugate()):
+        assert qgonal_is_isomorphism(curve, target, phi) == dense_is_isomorphism(curve, target, phi)
 
 
 def test_repeated_root_is_not_squarefree():
