@@ -134,9 +134,11 @@ def _cmd_odd_signature(args):
     if args.curve or args.group:
         if not (args.curve and args.group):
             raise SchemaError("odd-signature needs both --curve and --group")
+        if args.quotient_genus is not None or args.indices is not None:
+            raise SchemaError("odd-signature takes --curve/--group or "
+                              "--quotient-genus/--indices, not both")
         result, assumptions, _, _ = _cmd_signature(args)
-        sig = ramify.Signature(result["signature"]["quotient_genus"],
-                               tuple(result["signature"]["indices"]))
+        verdict, display = result["verdict"], result["signature"]["display"]
     else:
         if args.quotient_genus is None or args.indices is None:
             raise SchemaError("odd-signature needs --curve/--group or "
@@ -150,11 +152,10 @@ def _cmd_odd_signature(args):
         if 2 * sig.quotient_genus - 2 + len(sig.indices) <= 0:
             raise HypothesisViolation(f"signature {sig} is not hyperbolic: no curve "
                                       "of genus at least 2 has it")
+        verdict, display = ramify.odd_signature_verdict(sig), str(sig)
         assumptions = []
-        result = {"signature": _signature_payload(sig)}
-    verdict = ramify.odd_signature_verdict(sig)
-    result["verdict"] = verdict
-    lines = [f"signature: {sig}", f"verdict: {verdict}"]
+        result = {"signature": _signature_payload(sig), "verdict": verdict}
+    lines = [f"signature: {display}", f"verdict: {verdict}"]
     if verdict == "ODD":
         lines.append("the field of moduli is a field of definition")
     return result, assumptions, [_ODD_CITATION], lines

@@ -15,7 +15,9 @@ derivatives share a projective zero. The line z = 0 is checked through
 binary-form gcds; the affine chart z = 1 reduces to candidate x-values via
 pairwise resultants, cut out by a squarefree d, and the shared y-root above
 them is decided by the gcd in (K[x]/(d))[y] of polyring's splitting algebra.
-Both run on polyring's y-lists, polynomials in y over K[x] as dense lists.
+Each live chart partial becomes a y-list, a polynomial in y over K[x] as
+dense lists, exactly once; the resultants, the candidate gcd and the
+splitting algebra all run on those lists.
 A zero resultant decides a shared chart factor by itself: by Bezout the
 factor's curve meets the third partial, off z = 0 once that line is
 cleared, so the curve is singular and no gcd over K[x][y] is needed.
@@ -310,14 +312,13 @@ def _set_var_zero(poly: SparsePoly, var: int) -> SparsePoly:
     return SparsePoly(poly.order, poly.nvars - 1, terms)
 
 
-def _binary_common_root(forms: list[SparsePoly], order: int) -> bool:
+def _binary_common_root(forms: list[SparsePoly]) -> bool:
     """Do nonzero binary forms share a projective root? (empty list: the whole line)"""
     forms = [f for f in forms if not f.is_zero()]
     if not forms:
         return True
-    one = CyclotomicElement.one(order)
-    zero = CyclotomicElement.zero(order)
-    if all(f.evaluate([one, zero]).is_zero() for f in forms):
+    # [1:0] is a root of a form of degree d exactly when its x^d term is absent
+    if all((f.total_degree(), 0) not in f.terms for f in forms):
         return True
     g: Optional[list[CyclotomicElement]] = None
     for f in forms:
@@ -343,30 +344,30 @@ def has_common_affine_zero(polys: list[SparsePoly]) -> bool:
         return False
     if len(live) == 1:
         return True
-    ypos = [p for p in live if p.degree_in(1) > 0]
-    candidates = [poly_as_ylists(p)[0] for p in live if p.degree_in(1) == 0]
+    ylists = [poly_as_ylists(p) for p in live]
+    ypos = [f for f in ylists if len(f) > 1]
+    candidates = [f[0] for f in ylists if len(f) == 1]
     for i in range(len(ypos)):
         for j in range(i + 1, len(ypos)):
-            res = resultant(ypos[i], ypos[j], 1)
-            if res.is_zero():
+            res = resultant(ypos[i], ypos[j])
+            if not res:
                 # Res_y = 0: the two share a factor h of positive y-degree
                 # (Gauss's lemma over K(x)). Homogenised, h divides two of
                 # F_x, F_y, F_z, so by Bezout V(h) meets the third partial's
                 # curve in P^2 at a common zero of all three; the
                 # precondition puts it off z = 0, so it is affine.
                 return True
-            candidates.append(poly_as_ylists(res)[0])
+            candidates.append(res)
     d: list[CyclotomicElement] = []
     for c in candidates:
         d = uni_gcd(d, c) if d else uni_monic(c)
         if len(d) == 1:
             return False
-    ylists = [poly_as_ylists(p) for p in ypos]
 
     def shared_y_root(m) -> bool:
         # the gcd over K[x]/(m) is a unit exactly when no y-root is shared
         g: list = []
-        for f in ylists:
+        for f in ypos:
             g = mod_gcd(g, f, m)
             if len(g) == 1:
                 return False
@@ -381,7 +382,7 @@ def is_smooth(curve: PlaneCurve) -> bool:
     partials = [f.derivative(v) for v in range(3)]
     # the line z = 0
     line_forms = [_set_var_zero(p, 2) for p in partials]
-    if _binary_common_root(line_forms, f.order):
+    if _binary_common_root(line_forms):
         return False
     # the affine chart z = 1
     chart = [dehomogenize(p, 2) for p in partials]

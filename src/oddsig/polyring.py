@@ -5,21 +5,21 @@ canonical term order is graded lexicographic with earlier variables larger.
 SparsePoly carries documents, substitution and derivatives; the algorithms
 run on one layer of univariate helpers (dense coefficient lists, low degree
 first): the gcd, squarefree and root-counting machinery, and the resultant.
-poly_as_ylists turns a polynomial in two variables into y-lists, a list
-indexed by the degree in y of dense x-lists; the resultant eliminates y from
-the Sylvester matrix by fraction-free (Bareiss) elimination over K[x], each
-division by the previous pivot an exact uni_divmod.
+poly_as_ylists turns a polynomial in x and y into a y-list, a list indexed
+by the degree in y of dense x-lists; the resultant takes two y-lists and
+returns Res_y as an x-list, eliminating y from the Sylvester matrix by
+fraction-free (Bareiss) elimination over K[x], each division by the previous
+pivot an exact uni_divmod.
 uni_gcd first runs uni_coprime_mod_p, which proves gcd(a, b) = 1 from the
 images in F_p[x] (Langemyr and McCallum, J. Symbolic Comput. 8, 1989) and
 never disproves it; Euclid runs only when it cannot. The list helpers read
 the field off their coefficients: zero is c - c, one is c ** 0.
 
 The splitting-algebra section is the one arithmetic for K[x]/(m), m
-squarefree, and serves only plane.is_smooth: reduce,
-multiply, inverse-or-split, the zero part gcd(p, m), the monic gcd of y-lists
-over K[x]/(m), and mod_branches, which splits m on a zero divisor and reruns
-on both factors (dynamic evaluation: Della Dora, Dicrescenzo and Duval,
-EUROCAL 1985).
+squarefree, and serves only plane.is_smooth: reduce, multiply,
+inverse-or-split, the monic gcd of y-lists over K[x]/(m), and mod_branches,
+which splits m on a zero divisor and reruns on both factors (dynamic
+evaluation: Della Dora, Dicrescenzo and Duval, EUROCAL 1985).
 """
 
 from __future__ import annotations
@@ -332,10 +332,6 @@ def uni_trim(c: list[CyclotomicElement]) -> list[CyclotomicElement]:
     return c
 
 
-def uni_is_zero(c: Sequence[CyclotomicElement]) -> bool:
-    return all(x.is_zero() for x in c)
-
-
 def uni_add(a: Sequence[CyclotomicElement], b: Sequence[CyclotomicElement]) -> list[CyclotomicElement]:
     if len(a) < len(b):
         a, b = b, a
@@ -515,31 +511,25 @@ def poly_to_uni(p: SparsePoly, var: int = 0) -> list[CyclotomicElement]:
     return out
 
 
-def poly_as_ylists(p: SparsePoly, var: int = 1) -> list[list[CyclotomicElement]]:
-    """A nonzero p in one or two variables as a polynomial in var over K[x],
-    x the other variable: a list indexed by the degree in var of trimmed
-    dense x-lists (zero rows are []). The resultant and plane.is_smooth's
+def poly_as_ylists(p: SparsePoly) -> list[list[CyclotomicElement]]:
+    """A nonzero p in x and y (variables 0 and 1) as a y-list, a polynomial
+    in y over K[x]: a list indexed by the degree in y of trimmed dense
+    x-lists (zero rows are []). The resultant and plane.is_smooth's
     splitting algebra both work on this layout."""
-    if p.nvars > 2:
-        raise VariableCountMismatch("y-lists take polynomials in at most two variables")
+    if p.nvars != 2:
+        raise VariableCountMismatch("y-lists take polynomials in exactly two variables")
     zero = CyclotomicElement.zero(p.order)
-    rows: list[list[CyclotomicElement]] = [[] for _ in range(p.degree_in(var) + 1)]
-    for exps, coeff in p.terms.items():
-        row, ex = rows[exps[var]], sum(exps) - exps[var]
+    rows: list[list[CyclotomicElement]] = [[] for _ in range(p.degree_in(1) + 1)]
+    for (ex, ey), coeff in p.terms.items():
+        row = rows[ey]
         if len(row) <= ex:
             row.extend([zero] * (ex + 1 - len(row)))
         row[ex] = coeff
     return rows
 
 
-def uni_to_poly(coeffs: Sequence[CyclotomicElement], order: int, nvars: int = 1, var: int = 0) -> SparsePoly:
-    terms = {}
-    for i, c in enumerate(coeffs):
-        if not c.is_zero():
-            exps = [0] * nvars
-            exps[var] = i
-            terms[tuple(exps)] = c
-    return SparsePoly(order, nvars, terms)
+def uni_to_poly(coeffs: Sequence[CyclotomicElement], order: int) -> SparsePoly:
+    return SparsePoly(order, 1, {(i,): c for i, c in enumerate(coeffs)})
 
 
 # the splitting algebra K[x]/(m) ---------------------------------------------
@@ -579,13 +569,6 @@ def mod_inverse(p, m) -> list[CyclotomicElement]:
     raise InternalInconsistency("inverting zero residue")
 
 
-def zero_part(p, m) -> list[CyclotomicElement]:
-    """Monic divisor of m cutting out the roots where p vanishes."""
-    if not p:
-        return uni_monic(m)
-    return uni_gcd(p, m)
-
-
 def split_modulus(m, factor) -> tuple[list[CyclotomicElement], list[CyclotomicElement]]:
     """(factor, m / factor), both monic; the division must be exact."""
     factor = uni_monic(factor)
@@ -602,7 +585,7 @@ def mod_strip(p, m) -> list[list[CyclotomicElement]]:
     while p and not p[-1]:
         p.pop()
     if p:
-        g = zero_part(p[-1], m)
+        g = uni_gcd(p[-1], m)
         if len(g) > 1:
             raise Split(g)
     return p
@@ -707,23 +690,15 @@ def _bareiss_det(matrix: list[list[list[CyclotomicElement]]]) -> list[Cyclotomic
     return det if sign == 1 else uni_neg(det)
 
 
-def resultant(f: SparsePoly, g: SparsePoly, var: int) -> SparsePoly:
-    """Sylvester resultant eliminating variable var of f and g in one or two
-    variables.
-
-    The result does not involve var. Raises ZeroPolynomial on zero inputs and
-    VariableCountMismatch on more than two variables.
-    """
-    if f.is_zero() or g.is_zero():
+def resultant(f: list[list[CyclotomicElement]], g: list[list[CyclotomicElement]]) -> list[CyclotomicElement]:
+    """Sylvester resultant Res_y of the y-lists f and g (see poly_as_ylists),
+    as a dense x-list; [] when f and g share a factor of positive y-degree.
+    Raises ZeroPolynomial on an empty y-list."""
+    if not f or not g:
         raise ZeroPolynomial("resultant of zero polynomial")
-    if f._coerce(g) is not g:
-        raise InternalInconsistency("resultant operands did not coerce unchanged")
-    fc, gc = poly_as_ylists(f, var), poly_as_ylists(g, var)
-    n, m = len(fc) - 1, len(gc) - 1
+    n, m = len(f) - 1, len(g) - 1
     # m shifted rows of f's coefficients, then n of g's, highest power first
-    rows = [[[]] * shift + fc[::-1] + [[]] * (m - 1 - shift) for shift in range(m)]
-    rows += [[[]] * shift + gc[::-1] + [[]] * (n - 1 - shift) for shift in range(n)]
-    # two constants in var: the empty Sylvester determinant is 1
-    det = _bareiss_det(rows) if rows else [CyclotomicElement.one(f.order)]
-    # the variable left is the other one, or none (index 0) for one variable
-    return uni_to_poly(det, f.order, f.nvars, f.nvars - 1 - var)
+    rows = [[[]] * shift + f[::-1] + [[]] * (m - 1 - shift) for shift in range(m)]
+    rows += [[[]] * shift + g[::-1] + [[]] * (n - 1 - shift) for shift in range(n)]
+    # two constants in y: the empty Sylvester determinant is 1
+    return _bareiss_det(rows) if rows else [f[-1][-1] ** 0]

@@ -6,6 +6,7 @@ import copy
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oddsig import cli, exactnum, serialize
+from oddsig import cli, exactnum, polyring, serialize
 from oddsig.cli import build_parser, run_command
 from oddsig.descent import FamilyTriple
 from oddsig.errors import (BoundExceeded, HypothesisViolation, InputError, InternalInconsistency,
@@ -161,6 +162,39 @@ def test_field_order_above_the_cap_exits_3(tmp_path, capsys):
     assert time.perf_counter() - started < 1.0
 
 
+def test_field_orders_whose_lcm_passes_the_cap_exit_3_up_front(tmp_path, capsys):
+    """Inputs over Q(zeta_1024) and Q(zeta_3) need Q(zeta_3072). Each command
+    lifts its inputs into one field before any exact work, so it stops at
+    once; a smoothness test of the dense quartic alone takes far longer."""
+    rng = random.Random(1024)
+    zeta = CyclotomicElement.zeta(1024)
+    dense = SparsePoly.build(1024, 3, [(rng.randint(-2, 2) + rng.randint(-2, 2) * zeta, (i, j, 4 - i - j))
+                                       for i in range(5) for j in range(5 - i)])
+    w = CyclotomicElement.zeta(3)
+    map3, map1024 = ProjMap.diagonal(3, w, 1, 1), ProjMap.diagonal(1024, zeta, 1, 1)
+    docs = {"curve": {"kind": "plane_curve", **dense.to_dict(["x", "y", "z"])},
+            "map3": map3.to_dict(),
+            "group3": {"kind": "group", "generators": [map3.to_dict()]},
+            "group_mixed": {"kind": "group", "generators": [map1024.to_dict(), map3.to_dict()]},
+            "triple1024": serialize.family_triple_document(FamilyTriple(1 + zeta, 3, 5)),
+            "triple3": serialize.family_triple_document(FamilyTriple(1 + w, 3, 5))}
+    path = {}
+    for name, doc in docs.items():
+        path[name] = tmp_path / f"{name}.json"
+        path[name].write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["aut-check", "--curve", path["curve"], "--map", path["map3"]],
+                 ["group-closure", "--group", path["group_mixed"]],
+                 ["signature", "--curve", path["curve"], "--group", path["group3"]],
+                 ["odd-signature", "--curve", path["curve"], "--group", path["group3"]],
+                 ["descend-real", "--curve", path["curve"], "--mu", path["map3"]],
+                 ["quartic-family", "isomorphic", "--triple", path["triple1024"],
+                  "--other", path["triple3"]]):
+        started = time.perf_counter()
+        code, out, err = run(capsys, *map(str, argv))
+        assert code == 3 and out == "" and "field order 3072 exceeds the bound 1024" in err, (argv, err)
+        assert time.perf_counter() - started < 1.0, argv
+
+
 def test_oversized_qgonal_inputs_exit_3(tmp_path, capsys):
     # a huge prime cover degree, a huge family degree and a huge exponent used
     # to run past any timeout
@@ -231,6 +265,27 @@ def test_curves_outside_the_theorem_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "descend-real", "--curve", str(tmp_path / "four_lines.json"),
                          "--mu", str(mu))
     assert code == 2 and "singular" in err
+
+
+def test_singular_curve_through_a_split_modulus_exits_2(tmp_path, monkeypatch, capsys):
+    """(x^2 - z^2)^2 + (y + z)^2 (x^2 + xy - xz + yz) is singular at
+    (+-1 : -1 : 1). Its three chart resultants are nonzero, so is_smooth
+    decides it by dynamic evaluation, which splits the modulus."""
+    splits, original = [], polyring.split_modulus
+
+    def spy(m, factor):
+        splits.append((m, factor))
+        return original(m, factor)
+
+    monkeypatch.setattr(polyring, "split_modulus", spy)
+    x, y, z = (SparsePoly.variable(i, 1, 3) for i in range(3))
+    form = (x * x - z * z) ** 2 + (y + z) ** 2 * (x * x + x * y - x * z + y * z)
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps({"kind": "plane_curve", **form.to_dict(["x", "y", "z"])}),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "signature", "--curve", str(path), "--group", fx("quartic_s4_gens"))
+    assert code == 2 and out == "" and "plane curve is singular" in err
+    assert splits
 
 
 def test_singular_map_exits_2(tmp_path, capsys):
@@ -820,6 +875,16 @@ def test_odd_signature_from_curve(capsys):
                             "--group", fx("quartic_c2c2_gens"))
     assert report["result"]["signature"]["display"] == "(0; 2, 2, 2, 2, 2, 2)"
     assert report["result"]["verdict"] == "INCONCLUSIVE"
+
+
+def test_odd_signature_refuses_curve_and_literal_together(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    for literal in (["--quotient-genus", "1", "--indices", "2,2"], ["--quotient-genus", "1"],
+                    ["--indices", "2,2"]):
+        code, out, err = run(capsys, "odd-signature", "--curve", fx("quartic_c3"),
+                             "--group", fx("quartic_c3_gens"), *literal, "--out", str(report))
+        assert code == 2 and out == "" and not report.exists(), literal
+        assert err.count("\n") == 1 and "not both" in err, literal
 
 
 def test_descend_real_obstructed(capsys):

@@ -11,8 +11,8 @@ import pytest
 from oddsig.errors import NotSquarefree
 from oddsig.exactnum import CyclotomicElement, cyclotomic_polynomial
 from oddsig.plane import PlaneCurve, ProjMap, is_smooth
-from oddsig.polyring import (SparsePoly, distinct_root_count, resultant, uni_coprime_mod_p,
-                             uni_derivative, uni_to_poly)
+from oddsig.polyring import (SparsePoly, distinct_root_count, poly_as_ylists, resultant,
+                             uni_coprime_mod_p, uni_derivative, uni_to_poly)
 from oddsig.serialize import parse_input
 from oddsig.superell import genus_qgonal
 
@@ -125,7 +125,8 @@ def test_resultant_matches_sympy():
         elif k % 3 == 2:                     # a planted factor in x alone
             h = SparsePoly.build(1, 2, [(1, (1, 0)), (rng.randint(-3, 3), (0, 0))])
             f, g = f * h, g * h
-        ours = resultant(f, g, 1)
+        ours = SparsePoly.build(1, 2, [(c, (i, 0)) for i, c in
+                                       enumerate(resultant(poly_as_ylists(f), poly_as_ylists(g)))])
         matrix = DomainMatrix.from_Matrix(sylvester(expr(f), expr(g), y))
         assert sympy.expand(expr(ours) - matrix.domain.to_sympy(matrix.det())) == 0
         theirs = sympy.resultant(expr(f), expr(g), y)
