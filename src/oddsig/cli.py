@@ -62,6 +62,19 @@ def _signature_payload(sig: ramify.Signature) -> dict:
             "indices": list(sig.indices), "display": str(sig)}
 
 
+def _verdict_payload(verdict: descent.DescentVerdict) -> dict:
+    write_map = serialize.projective_map_document
+    return {"status": verdict.status,
+            "witness": None if verdict.witness is None else write_map(verdict.witness),
+            # a plane candidate is a map, a family candidate a pair of Galois exponents
+            "defects": [{"candidate": write_map(cand) if isinstance(cand, plane.ProjMap) else list(cand),
+                         "defect": write_map(dft)} for cand, dft in verdict.defects],
+            "assumptions": list(verdict.assumptions), "citation": verdict.citation,
+            "field": verdict.field,
+            "assignment": None if verdict.assignment is None else
+            [{"exponent": k, "map": write_map(f)} for k, f in verdict.assignment]}
+
+
 # handlers ------------------------------------------------------------------
 
 def _cmd_aut_check(args):
@@ -70,7 +83,7 @@ def _cmd_aut_check(args):
     _, (curve, mapping) = _lift_common(curve, mapping)
     ok, lam = plane.is_automorphism(curve, mapping)
     result = {"is_automorphism": ok,
-              "lambda": None if lam is None else lam.to_dict()}
+              "lambda": None if lam is None else serialize.element_document(lam)}
     lines = ["automorphism: " + ("yes" if ok else "no")]
     if ok:
         lines.append(f"scaling factor: {_fmt_element(lam)}")
@@ -90,7 +103,7 @@ def _cmd_group_closure(args):
     group = matgroup.closure(generators, bound)
     elements = sorted(group, key=lambda g: g.key())
     result = {"order": len(group),
-              "elements": [g.to_dict() for g in elements]}
+              "elements": [serialize.projective_map_document(g) for g in elements]}
     return result, [], ["breadth-first closure of the generators in PGL(3)"], [
         f"closure order: {len(group)}"]
 
@@ -170,7 +183,7 @@ def _cmd_descend_real(args):
         aut = doc.value if doc.kind == "group" else [doc.value]
     _, (curve, mu, aut) = _lift_common(curve, mu, aut)
     verdict = descent.weil_descent_order2(curve, mu, aut)
-    result = verdict.to_dict()
+    result = _verdict_payload(verdict)
     lines = [f"verdict: {verdict.status}"]
     for cand, defect in verdict.defects:
         tag = "identity" if defect.is_identity() else "nontrivial"
@@ -219,10 +232,10 @@ def _cmd_qgonal_descend(args):
         "method": report["method"],
         "witness": None if report["witness"] is None else {
             "j": report["witness"]["j"], "k": report["witness"]["k"],
-            "map": report["witness"]["map"].to_dict()},
+            "map": serialize.qgonal_map_document(report["witness"]["map"])},
         "defects": None if report["defects"] is None else [
             {"j": d["j"], "k": d["k"], "is_identity": d["is_identity"],
-             "defect": d["defect"].to_dict()} for d in report["defects"]],
+             "defect": serialize.qgonal_map_document(d["defect"])} for d in report["defects"]],
     }
     citation = (_ODD_CITATION if report["method"] == "odd-signature" else
                 "order-2 Weil cocycle defects enumerated over the full "
@@ -242,7 +255,7 @@ def _cmd_family_invariants(args):
     names = ("j1", "j2", "j3", "j4", "j5")
     values = descent.family_invariants(triple)
     result = {"triple": serialize.family_triple_document(triple),
-              "invariants": {n: v.to_dict() for n, v in zip(names, values)}}
+              "invariants": {n: serialize.element_document(v) for n, v in zip(names, values)}}
     lines = [f"{n} = {_fmt_element(v)}" for n, v in zip(names, values)]
     return result, [], ["symmetric functions of the coefficient triple "
                         "invariant under the family symmetries"], lines
@@ -256,7 +269,7 @@ def _cmd_family_isomorphic(args):
     result = {"isomorphic": move is not None,
               "permutation": None if move is None else list(move.perm),
               "signs": None if move is None else list(move.signs),
-              "map": None if move is None else move.map.to_dict()}
+              "map": None if move is None else serialize.projective_map_document(move.map)}
     lines = ["isomorphic: " + ("yes" if move is not None else "no")]
     return result, [], ["classification of family members by "
                         "sign-and-permutation moves on the triple"], lines
@@ -266,7 +279,7 @@ def _cmd_family_moduli(args):
     triple = _read_triple(args.triple)
     report = descent.family_moduli_field(triple, field_contains_i=not args.without_i)
     result = {"field": report["field"], "rational": report["rational"],
-              "generators": {n: v.to_dict()
+              "generators": {n: serialize.element_document(v)
                              for n, v in report["generators"].items()}}
     lines = [f"moduli field: {report['field']}"]
     lines += [f"{n} = {_fmt_element(v)}"
@@ -278,7 +291,7 @@ def _cmd_family_moduli(args):
 def _cmd_family_descend(args):
     triple = _read_triple(args.triple)
     verdict = descent.family_real_definability(triple, case=args.case)
-    result = verdict.to_dict()
+    result = _verdict_payload(verdict)
     lines = [f"verdict: {verdict.status}"]
     if verdict.witness is not None:
         lines.append("witness isomorphism has identity cocycle defect")
@@ -288,7 +301,7 @@ def _cmd_family_descend(args):
 def _cmd_family_rational_descend(args):
     triple = _read_triple(args.triple)
     verdict = descent.family_rational_descent(triple)
-    result = verdict.to_dict()
+    result = _verdict_payload(verdict)
     lines = [f"verdict: {verdict.status}"]
     if verdict.field:
         lines.append(f"field of definition: {verdict.field}")

@@ -72,20 +72,6 @@ class DescentVerdict(_VerdictFields):
             raise ValueError("witness is present exactly for definable verdicts")
         return self
 
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "witness": None if self.witness is None else self.witness.to_dict(),
-            "defects": [{"candidate": cand.to_dict() if isinstance(cand, ProjMap)
-                         else list(cand),
-                         "defect": dft.to_dict()} for cand, dft in self.defects],
-            "assumptions": list(self.assumptions),
-            "citation": self.citation,
-            "field": self.field,
-            "assignment": None if self.assignment is None else
-            [{"exponent": k, "map": f.to_dict()} for k, f in self.assignment],
-        }
-
 
 _ORDER2_CITATION = ("Weil cocycle criterion for the order-2 Galois action: "
                     "some isomorphism onto the conjugate curve must have "

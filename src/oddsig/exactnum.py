@@ -6,7 +6,9 @@ numerators `num` over one positive denominator `den`, kept canonical:
 gcd(den, *num) == 1, and zero has den == 1. Since Phi_N is monic over Z, every
 product, Galois image and lift stays over that one denominator and needs a
 single gcd to renormalise. `coords` is a read-only view of the same vector as
-reduced `Fraction`s; serialisation and reports go through it.
+reduced `Fraction`s; serialize writes documents and reports from it. This
+module knows no document format: serialize checks a field order or a
+coordinate read from JSON before it builds an element.
 
 zeta_N denotes the distinguished primitive root exp(2*pi*i/N) and the complex
 embedding maps it there. Elements are immutable; binary operations require
@@ -24,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .errors import (BoundExceeded, InternalInconsistency, InvalidExponent, NotASubfield,
-                     OrderMismatch, SchemaError)
+                     OrderMismatch)
 
 # Q(zeta_N) keeps tables of about 2*phi(N)^2 ints, and euler_phi factors N by
 # trial division; every order a fixture, report or test uses is far below this.
@@ -33,19 +35,27 @@ MAX_ORDER = 1024
 _PHI_CACHE: dict[int, int] = {}
 
 
-def check_order(order) -> int:
-    """A field order read from a document: a positive int, at most MAX_ORDER.
-    A JSON boolean is not an int here, although bool subclasses int."""
-    if type(order) is not int or order < 1:
-        raise SchemaError(f"bad order: {order!r}")
-    if order > MAX_ORDER:
-        raise BoundExceeded(f"field order {order} exceeds the bound {MAX_ORDER}")
-    return order
+def _factorize(n: int) -> list[tuple[int, int]]:
+    """The (prime, exponent) pairs of n >= 1 by trial division, primes
+    increasing; the one factoriser behind euler_phi, _mobius and
+    polyring's split primes."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            out.append((p, k))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 def euler_phi(n: int) -> int:
-    """Euler totient of a field order by trial division; an order above
-    MAX_ORDER raises BoundExceeded before any factoring."""
+    """Euler totient of a field order; an order above MAX_ORDER raises
+    BoundExceeded before any factoring."""
     cached = _PHI_CACHE.get(n)
     if cached is not None:
         return cached
@@ -53,17 +63,7 @@ def euler_phi(n: int) -> int:
         raise ValueError("order must be positive")
     if n > MAX_ORDER:
         raise BoundExceeded(f"field order {n} exceeds the bound {MAX_ORDER}")
-    result, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            result *= (p - 1) * p ** (k - 1)
-        p += 1
-    if m > 1:
-        result *= m - 1
+    result = math.prod((p - 1) * p ** (k - 1) for p, k in _factorize(n))
     _PHI_CACHE[n] = result
     return result
 
@@ -102,16 +102,10 @@ def is_prime(n: int) -> bool:
 
 
 def _mobius(m: int) -> int:
-    """Moebius function by trial division."""
-    result, p = 1, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-        p += 1
-    return -result if m > 1 else result
+    """Moebius function: 0 unless m is squarefree, else -1 to the number
+    of its prime factors."""
+    factors = _factorize(m)
+    return 0 if any(k > 1 for _, k in factors) else (-1) ** len(factors)
 
 
 _CYCLO_CACHE: dict[int, tuple[Fraction, ...]] = {}
@@ -403,28 +397,6 @@ class CyclotomicElement:
             raise NotASubfield(f"Q(zeta_{self.order}) does not embed in Q(zeta_{order}): {self.order} does not divide {order}")
         step = order // self.order
         return _make(order, _substitute_ints(self.num, step, order, _field(order)), self.den)
-
-    # serialization ------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {"order": self.order, "coords": [str(c) for c in self.coords]}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "CyclotomicElement":
-        if not isinstance(obj, dict) or "order" not in obj or "coords" not in obj:
-            raise SchemaError("cyclotomic element needs 'order' and 'coords'")
-        order = check_order(obj["order"])
-        coords = obj["coords"]
-        if not isinstance(coords, list) or len(coords) != euler_phi(order):
-            raise SchemaError(f"expected {euler_phi(order)} coordinates for order {order}")
-        for c in coords:
-            # a JSON float is inexact and a JSON true is not a number; an
-            # exponent such as "1e99999999" would build a huge power of ten
-            if not (type(c) is int or isinstance(c, str) and "e" not in c.lower()):
-                raise SchemaError(f"a coordinate is a rational string such as \"-1/3\" or an integer, not {c!r}")
-        try:
-            return cls(order, [Fraction(c) for c in coords])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad rational coordinate: {exc}") from exc
 
 
 _set_order = CyclotomicElement.order.__set__

@@ -37,11 +37,10 @@ from .errors import (
     HypothesisViolation,
     NotAnIsomorphism,
     OrderMismatch,
-    SchemaError,
     VariableCountMismatch,
     ZeroPolynomial,
 )
-from .exactnum import CyclotomicElement, as_element, check_order, common_order, power
+from .exactnum import CyclotomicElement, as_element, common_order, power
 from .polyring import (
     SparsePoly,
     dehomogenize,
@@ -147,27 +146,6 @@ class ProjMap(_ProjMapFields):
 
     def key(self) -> tuple:
         return (self.order, tuple(tuple(c.coords for c in row) for row in self.entries))
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "projective_map",
-            "order": self.order,
-            "entries": [[[str(x) for x in c.coords] for c in row] for row in self.entries],
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ProjMap":
-        if "order" not in obj or "entries" not in obj:
-            raise SchemaError("projective map document needs 'order' and 'entries'")
-        order = check_order(obj["order"])
-        entries = obj["entries"]
-        if not isinstance(entries, list) or len(entries) != 3 or any(not isinstance(r, list) or len(r) != 3 for r in entries):
-            raise SchemaError("entries must be a 3x3 array")
-        try:
-            rows = [[CyclotomicElement.from_dict({"order": order, "coords": c}) for c in row] for row in entries]
-            return cls(order, rows)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
 
 
 def matrix_product(a, b, order: int) -> tuple[tuple[CyclotomicElement, ...], ...]:

@@ -2,9 +2,11 @@
 
 Terms map exponent tuples to nonzero CyclotomicElement coefficients; the
 canonical term order is graded lexicographic with earlier variables larger.
-SparsePoly carries documents, substitution and derivatives; the algorithms
+SparsePoly carries substitution and derivatives; the algorithms
 run on one layer of univariate helpers (dense coefficient lists, low degree
 first): the gcd, squarefree and root-counting machinery, and the resultant.
+The module reads no document: serialize holds a document term, and
+superell.build_family a family member, to MAX_DEGREE through check_degree.
 poly_as_ylists turns a polynomial in x and y into a y-list, a list indexed
 by the degree in y of dense x-lists; the resultant takes two y-lists and
 returns Res_y as an x-list, eliminating y from the Sylvester matrix by
@@ -31,11 +33,10 @@ from .errors import (
     BoundExceeded,
     InternalInconsistency,
     OrderMismatch,
-    SchemaError,
     VariableCountMismatch,
     ZeroPolynomial,
 )
-from .exactnum import CyclotomicElement, as_element, check_order, euler_phi, is_prime, power
+from .exactnum import CyclotomicElement, _factorize, as_element, euler_phi, is_prime, power
 
 Coeff = Union[int, Fraction, CyclotomicElement]
 
@@ -284,45 +285,6 @@ class SparsePoly:
             return self
         return SparsePoly(order, self.nvars, {e: c.lift_to(order) for e, c in self.terms.items()})
 
-    # serialization ------------------------------------------------------
-    def to_dict(self, variables: Sequence[str]) -> dict:
-        if len(variables) != self.nvars:
-            raise VariableCountMismatch("variable name count differs")
-        return {
-            "order": self.order,
-            "variables": list(variables),
-            "terms": [
-                {"exponents": list(e), "coefficient": [str(x) for x in c.coords]}
-                for e, c in self.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SparsePoly":
-        for key in ("order", "variables", "terms"):
-            if key not in obj:
-                raise SchemaError(f"polynomial document missing '{key}'")
-        order, variables, raw_terms = check_order(obj["order"]), obj["variables"], obj["terms"]
-        if not isinstance(variables, list) or not variables:
-            raise SchemaError("variables must be a nonempty list")
-        nvars = len(variables)
-        if not isinstance(raw_terms, list):
-            raise SchemaError("terms must be a list")
-        acc: dict[tuple[int, ...], CyclotomicElement] = {}
-        for item in raw_terms:
-            if not isinstance(item, dict) or "exponents" not in item or "coefficient" not in item:
-                raise SchemaError("each term needs 'exponents' and 'coefficient'")
-            exps = item["exponents"]
-            if not isinstance(exps, list) or len(exps) != nvars or any(type(e) is not int or e < 0 for e in exps):
-                raise SchemaError(f"bad exponent vector: {exps!r}")
-            check_degree(sum(exps), "term degree")
-            coeff = CyclotomicElement.from_dict({"order": order, "coords": item["coefficient"]})
-            key = tuple(exps)
-            if key in acc:
-                raise SchemaError(f"duplicate exponent vector: {exps!r}")
-            acc[key] = coeff
-        return cls(order, nvars, acc)
-
 
 # univariate helpers (dense lists of CyclotomicElement, low degree first) ----
 
@@ -411,7 +373,7 @@ def _split_prime(order: int) -> tuple[int, int]:
     p = (2**31 // order + 1) * order + 1
     while not is_prime(p):
         p += order
-    factors = [r for r in range(2, order + 1) if order % r == 0 and is_prime(r)]
+    factors = [r for r, _ in _factorize(order)]
     h = 2
     while True:
         w = pow(h, (p - 1) // order, p)
@@ -498,16 +460,15 @@ def uni_squarefree(a: Sequence[CyclotomicElement]) -> list[CyclotomicElement]:
     return uni_monic(q)
 
 
-def poly_to_uni(p: SparsePoly, var: int = 0) -> list[CyclotomicElement]:
-    """Dense coefficient list of a polynomial using only variable var."""
-    for exps in p.terms:
-        if any(e and i != var for i, e in enumerate(exps)):
-            raise VariableCountMismatch("polynomial is not univariate in the requested variable")
+def poly_to_uni(p: SparsePoly) -> list[CyclotomicElement]:
+    """Dense coefficient list of a polynomial in one variable."""
+    if p.nvars != 1:
+        raise VariableCountMismatch(f"a univariate list needs a polynomial in one variable, not {p.nvars}")
     if p.is_zero():
         return []
-    out = [CyclotomicElement.zero(p.order) for _ in range(p.degree_in(var) + 1)]
-    for exps, coeff in p.terms.items():
-        out[exps[var]] = coeff
+    out = [CyclotomicElement.zero(p.order) for _ in range(p.degree_in(0) + 1)]
+    for (e,), coeff in p.terms.items():
+        out[e] = coeff
     return out
 
 

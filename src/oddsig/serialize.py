@@ -1,9 +1,15 @@
-"""JSON document schemas for the command line: parse, validate, emit.
+"""JSON documents: the one reader and writer of every document the command
+line reads or emits; no layer below this module knows a JSON key.
 
-Every document is a JSON object with a "kind" field naming its schema.
-Parsing enforces the invariants of the target type, so a document that
-loads is a valid object; every emitted document re-parses to an equal
-value. Cyclotomic coordinates travel as exact rational strings.
+Every input document is a JSON object with a "kind" field naming its
+schema. Parsing enforces the invariants of the target type, so a document
+that loads is a valid object; every emitted document re-parses to an equal
+value. A cyclotomic number travels as its power-basis coordinates, each an
+exact rational string such as "-1/3" or a JSON integer: a float, a boolean
+or an exponent string is refused. A field order above exactnum.MAX_ORDER
+or a term degree above polyring.MAX_DEGREE raises BoundExceeded before any
+arithmetic on it. The CLI calls the per-kind writers directly, since
+to_document's type dispatch would load every layer.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import json
 from typing import Any, NamedTuple
 
 from . import descent, exactnum, plane, polyring, superell
-from .errors import InputError, ParseError, SchemaError
+from .errors import BoundExceeded, InputError, ParseError, SchemaError
 
 PLANE_VARIABLES = ("x", "y", "z")
 
@@ -32,22 +38,82 @@ def _require(obj: dict, key: str, expect=None):
     return value
 
 
-def _element(order: int, coords) -> exactnum.CyclotomicElement:
-    return exactnum.CyclotomicElement.from_dict({"order": order, "coords": coords})
+# reading -----------------------------------------------------------------------
+
+def check_order(order) -> int:
+    """A field order read from a document: a positive int, at most MAX_ORDER.
+    A JSON boolean is not an int here, although bool subclasses int."""
+    if type(order) is not int or order < 1:
+        raise SchemaError(f"bad order: {order!r}")
+    if order > exactnum.MAX_ORDER:
+        raise BoundExceeded(f"field order {order} exceeds the bound {exactnum.MAX_ORDER}")
+    return order
+
+
+def read_element(order: int, coords) -> exactnum.CyclotomicElement:
+    """The element of Q(zeta_order), order already checked, with the
+    document coordinates coords."""
+    phi = exactnum.euler_phi(order)
+    if not isinstance(coords, list) or len(coords) != phi:
+        raise SchemaError(f"expected {phi} coordinates for order {order}")
+    for c in coords:
+        # a JSON float is inexact and a JSON true is not a number; an
+        # exponent such as "1e99999999" would build a huge power of ten
+        if not (type(c) is int or isinstance(c, str) and "e" not in c.lower()):
+            raise SchemaError(f"a coordinate is a rational string such as \"-1/3\" or an integer, not {c!r}")
+    try:
+        return exactnum.CyclotomicElement(order, coords)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad rational coordinate: {exc}") from exc
+
+
+def read_poly(obj: dict) -> polyring.SparsePoly:
+    """A polynomial from the 'order', 'variables' and 'terms' of obj."""
+    for key in ("order", "variables", "terms"):
+        if key not in obj:
+            raise SchemaError(f"polynomial document missing '{key}'")
+    order, variables, raw_terms = check_order(obj["order"]), obj["variables"], obj["terms"]
+    if not isinstance(variables, list) or not variables:
+        raise SchemaError("variables must be a nonempty list")
+    nvars = len(variables)
+    if not isinstance(raw_terms, list):
+        raise SchemaError("terms must be a list")
+    acc: dict[tuple[int, ...], exactnum.CyclotomicElement] = {}
+    for item in raw_terms:
+        if not isinstance(item, dict) or "exponents" not in item or "coefficient" not in item:
+            raise SchemaError("each term needs 'exponents' and 'coefficient'")
+        exps = item["exponents"]
+        if not isinstance(exps, list) or len(exps) != nvars or any(type(e) is not int or e < 0 for e in exps):
+            raise SchemaError(f"bad exponent vector: {exps!r}")
+        polyring.check_degree(sum(exps), "term degree")
+        coeff = read_element(order, item["coefficient"])
+        key = tuple(exps)
+        if key in acc:
+            raise SchemaError(f"duplicate exponent vector: {exps!r}")
+        acc[key] = coeff
+    return polyring.SparsePoly(order, nvars, acc)
 
 
 def _load_plane_curve(obj: dict) -> plane.PlaneCurve:
-    poly = polyring.SparsePoly.from_dict(obj)
+    poly = read_poly(obj)
     try:
         return plane.PlaneCurve(poly)
     except (InputError, ValueError) as exc:
         raise SchemaError(f"not a plane curve: {exc}") from exc
 
 
-# a function, not plane.ProjMap.from_dict itself, so that building
-# _LOADERS does not load the plane layer
 def _load_projective_map(obj: dict) -> plane.ProjMap:
-    return plane.ProjMap.from_dict(obj)
+    if "order" not in obj or "entries" not in obj:
+        raise SchemaError("projective map document needs 'order' and 'entries'")
+    order = check_order(obj["order"])
+    entries = obj["entries"]
+    if not isinstance(entries, list) or len(entries) != 3 or any(not isinstance(r, list) or len(r) != 3 for r in entries):
+        raise SchemaError("entries must be a 3x3 array")
+    rows = [[read_element(order, c) for c in row] for row in entries]
+    try:
+        return plane.ProjMap(order, rows)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def _load_group(obj: dict) -> list[plane.ProjMap]:
@@ -58,14 +124,14 @@ def _load_group(obj: dict) -> list[plane.ProjMap]:
     for item in gens:
         if not isinstance(item, dict):
             raise SchemaError("each generator must be a map object")
-        out.append(plane.ProjMap.from_dict(item))
+        out.append(_load_projective_map(item))
     return out
 
 
 def _load_qgonal_curve(obj: dict) -> superell.QGonalCurve:
     q = _require(obj, "q", int)
     poly_doc = _require(obj, "poly", dict)
-    poly = polyring.SparsePoly.from_dict(poly_doc)
+    poly = read_poly(poly_doc)
     m, n = obj.get("m"), obj.get("n")
     for label, value in (("m", m), ("n", n)):
         if value is not None and type(value) is not int:
@@ -77,14 +143,14 @@ def _load_qgonal_curve(obj: dict) -> superell.QGonalCurve:
 
 
 def _load_qgonal_map(obj: dict) -> superell.QGonalMap:
-    order = exactnum.check_order(_require(obj, "order", int))
+    order = check_order(_require(obj, "order", int))
     rows = _require(obj, "mobius", list)
     if len(rows) != 2 or any(not isinstance(r, list) or len(r) != 2 for r in rows):
         raise SchemaError("mobius part must be a 2x2 array")
     num = _require(obj, "multiplier_num", list)
     den = _require(obj, "multiplier_den", list)
     try:
-        mobius = [[_element(order, e) for e in row] for row in rows]
+        mobius = [[read_element(order, e) for e in row] for row in rows]
         # the multiplier c x^k is a ratio of two monomials
         (top, a), (bottom, b) = (_monomial(order, part) for part in (num, den))
         return superell.QGonalMap(order, mobius, a / b, top - bottom)
@@ -94,19 +160,19 @@ def _load_qgonal_map(obj: dict) -> superell.QGonalMap:
 
 def _monomial(order: int, coeffs: list) -> tuple[int, exactnum.CyclotomicElement]:
     """(degree, coefficient) of a polynomial with exactly one nonzero term."""
-    terms = [(i, e) for i, e in enumerate(_element(order, c) for c in coeffs) if not e.is_zero()]
+    terms = [(i, e) for i, e in enumerate(read_element(order, c) for c in coeffs) if not e.is_zero()]
     if len(terms) != 1:
         raise SchemaError("multiplier parts must be monomials: one nonzero coefficient each")
     return terms[0]
 
 
 def _load_family_triple(obj: dict) -> descent.FamilyTriple:
-    order = exactnum.check_order(_require(obj, "order", int))
+    order = check_order(_require(obj, "order", int))
     values = _require(obj, "values", list)
     if len(values) != 3:
         raise SchemaError("family triple needs exactly three values")
     try:
-        return descent.FamilyTriple(*[_element(order, v) for v in values])
+        return descent.FamilyTriple(*[read_element(order, v) for v in values])
     except InputError as exc:
         raise SchemaError(f"not a valid family triple: {exc}") from exc
 
@@ -146,11 +212,44 @@ def parse_input(text: str) -> InputDocument:
     return parse_document(obj)
 
 
-# emission ----------------------------------------------------------------------
+# writing -----------------------------------------------------------------------
+
+def _coords(value: exactnum.CyclotomicElement) -> list[str]:
+    return [str(c) for c in value.coords]
+
+
+def element_document(value: exactnum.CyclotomicElement) -> dict:
+    return {"order": value.order, "coords": _coords(value)}
+
+
+def poly_document(poly: polyring.SparsePoly, variables) -> dict:
+    """The 'order', 'variables' and 'terms' of poly, terms in canonical order."""
+    return {"order": poly.order, "variables": list(variables),
+            "terms": [{"exponents": list(e), "coefficient": _coords(c)}
+                      for e, c in poly.sorted_terms()]}
+
+
+def projective_map_document(mapping: plane.ProjMap) -> dict:
+    return {"kind": "projective_map", "order": mapping.order,
+            "entries": [[_coords(c) for c in row] for row in mapping.entries]}
+
+
+def qgonal_map_document(mapping: superell.QGonalMap) -> dict:
+    """The normalised Moebius matrix of x -> s x^e, and the multiplier c x^k
+    as coefficient lists of a numerator and a monic denominator."""
+    order, k = mapping.order, mapping.exponent
+    zero = _coords(exactnum.CyclotomicElement.zero(order))
+    one = _coords(exactnum.CyclotomicElement.one(order))
+    coeff = _coords(mapping.coeff)
+    num, den = ([zero] * k + [coeff], [one]) if k >= 0 else ([coeff], [zero] * -k + [one])
+    return {"kind": "qgonal_map", "order": order,
+            "mobius": [[_coords(e) for e in row] for row in mapping.mobius],
+            "multiplier_num": num, "multiplier_den": den}
+
 
 def qgonal_curve_document(curve: superell.QGonalCurve) -> dict:
     doc = {"kind": "qgonal_curve", "q": curve.q,
-           "poly": curve.poly.to_dict(("x",))}
+           "poly": poly_document(curve.poly, ("x",))}
     if curve.m is not None:
         doc["m"] = curve.m
     if curve.n is not None:
@@ -160,23 +259,23 @@ def qgonal_curve_document(curve: superell.QGonalCurve) -> dict:
 
 def family_triple_document(triple: descent.FamilyTriple) -> dict:
     return {"kind": "family_triple", "order": triple.order,
-            "values": [[str(c) for c in v.coords] for v in triple]}
+            "values": [_coords(v) for v in triple]}
 
 
 def to_document(value: Any) -> dict:
     if isinstance(value, plane.PlaneCurve):
-        return {"kind": "plane_curve", **value.poly.to_dict(PLANE_VARIABLES)}
+        return {"kind": "plane_curve", **poly_document(value.poly, PLANE_VARIABLES)}
     if isinstance(value, plane.ProjMap):
-        return value.to_dict()
+        return projective_map_document(value)
     if isinstance(value, superell.QGonalCurve):
         return qgonal_curve_document(value)
     if isinstance(value, superell.QGonalMap):
-        return value.to_dict()
+        return qgonal_map_document(value)
     if isinstance(value, descent.FamilyTriple):
         return family_triple_document(value)
     if isinstance(value, (list, tuple)) and value and all(
             isinstance(g, plane.ProjMap) for g in value):
-        return {"kind": "group", "generators": [g.to_dict() for g in value]}
+        return {"kind": "group", "generators": [projective_map_document(g) for g in value]}
     raise TypeError(f"no document schema for {type(value).__name__}")
 
 

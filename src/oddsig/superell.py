@@ -153,25 +153,6 @@ class QGonalMap(_QGonalMapFields):
         inv = self.scale.inverse()
         return ((one, zero), (zero, inv)) if self.flip == 1 else ((zero, one), (inv, zero))
 
-    def multiplier(self):
-        """(numerator, denominator) of c x^k in lowest terms, monic denominator."""
-        one, zero = CyclotomicElement.one(self.order), CyclotomicElement.zero(self.order)
-        k = self.exponent
-        if k >= 0:
-            return [zero] * k + [self.coeff], [one]
-        return [self.coeff], [zero] * (-k) + [one]
-
-    def to_dict(self) -> dict:
-        num, den = self.multiplier()
-        return {
-            "kind": "qgonal_map",
-            "order": self.order,
-            "mobius": [[[str(x) for x in e.coords] for e in row]
-                       for row in self.mobius],
-            "multiplier_num": [[str(x) for x in c.coords] for c in num],
-            "multiplier_den": [[str(x) for x in c.coords] for c in den],
-        }
-
 
 def genus_qgonal(q: int, f: polyring.SparsePoly) -> int:
     """Genus of y^q = f(x) for squarefree f, by Riemann-Hurwitz."""

@@ -144,7 +144,7 @@ def test_field_order_above_the_cap_is_refused(monkeypatch):
     with pytest.raises(BoundExceeded):
         exactnum.CyclotomicElement.zero(MAX_ORDER + 1)
     # the cap is above every order in use
-    assert exactnum.check_order(MAX_ORDER) == MAX_ORDER
+    assert serialize.check_order(MAX_ORDER) == MAX_ORDER
     assert len(exactnum.CyclotomicElement.zero(840).num) == 192
 
 
@@ -172,10 +172,10 @@ def test_field_orders_whose_lcm_passes_the_cap_exit_3_up_front(tmp_path, capsys)
                                        for i in range(5) for j in range(5 - i)])
     w = CyclotomicElement.zeta(3)
     map3, map1024 = ProjMap.diagonal(3, w, 1, 1), ProjMap.diagonal(1024, zeta, 1, 1)
-    docs = {"curve": {"kind": "plane_curve", **dense.to_dict(["x", "y", "z"])},
-            "map3": map3.to_dict(),
-            "group3": {"kind": "group", "generators": [map3.to_dict()]},
-            "group_mixed": {"kind": "group", "generators": [map1024.to_dict(), map3.to_dict()]},
+    docs = {"curve": serialize.to_document(PlaneCurve(dense)),
+            "map3": serialize.to_document(map3),
+            "group3": serialize.to_document([map3]),
+            "group_mixed": serialize.to_document([map1024, map3]),
             "triple1024": serialize.family_triple_document(FamilyTriple(1 + zeta, 3, 5)),
             "triple3": serialize.family_triple_document(FamilyTriple(1 + w, 3, 5))}
     path = {}
@@ -251,17 +251,14 @@ def test_curves_outside_the_theorem_exit_2(tmp_path, capsys):
     }
     for name, (f, gens, message) in cases.items():
         curve_path, group_path = tmp_path / f"{name}.json", tmp_path / f"{name}_gens.json"
-        curve_path.write_text(json.dumps({"kind": "plane_curve", **f.to_dict(["x", "y", "z"])}),
-                              encoding="utf-8")
-        group_path.write_text(json.dumps({"kind": "group",
-                                          "generators": [g.to_dict() for g in gens]}),
-                              encoding="utf-8")
+        curve_path.write_text(json.dumps(serialize.to_document(PlaneCurve(f))), encoding="utf-8")
+        group_path.write_text(json.dumps(serialize.to_document(gens)), encoding="utf-8")
         for command in ("signature", "odd-signature"):
             code, out, err = run(capsys, command, "--curve", str(curve_path),
                                  "--group", str(group_path))
             assert code == 2 and out == "" and message in err, (name, command, err)
     mu = tmp_path / "identity.json"
-    mu.write_text(json.dumps(ProjMap.identity(1).to_dict()), encoding="utf-8")
+    mu.write_text(json.dumps(serialize.to_document(ProjMap.identity(1))), encoding="utf-8")
     code, out, err = run(capsys, "descend-real", "--curve", str(tmp_path / "four_lines.json"),
                          "--mu", str(mu))
     assert code == 2 and "singular" in err
@@ -281,8 +278,7 @@ def test_singular_curve_through_a_split_modulus_exits_2(tmp_path, monkeypatch, c
     x, y, z = (SparsePoly.variable(i, 1, 3) for i in range(3))
     form = (x * x - z * z) ** 2 + (y + z) ** 2 * (x * x + x * y - x * z + y * z)
     path = tmp_path / "singular.json"
-    path.write_text(json.dumps({"kind": "plane_curve", **form.to_dict(["x", "y", "z"])}),
-                    encoding="utf-8")
+    path.write_text(json.dumps(serialize.to_document(PlaneCurve(form))), encoding="utf-8")
     code, out, err = run(capsys, "signature", "--curve", str(path), "--group", fx("quartic_s4_gens"))
     assert code == 2 and out == "" and "plane curve is singular" in err
     assert splits
@@ -310,6 +306,25 @@ def test_every_fixture_round_trips():
         assert again.value == doc.value, path.name
         assert serialize.dumps(emitted) == path.read_text(encoding="utf-8"), path.name
     assert kinds == set(serialize.KINDS)
+
+
+def test_qgonal_curve_in_two_variables_is_refused_when_read(tmp_path, capsys):
+    """x^4 - x + 1 written in the variables x and t, with no t in any term,
+    is not a cyclic cover y^q = f(x): it is refused when read, not after the
+    genus is computed, when the report is written."""
+    doc = {"kind": "qgonal_curve", "q": 3,
+           "poly": {"order": 1, "variables": ["x", "t"],
+                    "terms": [{"exponents": e, "coefficient": [c]}
+                              for e, c in (([4, 0], "1"), ([1, 0], "-1"), ([0, 0], "1"))]}}
+    with pytest.raises(SchemaError, match="not a cyclic cover"):
+        serialize.parse_input(json.dumps(doc))
+    path = tmp_path / "two_variables.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "qgonal", "genus", "--curve", str(path))
+    assert code == 2 and out == "" and err.startswith("input error: not a cyclic cover")
+    doc["poly"]["variables"] = ["x"]
+    doc["poly"]["terms"] = [dict(t, exponents=t["exponents"][:1]) for t in doc["poly"]["terms"]]
+    assert serialize.parse_input(json.dumps(doc)).value.genus == 3
 
 
 def test_input_document_is_an_immutable_value():
@@ -375,11 +390,14 @@ def test_fuzz_bases_cover_every_kind():
 @settings(max_examples=200, deadline=None)
 @given(_mutated_documents())
 def test_parse_input_fuzz_raises_only_typed_input_errors(doc):
+    """A drawn document is refused with a typed error, or it loads, and then
+    it writes back to a document that loads to an equal value."""
     try:
         parsed = serialize.parse_input(json.dumps(doc))
     except (InputError, ResourceError):
         return
     assert parsed.kind == doc["kind"]
+    assert serialize.parse_document(serialize.to_document(parsed.value)) == parsed
 
 
 # drawn command lines for every subcommand: an option value is a string, a
@@ -781,7 +799,7 @@ def test_signature_curve_containing_fixed_line(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
     # the library refuses it the same way, before any fixed point is counted
     doc_curve = serialize.parse_input(json.dumps(curve)).value
-    doc_flip = ProjMap.from_dict({"order": 1, "entries": flip})
+    (doc_flip,) = serialize.parse_input(json.dumps(group)).value
     with pytest.raises(HypothesisViolation, match="singular"):
         signature(doc_curve, [doc_flip])
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oddsig.cli import _verdict_payload
 from oddsig.descent import (
     CYCLE,
     DescentVerdict,
@@ -113,7 +114,7 @@ def test_quartic_descent_obstructed_with_defect_nu():
     assert verdict.witness is None
     assert len(verdict.defects) == 2
     assert all(defect == nu for _, defect in verdict.defects)
-    report = verdict.to_dict()
+    report = _verdict_payload(verdict)
     assert report["status"] == "OBSTRUCTED"
     assert len(report["defects"]) == 2
 
@@ -179,7 +180,7 @@ def test_verdict_is_an_immutable_value():
     same = DescentVerdict("DEFINABLE", ProjMap.identity(4), (), ("full group",), "test", field="Q")
     assert verdict == same and hash(verdict) == hash(same)
     assert verdict != DescentVerdict("OBSTRUCTED", None, (), ("full group",), "test", field="Q")
-    assert verdict.assignment is None and verdict.to_dict()["field"] == "Q"
+    assert verdict.assignment is None and _verdict_payload(verdict)["field"] == "Q"
     with pytest.raises(AttributeError):
         verdict.status = "OBSTRUCTED"
     with pytest.raises(AttributeError):
@@ -378,7 +379,7 @@ def test_rational_descent_closing_example():
     assert (verdict.witness @ verdict.witness).is_identity()
     assert dict(verdict.assignment).keys() == {1, 3}
     assert all(defect.is_identity() for _, defect in verdict.defects)
-    report = verdict.to_dict()
+    report = _verdict_payload(verdict)
     assert report["field"] == "Q" and len(report["assignment"]) == 2
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oddsig import exactnum
+from oddsig import exactnum, serialize
 from oddsig.errors import (BoundExceeded, InternalInconsistency, InvalidExponent, NotASubfield,
                            OrderMismatch, SchemaError)
 from oddsig.exactnum import (
@@ -40,6 +40,13 @@ def test_is_prime_matches_a_sieve_and_known_pseudoprimes():
 
 def test_euler_phi_small():
     assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+    # the one factoriser behind euler_phi, _mobius and polyring._split_prime
+    for n in range(1, 400):
+        factors = exactnum._factorize(n)
+        assert math.prod(p ** k for p, k in factors) == n
+        assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+        assert all(is_prime(p) and k >= 1 for p, k in factors)
+        assert euler_phi(n) == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
 def test_cyclotomic_polynomials():
@@ -217,24 +224,24 @@ def test_complex_embedding_oracle():
 
 def test_serialization_round_trip():
     a = Cyc(12, [Fraction(1, 2), -3, Fraction(7, 5), 0])
-    obj = a.to_dict()
+    obj = serialize.element_document(a)
     assert obj == {"order": 12, "coords": ["1/2", "-3", "7/5", "0"]}
-    assert Cyc.from_dict(obj) == a
+    assert serialize.read_element(obj["order"], obj["coords"]) == a
     with pytest.raises(SchemaError):
-        Cyc.from_dict({"order": 12, "coords": ["1", "2"]})
+        serialize.read_element(12, ["1", "2"])
     with pytest.raises(SchemaError):
-        Cyc.from_dict({"order": 0, "coords": []})
+        serialize.check_order(0)
     with pytest.raises(SchemaError):
-        Cyc.from_dict({"order": 4, "coords": ["1", "x"]})
+        serialize.read_element(4, ["1", "x"])
 
 
 def test_coordinates_are_exact_strings_or_ints():
-    assert Cyc.from_dict({"order": 4, "coords": [3, "-1/10"]}) == Cyc(4, [3, Fraction(-1, 10)])
-    assert Cyc.from_dict({"order": 4, "coords": ["0.25", "0"]}) == Cyc(4, [Fraction(1, 4), 0])
+    assert serialize.read_element(4, [3, "-1/10"]) == Cyc(4, [3, Fraction(-1, 10)])
+    assert serialize.read_element(4, ["0.25", "0"]) == Cyc(4, [Fraction(1, 4), 0])
     # 0.1 would read as 3602879701896397/36028797018963968 and true as 1
     for bad in (0.1, 2.0, True, False, None, [1], "1e3", "2E-1", "1e99999999"):
         with pytest.raises(SchemaError):
-            Cyc.from_dict({"order": 4, "coords": [bad, "0"]})
+            serialize.read_element(4, [bad, "0"])
 
 
 def test_hash_and_immutability():
@@ -367,7 +374,7 @@ def test_inverse_and_canonical_form(data):
     x = Cyc(order, a)
     assert_canonical(x)
     assert x.coords == tuple(Fraction(c) for c in a)
-    assert Cyc.from_dict(x.to_dict()) == x
+    assert serialize.read_element(order, serialize.element_document(x)["coords"]) == x
     if x.is_zero():
         assert x.den == 1
         return

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oddsig import plane, polyring
+from oddsig import plane, polyring, serialize
 from oddsig.errors import (NotAnIsomorphism, OrderMismatch, SchemaError,
                            VariableCountMismatch, ZeroPolynomial)
 from oddsig.exactnum import CyclotomicElement, cyclotomic_polynomial, euler_phi
@@ -99,20 +99,20 @@ def test_projmap_permutation_matches_point_action():
 def test_projmap_serialization_round_trip():
     zeta = CyclotomicElement.zeta(8, 1)
     a = ProjMap(8, [[zeta, 1, 0], [0, 1, 0], [Fraction(1, 2), 0, 1]])
-    again = ProjMap.from_dict(a.to_dict())
+    again = serialize.parse_document(serialize.projective_map_document(a)).value
     assert again == a
     with pytest.raises(SchemaError):
-        ProjMap.from_dict({"order": 8})
+        serialize.parse_document({"kind": "projective_map", "order": 8})
     with pytest.raises(SchemaError):
-        ProjMap.from_dict({"order": 0, "entries": [[["1"]] * 3] * 3})
-    bad = a.to_dict()
+        serialize.parse_document({"kind": "projective_map", "order": 0, "entries": [[["1"]] * 3] * 3})
+    bad = serialize.projective_map_document(a)
     bad["entries"][0] = bad["entries"][0][:2]
     with pytest.raises(SchemaError):
-        ProjMap.from_dict(bad)
-    singular = ProjMap.identity(4).to_dict()
+        serialize.parse_document(bad)
+    singular = serialize.projective_map_document(ProjMap.identity(4))
     singular["entries"][1] = singular["entries"][0]
     with pytest.raises(SchemaError):
-        ProjMap.from_dict(singular)
+        serialize.parse_document(singular)
 
 
 # the sparse 3x3 kernel against a dense Fraction reference ---------------------

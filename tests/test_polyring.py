@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oddsig import polyring
+from oddsig import polyring, serialize
 from oddsig.errors import (BoundExceeded, InternalInconsistency, OrderMismatch, SchemaError,
                            VariableCountMismatch, ZeroPolynomial)
 from oddsig.exactnum import CyclotomicElement as Cyc, cyclotomic_polynomial, is_prime
@@ -336,17 +336,17 @@ def test_galois_poly_and_lift():
 def test_serialization_round_trip():
     z = Cyc.zeta(4)
     f = P(4, 3, [(z, (3, 0, 1)), (Fraction(1, 2), (0, 4, 0)), (-2, (2, 1, 1))])
-    doc = f.to_dict(["x", "y", "z"])
+    doc = serialize.poly_document(f, ["x", "y", "z"])
     assert doc["variables"] == ["x", "y", "z"]
-    back = SparsePoly.from_dict(doc)
+    back = serialize.read_poly(doc)
     assert back == f
     # canonical order: terms sorted graded-lex descending
     exps = [tuple(t["exponents"]) for t in doc["terms"]]
     assert exps == sorted(exps, key=lambda e: (sum(e), e), reverse=True)
     with pytest.raises(SchemaError):
-        SparsePoly.from_dict({"order": 4, "variables": ["x"], "terms": [{"exponents": [-1], "coefficient": ["1", "0"]}]})
+        serialize.read_poly({"order": 4, "variables": ["x"], "terms": [{"exponents": [-1], "coefficient": ["1", "0"]}]})
     with pytest.raises(SchemaError):
-        SparsePoly.from_dict({"order": 4, "variables": ["x"], "terms": "nope"})
+        serialize.read_poly({"order": 4, "variables": ["x"], "terms": "nope"})
 
 
 def test_degree_above_the_cap_is_refused():
@@ -355,10 +355,10 @@ def test_degree_above_the_cap_is_refused():
                 "terms": [{"exponents": list(e), "coefficient": ["1"]} for e in exponents]}
 
     with pytest.raises(BoundExceeded, match="exceeds the bound"):
-        SparsePoly.from_dict(doc((20000,), (1,), (0,)))
+        serialize.read_poly(doc((20000,), (1,), (0,)))
     with pytest.raises(BoundExceeded):                      # total degree, not one exponent
-        SparsePoly.from_dict(doc((MAX_DEGREE // 2 + 1, MAX_DEGREE // 2)))
-    assert SparsePoly.from_dict(doc((MAX_DEGREE, 0), (0, 0))).total_degree() == MAX_DEGREE
+        serialize.read_poly(doc((MAX_DEGREE // 2 + 1, MAX_DEGREE // 2)))
+    assert serialize.read_poly(doc((MAX_DEGREE, 0), (0, 0))).total_degree() == MAX_DEGREE
 
 
 def test_split_prime_root_has_exact_order():
