@@ -10,7 +10,8 @@ maps. element_order raises the stored representative to powers with the
 same sparse product, unnormalized, to read off the scalar A^n = c * I.
 Closure refuses a generator that fails a necessary test for finite order
 before it multiplies anything, and refuses to grow past a configurable
-bound instead of looping on an infinite group that passes the test.
+bound instead of looping on an infinite group that passes the test; before
+either, it refuses more generators than that bound needs.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ from .plane import ProjMap, char_poly, matrix_product
 # 6d^2 automorphisms, apart from the Klein quartic (168) and the Wiman sextic
 # (360); over the verdict degrees 4..7 the largest order is 360.
 DEFAULT_BOUND = 360
+
+# Closure costs up to r * bound products for r generators. Each generator
+# that is not redundant at least doubles the order, so 8 of them generate
+# any group of order at most DEFAULT_BOUND = 360 < 2^9.
+MAX_CLOSURE_WORK = 8 * DEFAULT_BOUND
 
 
 class FiniteGroup(Sequence):
@@ -86,6 +92,10 @@ def closure(generators: Sequence[ProjMap], bound: int = DEFAULT_BOUND) -> Finite
     """Breadth-first closure of the generated subgroup of PGL_3."""
     if not generators:
         raise ValueError("need at least one generator")
+    if len(generators) * bound > MAX_CLOSURE_WORK:
+        raise BoundExceeded(
+            f"{len(generators)} generators with bound {bound} exceed the closure work bound "
+            f"{MAX_CLOSURE_WORK} (generators times bound); drop redundant generators")
     for g in generators:
         _require_finite_order(g)
     order = common_order(*[g.order for g in generators])

@@ -27,7 +27,6 @@ theorem: degree below 4 or above MAX_PLANE_DEGREE, or singular.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -40,7 +39,7 @@ from .errors import (
     VariableCountMismatch,
     ZeroPolynomial,
 )
-from .exactnum import CyclotomicElement, as_element, common_order, power
+from .exactnum import CyclotomicElement, as_element, common_order
 from .polyring import (
     SparsePoly,
     dehomogenize,
@@ -125,10 +124,6 @@ class ProjMap(_ProjMapFields):
         return all(e.is_one() if r == c else e.is_zero()
                    for r, row in enumerate(self.entries) for c, e in enumerate(row))
 
-    def apply(self, point: Sequence[CyclotomicElement]) -> tuple[CyclotomicElement, ...]:
-        zero = CyclotomicElement.zero(self.order)
-        return tuple(sum((self.entries[r][c] * point[c] for c in range(3)), zero) for r in range(3))
-
     def galois(self, exponent: int) -> "ProjMap":
         return ProjMap(self.order, [[c.galois(exponent) for c in row] for row in self.entries])
 
@@ -139,10 +134,6 @@ class ProjMap(_ProjMapFields):
         if order == self.order:
             return self
         return ProjMap(order, [[c.lift_to(order) for c in row] for row in self.entries])
-
-    def power(self, exponent: int) -> "ProjMap":
-        base = self if exponent >= 0 else self.inverse()
-        return power(base, abs(exponent), ProjMap.identity(self.order), operator.matmul)
 
     def key(self) -> tuple:
         return (self.order, tuple(tuple(c.coords for c in row) for row in self.entries))

@@ -5,6 +5,8 @@ canonical term order is graded lexicographic with earlier variables larger.
 SparsePoly carries substitution and derivatives; the algorithms
 run on one layer of univariate helpers (dense coefficient lists, low degree
 first): the gcd, squarefree and root-counting machinery, and the resultant.
+poly_to_uni is the one step from a one-variable SparsePoly into that layer,
+and no step leads back: superell holds a cover's f as a list from the start.
 The module reads no document: serialize holds a document term, and
 superell.build_family a family member, to MAX_DEGREE through check_degree.
 poly_as_ylists turns a polynomial in x and y into a y-list, a list indexed
@@ -211,18 +213,6 @@ class SparsePoly:
         return "SparsePoly(" + " + ".join(bits) + ")"
 
     # evaluation and substitution ----------------------------------------
-    def evaluate(self, point: Sequence[CyclotomicElement]) -> CyclotomicElement:
-        if len(point) != self.nvars:
-            raise VariableCountMismatch("point dimension differs from variable count")
-        total = CyclotomicElement.zero(self.order)
-        for exps, coeff in self.terms.items():
-            val = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    val = val * x ** e
-            total = total + val
-        return total
-
     def substitute_linear(self, matrix: Sequence[Sequence[CyclotomicElement]]) -> "SparsePoly":
         """Compose with a linear change of variables.
 
@@ -487,10 +477,6 @@ def poly_as_ylists(p: SparsePoly) -> list[list[CyclotomicElement]]:
             row.extend([zero] * (ex + 1 - len(row)))
         row[ex] = coeff
     return rows
-
-
-def uni_to_poly(coeffs: Sequence[CyclotomicElement], order: int) -> SparsePoly:
-    return SparsePoly(order, 1, {(i,): c for i, c in enumerate(coeffs)})
 
 
 # the splitting algebra K[x]/(m) ---------------------------------------------

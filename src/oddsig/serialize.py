@@ -4,23 +4,33 @@ line reads or emits; no layer below this module knows a JSON key.
 Every input document is a JSON object with a "kind" field naming its
 schema. Parsing enforces the invariants of the target type, so a document
 that loads is a valid object; every emitted document re-parses to an equal
-value. A cyclotomic number travels as its power-basis coordinates, each an
-exact rational string such as "-1/3" or a JSON integer: a float, a boolean
-or an exponent string is refused. A field order above exactnum.MAX_ORDER
-or a term degree above polyring.MAX_DEGREE raises BoundExceeded before any
-arithmetic on it. The CLI calls the per-kind writers directly, since
-to_document's type dispatch would load every layer.
+value. A cyclotomic number travels as its power-basis coordinates, each a
+JSON integer or an exact rational string of one ASCII grammar: an optional
+sign, digits, then optionally "/digits" or a decimal part ("-1/3", "0.25",
+".5"). A float, a boolean, an exponent, an underscore, whitespace or a
+non-ASCII digit is refused on every Python version. A field order above
+exactnum.MAX_ORDER or a term degree above polyring.MAX_DEGREE raises
+BoundExceeded before any arithmetic on it. Some shapes exist only in documents: a cover map's
+x -> s x^e travels as an invertible diagonal or antidiagonal Moebius
+matrix, read into (scale, flip) and written normalised, and a cyclic
+cover's f as a one-variable polynomial, read into and written from the
+coefficient list the curve holds. The CLI calls the per-kind writers
+directly, since to_document's type dispatch would load every layer.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import Any, NamedTuple
 
 from . import descent, exactnum, plane, polyring, superell
 from .errors import BoundExceeded, InputError, ParseError, SchemaError
 
 PLANE_VARIABLES = ("x", "y", "z")
+
+# [0-9], not \d, which also matches non-ASCII digits
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+)")
 
 
 class InputDocument(NamedTuple):
@@ -61,6 +71,12 @@ def read_element(order: int, coords) -> exactnum.CyclotomicElement:
         # exponent such as "1e99999999" would build a huge power of ten
         if not (type(c) is int or isinstance(c, str) and "e" not in c.lower()):
             raise SchemaError(f"a coordinate is a rational string such as \"-1/3\" or an integer, not {c!r}")
+    for c in coords:
+        # Fraction's own syntax varies: "1_0" reads as 10 from Python 3.11 on,
+        # and non-ASCII digits read on every version. A string outside the
+        # grammar gets the message Fraction gives the literals it refuses.
+        if isinstance(c, str) and not _RATIONAL.fullmatch(c):
+            raise SchemaError(f"bad rational coordinate: Invalid literal for Fraction: {c!r}")
     try:
         return exactnum.CyclotomicElement(order, coords)
     except (ValueError, ZeroDivisionError) as exc:
@@ -137,12 +153,14 @@ def _load_qgonal_curve(obj: dict) -> superell.QGonalCurve:
         if value is not None and type(value) is not int:
             raise SchemaError(f"'{label}' must be an integer")
     try:
-        return superell.QGonalCurve(q, poly, m, n)
+        return superell.QGonalCurve(q, polyring.poly_to_uni(poly), m, n)
     except (InputError, ValueError) as exc:
         raise SchemaError(f"not a cyclic cover: {exc}") from exc
 
 
 def _load_qgonal_map(obj: dict) -> superell.QGonalMap:
+    """x -> s x^e from an invertible diagonal or antidiagonal Moebius
+    matrix, and the multiplier c x^k as a ratio of two monomials."""
     order = check_order(_require(obj, "order", int))
     rows = _require(obj, "mobius", list)
     if len(rows) != 2 or any(not isinstance(r, list) or len(r) != 2 for r in rows):
@@ -150,12 +168,18 @@ def _load_qgonal_map(obj: dict) -> superell.QGonalMap:
     num = _require(obj, "multiplier_num", list)
     den = _require(obj, "multiplier_den", list)
     try:
-        mobius = [[read_element(order, e) for e in row] for row in rows]
-        # the multiplier c x^k is a ratio of two monomials
-        (top, a), (bottom, b) = (_monomial(order, part) for part in (num, den))
-        return superell.QGonalMap(order, mobius, a / b, top - bottom)
-    except (InputError, ValueError) as exc:
+        (a, b), (c, d) = ([read_element(order, e) for e in row] for row in rows)
+        (top, lead), (bottom, low) = (_monomial(order, part) for part in (num, den))
+    except InputError as exc:
         raise SchemaError(f"not a cover map: {exc}") from exc
+    if b.is_zero() and c.is_zero() and not (a.is_zero() or d.is_zero()):
+        scale, flip = a / d, 1
+    elif a.is_zero() and d.is_zero() and not (b.is_zero() or c.is_zero()):
+        scale, flip = b / c, -1
+    else:
+        raise SchemaError("not a cover map: moebius part must be an invertible "
+                          "diagonal or antidiagonal matrix")
+    return superell.QGonalMap(order, scale, flip, lead / low, top - bottom)
 
 
 def _monomial(order: int, coeffs: list) -> tuple[int, exactnum.CyclotomicElement]:
@@ -235,21 +259,27 @@ def projective_map_document(mapping: plane.ProjMap) -> dict:
 
 
 def qgonal_map_document(mapping: superell.QGonalMap) -> dict:
-    """The normalised Moebius matrix of x -> s x^e, and the multiplier c x^k
-    as coefficient lists of a numerator and a monic denominator."""
+    """The normalised Moebius matrix of x -> s x^e, [[1, 0], [0, 1/s]] or
+    [[0, 1], [1/s, 0]], and the multiplier c x^k as coefficient lists of a
+    numerator and a monic denominator."""
     order, k = mapping.order, mapping.exponent
     zero = _coords(exactnum.CyclotomicElement.zero(order))
     one = _coords(exactnum.CyclotomicElement.one(order))
+    inv = _coords(mapping.scale.inverse())
+    mobius = [[one, zero], [zero, inv]] if mapping.flip == 1 else [[zero, one], [inv, zero]]
     coeff = _coords(mapping.coeff)
     num, den = ([zero] * k + [coeff], [one]) if k >= 0 else ([coeff], [zero] * -k + [one])
-    return {"kind": "qgonal_map", "order": order,
-            "mobius": [[_coords(e) for e in row] for row in mapping.mobius],
+    return {"kind": "qgonal_map", "order": order, "mobius": mobius,
             "multiplier_num": num, "multiplier_den": den}
 
 
 def qgonal_curve_document(curve: superell.QGonalCurve) -> dict:
+    """f through its nonzero terms, highest degree first, as poly_document
+    orders them."""
+    terms = [{"exponents": [i], "coefficient": _coords(c)}
+             for i, c in reversed(list(enumerate(curve.coeffs))) if not c.is_zero()]
     doc = {"kind": "qgonal_curve", "q": curve.q,
-           "poly": poly_document(curve.poly, ("x",))}
+           "poly": {"order": curve.order, "variables": ["x"], "terms": terms}}
     if curve.m is not None:
         doc["m"] = curve.m
     if curve.n is not None:

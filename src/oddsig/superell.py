@@ -6,7 +6,11 @@ transformation, the rotations and the mirror onto the conjugate curve have
 this form, and composition, inversion and Galois twisting keep it in closed
 form, so the order-2 Weil cocycle check never leaves the class. Whether such
 a map is an isomorphism is checked by substituting x -> s x^e into f in
-closed form, from the map's fields alone.
+closed form, from the map's fields alone. QGonalMap holds exactly these
+five fields, and a curve holds f as its trimmed coefficient list, low
+degree first, the layout of polyring's list layer; the Moebius matrix of
+a map and the polynomial of a curve are document shapes, read and written
+by serialize.
 
 The module also builds a family of covers isomorphic to their own complex
 conjugate. The defining polynomial is a product of factors
@@ -21,7 +25,8 @@ composites.
 
 The one dense Moebius map left is the involution tau that an n = 3 member
 must not have; whether it permutes the roots of f is decided by exact
-evaluation of the pulled binary form at deg f + 1 integer points. f is
+evaluation of the pulled binary form at deg f + 1 integer points, each
+value by Horner's rule on the coefficient list. f is
 squarefree when polyring.uni_gcd(f, f') = 1; that gcd proves it in one
 F_p pass, and runs the exact Euclid over Q(zeta_N) only when the F_p images
 cannot, so NotSquarefree is never a guess. The degree 2mn of a family
@@ -46,9 +51,8 @@ from .errors import (
     NotSquarefree,
     PropertyViolation,
     ShapeViolation,
-    ZeroPolynomial,
 )
-from .exactnum import MAX_ORDER, CyclotomicElement, as_element, common_order, is_prime, power
+from .exactnum import MAX_ORDER, CyclotomicElement, as_element, common_order, is_prime
 from .ramify import Signature, is_odd_signature, odd_signature_verdict
 
 SHAPES = ("N0", "N1", "N2")
@@ -63,80 +67,51 @@ def _is_prime_degree(q: int) -> bool:
     return is_prime(q)
 
 
-class _QGonalMapFields(NamedTuple):
+class QGonalMap(NamedTuple):
+    """Monomial fibered map (x, y) -> (s x^e, c x^k y) between cyclic covers,
+    with scale s, flip e = +-1, coefficient c and exponent k. The maps of the
+    family (mirror, deck, rotation and their composites) all have this form,
+    which composition, inversion and Galois twisting keep."""
+
     order: int
     scale: CyclotomicElement
     flip: int
     coeff: CyclotomicElement
     exponent: int
 
-
-class QGonalMap(_QGonalMapFields):
-    """Monomial fibered map (x, y) -> (s x^e, c x^k y) between cyclic covers,
-    with scale s, flip e = +-1, coefficient c and exponent k. The maps of the
-    family (mirror, deck, rotation and their composites) all have this form,
-    which composition, inversion and Galois twisting keep. The constructor
-    takes x -> s x^e as an invertible diagonal or antidiagonal matrix and
-    the multiplier c x^k as (coeff, exponent)."""
-
-    __slots__ = ()
-
-    def __new__(cls, order: int, mobius, coeff=1, exponent: int = 0):
-        rows = [[as_element(e, order) for e in row] for row in mobius]
-        if len(rows) != 2 or any(len(r) != 2 for r in rows):
-            raise ValueError("moebius part must be a 2x2 matrix")
-        (a, b), (c, d) = rows
-        if b.is_zero() and c.is_zero() and not (a.is_zero() or d.is_zero()):
-            scale, flip = a / d, 1
-        elif a.is_zero() and d.is_zero() and not (b.is_zero() or c.is_zero()):
-            scale, flip = b / c, -1
-        else:
-            raise ValueError("moebius part must be an invertible diagonal or antidiagonal matrix")
-        coeff = as_element(coeff, order)
-        if coeff.is_zero():
-            raise ZeroPolynomial("zero multiplier does not define a map")
-        return cls._make((order, scale, flip, coeff, exponent))
-
-    def __reduce__(self):  # __new__ takes a Moebius matrix, not the fields
-        return type(self)._make, (tuple(self),)
-
     @classmethod
     def identity(cls, order: int = 1) -> "QGonalMap":
-        return cls(order, [[1, 0], [0, 1]])
+        one = CyclotomicElement.one(order)
+        return cls(order, one, 1, one, 0)
 
     def lift_to(self, order: int) -> "QGonalMap":
         if order == self.order:
             return self
-        return QGonalMap._make((order, self.scale.lift_to(order), self.flip,
-                                self.coeff.lift_to(order), self.exponent))
+        return QGonalMap(order, self.scale.lift_to(order), self.flip,
+                         self.coeff.lift_to(order), self.exponent)
 
     def compose(self, other: "QGonalMap") -> "QGonalMap":
         """self applied after other."""
         order = common_order(self.order, other.order)
         s, t = self.lift_to(order), other.lift_to(order)
-        return QGonalMap._make((order, s.scale * t.scale ** s.flip, s.flip * t.flip,
-                                s.coeff * t.coeff * t.scale ** s.exponent,
-                                t.flip * s.exponent + t.exponent))
+        return QGonalMap(order, s.scale * t.scale ** s.flip, s.flip * t.flip,
+                         s.coeff * t.coeff * t.scale ** s.exponent,
+                         t.flip * s.exponent + t.exponent)
 
     def __matmul__(self, other):
         if not isinstance(other, QGonalMap):
             return NotImplemented
         return self.compose(other)
 
-    def power(self, exponent: int) -> "QGonalMap":
-        if exponent < 0:
-            return self.inverse().power(-exponent)
-        return power(self, exponent, QGonalMap.identity(self.order), operator.matmul)
-
     def inverse(self) -> "QGonalMap":
         # x = s^-e X^e, and y = c^-1 x^-k Y = c^-1 s^(ek) X^(-ek) Y
         e, k = self.flip, self.exponent
-        return QGonalMap._make((self.order, self.scale ** -e, e,
-                                self.coeff.inverse() * self.scale ** (e * k), -e * k))
+        return QGonalMap(self.order, self.scale ** -e, e,
+                         self.coeff.inverse() * self.scale ** (e * k), -e * k)
 
     def galois(self, exponent: int) -> "QGonalMap":
-        return QGonalMap._make((self.order, self.scale.galois(exponent), self.flip,
-                                self.coeff.galois(exponent), self.exponent))
+        return QGonalMap(self.order, self.scale.galois(exponent), self.flip,
+                         self.coeff.galois(exponent), self.exponent)
 
     def conjugate(self) -> "QGonalMap":
         return self.galois(-1)
@@ -145,20 +120,13 @@ class QGonalMap(_QGonalMapFields):
         return (self.scale.is_one() and self.flip == 1 and self.coeff.is_one()
                 and self.exponent == 0)
 
-    @property
-    def mobius(self):
-        """The normalised matrix of x -> s x^e: [[1, 0], [0, 1/s]] or
-        [[0, 1], [1/s, 0]]."""
-        one, zero = CyclotomicElement.one(self.order), CyclotomicElement.zero(self.order)
-        inv = self.scale.inverse()
-        return ((one, zero), (zero, inv)) if self.flip == 1 else ((zero, one), (inv, zero))
 
-
-def genus_qgonal(q: int, f: polyring.SparsePoly) -> int:
-    """Genus of y^q = f(x) for squarefree f, by Riemann-Hurwitz."""
+def genus_qgonal(q: int, f: Sequence[CyclotomicElement]) -> int:
+    """Genus of y^q = f(x) for squarefree f, a coefficient list low degree
+    first, by Riemann-Hurwitz."""
     if not _is_prime_degree(q):
         raise HypothesisViolation(f"cover degree {q} is not prime")
-    coeffs = polyring.poly_to_uni(f)
+    coeffs = polyring.uni_trim(list(f))
     degree = len(coeffs) - 1
     if degree < 3:
         raise GenusTooSmall(f"defining polynomial has degree {degree} < 3")
@@ -176,36 +144,38 @@ def genus_qgonal(q: int, f: polyring.SparsePoly) -> int:
 
 class _QGonalCurveFields(NamedTuple):
     q: int
-    poly: polyring.SparsePoly
+    coeffs: tuple[CyclotomicElement, ...]
     genus: int
     m: Optional[int]
     n: Optional[int]
 
 
 class QGonalCurve(_QGonalCurveFields):
-    """Cyclic cover y^q = f(x) with f squarefree over a cyclotomic field."""
+    """Cyclic cover y^q = f(x) with f squarefree over a cyclotomic field,
+    held as its trimmed coefficients, low degree first."""
 
     __slots__ = ()
 
-    def __new__(cls, q: int, f: polyring.SparsePoly,
+    def __new__(cls, q: int, coeffs: Sequence[CyclotomicElement],
                 m: Optional[int] = None, n: Optional[int] = None):
-        return super().__new__(cls, q, f, genus_qgonal(q, f), m, n)
+        coeffs = tuple(polyring.uni_trim(list(coeffs)))
+        return super().__new__(cls, q, coeffs, genus_qgonal(q, coeffs), m, n)
 
     def __reduce__(self):  # __new__ computes the genus, not takes it
         return type(self)._make, (tuple(self),)
 
     @property
     def order(self) -> int:
-        return self.poly.order
+        return self.coeffs[0].order
 
     # A field embedding is a ring isomorphism of K[x] onto its image: it
     # keeps the degree of f and gcd(f, f') = 1, hence the genus, which
     # _replace therefore copies rather than recomputes.
     def lift_to(self, order: int) -> "QGonalCurve":
-        return self._replace(poly=self.poly.lift_to(order))
+        return self._replace(coeffs=tuple(c.lift_to(order) for c in self.coeffs))
 
     def galois(self, exponent: int) -> "QGonalCurve":
-        return self._replace(poly=self.poly.galois(exponent))
+        return self._replace(coeffs=tuple(c.galois(exponent) for c in self.coeffs))
 
     def conjugate(self) -> "QGonalCurve":
         return self.galois(-1)
@@ -270,36 +240,45 @@ def _tau_rows(order: int):
     return [[-one, root3 + 1], [root3 - 1, one]]
 
 
-def moebius_permutes_roots(f: polyring.SparsePoly, rows) -> bool:
+def _binary_form(f: Sequence[CyclotomicElement], u: CyclotomicElement,
+                 v: CyclotomicElement) -> CyclotomicElement:
+    """F(u, v) = sum of t_i u^i v^(D - i) for f = [t_0, ..., t_D], by
+    Horner's rule in u with a running power of v."""
+    total, v_power = f[-1], v ** 0
+    for t in reversed(f[:-1]):
+        v_power = v_power * v
+        total = total * u
+        if not t.is_zero():
+            total = total + t * v_power
+    return total
+
+
+def moebius_permutes_roots(f: Sequence[CyclotomicElement], rows) -> bool:
     """True when the Moebius map sends every root of f into the root set,
     that is, when P(x) = F(a x + b, c x + d) lies in K f, F the binary form
     of f of degree D. With f(x0) != 0, P(x) f(x0) - P(x0) f(x) has degree at
     most D, so it is zero exactly when it vanishes at x = 0, ..., D."""
-    orders = [f.order]
-    for row in rows:
-        for e in row:
-            if isinstance(e, CyclotomicElement):
-                orders.append(e.order)
-    order = common_order(*orders)
+    f = polyring.uni_trim(list(f))
+    order = common_order(*[e.order for e in (*f, *rows[0], *rows[1])
+                           if isinstance(e, CyclotomicElement)])
     (a, b), (c, d) = ([as_element(e, order) for e in row] for row in rows)
     if (a * d - b * c).is_zero():
         raise ValueError("moebius map must be invertible")
-    if f.is_zero():
+    if not f:
         return True
-    coeffs = polyring.poly_to_uni(f.lift_to(order))
-    top = len(coeffs) - 1
-    form = polyring.SparsePoly(order, 2, {(i, top - i): t for i, t in enumerate(coeffs)})
+    f = [t.lift_to(order) for t in f]
     one = CyclotomicElement.one(order)
-    points = [as_element(x, order) for x in range(top + 1)]
-    x0 = next(x for x in points if not form.evaluate([x, one]).is_zero())  # f has <= D roots
-    f0, p0 = form.evaluate([x0, one]), form.evaluate([a * x0 + b, c * x0 + d])
-    return all(form.evaluate([a * x + b, c * x + d]) * f0 == p0 * form.evaluate([x, one])
+    points = [as_element(x, order) for x in range(len(f))]
+    x0 = next(x for x in points if not _binary_form(f, x, one).is_zero())  # f has <= D roots
+    f0, p0 = _binary_form(f, x0, one), _binary_form(f, a * x0 + b, c * x0 + d)
+    return all(_binary_form(f, a * x + b, c * x + d) * f0 == p0 * _binary_form(f, x, one)
                for x in points if x != x0)
 
 
 def family_polynomial(values: Sequence[CyclotomicElement], n: int,
-                      order: int) -> polyring.SparsePoly:
-    """Product of (x^n - a)(x^n + 1/conj(a)) over the given a, validated."""
+                      order: int) -> list[CyclotomicElement]:
+    """Coefficients of the product of (x^n - a)(x^n + 1/conj(a)) over the
+    given a, validated."""
     vals = [as_element(v, order) for v in values]
     m = len(vals)
     if m < 2 or n < 2:
@@ -330,17 +309,13 @@ def family_polynomial(values: Sequence[CyclotomicElement], n: int,
         coeffs = polyring.uni_mul(polyring.uni_mul(coeffs, first), second)
     if coeffs[0] != -one:
         raise PropertyViolation("constant term is not -1")
-    f = polyring.uni_to_poly(coeffs, order)
-    if n == 3:
-        tau_order = common_order(order, 12)
-        if moebius_permutes_roots(f.lift_to(tau_order), _tau_rows(tau_order)):
-            raise PropertyViolation(
-                "the exceptional Moebius involution permutes the roots")
-    return f
+    if n == 3 and moebius_permutes_roots(coeffs, _tau_rows(common_order(order, 12))):
+        raise PropertyViolation("the exceptional Moebius involution permutes the roots")
+    return coeffs
 
 
-def build_family(m: int, n: int) -> polyring.SparsePoly:
-    """Defining polynomial of the standard self-conjugate family member."""
+def build_family(m: int, n: int) -> list[CyclotomicElement]:
+    """Coefficients of the standard self-conjugate family member."""
     if m < 2 or n < 2:
         raise HypothesisViolation("family needs m > 1 and n > 1")
     polyring.check_degree(2 * m * n, "family degree 2mn =")
@@ -368,13 +343,13 @@ def family_signature(curve: QGonalCurve) -> Signature:
 def deck_map(q: int, order: Optional[int] = None) -> QGonalMap:
     """(x, y) -> (x, zeta_q y), the deck transformation of the projection."""
     o = common_order(q, order or 1)
-    return QGonalMap(o, [[1, 0], [0, 1]], CyclotomicElement.zeta(q, 1).lift_to(o))
+    return QGonalMap(o, CyclotomicElement.one(o), 1, CyclotomicElement.zeta(q, 1).lift_to(o), 0)
 
 
 def rotation_map(n: int, order: Optional[int] = None) -> QGonalMap:
     """(x, y) -> (zeta_n x, y)."""
     o = common_order(n, order or 1)
-    return QGonalMap(o, [[CyclotomicElement.zeta(n, 1).lift_to(o), 0], [0, 1]])
+    return QGonalMap(o, CyclotomicElement.zeta(n, 1).lift_to(o), 1, CyclotomicElement.one(o), 0)
 
 
 def mirror_map(q: int, m: int, n: int, order: Optional[int] = None) -> QGonalMap:
@@ -385,7 +360,7 @@ def mirror_map(q: int, m: int, n: int, order: Optional[int] = None) -> QGonalMap
         raise HypothesisViolation(
             f"multiplier exponent 2mn/q is not an integer for (q, m, n)=({q}, {m}, {n})")
     o = common_order(2 * n, 2 * q, order or 1)
-    return QGonalMap(o, [[0, 1], [CyclotomicElement.zeta(2 * n, 1).lift_to(o), 0]],
+    return QGonalMap(o, CyclotomicElement.zeta(2 * n, -1).lift_to(o), -1,
                      CyclotomicElement.zeta(2 * q, 1).lift_to(o), -exponent)
 
 
@@ -400,8 +375,8 @@ def qgonal_is_isomorphism(source: QGonalCurve, target: QGonalCurve,
         raise HypothesisViolation("covers have different degrees")
     q = source.q
     order = common_order(source.order, target.order, phi.order)
-    f_src = polyring.poly_to_uni(source.poly.lift_to(order))
-    f_tgt = polyring.poly_to_uni(target.poly.lift_to(order))
+    f_src = [c.lift_to(order) for c in source.coeffs]
+    f_tgt = [c.lift_to(order) for c in target.coeffs]
     lifted = phi.lift_to(order)
     scale_powers = accumulate(repeat(lifted.scale), operator.mul, initial=CyclotomicElement.one(order))
     rhs = [t * p for t, p in zip(f_tgt, scale_powers)]

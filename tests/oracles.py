@@ -26,6 +26,13 @@ def to_complex(a: CyclotomicElement) -> complex:
     return sum(c * cmath.exp(2j * cmath.pi * k / a.order) for k, c in enumerate(a.coords))
 
 
+def apply(a: ProjMap, point) -> tuple:
+    """The matrix of a times the column vector point: the action of a on
+    the homogeneous coordinates of a point."""
+    return tuple(sum((e * c for e, c in zip(row, point)), CyclotomicElement.zero(a.order))
+                 for row in a.entries)
+
+
 def cyclic_subgroup(a: ProjMap, bound: int = 360) -> frozenset:
     """Powers of a as matrices, by repeated products until the identity;
     the oracle for matgroup.cyclic_subgroups, which works on index tables."""
@@ -69,7 +76,7 @@ def defect_twist_map(q: int, m: int, n: int, order=None) -> QGonalMap:
     if rem:
         raise ValueError(f"mn/q is not an integer for (q, m, n) = ({q}, {m}, {n})")
     o = common_order(n, order or 1)
-    return QGonalMap(o, [[1, 0], [0, 1]], CyclotomicElement.zeta(n, 1).lift_to(o) ** power)
+    return QGonalMap(o, CyclotomicElement.one(o), 1, CyclotomicElement.zeta(n, power).lift_to(o), 0)
 
 
 def _odd_primes(limit: int, start: int = 3) -> list[int]:

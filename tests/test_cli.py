@@ -284,6 +284,54 @@ def test_singular_curve_through_a_split_modulus_exits_2(tmp_path, monkeypatch, c
     assert splits
 
 
+def test_cover_document_refusals_keep_their_exit_code_and_message(tmp_path, capsys):
+    """A cover map's Moebius matrix and multiplier, and a cover's f, are
+    document shapes that serialize reads: each malformed one is refused when
+    read, with exit 2 and one stderr line."""
+    one, zero = ["1"], ["0"]
+    cover_map = {"kind": "qgonal_map", "order": 1, "mobius": [[one, zero], [zero, one]],
+                 "multiplier_num": [one], "multiplier_den": [one]}
+    not_moebius = "not a cover map: moebius part must be an invertible diagonal or antidiagonal matrix"
+    not_monomial = "not a cover map: multiplier parts must be monomials: one nonzero coefficient each"
+    cases = {
+        "dense_matrix": (dict(cover_map, mobius=[[one, one], [one, one]]), not_moebius),
+        "singular_diagonal": (dict(cover_map, mobius=[[one, zero], [zero, zero]]), not_moebius),
+        "zero_multiplier": (dict(cover_map, multiplier_num=[zero]), not_monomial),
+        "two_term_multiplier": (dict(cover_map, multiplier_den=[one, one]), not_monomial),
+        "two_variable_f": ({"kind": "qgonal_curve", "q": 3,
+                            "poly": {"order": 1, "variables": ["x", "t"],
+                                     "terms": [{"exponents": [4, 0], "coefficient": one},
+                                               {"exponents": [0, 0], "coefficient": one}]}},
+                           "not a cyclic cover: a univariate list needs a polynomial in one "
+                           "variable, not 2"),
+    }
+    for name, (doc, message) in cases.items():
+        with pytest.raises(SchemaError) as info:
+            serialize.parse_input(json.dumps(doc))
+        assert str(info.value) == message, name
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "qgonal", "genus", "--curve", str(path))
+        assert (code, out, err) == (2, "", f"input error: {message}\n"), name
+
+
+def test_redundant_generator_list_exits_3(tmp_path, capsys):
+    """All 168 elements of the Klein quartic's group as generators would cost
+    168 * 168 products in closure; the generator-count bound refuses them
+    with exit 3 before any product."""
+    report = run_structured(capsys, "group-closure", "--group", fx("klein_quartic_gens"))
+    group = tmp_path / "klein_168_generators.json"
+    group.write_text(json.dumps({"kind": "group", "generators": report["result"]["elements"]}),
+                     encoding="utf-8")
+    for argv in (["signature", "--curve", fx("klein_quartic"), "--group", str(group)],
+                 ["group-closure", "--group", str(group)]):
+        started = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - started < 5.0, argv
+        assert code == 3 and out == "" and len(err.splitlines()) == 1, argv
+        assert err.startswith("resource bound exceeded: 168 generators") and "redundant" in err
+
+
 def test_singular_map_exits_2(tmp_path, capsys):
     gens = json.loads(Path(fx("fermat_quartic_gens")).read_text(encoding="utf-8"))
     entries = gens["generators"][0]["entries"]

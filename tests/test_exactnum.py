@@ -238,8 +238,12 @@ def test_serialization_round_trip():
 def test_coordinates_are_exact_strings_or_ints():
     assert serialize.read_element(4, [3, "-1/10"]) == Cyc(4, [3, Fraction(-1, 10)])
     assert serialize.read_element(4, ["0.25", "0"]) == Cyc(4, [Fraction(1, 4), 0])
-    # 0.1 would read as 3602879701896397/36028797018963968 and true as 1
-    for bad in (0.1, 2.0, True, False, None, [1], "1e3", "2E-1", "1e99999999"):
+    assert serialize.read_element(4, [".5", "+3/4"]) == Cyc(4, [Fraction(1, 2), Fraction(3, 4)])
+    # 0.1 would read as 3602879701896397/36028797018963968 and true as 1;
+    # Fraction reads "1_0" as 10 from Python 3.11 on, and Arabic-Indic and
+    # fullwidth digits as 1 on every version
+    for bad in (0.1, 2.0, True, False, None, [1], "1e3", "2E-1", "1e99999999",
+                "1_0", "1_000/3", "\u0661", "\uff11", " 1"):
         with pytest.raises(SchemaError):
             serialize.read_element(4, [bad, "0"])
 

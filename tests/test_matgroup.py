@@ -4,11 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from oddsig import serialize
+from oddsig import matgroup, serialize
 from oddsig.errors import BoundExceeded, HypothesisViolation
 from oddsig.exactnum import CyclotomicElement, common_order
-from oddsig.matgroup import (closure, cyclic_subgroups, element_order,
-                             subgroup_conjugacy_classes)
+from oddsig.matgroup import (DEFAULT_BOUND, MAX_CLOSURE_WORK, closure, cyclic_subgroups,
+                             element_order, subgroup_conjugacy_classes)
 from oddsig.plane import ProjMap
 from oracles import cyclic_subgroup, is_group
 
@@ -100,6 +100,30 @@ def test_closure_refuses_generators_of_infinite_order(entries):
     with pytest.raises(HypothesisViolation, match="infinite order"):
         closure([ProjMap.identity(1), ProjMap(1, entries)])
     assert time.perf_counter() - started < 1.0
+
+
+def test_closure_bounds_its_generator_count_before_any_product(monkeypatch):
+    # 8 generators of a group of order <= 360 are enough, since each one that
+    # is not redundant at least doubles the order
+    assert MAX_CLOSURE_WORK == 8 * DEFAULT_BOUND
+    gens = fermat_generators()
+    assert len(closure(gens + gens)) == 96
+    products, real = [], matgroup.matrix_product
+
+    def spy(*args):
+        products.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(matgroup, "matrix_product", spy)
+    # diag(2, 1, 1) has infinite order, yet the count refuses it first
+    infinite = ProjMap.diagonal(1, 2, 1, 1)
+    for count, bound in ((9, DEFAULT_BOUND), (MAX_CLOSURE_WORK // 10 + 1, 10)):
+        with pytest.raises(BoundExceeded, match="drop redundant generators"):
+            closure([infinite] * count, bound)
+    assert products == []
+    with pytest.raises(HypothesisViolation):
+        closure([infinite] * (MAX_CLOSURE_WORK // 10), 10)
+    assert len(products) == 2                 # A^3 of the finite-order test
 
 
 def test_fixture_generators_pass_the_finite_order_test():

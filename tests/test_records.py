@@ -56,7 +56,7 @@ def test_values_survive_copy_and_pickle():
     curve = family_curve(3, 3, 3)
     values = fixture_values() + family_symmetries() + [
         curve, deck_map(3, curve.order), rotation_map(3, curve.order), mirror_map(3, 3, 3, curve.order),
-        curve.poly, *curve.poly.terms.values()]
+        curve.coeffs, *curve.coeffs]
     copies = [copy.copy, copy.deepcopy] + [
         lambda v, p=p: pickle.loads(pickle.dumps(v, protocol=p))
         for p in range(2, pickle.HIGHEST_PROTOCOL + 1)]

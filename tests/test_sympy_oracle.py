@@ -12,7 +12,7 @@ from oddsig.errors import NotSquarefree
 from oddsig.exactnum import CyclotomicElement, cyclotomic_polynomial
 from oddsig.plane import PlaneCurve, ProjMap, is_smooth
 from oddsig.polyring import (SparsePoly, distinct_root_count, poly_as_ylists, resultant,
-                             uni_coprime_mod_p, uni_derivative, uni_to_poly)
+                             uni_coprime_mod_p, uni_derivative)
 from oddsig.serialize import parse_input
 from oddsig.superell import genus_qgonal
 
@@ -66,15 +66,14 @@ def test_squarefree_verdict_matches_sympy_discriminant():
         squarefree = sympy.discriminant(poly) != 0
         verdicts.add(squarefree)
         dense = [CyclotomicElement.from_rational(c, 1) for c in coeffs]
-        f = uni_to_poly(dense, 1)
         if uni_coprime_mod_p(dense, uni_derivative(dense)):
             assert squarefree
         if squarefree:
             branch = poly.degree() + (1 if poly.degree() % 3 else 0)
-            assert genus_qgonal(3, f) == branch - 2
+            assert genus_qgonal(3, dense) == branch - 2
         else:
             with pytest.raises(NotSquarefree):
-                genus_qgonal(3, f)
+                genus_qgonal(3, dense)
     assert verdicts == {True, False}
 
 
