@@ -14,12 +14,16 @@ whose members are classified up to isomorphism by sign-and-permutation moves
 on the triple (a, b, c). Each move is realized by an explicit projective map
 that works uniformly in the triple, which turns Galois descent questions
 about a member into finite searches through a 24-element group.
+
+matgroup, plane and polyring are reached as modules, so the invariants, the
+moduli field and the refused cycle case run none of them.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
+from . import matgroup, plane, polyring
 from .errors import (
     CocycleFailure,
     DegenerateTriple,
@@ -29,15 +33,6 @@ from .errors import (
     InternalInconsistency,
 )
 from .exactnum import CyclotomicElement, as_element, common_order, galois_exponents
-from .matgroup import closure
-from .plane import (
-    PlaneCurve,
-    ProjMap,
-    is_automorphism,
-    require_isomorphism,
-    require_verdict_curve,
-)
-from .polyring import SparsePoly, uni_mul
 
 DEFINABLE = "DEFINABLE"
 OBSTRUCTED = "OBSTRUCTED"
@@ -51,7 +46,7 @@ NEGATE_BC = "negate-bc"
 
 class _VerdictFields(NamedTuple):
     status: str
-    witness: Optional[ProjMap]
+    witness: Optional[plane.ProjMap]
     defects: tuple
     assumptions: tuple[str, ...]
     citation: str
@@ -78,43 +73,43 @@ _ORDER2_CITATION = ("Weil cocycle criterion for the order-2 Galois action: "
                     "identity defect conj(phi) o phi")
 
 
-def isomorphism_orbit(curve: PlaneCurve, mu: ProjMap,
-                      aut_generators: Sequence[ProjMap]) -> list[ProjMap]:
+def isomorphism_orbit(curve: plane.PlaneCurve, mu: plane.ProjMap,
+                      aut_generators: Sequence[plane.ProjMap]) -> list[plane.ProjMap]:
     """All isomorphisms onto the conjugate curve: the orbit mu o Aut(X).
 
     Complete exactly when the generators produce the full automorphism
     group; the supplied isomorphism comes first, the rest follow in a
     canonical order."""
     twin = curve.conjugate()
-    require_isomorphism(curve, twin, mu)
+    plane.require_isomorphism(curve, twin, mu)
     order = common_order(curve.order, mu.order,
                          *[g.order for g in aut_generators])
     if aut_generators:
         for g in aut_generators:
-            require_isomorphism(curve, curve, g)
-        group = closure([g.lift_to(order) for g in aut_generators])
+            plane.require_isomorphism(curve, curve, g)
+        group = matgroup.closure([g.lift_to(order) for g in aut_generators])
     else:
-        group = [ProjMap.identity(order)]
+        group = [plane.ProjMap.identity(order)]
     lifted = mu.lift_to(order)
     # mu o alpha is distinct for distinct alpha, and group[0] is the identity
-    return [lifted] + sorted((lifted @ alpha for alpha in group[1:]), key=ProjMap.key)
+    return [lifted] + sorted((lifted @ alpha for alpha in group[1:]), key=plane.ProjMap.key)
 
 
-def weil_descent_order2(curve: PlaneCurve, mu: ProjMap,
-                        aut_generators: Sequence[ProjMap]) -> DescentVerdict:
+def weil_descent_order2(curve: plane.PlaneCurve, mu: plane.ProjMap,
+                        aut_generators: Sequence[plane.ProjMap]) -> DescentVerdict:
     """Decide real definability given one isomorphism onto the conjugate.
 
     Every candidate differs from mu by an automorphism, so the verdict does
     not depend on which isomorphism is supplied. The list of candidates is
     complete only for a curve that passes plane.require_verdict_curve."""
-    require_verdict_curve(curve)
+    plane.require_verdict_curve(curve)
     candidates = isomorphism_orbit(curve, mu, aut_generators)
     lifted = curve.lift_to(candidates[0].order) if candidates else curve
     defects = []
     witness = None
     for phi in candidates:
         defect = phi.conjugate() @ phi
-        ok, _ = is_automorphism(lifted, defect)
+        ok, _ = plane.is_automorphism(lifted, defect)
         if not ok:
             raise InternalInconsistency("cocycle defect fell outside the automorphism group")
         if defect.is_identity() and witness is None:
@@ -132,7 +127,7 @@ def weil_descent_order2(curve: PlaneCurve, mu: ProjMap,
     )
 
 
-def bielliptic_quartic(a1, a2, a3, order: int) -> PlaneCurve:
+def bielliptic_quartic(a1, a2, a3, order: int) -> plane.PlaneCurve:
     """y^4 + y^2 (x - a1 z)(x + z/a1) + prod_{i=2,3} (x - ai z)(x + z/conj(ai)).
 
     Smooth members are genus-3 curves with the visible involution
@@ -149,8 +144,8 @@ def bielliptic_quartic(a1, a2, a3, order: int) -> PlaneCurve:
         return [one, coroot - root, -(root * coroot)]
 
     quad = pair(a1, a1.inverse())
-    quart = uni_mul(pair(a2, a2.conjugate().inverse()),
-                    pair(a3, a3.conjugate().inverse()))
+    quart = polyring.uni_mul(pair(a2, a2.conjugate().inverse()),
+                             pair(a3, a3.conjugate().inverse()))
     entries = [(one, (0, 4, 0))]
     for i, coeff in enumerate(quad):
         if not coeff.is_zero():
@@ -158,7 +153,7 @@ def bielliptic_quartic(a1, a2, a3, order: int) -> PlaneCurve:
     for i, coeff in enumerate(quart):
         if not coeff.is_zero():
             entries.append((coeff, (4 - i, 0, i)))
-    return PlaneCurve(SparsePoly.build(order, 3, entries))
+    return plane.PlaneCurve(polyring.SparsePoly.build(order, 3, entries))
 
 
 # the symmetric quartic family --------------------------------------------------
@@ -205,14 +200,14 @@ class FamilyTriple(_TripleFields):
         return self.galois(-1)
 
 
-def family_curve(t: FamilyTriple) -> PlaneCurve:
+def family_curve(t: FamilyTriple) -> plane.PlaneCurve:
     order = t.order
     one = CyclotomicElement.one(order)
     entries = [(one, (4, 0, 0)), (one, (0, 4, 0)), (one, (0, 0, 4))]
     for coeff, exps in ((t.a, (2, 2, 0)), (t.b, (2, 0, 2)), (t.c, (0, 2, 2))):
         if not coeff.is_zero():
             entries.append((coeff, exps))
-    return PlaneCurve(SparsePoly.build(order, 3, entries))
+    return plane.PlaneCurve(polyring.SparsePoly.build(order, 3, entries))
 
 
 def family_invariants(t: FamilyTriple):
@@ -231,7 +226,7 @@ class TripleMove(NamedTuple):
 
     perm: tuple[int, int, int]
     signs: tuple[int, int, int]
-    map: ProjMap
+    map: plane.ProjMap
 
     def apply(self, t: FamilyTriple) -> FamilyTriple:
         vals = [t[self.perm[i]] * self.signs[i] for i in range(3)]
@@ -257,10 +252,10 @@ class TripleMove(NamedTuple):
 def _generator_moves() -> dict[str, TripleMove]:
     i = CyclotomicElement.zeta(4, 1)
     return {
-        SWAP: TripleMove((1, 0, 2), (1, 1, 1), ProjMap.permutation(4, [0, 2, 1])),
-        CYCLE: TripleMove((1, 2, 0), (1, 1, 1), ProjMap.permutation(4, [1, 2, 0])),
-        NEGATE_AB: TripleMove((0, 1, 2), (-1, -1, 1), ProjMap.diagonal(4, i, 1, 1)),
-        NEGATE_BC: TripleMove((0, 1, 2), (1, -1, -1), ProjMap.diagonal(4, 1, 1, i)),
+        SWAP: TripleMove((1, 0, 2), (1, 1, 1), plane.ProjMap.permutation(4, [0, 2, 1])),
+        CYCLE: TripleMove((1, 2, 0), (1, 1, 1), plane.ProjMap.permutation(4, [1, 2, 0])),
+        NEGATE_AB: TripleMove((0, 1, 2), (-1, -1, 1), plane.ProjMap.diagonal(4, i, 1, 1)),
+        NEGATE_BC: TripleMove((0, 1, 2), (1, -1, -1), plane.ProjMap.diagonal(4, 1, 1, i)),
     }
 
 
@@ -272,7 +267,7 @@ def family_symmetries() -> list[TripleMove]:
     pure permutations."""
     if not _MOVES:
         gens = list(_generator_moves().values())
-        identity = TripleMove((0, 1, 2), (1, 1, 1), ProjMap.identity(4))
+        identity = TripleMove((0, 1, 2), (1, 1, 1), plane.ProjMap.identity(4))
         seen = {identity.key(): identity}
         queue = [identity]
         while queue:
@@ -301,11 +296,11 @@ def family_isomorphic(t: FamilyTriple, t2: FamilyTriple,
     return None
 
 
-def family_aut_generators(order: int = 1) -> list[ProjMap]:
+def family_aut_generators(order: int = 1) -> list[plane.ProjMap]:
     """Sign involutions generating the automorphisms of a generic member."""
     o = common_order(order, 2)
     minus = CyclotomicElement.from_rational(-1, o)
-    return [ProjMap.diagonal(o, minus, 1, 1), ProjMap.diagonal(o, 1, minus, 1)]
+    return [plane.ProjMap.diagonal(o, minus, 1, 1), plane.ProjMap.diagonal(o, 1, minus, 1)]
 
 
 def family_real_definability(t: FamilyTriple,

@@ -11,7 +11,8 @@ same sparse product, unnormalized, to read off the scalar A^n = c * I.
 Closure refuses a generator that fails a necessary test for finite order
 before it multiplies anything, and refuses to grow past a configurable
 bound instead of looping on an infinite group that passes the test; before
-either, it refuses more generators than that bound needs.
+either, it refuses more generators than that bound needs, through
+require_closure_work, which a caller that checks each generator runs first.
 """
 
 from __future__ import annotations
@@ -88,14 +89,20 @@ def _require_finite_order(a: ProjMap) -> None:
                                   "the root-of-unity test on its characteristic polynomial")
 
 
+def require_closure_work(count: int, bound: int = DEFAULT_BOUND) -> None:
+    """Refuse count generators that closure up to bound would not take: a
+    caller that checks each generator first runs this before the checks."""
+    if count * bound > MAX_CLOSURE_WORK:
+        raise BoundExceeded(
+            f"{count} generators with bound {bound} exceed the closure work bound "
+            f"{MAX_CLOSURE_WORK} (generators times bound); drop redundant generators")
+
+
 def closure(generators: Sequence[ProjMap], bound: int = DEFAULT_BOUND) -> FiniteGroup:
     """Breadth-first closure of the generated subgroup of PGL_3."""
     if not generators:
         raise ValueError("need at least one generator")
-    if len(generators) * bound > MAX_CLOSURE_WORK:
-        raise BoundExceeded(
-            f"{len(generators)} generators with bound {bound} exceed the closure work bound "
-            f"{MAX_CLOSURE_WORK} (generators times bound); drop redundant generators")
+    require_closure_work(len(generators), bound)
     for g in generators:
         _require_finite_order(g)
     order = common_order(*[g.order for g in generators])

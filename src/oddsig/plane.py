@@ -18,6 +18,8 @@ them is decided by the gcd in (K[x]/(d))[y] of polyring's splitting algebra.
 Each live chart partial becomes a y-list, a polynomial in y over K[x] as
 dense lists, exactly once; the resultants, the candidate gcd and the
 splitting algebra all run on those lists.
+plane reaches polyring as a module, so a command that uses only maps, such
+as group-closure, never runs it.
 A zero resultant decides a shared chart factor by itself: by Bezout the
 factor's curve meets the third partial, off z = 0 once that line is
 cleared, so the curve is singular and no gcd over K[x][y] is needed.
@@ -30,6 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
+from . import polyring
 from .errors import (
     BoundExceeded,
     GenusTooSmall,
@@ -40,18 +43,6 @@ from .errors import (
     ZeroPolynomial,
 )
 from .exactnum import CyclotomicElement, as_element, common_order
-from .polyring import (
-    SparsePoly,
-    dehomogenize,
-    mod_branches,
-    mod_gcd,
-    poly_as_ylists,
-    poly_to_uni,
-    resultant,
-    uni_gcd,
-    uni_monic,
-    uni_squarefree,
-)
 
 Entry = Union[int, Fraction, CyclotomicElement]
 
@@ -202,7 +193,7 @@ def _canonical(order: int, rows) -> ProjMap:
 
 
 class _PlaneCurveFields(NamedTuple):
-    poly: SparsePoly
+    poly: polyring.SparsePoly
 
 
 class PlaneCurve(_PlaneCurveFields):
@@ -210,7 +201,7 @@ class PlaneCurve(_PlaneCurveFields):
 
     __slots__ = ()
 
-    def __new__(cls, poly: SparsePoly):
+    def __new__(cls, poly: polyring.SparsePoly):
         if poly.nvars != 3:
             raise VariableCountMismatch("plane curve needs three variables")
         if poly.is_zero():
@@ -275,13 +266,13 @@ def require_isomorphism(source: PlaneCurve, target: PlaneCurve, mapping: ProjMap
 
 # smoothness ------------------------------------------------------------------
 
-def _set_var_zero(poly: SparsePoly, var: int) -> SparsePoly:
+def _set_var_zero(poly: polyring.SparsePoly, var: int) -> polyring.SparsePoly:
     terms = {tuple(e for i, e in enumerate(exps) if i != var): coeff
              for exps, coeff in poly.terms.items() if exps[var] == 0}
-    return SparsePoly(poly.order, poly.nvars - 1, terms)
+    return polyring.SparsePoly(poly.order, poly.nvars - 1, terms)
 
 
-def _binary_common_root(forms: list[SparsePoly]) -> bool:
+def _binary_common_root(forms: list[polyring.SparsePoly]) -> bool:
     """Do nonzero binary forms share a projective root? (empty list: the whole line)"""
     forms = [f for f in forms if not f.is_zero()]
     if not forms:
@@ -291,14 +282,14 @@ def _binary_common_root(forms: list[SparsePoly]) -> bool:
         return True
     g: Optional[list[CyclotomicElement]] = None
     for f in forms:
-        dense = poly_to_uni(dehomogenize(f, 1))
-        g = dense if g is None else uni_gcd(g, dense)
+        dense = polyring.poly_to_uni(polyring.dehomogenize(f, 1))
+        g = dense if g is None else polyring.uni_gcd(g, dense)
         if len(g) == 1:
             return False
     return len(g) > 1
 
 
-def has_common_affine_zero(polys: list[SparsePoly]) -> bool:
+def has_common_affine_zero(polys: list[polyring.SparsePoly]) -> bool:
     """Do the chart partials of one plane form share a zero over the
     algebraic closure?
 
@@ -313,12 +304,12 @@ def has_common_affine_zero(polys: list[SparsePoly]) -> bool:
         return False
     if len(live) == 1:
         return True
-    ylists = [poly_as_ylists(p) for p in live]
+    ylists = [polyring.poly_as_ylists(p) for p in live]
     ypos = [f for f in ylists if len(f) > 1]
     candidates = [f[0] for f in ylists if len(f) == 1]
     for i in range(len(ypos)):
         for j in range(i + 1, len(ypos)):
-            res = resultant(ypos[i], ypos[j])
+            res = polyring.resultant(ypos[i], ypos[j])
             if not res:
                 # Res_y = 0: the two share a factor h of positive y-degree
                 # (Gauss's lemma over K(x)). Homogenised, h divides two of
@@ -329,7 +320,7 @@ def has_common_affine_zero(polys: list[SparsePoly]) -> bool:
             candidates.append(res)
     d: list[CyclotomicElement] = []
     for c in candidates:
-        d = uni_gcd(d, c) if d else uni_monic(c)
+        d = polyring.uni_gcd(d, c) if d else polyring.uni_monic(c)
         if len(d) == 1:
             return False
 
@@ -337,12 +328,12 @@ def has_common_affine_zero(polys: list[SparsePoly]) -> bool:
         # the gcd over K[x]/(m) is a unit exactly when no y-root is shared
         g: list = []
         for f in ypos:
-            g = mod_gcd(g, f, m)
+            g = polyring.mod_gcd(g, f, m)
             if len(g) == 1:
                 return False
         return True
 
-    return any(mod_branches(shared_y_root, uni_squarefree(d)))
+    return any(polyring.mod_branches(shared_y_root, polyring.uni_squarefree(d)))
 
 
 def is_smooth(curve: PlaneCurve) -> bool:
@@ -354,7 +345,7 @@ def is_smooth(curve: PlaneCurve) -> bool:
     if _binary_common_root(line_forms):
         return False
     # the affine chart z = 1
-    chart = [dehomogenize(p, 2) for p in partials]
+    chart = [polyring.dehomogenize(p, 2) for p in partials]
     return not has_common_affine_zero(chart)
 
 

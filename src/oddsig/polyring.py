@@ -1,8 +1,12 @@
-"""Sparse multivariate polynomials over a fixed cyclotomic field.
+"""Polynomials over a fixed cyclotomic field.
 
-Terms map exponent tuples to nonzero CyclotomicElement coefficients; the
+SparsePoly is the plane layer's term record, with no ring arithmetic: its
+terms map exponent tuples to nonzero CyclotomicElement coefficients, and the
 canonical term order is graded lexicographic with earlier variables larger.
-SparsePoly carries substitution and derivatives; the algorithms
+It carries structure queries, derivatives, the Galois action and
+substitute_linear, the pull-back F o A that plane.is_isomorphism_onto tests:
+it builds each power of a substituted linear form once, multiplies term
+dicts through _term_product, and sums into one dict. The algorithms
 run on one layer of univariate helpers (dense coefficient lists, low degree
 first): the gcd, squarefree and root-counting machinery, and the resultant.
 poly_to_uni is the one step from a one-variable SparsePoly into that layer,
@@ -38,7 +42,7 @@ from .errors import (
     VariableCountMismatch,
     ZeroPolynomial,
 )
-from .exactnum import CyclotomicElement, _factorize, as_element, euler_phi, is_prime, power
+from .exactnum import CyclotomicElement, _factorize, as_element, euler_phi, is_prime
 
 Coeff = Union[int, Fraction, CyclotomicElement]
 
@@ -83,21 +87,6 @@ class SparsePoly:
 
     # constructors -------------------------------------------------------
     @classmethod
-    def zero(cls, order: int, nvars: int) -> "SparsePoly":
-        return cls(order, nvars, {})
-
-    @classmethod
-    def constant(cls, value: Coeff, order: int, nvars: int) -> "SparsePoly":
-        c = value if isinstance(value, CyclotomicElement) else CyclotomicElement.from_rational(value, order)
-        return cls(order, nvars, {(0,) * nvars: c})
-
-    @classmethod
-    def variable(cls, index: int, order: int, nvars: int) -> "SparsePoly":
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(order, nvars, {tuple(exps): CyclotomicElement.one(order)})
-
-    @classmethod
     def build(cls, order: int, nvars: int, entries: Iterable[tuple[Coeff, Sequence[int]]]) -> "SparsePoly":
         """Sum of coeff * x^exps entries (duplicates accumulate)."""
         acc: dict[tuple[int, ...], CyclotomicElement] = {}
@@ -125,9 +114,6 @@ class SparsePoly:
             raise ZeroPolynomial("zero polynomial has no degree")
         return max(e[var] for e in self.terms)
 
-    def coefficient(self, exps: Sequence[int]) -> CyclotomicElement:
-        return self.terms.get(tuple(exps), CyclotomicElement.zero(self.order))
-
     def leading_term(self) -> tuple[tuple[int, ...], CyclotomicElement]:
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no leading term")
@@ -137,65 +123,7 @@ class SparsePoly:
     def sorted_terms(self) -> list[tuple[tuple[int, ...], CyclotomicElement]]:
         return [(e, self.terms[e]) for e in sorted(self.terms, key=_gl_key, reverse=True)]
 
-    # arithmetic ---------------------------------------------------------
-    def _coerce(self, other) -> Optional["SparsePoly"]:
-        if isinstance(other, SparsePoly):
-            if other.order != self.order:
-                raise OrderMismatch("polynomial orders differ; lift first")
-            if other.nvars != self.nvars:
-                raise VariableCountMismatch("variable counts differ")
-            return other
-        if isinstance(other, (int, Fraction, CyclotomicElement)):
-            return SparsePoly.constant(other, self.order, self.nvars)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for exps, coeff in o.terms.items():
-            out[exps] = out[exps] + coeff if exps in out else coeff
-        return SparsePoly(self.order, self.nvars, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SparsePoly(self.order, self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out: dict[tuple[int, ...], CyclotomicElement] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                out[key] = out[key] + prod if key in out else prod
-        return SparsePoly(self.order, self.nvars, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        return power(self, exponent, SparsePoly.constant(1, self.order, self.nvars))
-
     def __eq__(self, other):
-        if isinstance(other, CyclotomicElement) and other.order != self.order:
-            return False  # values over different fields are unequal
-        if isinstance(other, (int, Fraction, CyclotomicElement)):
-            other = SparsePoly.constant(other, self.order, self.nvars)
         if not isinstance(other, SparsePoly):
             return NotImplemented
         return (self.order, self.nvars, self.terms) == (other.order, other.nvars, other.terms)
@@ -227,29 +155,27 @@ class SparsePoly:
         for row in matrix:
             if len(row) != new_nvars:
                 raise VariableCountMismatch("ragged substitution matrix")
-            forms.append(SparsePoly(self.order, new_nvars,
-                                    {tuple(1 if j == k else 0 for j in range(new_nvars)): c
-                                     for k, c in enumerate(row) if not c.is_zero()}))
-        # precompute powers of each linear form
+            forms.append({tuple(1 if j == k else 0 for j in range(new_nvars)): c
+                          for k, c in enumerate(row) if not c.is_zero()})
         max_pow = [0] * self.nvars
         for exps in self.terms:
             for i, e in enumerate(exps):
                 max_pow[i] = max(max_pow[i], e)
-        powers: list[list[SparsePoly]] = []
-        for i in range(self.nvars):
-            row_powers = [SparsePoly.constant(1, self.order, new_nvars)]
-            for _ in range(max_pow[i]):
-                row_powers.append(row_powers[-1] * forms[i])
+        # powers[i][e] is the term dict of (row i)^e, each built once
+        one = {(0,) * new_nvars: CyclotomicElement.one(self.order)}
+        powers = []
+        for form, top in zip(forms, max_pow):
+            row_powers = [one]
+            for _ in range(top):
+                row_powers.append(_term_product(row_powers[-1], form))
             powers.append(row_powers)
-        # one dict for the whole sum: adding SparsePolys would copy and
-        # re-validate the partial sum once per term
         acc: dict[tuple[int, ...], CyclotomicElement] = {}
         for exps, coeff in self.terms.items():
-            term = SparsePoly.constant(coeff, self.order, new_nvars)
+            term = {(0,) * new_nvars: coeff}
             for i, e in enumerate(exps):
                 if e:
-                    term = term * powers[i][e]
-            for key, c in term.terms.items():
+                    term = _term_product(term, powers[i][e])
+            for key, c in term.items():
                 acc[key] = acc[key] + c if key in acc else c
         return SparsePoly(self.order, new_nvars, acc)
 
@@ -274,6 +200,18 @@ class SparsePoly:
         if order == self.order:
             return self
         return SparsePoly(order, self.nvars, {e: c.lift_to(order) for e, c in self.terms.items()})
+
+
+def _term_product(a: dict, b: dict) -> dict[tuple[int, ...], CyclotomicElement]:
+    """Product of two term dicts (exponent tuple -> coefficient), with the
+    terms that cancel dropped."""
+    out: dict[tuple[int, ...], CyclotomicElement] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            prod = c1 * c2
+            out[key] = out[key] + prod if key in out else prod
+    return {key: c for key, c in out.items() if not c.is_zero()}
 
 
 # univariate helpers (dense lists of CyclotomicElement, low degree first) ----

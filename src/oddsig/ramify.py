@@ -113,14 +113,19 @@ def signature(curve: plane.PlaneCurve, group: Sequence[plane.ProjMap]) -> Signat
     """Signature of the quotient of the curve by the given full group.
 
     A FiniteGroup from closure is taken as it is; any other sequence is a
-    generating set, closed here after its elements are verified. The curve
+    generating set, closed here after its elements are verified, and refused
+    by matgroup.require_closure_work before the first of them is. The curve
     must pass plane.require_verdict_curve: smooth of degree 4 to
     MAX_PLANE_DEGREE, where every automorphism is linear and the trace
     formula of fixed_point_count holds."""
     if len(group) == 0:
         raise ValueError("empty group")
     plane.require_verdict_curve(curve)
-    generators = group.generators if isinstance(group, matgroup.FiniteGroup) else group
+    if isinstance(group, matgroup.FiniteGroup):
+        generators = group.generators
+    else:
+        matgroup.require_closure_work(len(group))
+        generators = group
     for g in generators:
         ok, _ = plane.is_automorphism(curve, g)
         if not ok:

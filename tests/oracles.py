@@ -3,7 +3,7 @@
 Independence rule: an oracle here recomputes what a library function
 computes by another route, and never calls the function it checks. It
 imports from oddsig only the value types it needs (CyclotomicElement,
-ProjMap, QGonalMap, Signature) and their elementary operations. A
+ProjMap, QGonalMap, Signature, SparsePoly) and their elementary operations. A
 catalogue here is data typed from the literature, kept beside the tests
 until the library can compute it.
 
@@ -16,6 +16,7 @@ from math import isqrt
 
 from oddsig.exactnum import CyclotomicElement, common_order
 from oddsig.plane import ProjMap
+from oddsig.polyring import SparsePoly
 from oddsig.ramify import Signature
 from oddsig.superell import QGonalMap
 
@@ -31,6 +32,33 @@ def apply(a: ProjMap, point) -> tuple:
     the homogeneous coordinates of a point."""
     return tuple(sum((e * c for e, c in zip(row, point)), CyclotomicElement.zero(a.order))
                  for row in a.entries)
+
+
+def product(*factors: SparsePoly) -> SparsePoly:
+    """The product of polynomials over one field in the same variables, term
+    by term: SparsePoly is a term record with no ring arithmetic, and the
+    tests build products of factors with this."""
+    first = factors[0]
+    terms = {(0,) * first.nvars: CyclotomicElement.one(first.order)}
+    for f in factors:
+        out = {}
+        for e1, c1 in terms.items():
+            for e2, c2 in f.terms.items():
+                key = tuple(a + b for a, b in zip(e1, e2))
+                out[key] = out.get(key, CyclotomicElement.zero(first.order)) + c1 * c2
+        terms = out
+    return SparsePoly(first.order, first.nvars, terms)
+
+
+def evaluate(poly: SparsePoly, point) -> CyclotomicElement:
+    """poly at a point of field elements, monomial by monomial; the oracle
+    for SparsePoly.substitute_linear through (F o A)(p) = F(A p)."""
+    total = CyclotomicElement.zero(poly.order)
+    for exps, coeff in poly.terms.items():
+        for x, e in zip(point, exps):
+            coeff = coeff * x ** e
+        total = total + coeff
+    return total
 
 
 def cyclic_subgroup(a: ProjMap, bound: int = 360) -> frozenset:

@@ -40,7 +40,8 @@ from oddsig.ramify import (
     signature,
 )
 from oddsig.superell import QGonalMap, qgonal_real_descent, rotation_map
-from oracles import PLANE_QUARTIC_STRATA, defect_twist_map, exceptional_qgonal_rows, to_complex
+from oracles import (PLANE_QUARTIC_STRATA, defect_twist_map, exceptional_qgonal_rows, product,
+                     to_complex)
 
 numpy = pytest.importorskip("numpy")
 
@@ -552,10 +553,8 @@ def random_quartic_form(rng):
             # clustering at 1e-6 cannot resolve roots of multiplicity > 2
             if max(classes.values()) <= 2:
                 break
-        form = SparsePoly.build(1, 2, [(1, (0, 0))])
-        for a, b in factors:
-            items = [(v, e) for v, e in [(a, (1, 0)), (b, (0, 1))] if v]
-            form = form * SparsePoly.build(1, 2, items)
+        form = product(*(SparsePoly.build(1, 2, [(v, e) for v, e in [(a, (1, 0)), (b, (0, 1))] if v])
+                         for a, b in factors))
         return form, len(classes)
     while True:
         items = [(rng.randint(-9, 9), (4 - j, j)) for j in range(5)]

@@ -26,6 +26,7 @@ from oddsig.exactnum import MAX_ORDER, CyclotomicElement
 from oddsig.plane import PlaneCurve, ProjMap
 from oddsig.polyring import SparsePoly
 from oddsig.ramify import signature
+from oracles import product
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -275,8 +276,12 @@ def test_singular_curve_through_a_split_modulus_exits_2(tmp_path, monkeypatch, c
         return original(m, factor)
 
     monkeypatch.setattr(polyring, "split_modulus", spy)
-    x, y, z = (SparsePoly.variable(i, 1, 3) for i in range(3))
-    form = (x * x - z * z) ** 2 + (y + z) ** 2 * (x * x + x * y - x * z + y * z)
+    x2_minus_z2 = SparsePoly.build(1, 3, [(1, (2, 0, 0)), (-1, (0, 0, 2))])
+    y_plus_z = SparsePoly.build(1, 3, [(1, (0, 1, 0)), (1, (0, 0, 1))])
+    quadric = SparsePoly.build(1, 3, [(1, (2, 0, 0)), (1, (1, 1, 0)), (-1, (1, 0, 1)), (1, (0, 1, 1))])
+    form = SparsePoly.build(1, 3, [(c, e) for p in (product(x2_minus_z2, x2_minus_z2),
+                                                    product(y_plus_z, y_plus_z, quadric))
+                                   for e, c in p.terms.items()])
     path = tmp_path / "singular.json"
     path.write_text(json.dumps(serialize.to_document(PlaneCurve(form))), encoding="utf-8")
     code, out, err = run(capsys, "signature", "--curve", str(path), "--group", fx("quartic_s4_gens"))
@@ -330,6 +335,30 @@ def test_redundant_generator_list_exits_3(tmp_path, capsys):
         assert time.perf_counter() - started < 5.0, argv
         assert code == 3 and out == "" and len(err.splitlines()) == 1, argv
         assert err.startswith("resource bound exceeded: 168 generators") and "redundant" in err
+
+
+def test_long_generator_list_is_refused_before_any_automorphism_check(tmp_path, monkeypatch, capsys):
+    """signature applies closure's generator-count bound before it checks
+    that a single generator is an automorphism: the 168 Klein elements are
+    refused with exit 3 and no check, and so are they behind a map that is
+    no automorphism, which exits 3 rather than 2."""
+    from oddsig import plane
+    report = run_structured(capsys, "group-closure", "--group", fx("klein_quartic_gens"))
+    elements = report["result"]["elements"]
+    not_an_automorphism = json.loads(Path(fx("sign_flip_x")).read_text(encoding="utf-8"))
+    checks, real = [], plane.is_automorphism
+
+    def spy(curve, mapping):
+        checks.append(mapping)
+        return real(curve, mapping)
+
+    monkeypatch.setattr(plane, "is_automorphism", spy)
+    for name, generators in (("all", elements), ("mixed", [not_an_automorphism] + elements)):
+        group = tmp_path / f"{name}.json"
+        group.write_text(json.dumps({"kind": "group", "generators": generators}), encoding="utf-8")
+        code, out, err = run(capsys, "signature", "--curve", fx("klein_quartic"), "--group", str(group))
+        assert code == 3 and out == "" and err.startswith("resource bound exceeded"), name
+        assert checks == [], name
 
 
 def test_singular_map_exits_2(tmp_path, capsys):
@@ -577,10 +606,10 @@ _RAN = ("import types; print(' '.join(name for name, module in sys.modules.items
         " if name.startswith('oddsig') and type(module) is types.ModuleType))")
 
 
-def _layers_run_by(argv) -> list[str]:
+def _layers_run_by(argv, code=0) -> list[str]:
     return _probe("import io, sys, contextlib, oddsig.cli\n"
-                  "with contextlib.redirect_stdout(io.StringIO()):\n"
-                  f"    assert oddsig.cli.run_command({argv!r}) == 0\n" + _RAN).split()
+                  "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+                  f"    assert oddsig.cli.run_command({argv!r}) == {code}\n" + _RAN).split()
 
 
 def test_cli_import_loads_no_dataclasses_chain():
@@ -608,17 +637,30 @@ def test_plane_commands_skip_descent_and_superell(argv):
     assert not {"oddsig.descent", "oddsig.superell"} & set(ran)
 
 
+# the layer that each command's handler enters
+_ENTRY_LAYER = {"odd-signature": "ramify", "qgonal": "ramify", "quartic-family": "descent",
+                "group-closure": "matgroup"}
+
+
 @pytest.mark.parametrize("argv, skips", [
     (["odd-signature", "--quotient-genus", "0", "--indices", "2,3,7"], {"plane", "matgroup", "polyring"}),
     (["qgonal", "signature", "--q", "3", "--n", "2", "--shape", "N0", "--genus", "4"],
      {"descent", "plane", "matgroup", "polyring"}),
     (["qgonal", "descend", "--q", "3", "--m", "3", "--n", "3"], {"descent", "plane", "matgroup"}),
+    (["quartic-family", "invariants", "--triple", "fixtures/triple_135.json"],
+     {"ramify", "plane", "matgroup", "polyring"}),
+    (["quartic-family", "moduli", "--triple", "fixtures/triple_135.json"],
+     {"ramify", "plane", "matgroup", "polyring"}),
+    (["quartic-family", "descend", "--triple", "fixtures/triple_135.json", "--case", "cycle"],
+     {"ramify", "plane", "matgroup", "polyring"}),
+    (["group-closure", "--group", "fixtures/klein_quartic_gens.json"], {"polyring"}),
 ])
 def test_ramify_and_superell_reach_lower_layers_through_their_modules(argv, skips):
-    """ramify and superell call exactnum, matgroup, plane and polyring as
-    module attributes, so a layer runs only when a call reaches it."""
-    ran = _layers_run_by(argv)
-    assert {"oddsig.ramify", "oddsig.serialize"} <= set(ran)
+    """ramify, superell, descent and plane call exactnum, matgroup, plane and
+    polyring as module attributes, so a layer runs only when a call reaches it."""
+    # the cycle case is refused with exit 2 before any move is built
+    ran = _layers_run_by(argv, 2 if "cycle" in argv else 0)
+    assert {"oddsig." + _ENTRY_LAYER[argv[0]], "oddsig.serialize"} <= set(ran)
     assert not {"oddsig." + name for name in skips} & set(ran)
 
 
