@@ -79,7 +79,9 @@ def isomorphism_orbit(curve: plane.PlaneCurve, mu: plane.ProjMap,
 
     Complete exactly when the generators produce the full automorphism
     group; the supplied isomorphism comes first, the rest follow in a
-    canonical order."""
+    canonical order. A generator list that closure would refuse is refused
+    by matgroup.require_closure_work before any map is checked."""
+    matgroup.require_closure_work(len(aut_generators))
     twin = curve.conjugate()
     plane.require_isomorphism(curve, twin, mu)
     order = common_order(curve.order, mu.order,

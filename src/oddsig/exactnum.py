@@ -21,7 +21,6 @@ gcd(k, N) = 1; k = -1 is complex conjugation.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -357,7 +356,14 @@ class CyclotomicElement:
         if not isinstance(exponent, int):
             return NotImplemented
         base = self if exponent >= 0 else self.inverse()
-        return power(base, abs(exponent), CyclotomicElement.one(self.order))
+        result, exponent = CyclotomicElement.one(self.order), abs(exponent)
+        while exponent:  # repeated squaring
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return result
 
     def __eq__(self, other):
         if isinstance(other, CyclotomicElement):
@@ -430,20 +436,6 @@ def as_element(value, order: int) -> CyclotomicElement:
     if isinstance(value, CyclotomicElement):
         return value.lift_to(order)
     return CyclotomicElement.from_rational(value, order)
-
-
-def power(base, exponent: int, one, mul=operator.mul):
-    """base to the power exponent >= 0 by repeated squaring, starting from
-    one and multiplying with mul; the one square-and-multiply loop of the
-    library, behind every power and __pow__."""
-    result = one
-    while exponent:
-        if exponent & 1:
-            result = mul(result, base)
-        exponent >>= 1
-        if exponent:
-            base = mul(base, base)
-    return result
 
 
 def galois_exponents(order: int) -> list[int]:

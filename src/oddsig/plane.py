@@ -12,23 +12,27 @@ every map, products included, is checked to be invertible.
 
 Smoothness is decided exactly: a curve is singular iff its three partial
 derivatives share a projective zero. The line z = 0 is checked through
-binary-form gcds; the affine chart z = 1 reduces to candidate x-values via
-pairwise resultants, cut out by a squarefree d, and the shared y-root above
-them is decided by the gcd in (K[x]/(d))[y] of polyring's splitting algebra.
-Each live chart partial becomes a y-list, a polynomial in y over K[x] as
-dense lists, exactly once; the resultants, the candidate gcd and the
-splitting algebra all run on those lists.
+binary-form gcds. Once it is clear, (0 : 1 : 0) is no common zero, so some
+partial has a y^(d-1) term: its chart polynomial f (z = 1) has y-degree
+n = d - 1 and a constant leading coefficient in y. For the other two chart
+partials g and h, R(x, u) = Res_y(f, g + u h) is at each x0 a constant
+times the product of g(x0, y_i) + u h(x0, y_i) over the n roots y_i of
+f(x0, y): a polynomial of degree at most n in u, zero for every u exactly
+when some y_i zeroes both g and h, and so zero for every u as soon as it
+vanishes at u = 0, ..., n. The affine chart is therefore decided by one
+gcd in K[x], of the partials free of y and of R(x, 0), ..., R(x, n): the
+elimination device behind the Extension Theorem (Cox, Little and O'Shea,
+Ideals, Varieties, and Algorithms, ch. 3). Each live chart partial becomes
+a y-list, a polynomial in y over K[x] as dense lists, exactly once.
 plane reaches polyring as a module, so a command that uses only maps, such
 as group-closure, never runs it.
-A zero resultant decides a shared chart factor by itself: by Bezout the
-factor's curve meets the third partial, off z = 0 once that line is
-cleared, so the curve is singular and no gcd over K[x][y] is needed.
 require_verdict_curve refuses, before any verdict, a curve outside the
 theorem: degree below 4 or above MAX_PLANE_DEGREE, or singular.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -37,6 +41,7 @@ from .errors import (
     BoundExceeded,
     GenusTooSmall,
     HypothesisViolation,
+    InternalInconsistency,
     NotAnIsomorphism,
     OrderMismatch,
     VariableCountMismatch,
@@ -290,50 +295,46 @@ def _binary_common_root(forms: list[polyring.SparsePoly]) -> bool:
 
 
 def has_common_affine_zero(polys: list[polyring.SparsePoly]) -> bool:
-    """Do the chart partials of one plane form share a zero over the
-    algebraic closure?
+    """Do polynomials in x and y share a zero over the algebraic closure?
 
-    Precondition: polys are the z = 1 dehomogenised partials of a form F,
-    and the partials have no common zero on the line z = 0 (is_smooth
-    checks that line first). A zero resultant answers True only because
-    of it; is_smooth is the caller."""
+    Precondition: some input has positive y-degree and a constant leading
+    coefficient in y; is_smooth meets it once the line z = 0 is clear. f is
+    the first such input of the highest y-degree n. With g_1, ..., g_k the
+    other inputs of positive y-degree, the pencil of the module docstring
+    becomes Res_y(f, g_1 + u g_2 + ... + u^(k-1) g_k), of degree at most
+    n(k - 1) in u; the chart partials have k <= 2 and take at most n + 1
+    resultants."""
     live = [p for p in polys if not p.is_zero()]
     if not live:
         return True
     if any(p.total_degree() == 0 for p in live):
         return False
-    if len(live) == 1:
-        return True
     ylists = [polyring.poly_as_ylists(p) for p in live]
-    ypos = [f for f in ylists if len(f) > 1]
-    candidates = [f[0] for f in ylists if len(f) == 1]
-    for i in range(len(ypos)):
-        for j in range(i + 1, len(ypos)):
-            res = polyring.resultant(ypos[i], ypos[j])
-            if not res:
-                # Res_y = 0: the two share a factor h of positive y-degree
-                # (Gauss's lemma over K(x)). Homogenised, h divides two of
-                # F_x, F_y, F_z, so by Bezout V(h) meets the third partial's
-                # curve in P^2 at a common zero of all three; the
-                # precondition puts it off z = 0, so it is affine.
-                return True
-            candidates.append(res)
-    d: list[CyclotomicElement] = []
-    for c in candidates:
-        d = polyring.uni_gcd(d, c) if d else polyring.uni_monic(c)
-        if len(d) == 1:
-            return False
-
-    def shared_y_root(m) -> bool:
-        # the gcd over K[x]/(m) is a unit exactly when no y-root is shared
-        g: list = []
-        for f in ypos:
-            g = polyring.mod_gcd(g, f, m)
-            if len(g) == 1:
+    constant_lead = [g for g in ylists if len(g) > 1 and len(g[-1]) == 1]
+    if not constant_lead:
+        raise InternalInconsistency("no input has positive y-degree and a constant leading coefficient in y")
+    f = max(constant_lead, key=len)
+    others = [g for g in ylists if len(g) > 1 and g is not f]
+    pencils = (_pencil(others, u) for u in range((len(f) - 1) * (len(others) - 1) + 1))
+    resultants = (polyring.resultant(f, pencil) for pencil in pencils if pencil)
+    d: list[CyclotomicElement] = []  # the gcd so far; [] is the zero polynomial
+    for c in itertools.chain((g[0] for g in ylists if len(g) == 1), resultants):
+        if c:
+            d = polyring.uni_gcd(d, c) if d else polyring.uni_monic(c)
+            if len(d) == 1:
                 return False
-        return True
+    return True
 
-    return any(polyring.mod_branches(shared_y_root, polyring.uni_squarefree(d)))
+
+def _pencil(ylists: list, u: int) -> list:
+    """The y-list sum of u^j * ylists[j], without zero top rows."""
+    out: list = []
+    for g in reversed(ylists):
+        out = [polyring.uni_add(polyring.uni_scale(a, u), b)
+               for a, b in itertools.zip_longest(out, g, fillvalue=[])]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def is_smooth(curve: PlaneCurve) -> bool:

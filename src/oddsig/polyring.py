@@ -17,17 +17,12 @@ poly_as_ylists turns a polynomial in x and y into a y-list, a list indexed
 by the degree in y of dense x-lists; the resultant takes two y-lists and
 returns Res_y as an x-list, eliminating y from the Sylvester matrix by
 fraction-free (Bareiss) elimination over K[x], each division by the previous
-pivot an exact uni_divmod.
+pivot an exact uni_divmod. plane.is_smooth decides the affine chart by the
+gcd of a pencil of such resultants, so no arithmetic over K[x]/(m) is needed.
 uni_gcd first runs uni_coprime_mod_p, which proves gcd(a, b) = 1 from the
 images in F_p[x] (Langemyr and McCallum, J. Symbolic Comput. 8, 1989) and
 never disproves it; Euclid runs only when it cannot. The list helpers read
 the field off their coefficients: zero is c - c, one is c ** 0.
-
-The splitting-algebra section is the one arithmetic for K[x]/(m), m
-squarefree, and serves only plane.is_smooth: reduce, multiply,
-inverse-or-split, the monic gcd of y-lists over K[x]/(m), and mod_branches,
-which splits m on a zero divisor and reruns on both factors (dynamic
-evaluation: Della Dora, Dicrescenzo and Duval, EUROCAL 1985).
 """
 
 from __future__ import annotations
@@ -403,8 +398,8 @@ def poly_to_uni(p: SparsePoly) -> list[CyclotomicElement]:
 def poly_as_ylists(p: SparsePoly) -> list[list[CyclotomicElement]]:
     """A nonzero p in x and y (variables 0 and 1) as a y-list, a polynomial
     in y over K[x]: a list indexed by the degree in y of trimmed dense
-    x-lists (zero rows are []). The resultant and plane.is_smooth's
-    splitting algebra both work on this layout."""
+    x-lists (zero rows are []). The resultant and plane.is_smooth's pencil
+    of resultants work on this layout."""
     if p.nvars != 2:
         raise VariableCountMismatch("y-lists take polynomials in exactly two variables")
     zero = CyclotomicElement.zero(p.order)
@@ -415,98 +410,6 @@ def poly_as_ylists(p: SparsePoly) -> list[list[CyclotomicElement]]:
             row.extend([zero] * (ex + 1 - len(row)))
         row[ex] = coeff
     return rows
-
-
-# the splitting algebra K[x]/(m) ---------------------------------------------
-# Dynamic evaluation: residues are dense lists reduced mod a squarefree m, and
-# polynomials over K[x]/(m) in a second variable y are lists of residues,
-# index = y-degree. Computing as if K[x]/(m) were a field either succeeds
-# uniformly over every root of m, or meets a zero divisor and raises Split
-# with a proper factor of m; mod_branches then reruns on the factor and the
-# cofactor.
-
-class Split(Exception):
-    """A zero divisor showed up; the modulus factors through .factor."""
-
-    def __init__(self, factor):
-        self.factor = factor
-
-
-def mod_reduce(p: Sequence[CyclotomicElement], m: Sequence[CyclotomicElement]) -> list[CyclotomicElement]:
-    if len(p) < len(m):
-        return uni_trim(list(p))  # already reduced: no division, no inverse
-    return uni_divmod(p, m)[1]
-
-
-def mod_mul(p, q, m) -> list[CyclotomicElement]:
-    if not p or not q:
-        return []
-    return mod_reduce(uni_mul(p, q), m)
-
-
-def mod_inverse(p, m) -> list[CyclotomicElement]:
-    """Inverse mod m, or Split when p is a zero divisor. p must be nonzero mod m."""
-    g, s = uni_xgcd(p, m)
-    if len(g) == 1:
-        return s
-    if len(g) < len(m):
-        raise Split(g)
-    raise InternalInconsistency("inverting zero residue")
-
-
-def split_modulus(m, factor) -> tuple[list[CyclotomicElement], list[CyclotomicElement]]:
-    """(factor, m / factor), both monic; the division must be exact."""
-    factor = uni_monic(factor)
-    cofactor, r = uni_divmod(m, factor)
-    if r:
-        raise InternalInconsistency("factor does not divide the modulus")
-    return factor, uni_monic(cofactor)
-
-
-def mod_strip(p, m) -> list[list[CyclotomicElement]]:
-    """The y-list p reduced mod m without the leading coefficients that
-    vanish mod m; Split when the leading one left is a zero divisor."""
-    p = [mod_reduce(row, m) for row in p]
-    while p and not p[-1]:
-        p.pop()
-    if p:
-        g = uni_gcd(p[-1], m)
-        if len(g) > 1:
-            raise Split(g)
-    return p
-
-
-def mod_gcd(a, b, m) -> list[list[CyclotomicElement]]:
-    """Monic gcd of the y-lists a and b over K[x]/(m); [] when both vanish
-    mod m. Raises Split on a zero divisor."""
-    a, b = mod_strip(a, m), mod_strip(b, m)
-    if not b:
-        a, b = b, a
-    while b:
-        inv = mod_inverse(b[-1], m)
-        bm = [mod_mul(row, inv, m) for row in b[:-1]] + [[m[-1] ** 0]]
-        r = a
-        while len(r) >= len(bm):
-            # subtract top * y^shift * bm; the monic leading terms cancel
-            top = r.pop()
-            shift = len(r) + 1 - len(bm)
-            for i, gi in enumerate(bm[:-1]):
-                r[i + shift] = mod_reduce(uni_sub(r[i + shift], uni_mul(top, gi)), m)
-            r = mod_strip(r, m)
-        a, b = bm, r
-    return a
-
-
-def mod_branches(fn, m):
-    """Yield fn(branch) over a splitting of m: fn runs on m and, when it
-    raises Split, on the factor and the cofactor instead."""
-    try:
-        value = fn(m)
-    except Split as split:
-        for part in split_modulus(m, split.factor):
-            yield from mod_branches(fn, part)
-        return
-    yield value
 
 
 # binary forms ---------------------------------------------------------------

@@ -34,6 +34,15 @@ def apply(a: ProjMap, point) -> tuple:
                  for row in a.entries)
 
 
+def power(a, k: int, one):
+    """a @ ... @ a (k >= 0 factors), starting from one, by k products: the
+    tests raise projective and cover maps to powers with this."""
+    out = one
+    for _ in range(k):
+        out = out @ a
+    return out
+
+
 def product(*factors: SparsePoly) -> SparsePoly:
     """The product of polynomials over one field in the same variables, term
     by term: SparsePoly is a term record with no ring arithmetic, and the

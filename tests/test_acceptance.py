@@ -7,7 +7,6 @@ for a point on a curve); everything else is exact.
 """
 
 import cmath
-import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -29,7 +28,7 @@ from oddsig.descent import (
     CYCLE,
 )
 from oddsig.errors import ImpossibleCase, NotAnIsomorphism
-from oddsig.exactnum import CyclotomicElement, common_order, power
+from oddsig.exactnum import CyclotomicElement, common_order
 from oddsig.matgroup import closure, element_order
 from oddsig.plane import PlaneCurve, ProjMap, is_automorphism, is_smooth
 from oddsig.polyring import SparsePoly, distinct_root_count
@@ -40,8 +39,8 @@ from oddsig.ramify import (
     signature,
 )
 from oddsig.superell import QGonalMap, qgonal_real_descent, rotation_map
-from oracles import (PLANE_QUARTIC_STRATA, defect_twist_map, exceptional_qgonal_rows, product,
-                     to_complex)
+from oracles import (PLANE_QUARTIC_STRATA, defect_twist_map, exceptional_qgonal_rows, power,
+                     product, to_complex)
 
 numpy = pytest.importorskip("numpy")
 
@@ -277,8 +276,7 @@ def test_criterion_05_odd_signature_sweep():
 def closed_form_defect(twist, rotation, k):
     """twist^(2k+1) rotation^(2k+1), the cocycle defect at rotation^k."""
     one = QGonalMap.identity(twist.order)
-    return (power(twist, 2 * k + 1, one, operator.matmul)
-            @ power(rotation, 2 * k + 1, one, operator.matmul))
+    return power(twist, 2 * k + 1, one) @ power(rotation, 2 * k + 1, one)
 
 
 def test_criterion_06_qgonal_real_descent_parity():

@@ -265,17 +265,17 @@ def test_curves_outside_the_theorem_exit_2(tmp_path, capsys):
     assert code == 2 and "singular" in err
 
 
-def test_singular_curve_through_a_split_modulus_exits_2(tmp_path, monkeypatch, capsys):
+def test_singular_curve_runs_its_whole_pencil_and_exits_2(tmp_path, monkeypatch, capsys):
     """(x^2 - z^2)^2 + (y + z)^2 (x^2 + xy - xz + yz) is singular at
-    (+-1 : -1 : 1). Its three chart resultants are nonzero, so is_smooth
-    decides it by dynamic evaluation, which splits the modulus."""
-    splits, original = [], polyring.split_modulus
+    (+-1 : -1 : 1). Every gcd of the pencil's resultants keeps the roots
+    x = +-1, so is_smooth runs all d = 4 of them before it refuses the curve."""
+    results, original = [], polyring.resultant
 
-    def spy(m, factor):
-        splits.append((m, factor))
-        return original(m, factor)
+    def spy(f, g):
+        results.append(original(f, g))
+        return results[-1]
 
-    monkeypatch.setattr(polyring, "split_modulus", spy)
+    monkeypatch.setattr(polyring, "resultant", spy)
     x2_minus_z2 = SparsePoly.build(1, 3, [(1, (2, 0, 0)), (-1, (0, 0, 2))])
     y_plus_z = SparsePoly.build(1, 3, [(1, (0, 1, 0)), (1, (0, 0, 1))])
     quadric = SparsePoly.build(1, 3, [(1, (2, 0, 0)), (1, (1, 1, 0)), (-1, (1, 0, 1)), (1, (0, 1, 1))])
@@ -286,7 +286,7 @@ def test_singular_curve_through_a_split_modulus_exits_2(tmp_path, monkeypatch, c
     path.write_text(json.dumps(serialize.to_document(PlaneCurve(form))), encoding="utf-8")
     code, out, err = run(capsys, "signature", "--curve", str(path), "--group", fx("quartic_s4_gens"))
     assert code == 2 and out == "" and "plane curve is singular" in err
-    assert splits
+    assert len(results) == 4
 
 
 def test_cover_document_refusals_keep_their_exit_code_and_message(tmp_path, capsys):
@@ -357,6 +357,30 @@ def test_long_generator_list_is_refused_before_any_automorphism_check(tmp_path, 
         group = tmp_path / f"{name}.json"
         group.write_text(json.dumps({"kind": "group", "generators": generators}), encoding="utf-8")
         code, out, err = run(capsys, "signature", "--curve", fx("klein_quartic"), "--group", str(group))
+        assert code == 3 and out == "" and err.startswith("resource bound exceeded"), name
+        assert checks == [], name
+
+
+def test_long_aut_list_is_refused_before_any_isomorphism_check(tmp_path, monkeypatch, capsys):
+    """descend-real applies closure's generator-count bound before it checks
+    the isomorphism or any --aut generator: nine copies of the bielliptic
+    involution exit 3 with no check, and so do they behind a map that is no
+    automorphism, which exits 3 rather than 2."""
+    from oddsig import plane
+    nu = json.loads(Path(fx("bielliptic_quartic_nu")).read_text(encoding="utf-8"))["generators"][0]
+    not_an_automorphism = json.loads(Path(fx("sign_flip_x")).read_text(encoding="utf-8"))
+    checks, real = [], plane.is_isomorphism_onto
+
+    def spy(source, target, mapping):
+        checks.append(mapping)
+        return real(source, target, mapping)
+
+    monkeypatch.setattr(plane, "is_isomorphism_onto", spy)
+    for name, generators in (("nine", [nu] * 9), ("mixed", [not_an_automorphism] + [nu] * 8)):
+        group = tmp_path / f"{name}.json"
+        group.write_text(json.dumps({"kind": "group", "generators": generators}), encoding="utf-8")
+        code, out, err = run(capsys, "descend-real", "--curve", fx("bielliptic_quartic"),
+                             "--mu", fx("bielliptic_quartic_mu"), "--aut", str(group))
         assert code == 3 and out == "" and err.startswith("resource bound exceeded"), name
         assert checks == [], name
 

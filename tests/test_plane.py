@@ -1,4 +1,3 @@
-import operator
 import random
 from fractions import Fraction
 
@@ -6,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oddsig import plane, polyring, serialize
-from oddsig.errors import (NotAnIsomorphism, OrderMismatch, SchemaError,
+from oddsig.errors import (InternalInconsistency, NotAnIsomorphism, OrderMismatch, SchemaError,
                            VariableCountMismatch, ZeroPolynomial)
-from oddsig.exactnum import CyclotomicElement, cyclotomic_polynomial, euler_phi, power
+from oddsig.exactnum import CyclotomicElement, cyclotomic_polynomial, euler_phi
 from oddsig.plane import (PlaneCurve, ProjMap, _canonical, has_common_affine_zero,
                           is_automorphism, is_isomorphism_onto, is_smooth, matrix_product,
                           require_isomorphism)
@@ -74,9 +73,8 @@ def test_projmap_compose_inverse_power():
             v[0] = rational(4, 1)
         assert proj_equal(apply(a @ b, v), apply(a, apply(b, v)))
         assert (a @ a.inverse()).is_identity()
-        one = ProjMap.identity(4)
-        assert power(a, 3, one, operator.matmul) == a @ a @ a
-        assert power(a.inverse(), 2, one, operator.matmul) == (a.inverse()) @ (a.inverse())
+        assert (a @ a) @ a == a @ (a @ a)
+        assert (a @ b).inverse() == b.inverse() @ a.inverse()
 
 
 def test_projmap_validation():
@@ -367,32 +365,69 @@ def test_has_common_affine_zero_basics():
 
 
 def test_has_common_affine_zero_constraint_branches():
+    # each case leads with y^2 - 1, whose constant leading coefficient in y
+    # the pencil needs; x^2 - 2 is free of y and starts the gcd
     x2_minus_2 = biv(1, [(1, (2, 0)), (-2, (0, 0))])
-    # (x^2 - 3) y - 1: invertible multiplier over the branch, zero exists
+    y2_minus_1 = biv(1, [(1, (0, 2)), (-1, (0, 0))])
+    # (x^2 - 3) y - 1 is -y - 1 above both roots of x^2 - 2: zero at y = -1
     p = biv(1, [(1, (2, 1)), (-3, (0, 1)), (-1, (0, 0))])
-    assert has_common_affine_zero([x2_minus_2, p])
-    # (x^2 - 2) y - 1: degenerates to -1 over every root of the modulus
+    assert has_common_affine_zero([y2_minus_1, x2_minus_2, p])
+    # (x^2 - 2) y - 1 is -1 above both roots of x^2 - 2
     q = biv(1, [(1, (2, 1)), (-2, (0, 1)), (-1, (0, 0))])
-    assert not has_common_affine_zero([x2_minus_2, q])
+    assert not has_common_affine_zero([y2_minus_1, x2_minus_2, q])
     # xy - 1 with x = 0 forced
     assert not has_common_affine_zero([
+        y2_minus_1,
         biv(1, [(1, (1, 1)), (-1, (0, 0))]),
         biv(1, [(1, (1, 0))]),
     ])
-    # (x^2 - 2) y vanishes identically over both roots of x^2 - 2: every y is shared
-    assert has_common_affine_zero([x2_minus_2, biv(1, [(1, (2, 1)), (-2, (0, 1))])])
+    # (x^2 - 2) y vanishes identically above both roots of x^2 - 2
+    assert has_common_affine_zero([y2_minus_1, x2_minus_2, biv(1, [(1, (2, 1)), (-2, (0, 1))])])
 
 
 def test_has_common_affine_zero_modulus_splitting():
-    # modulus x^2 - 1 splits; (x - 1) y - 1 is a zero divisor times y minus one
+    # x^2 - 1 with (x - 1) y - 1: a zero (-1, -1/2), which 2y + 1 passes through
     x2_minus_1 = biv(1, [(1, (2, 0)), (-1, (0, 0))])
     p = biv(1, [(1, (1, 1)), (-1, (0, 1)), (-1, (0, 0))])
-    assert has_common_affine_zero([x2_minus_1, p])
-    # same shape but no branch survives
-    dead = biv(1, [(1, (2, 0)), (-1, (1, 0))])  # x^2 - x = x(x-1)
-    q = biv(1, [(1, (1, 1)), (-1, (0, 0))])     # xy - 1: dies at x=0
-    r = biv(1, [(1, (1, 1)), (-1, (0, 1)), (-1, (0, 0))])  # (x-1)y - 1: dies at x=1
-    assert not has_common_affine_zero([dead, q, r])
+    assert has_common_affine_zero([biv(1, [(2, (0, 1)), (1, (0, 0))]), x2_minus_1, p])
+    # x^2 - x with xy - 1 (no zero at x = 0) and (x - 1) y - 1 (none at x = 1)
+    dead = biv(1, [(1, (2, 0)), (-1, (1, 0))])
+    q = biv(1, [(1, (1, 1)), (-1, (0, 0))])
+    r = biv(1, [(1, (1, 1)), (-1, (0, 1)), (-1, (0, 0))])
+    assert not has_common_affine_zero([biv(1, [(1, (0, 1)), (-1, (0, 0))]), dead, q, r])
+
+
+def test_has_common_affine_zero_refuses_inputs_without_a_pencil_lead():
+    # no input of positive y-degree has a constant leading coefficient in y
+    with pytest.raises(InternalInconsistency):
+        has_common_affine_zero([biv(1, [(1, (2, 0)), (-2, (0, 0))]),
+                                biv(1, [(1, (1, 1)), (-1, (0, 0))])])
+
+
+def resultant_spy(monkeypatch):
+    results, original = [], polyring.resultant
+
+    def spy(f, g):
+        results.append(original(f, g))
+        return results[-1]
+
+    monkeypatch.setattr(polyring, "resultant", spy)
+    return results
+
+
+def test_pencil_needs_its_third_resultant(monkeypatch):
+    # f = y^2 - 1, g = x + y - 1, h = y + 3: R(x, u) = (x + 4u)(x - 2 + 2u) up
+    # to a constant; R(x, 0) and R(x, 1) share x = 0, and only R(x, 2) clears it
+    f = biv(1, [(1, (0, 2)), (-1, (0, 0))])
+    g = biv(1, [(1, (1, 0)), (1, (0, 1)), (-1, (0, 0))])
+    h = biv(1, [(1, (0, 1)), (3, (0, 0))])
+    results = resultant_spy(monkeypatch)
+    assert not has_common_affine_zero([f, g, h])
+    assert len(results) == 3
+    # with h = g every R(x, u) is (1 + u)^2 x (x - 2): zeros (0, 1) and (2, -1)
+    results.clear()
+    assert has_common_affine_zero([f, g, g])
+    assert len(results) == 3
 
 
 def chart_partials(form):
@@ -412,17 +447,12 @@ def test_has_common_affine_zero_shared_factor_split():
 
 
 def test_is_smooth_leaves_through_a_zero_resultant(monkeypatch):
-    # 3x^3 y - 2y^3 z: the chart partials 9x^2 y and -2y^3 share the factor y
-    results = []
-    original = polyring.resultant
-
-    def spy(f, g):
-        results.append(original(f, g))
-        return results[-1]
-
-    monkeypatch.setattr(polyring, "resultant", spy)
+    # 3x^3 y - 2y^3 z: the pencil leads with the chart partial -2y^3, and its
+    # first member 9x^2 y shares the factor y, so R(x, 0) = 0; the loop goes
+    # on through R(x, 1), ..., R(x, 3), which all vanish at x = 0
+    results = resultant_spy(monkeypatch)
     assert not is_smooth(PlaneCurve(P(1, 3, [(3, (3, 1, 0)), (-2, (0, 3, 1))])))
-    assert [r == [] for r in results] == [False, True]
+    assert [r == [] for r in results] == [True, False, False, False]
 
 
 def test_has_common_affine_zero_resultant_path():

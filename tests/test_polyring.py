@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
 
 from oddsig import polyring, serialize
 from oddsig.errors import (BoundExceeded, InternalInconsistency, SchemaError,
@@ -531,8 +530,7 @@ def test_xgcd_cofactor_inverts_modulo_b():
 
 def test_list_layer_takes_no_order():
     names = ["uni_add", "uni_sub", "uni_mul", "uni_divmod", "uni_gcd", "uni_xgcd", "uni_squarefree",
-             "uni_coprime_mod_p", "mod_reduce", "mod_mul", "mod_inverse", "split_modulus",
-             "mod_strip", "mod_gcd", "mod_branches", "_bareiss_det"]
+             "uni_coprime_mod_p", "_bareiss_det"]
     functions = [getattr(polyring, name) for name in names]
     for fn in functions:
         assert "order" not in inspect.signature(fn).parameters, fn.__name__
@@ -554,108 +552,3 @@ def test_uni_gcd_matches_euclid_without_the_certificate(monkeypatch):
     monkeypatch.setattr(polyring, "uni_coprime_mod_p", lambda a, b: False)
     assert with_certificate == [uni_gcd(a, b) for a, b in pairs]
     assert sum(len(g) > 1 for g in with_certificate) >= 15
-
-
-# the splitting algebra K[x]/(m) --------------------------------------------
-
-def from_roots(roots, order):
-    out = [Cyc.one(order)]
-    for r in roots:
-        out = polyring.uni_mul(out, [-r, Cyc.one(order)])
-    return out
-
-
-def at(p, r, order):
-    """The dense x-polynomial p evaluated at r."""
-    acc = Cyc.zero(order)
-    for c in reversed(p):
-        acc = acc * r + c
-    return acc
-
-
-def y_mul(a, b, order):
-    out = [[] for _ in range(len(a) + len(b) - 1)] if a and b else []
-    for i, p in enumerate(a):
-        for j, q in enumerate(b):
-            out[i + j] = polyring.uni_add(out[i + j], polyring.uni_mul(p, q))
-    return out
-
-
-@st.composite
-def split_gcd_cases(draw):
-    """Distinct roots r_i in Q(zeta_N) and y-lists a, b whose leading
-    coefficients vanish at some r_i and which share a factor at some r_i."""
-    order = draw(st.sampled_from((1, 3, 4)))
-    phi = len(Cyc.zero(order).coords)
-    ints = st.integers(-2, 2)
-    roots = draw(st.lists(st.lists(ints, min_size=phi, max_size=phi).map(lambda v: Cyc(order, v)),
-                          min_size=1, max_size=3, unique_by=lambda r: r.coords))
-    xpoly = st.lists(ints, min_size=0, max_size=2).map(
-        lambda v: polyring.uni_trim([Cyc.from_rational(c, order) for c in v]))
-
-    def ylist():
-        rows = draw(st.lists(xpoly, min_size=1, max_size=3))
-        vanish = draw(st.lists(st.sampled_from(roots), max_size=2))
-        rows[-1] = polyring.uni_mul(rows[-1] or [Cyc.one(order)], from_roots(vanish, order))
-        return rows
-
-    a, b = ylist(), ylist()
-    if draw(st.booleans()):
-        # a common factor y - c(x), or a common x-factor vanishing at some roots
-        common = draw(st.sampled_from(([draw(xpoly), [Cyc.one(order)]],
-                                       [from_roots(draw(st.lists(st.sampled_from(roots), max_size=2)), order)])))
-        a, b = y_mul(a, common, order), y_mul(b, common, order)
-    return order, roots, a, b
-
-
-@settings(max_examples=60, deadline=None)
-@given(split_gcd_cases())
-def test_mod_gcd_over_the_branches_matches_gcds_at_the_roots(case):
-    order, roots, a, b = case
-    expected = sum(len(uni_gcd(polyring.uni_trim([at(row, r, order) for row in a]),
-                               polyring.uni_trim([at(row, r, order) for row in b]))) - 1
-                   for r in roots)
-    m = from_roots(roots, order)
-    # a branch of degree k stands for k roots that share the gcd's y-degree
-    branches = list(polyring.mod_branches(
-        lambda part: (len(part) - 1, len(polyring.mod_gcd(a, b, part)) - 1), m))
-    assert sum(k for k, _ in branches) == len(roots)
-    assert sum(k * degree for k, degree in branches) == expected
-
-
-def test_split_exactly_on_a_proper_zero_divisor():
-    one = Cyc.one(1)
-    roots = [Cyc.from_rational(v, 1) for v in (1, 2, 3)]
-    m = from_roots(roots, 1)
-    for mask in range(8):
-        vanish = [r for k, r in enumerate(roots) if mask >> k & 1]
-        lead = polyring.uni_mul(from_roots(vanish, 1), [Cyc.from_rational(-5, 1), one])
-        p = [[one], lead]                                  # 1 + lead(x) y
-        if 0 < len(vanish) < 3:
-            for call in (lambda: polyring.mod_strip(p, m),
-                         lambda: polyring.mod_gcd(p, [[one], [one]], m),
-                         lambda: polyring.mod_inverse(polyring.mod_reduce(lead, m), m)):
-                with pytest.raises(polyring.Split) as info:
-                    call()
-                assert info.value.factor == from_roots(vanish, 1)
-        else:
-            # a unit stays the leader; a leader that vanishes on all of m is dropped
-            assert len(polyring.mod_strip(p, m)) == (1 if vanish else 2)
-            if not vanish:
-                inv = polyring.mod_inverse(lead, m)
-                assert polyring.mod_mul(lead, inv, m) == [one]
-        # mod_branches reruns on the factor and the cofactor: y-degree 0 above
-        # the roots where the leader vanishes, 1 above the others
-        degrees = polyring.mod_branches(
-            lambda part: (len(part) - 1) * (len(polyring.mod_strip(p, part)) - 1), m)
-        assert sum(degrees) == 3 - len(vanish)
-
-
-def test_split_modulus_checks_the_cofactor():
-    one = Cyc.one(1)
-    m = from_roots([one, Cyc.from_rational(2, 1)], 1)
-    factor, cofactor = polyring.split_modulus(m, [Cyc.from_rational(-2, 1), Cyc.from_rational(2, 1)])
-    assert factor == from_roots([one], 1) and cofactor == from_roots([Cyc.from_rational(2, 1)], 1)
-    with pytest.raises(InternalInconsistency):
-        polyring.split_modulus(m, from_roots([Cyc.from_rational(3, 1)], 1))
-

@@ -158,13 +158,6 @@ def test_constant_eigenvalue_modulus_is_typed(monkeypatch):
         fixed_point_count(curve, g)
 
 
-def test_zero_residue_inverse_is_typed():
-    # m is a nonzero polynomial that is zero as a residue mod m
-    m = [CyclotomicElement.from_rational(c, 4) for c in (-1, 0, 1)]
-    with pytest.raises(InternalInconsistency):
-        polyring.mod_inverse(m, m)
-
-
 def test_negative_stabilizer_count_is_typed(monkeypatch):
     # |Fix| = |<g>| makes the count of the order-2 subgroup inside C4 negative
     monkeypatch.setattr(ramify, "fixed_point_count",

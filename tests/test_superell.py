@@ -1,5 +1,4 @@
 import json
-import operator
 import random
 import time
 from fractions import Fraction
@@ -20,7 +19,7 @@ from oddsig.errors import (
     SchemaError,
     ShapeViolation,
 )
-from oddsig.exactnum import CyclotomicElement as Cyc, common_order, euler_phi, power
+from oddsig.exactnum import CyclotomicElement as Cyc, common_order, euler_phi
 from oddsig.polyring import (MAX_DEGREE, _split_prime, uni_add, uni_coprime_mod_p, uni_derivative,
                              uni_divmod, uni_mul, uni_trim)
 from oddsig.ramify import Signature, is_odd_signature
@@ -40,7 +39,7 @@ from oddsig.superell import (
     qgonal_signature,
     rotation_map,
 )
-from oracles import defect_twist_map, exceptional_qgonal_rows, to_complex
+from oracles import defect_twist_map, exceptional_qgonal_rows, power, to_complex
 
 
 def U(order, coeffs):
@@ -49,7 +48,7 @@ def U(order, coeffs):
 
 
 def map_power(phi, k):
-    return power(phi, k, QGonalMap.identity(phi.order), operator.matmul)
+    return power(phi, k, QGonalMap.identity(phi.order))
 
 
 def mobius(phi):

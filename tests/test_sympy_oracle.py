@@ -10,7 +10,7 @@ import pytest
 
 from oddsig.errors import NotSquarefree
 from oddsig.exactnum import CyclotomicElement, cyclotomic_polynomial
-from oddsig.plane import PlaneCurve, ProjMap, is_smooth
+from oddsig.plane import PlaneCurve, ProjMap, has_common_affine_zero, is_smooth
 from oddsig.polyring import (SparsePoly, distinct_root_count, poly_as_ylists, resultant,
                              uni_coprime_mod_p, uni_derivative)
 from oddsig.serialize import parse_input
@@ -96,8 +96,7 @@ def test_resultant_matches_sympy():
     """Res_y(f, g) is the determinant of sympy's Sylvester matrix and agrees
     with sympy.resultant up to sign (which sympy gets wrong for some degree-1
     inputs, e.g. y(x - 3) against y^3 + 3xy^2 - 3y - 3x); it is zero exactly
-    when gcd(f, g) has positive y-degree, the rule is_smooth reads a zero
-    resultant by."""
+    when gcd(f, g) has positive y-degree."""
     from sympy.polys.matrices import DomainMatrix
     from sympy.polys.subresultants_qq_zz import sylvester
 
@@ -195,8 +194,85 @@ def test_is_smooth_matches_sympy_groebner():
             if any(coeffs):
                 curves.append(quartic_from_orbits(coeffs, perms))
                 drawn += 1
+    curves += planted_curves(random.Random(4100))
     verdicts = [is_smooth(curve) for curve in curves]
     assert verdicts == [not sympy_singular(curve) for curve in curves]
     assert verdicts[13:19] == [True, True, False, False, False, False]
-    assert True in verdicts[19:] and False in verdicts[19:]
+    assert True in verdicts[19:39] and False in verdicts[19:39]
+    assert verdicts[39:] == [False, False, True, True] * 3
 
+
+def planted_curves(rng):
+    """Curves of degree 5, 6 and 5: x^d + y^d + z^d plus three drawn terms.
+    A singular point is planted off z = 0 by dropping z^d, x z^(d-1) and
+    y z^(d-1), so (0 : 0 : 1) is singular, and x -> x + z moves it to
+    (-1 : 0 : 1); another on z = 0 by dropping x^d, x^(d-1) y and
+    x^(d-1) z, so (1 : 0 : 0) is singular. Their neighbours keep z^d and
+    x^d, which takes the point off the curve."""
+    one, zero = CyclotomicElement.one(1), CyclotomicElement.zero(1)
+    shear = [[one, zero, one], [zero, one, zero], [zero, zero, one]]
+    curves = []
+    for d in (5, 6, 5):
+        monomials = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+        terms = {(d, 0, 0): 1, (0, d, 0): 1, (0, 0, d): 1}
+        for e in rng.sample(monomials, 3):
+            terms[e] = rng.choice((-2, -1, 1, 2))
+        off = {(0, 0, d), (1, 0, d - 1), (0, 1, d - 1)}
+        on = {(d, 0, 0), (d - 1, 1, 0), (d - 1, 0, 1)}
+        for dropped, sheared in ((off, True), (on, False), (off - {(0, 0, d)}, True), (on - {(d, 0, 0)}, False)):
+            poly = SparsePoly.build(1, 3, [(c, e) for e, c in terms.items() if e not in dropped])
+            curves.append(PlaneCurve(poly.substitute_linear(shear) if sheared else poly))
+    return curves
+
+
+
+def test_has_common_affine_zero_matches_sympy_groebner():
+    """Drawn triples (f, g, h) over Q(zeta_N), N in {1, 3, 4}, where f has a
+    constant leading coefficient in y, against the Groebner basis of
+    (f, g, h, Phi_N(w)) in x, y, w: the three share a zero over the closure
+    exactly when the basis is not [1]. Every third triple has a planted
+    common zero at a point with coordinates in Q(zeta_N)."""
+    x, y, w = sympy.symbols("x y w")
+    rng = random.Random(7919)
+
+    def element(order, scale=2):
+        phi = len(CyclotomicElement.zero(order).coords)
+        return CyclotomicElement(order, [rng.randint(-scale, scale) if k < 2 else 0 for k in range(phi)])
+
+    def value(c):
+        return sum(sympy.Rational(q.numerator, q.denominator) * w**k for k, q in enumerate(c.coords))
+
+    def expr(p):
+        return sum(value(c) * x**e[0] * y**e[1] for e, c in p.terms.items())
+
+    def at(p, point):
+        total = CyclotomicElement.zero(p.order)
+        for (i, j), c in p.terms.items():
+            total = total + c * point[0] ** i * point[1] ** j
+        return total
+
+    def draw(order, y_degree, lead):
+        """Terms x^i y^j, i <= 2, below y^y_degree, topped by a constant
+        times y^y_degree when lead is set."""
+        items = [(element(order), (i, j)) for j in range(y_degree + (0 if lead else 1))
+                 for i in range(3) if rng.random() < 0.4]
+        if lead:
+            items.append((rng.choice((1, -1, 2)), (0, y_degree)))
+        return SparsePoly.build(order, 2, items)
+
+    verdicts = []
+    for k in range(210):
+        order = (1, 3, 4)[k // 3 % 3]
+        f = draw(order, rng.randint(1, 3), lead=True)
+        g, h = draw(order, rng.randint(0, 2), lead=False), draw(order, rng.randint(0, 2), lead=False)
+        if k % 3 == 0:
+            point = (element(order, 1), element(order, 1))
+            f, g, h = (SparsePoly.build(order, 2, [(c, e) for e, c in p.terms.items()] + [(-at(p, point), (0, 0))])
+                       for p in (f, g, h))
+        extra = [sum(sympy.Rational(c.numerator, c.denominator) * w**e
+                     for e, c in enumerate(cyclotomic_polynomial(order)))] if order > 1 else []
+        basis = sympy.groebner([expr(p) for p in (f, g, h)] + extra, x, y, w, order="grevlex")
+        expected = list(basis.exprs) != [1]
+        assert has_common_affine_zero([f, g, h]) is expected, (order, f, g, h)
+        verdicts.append(expected)
+    assert sum(verdicts) >= 70 and verdicts.count(False) >= 70
