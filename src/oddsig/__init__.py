@@ -20,10 +20,10 @@ _EXPORTS = {
                 "family_rational_descent", "family_real_definability",
                 "weil_descent_order2"),
     "exactnum": ("CyclotomicElement", "common_order", "euler_phi"),
-    "matgroup": ("DEFAULT_BOUND", "closure", "element_order"),
+    "matgroup": ("DEFAULT_BOUND", "closure"),
     "plane": ("PlaneCurve", "ProjMap", "is_automorphism", "is_smooth",
               "require_isomorphism"),
-    "polyring": ("SparsePoly", "distinct_root_count"),
+    "polyring": ("SparsePoly",),
     "ramify": ("Signature", "fixed_point_count", "is_odd_signature",
                "odd_signature_verdict", "signature"),
     "serialize": ("InputDocument", "parse_input", "to_document"),

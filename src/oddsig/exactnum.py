@@ -16,13 +16,18 @@ equal orders (use lift_to / common_order to move into a larger field).
 
 Galois automorphisms of Q(zeta_N) are the maps zeta |-> zeta^k with
 gcd(k, N) = 1; k = -1 is complex conjugation.
+
+No other module reads `num` or `den`: they ask is_integral, or reduce to
+F_p through split_prime and residues (zeta |-> w), the images that
+polyring's gcd certificate runs on.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from operator import mul
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (BoundExceeded, InternalInconsistency, InvalidExponent, NotASubfield,
                      OrderMismatch)
@@ -36,8 +41,8 @@ _PHI_CACHE: dict[int, int] = {}
 
 def _factorize(n: int) -> list[tuple[int, int]]:
     """The (prime, exponent) pairs of n >= 1 by trial division, primes
-    increasing; the one factoriser behind euler_phi, _mobius and
-    polyring's split primes."""
+    increasing; the one factoriser behind euler_phi, _mobius and the split
+    primes."""
     out, p = [], 2
     while p * p <= n:
         if n % p == 0:
@@ -272,6 +277,10 @@ class CyclotomicElement:
     def is_one(self) -> bool:
         return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
+    def is_integral(self) -> bool:
+        """True when the element lies in Z[zeta_N], the ring of integers."""
+        return self.den == 1
+
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
@@ -445,3 +454,48 @@ def galois_exponents(order: int) -> list[int]:
 
 def common_order(*orders: int) -> int:
     return math.lcm(*orders) if orders else 1
+
+
+# reduction to F_p --------------------------------------------------------------
+
+# (p, w, the powers w^i mod p for i < phi(order)), built on first use of the order
+_SPLIT_PRIMES: dict[int, tuple[int, int, tuple[int, ...]]] = {}
+
+
+def split_prime(order: int) -> tuple[int, int]:
+    """The first prime p = 1 (mod order) above 2^31, and an element w of
+    exact order `order` in F_p, so a root of Phi_order mod p: zeta |-> w is
+    a ring map from Z[zeta][1/den] onto F_p for every den prime to p."""
+    cached = _SPLIT_PRIMES.get(order)
+    if cached is None:
+        p = (2**31 // order + 1) * order + 1
+        while not is_prime(p):
+            p += order
+        factors = [r for r, _ in _factorize(order)]
+        h = 2
+        while True:
+            w = pow(h, (p - 1) // order, p)
+            if all(pow(w, order // r, p) != 1 for r in factors):
+                break
+            h += 1
+        powers = tuple(pow(w, i, p) for i in range(euler_phi(order)))
+        cached = _SPLIT_PRIMES[order] = p, w, powers
+    return cached[:2]
+
+
+def residues(elements: Sequence[CyclotomicElement]) -> Optional[list[int]]:
+    """The images in F_p of elements of one field Q(zeta_N) under zeta |-> w,
+    with (p, w) = split_prime(N); None when p divides a denominator."""
+    if not elements:
+        return []
+    order = elements[0].order
+    p, _ = split_prime(order)
+    powers = _SPLIT_PRIMES[order][2]
+    out = []
+    for e in elements:
+        if e.order != order:
+            raise OrderMismatch(f"orders {order} and {e.order} differ; lift first")
+        if e.den % p == 0:
+            return None
+        out.append(sum(map(mul, e.num, powers)) * pow(e.den, -1, p) % p)
+    return out

@@ -2,17 +2,19 @@
 
 closure returns a FiniteGroup: a sequence of ProjMap values in the order
 breadth-first closure discovers them, so reports stay deterministic, with
-the identity at index 0. Alongside the elements it keeps the lifted
-generators and integer tables for the product and the inverse, filled from
-the products closure computes anyway. Element orders, cyclic subgroups and
-conjugation are integer work on those tables; only closure multiplies
-maps. element_order raises the stored representative to powers with the
-same sparse product, unnormalized, to read off the scalar A^n = c * I.
-Closure refuses a generator that fails a necessary test for finite order
-before it multiplies anything, and refuses to grow past a configurable
-bound instead of looping on an infinite group that passes the test; before
-either, it refuses more generators than that bound needs, through
-require_closure_work, which a caller that checks each generator runs first.
+the identity at index 0. Alongside the elements it keeps the index of each
+lifted generator and integer tables for the product and the inverse, filled
+from the products closure computes anyway. Cyclic subgroups and conjugation
+are integer work on those tables; only closure multiplies maps.
+element_order, which no library path calls, raises the stored
+representative to powers with the same sparse product, unnormalized, to
+read off the scalar A^n = c * I. Closure refuses a generator that fails a
+necessary test for finite order (integrality through
+CyclotomicElement.is_integral, and a trace bound) before it multiplies
+anything, and refuses to grow past a configurable bound instead of looping
+on an infinite group that passes the test; before either, it refuses more
+generators than that bound needs, through require_closure_work, which a
+caller that checks each generator runs first.
 """
 
 from __future__ import annotations
@@ -59,10 +61,6 @@ class FiniteGroup(Sequence):
     def __iter__(self):
         return iter(self.elements)
 
-    @property
-    def generators(self) -> list[ProjMap]:
-        return [self.elements[i] for i in self.gens]
-
 
 def _require_finite_order(a: ProjMap) -> None:
     """Refuse a map that fails a necessary test for finite order in PGL_3.
@@ -74,8 +72,9 @@ def _require_finite_order(a: ProjMap) -> None:
     and e2(B) = e3(B) * sum(1/beta) = conj(tr B). Each of the phi(N)
     embeddings of tr B is a sum of three roots of unity, of absolute value
     at most 3, so Tr_{K/Q}(tr B * conj(tr B)) <= 9 phi(N). The test reads
-    the raw B: canonical scaling would change its coefficients. A unipotent
-    map passes it, and the closure bound stops that one."""
+    the raw B: canonical scaling would change its coefficients. Integrality
+    is CyclotomicElement.is_integral, since Z[zeta_N] is the ring of integers.
+    A unipotent map passes the test, and the closure bound stops that one."""
     m = a.entries
     cube = matrix_product(matrix_product(m, m, a.order), m, a.order)
     scale = a.det().inverse()
@@ -83,7 +82,7 @@ def _require_finite_order(a: ProjMap) -> None:
     e1, e2, e3 = char_poly(b)
     size = e1.abs2()
     trace = sum(size.galois(k) for k in galois_exponents(a.order))
-    if (any(e.den != 1 for e in (e1, e2, e3)) or e2 != e1.conjugate()
+    if (not all(e.is_integral() for e in (e1, e2, e3)) or e2 != e1.conjugate()
             or trace.as_rational() > 9 * euler_phi(a.order)):
         raise HypothesisViolation("generator of infinite order: A^3 / det A fails "
                                   "the root-of-unity test on its characteristic polynomial")

@@ -8,7 +8,7 @@ substitute_linear, the pull-back F o A that plane.is_isomorphism_onto tests:
 it builds each power of a substituted linear form once, multiplies term
 dicts through _term_product, and sums into one dict. The algorithms
 run on one layer of univariate helpers (dense coefficient lists, low degree
-first): the gcd, squarefree and root-counting machinery, and the resultant.
+first): division, the gcd and the resultant.
 poly_to_uni is the one step from a one-variable SparsePoly into that layer,
 and no step leads back: superell holds a cover's f as a list from the start.
 The module reads no document: serialize holds a document term, and
@@ -21,14 +21,16 @@ pivot an exact uni_divmod. plane.is_smooth decides the affine chart by the
 gcd of a pencil of such resultants, so no arithmetic over K[x]/(m) is needed.
 uni_gcd first runs uni_coprime_mod_p, which proves gcd(a, b) = 1 from the
 images in F_p[x] (Langemyr and McCallum, J. Symbolic Comput. 8, 1989) and
-never disproves it; Euclid runs only when it cannot. The list helpers read
-the field off their coefficients: zero is c - c, one is c ** 0.
+never disproves it; Euclid runs only when it cannot. The images come from
+exactnum.split_prime and exactnum.residues, so this module never reads an
+element's numerators. The list helpers read the field off their
+coefficients: zero is c - c, one is c ** 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import (
     BoundExceeded,
@@ -37,7 +39,7 @@ from .errors import (
     VariableCountMismatch,
     ZeroPolynomial,
 )
-from .exactnum import CyclotomicElement, _factorize, as_element, euler_phi, is_prime
+from .exactnum import CyclotomicElement, as_element, residues, split_prime
 
 Coeff = Union[int, Fraction, CyclotomicElement]
 
@@ -284,54 +286,20 @@ def uni_gcd(a: Sequence[CyclotomicElement], b: Sequence[CyclotomicElement]) -> l
     return uni_monic(r0)
 
 
-_SPLIT_PRIMES: dict[int, tuple[int, int]] = {}
-
-
-def _split_prime(order: int) -> tuple[int, int]:
-    """The first prime p = 1 (mod order) above 2^31, and an element w of
-    exact order `order` in F_p, so a root of Phi_order mod p."""
-    cached = _SPLIT_PRIMES.get(order)
-    if cached is not None:
-        return cached
-    p = (2**31 // order + 1) * order + 1
-    while not is_prime(p):
-        p += order
-    factors = [r for r, _ in _factorize(order)]
-    h = 2
-    while True:
-        w = pow(h, (p - 1) // order, p)
-        if all(pow(w, order // r, p) != 1 for r in factors):
-            break
-        h += 1
-    _SPLIT_PRIMES[order] = p, w
-    return p, w
-
-
-def _reduce_mod_p(c: Sequence[CyclotomicElement], p: int, powers: list[int]) -> Optional[list[int]]:
-    """Image under zeta |-> w, or None when a denominator is divisible by p."""
-    out = []
-    for e in c:
-        if e.den % p == 0:
-            return None
-        out.append(sum(x * y for x, y in zip(e.num, powers)) * pow(e.den, -1, p) % p)
-    return out
-
-
 def uni_coprime_mod_p(a: Sequence[CyclotomicElement], b: Sequence[CyclotomicElement]) -> bool:
     """True proves gcd(a, b) = 1 in K[x], K = Q(zeta_N); False proves nothing.
 
-    zeta |-> w is a ring map from Z[zeta][1/den] onto F_p for every den prime
-    to p. When it keeps both leading coefficients it sends Res(a, b) to
-    Res(a mod p, b mod p), so a gcd of degree 0 in F_p[x] proves Res(a, b) != 0.
-    A denominator or leading coefficient divisible by p, or a common factor
-    mod p, returns False, and uni_gcd runs the Euclidean algorithm."""
+    exactnum.residues maps the coefficients to F_p by the ring map zeta |-> w
+    of exactnum.split_prime. When it keeps both leading coefficients it sends
+    Res(a, b) to Res(a mod p, b mod p), so a gcd of degree 0 in F_p[x] proves
+    Res(a, b) != 0. A denominator or leading coefficient divisible by p, or a
+    common factor mod p, returns False, and uni_gcd runs the Euclidean
+    algorithm."""
     a, b = uni_trim(list(a)), uni_trim(list(b))
     if not a or not b:
         return False
-    order = a[0].order
-    p, w = _split_prime(order)
-    powers = [pow(w, i, p) for i in range(euler_phi(order))]
-    r0, r1 = _reduce_mod_p(a, p, powers), _reduce_mod_p(b, p, powers)
+    p, _ = split_prime(a[0].order)
+    r0, r1 = residues(a), residues(b)
     if r0 is None or r1 is None or not r0[-1] or not r1[-1]:
         return False
     while len(r1) > 1:
@@ -367,20 +335,6 @@ def uni_xgcd(a: Sequence[CyclotomicElement], b: Sequence[CyclotomicElement]):
 
 def uni_derivative(a: Sequence[CyclotomicElement]) -> list[CyclotomicElement]:
     return uni_trim([a[i] * i for i in range(1, len(a))])
-
-
-def uni_squarefree(a: Sequence[CyclotomicElement]) -> list[CyclotomicElement]:
-    """Squarefree part a / gcd(a, a') in characteristic zero."""
-    a = uni_trim(list(a))
-    if not a:
-        raise ZeroPolynomial("zero polynomial has no squarefree part")
-    if len(a) == 1:
-        return uni_monic(a)
-    g = uni_gcd(a, uni_derivative(a))
-    q, r = uni_divmod(a, g)
-    if r:
-        raise InternalInconsistency("gcd(a, a') does not divide a")
-    return uni_monic(q)
 
 
 def poly_to_uni(p: SparsePoly) -> list[CyclotomicElement]:
@@ -421,21 +375,6 @@ def dehomogenize(poly: SparsePoly, var: int) -> SparsePoly:
         key = exps[:var] + exps[var + 1:]
         terms[key] = terms[key] + coeff if key in terms else coeff
     return SparsePoly(poly.order, poly.nvars - 1, terms)
-
-
-def distinct_root_count(form: SparsePoly) -> int:
-    """Number of distinct projective roots of a nonzero binary form."""
-    if form.nvars != 2:
-        raise VariableCountMismatch("binary form must have exactly two variables")
-    if form.is_zero():
-        raise ZeroPolynomial("zero form has no root count")
-    if not form.is_homogeneous():
-        raise ValueError("form must be homogeneous")
-    # root at [1:0] iff the second variable divides the form
-    min_y = min(e[1] for e in form.terms)
-    at_infinity = 1 if min_y >= 1 else 0
-    # finite roots [x:1]: distinct roots of form(x, 1)
-    return at_infinity + len(uni_squarefree(poly_to_uni(dehomogenize(form, 1)))) - 1
 
 
 # resultants -----------------------------------------------------------------

@@ -7,10 +7,12 @@ and h_{d-3} comes from the characteristic polynomial of A, so every quantity
 lies in Q(zeta_N) and no eigenvalue is ever computed. The formula needs a
 smooth curve; signature establishes that before it counts.
 
-signature assembles the quotient data. It always refuses, through
+signature assembles the quotient data. Its one input shape is a curve and
+a list of generators; it closes the group itself. It always refuses, through
 plane.require_verdict_curve, a curve that is singular or of degree outside
-4..MAX_PLANE_DEGREE, and checks that the generators of the group are
-automorphisms: the closure of automorphisms consists of automorphisms.
+4..MAX_PLANE_DEGREE, refuses more generators than closure takes through
+matgroup.require_closure_work, and checks that each generator is an
+automorphism: the closure of automorphisms consists of automorphisms.
 Conjugate elements have equally many fixed points, Fix(h g h^-1) = h Fix(g),
 so it counts fixed points once per conjugacy class of nontrivial cyclic
 subgroups, at the first generator of the class, and gives that count to every
@@ -109,29 +111,25 @@ def fixed_point_count(curve: plane.PlaneCurve, mapping: plane.ProjMap) -> int:
 
 # quotient signature -----------------------------------------------------------
 
-def signature(curve: plane.PlaneCurve, group: Sequence[plane.ProjMap]) -> Signature:
-    """Signature of the quotient of the curve by the given full group.
+def signature(curve: plane.PlaneCurve, generators: Sequence[plane.ProjMap]) -> Signature:
+    """Signature of the quotient of the curve by the group the generators
+    generate.
 
-    A FiniteGroup from closure is taken as it is; any other sequence is a
-    generating set, closed here after its elements are verified, and refused
-    by matgroup.require_closure_work before the first of them is. The curve
-    must pass plane.require_verdict_curve: smooth of degree 4 to
-    MAX_PLANE_DEGREE, where every automorphism is linear and the trace
-    formula of fixed_point_count holds."""
-    if len(group) == 0:
+    matgroup.require_closure_work refuses too many generators before the
+    first of them is verified as an automorphism; the verified list is then
+    closed by matgroup.closure. The curve must pass
+    plane.require_verdict_curve: smooth of degree 4 to MAX_PLANE_DEGREE,
+    where every automorphism is linear and the trace formula of
+    fixed_point_count holds."""
+    if len(generators) == 0:
         raise ValueError("empty group")
     plane.require_verdict_curve(curve)
-    if isinstance(group, matgroup.FiniteGroup):
-        generators = group.generators
-    else:
-        matgroup.require_closure_work(len(group))
-        generators = group
+    matgroup.require_closure_work(len(generators))
     for g in generators:
         ok, _ = plane.is_automorphism(curve, g)
         if not ok:
             raise NotAnAutomorphism("group element does not preserve the curve")
-    if not isinstance(group, matgroup.FiniteGroup):
-        group = matgroup.closure(group)
+    group = matgroup.closure(generators)
     size = len(group)
     genus_top = curve.genus()
     if size == 1:

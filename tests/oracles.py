@@ -3,9 +3,9 @@
 Independence rule: an oracle here recomputes what a library function
 computes by another route, and never calls the function it checks. It
 imports from oddsig only the value types it needs (CyclotomicElement,
-ProjMap, QGonalMap, Signature, SparsePoly) and their elementary operations. A
-catalogue here is data typed from the literature, kept beside the tests
-until the library can compute it.
+ProjMap, QGonalMap, Signature, SparsePoly), their elementary operations and
+polyring's list layer. A catalogue here is data typed from the literature,
+kept beside the tests until the library can compute it.
 
 pytest does not collect this file (it has no test_ prefix); the test
 modules import it from their own directory.
@@ -14,6 +14,8 @@ modules import it from their own directory.
 import cmath
 from math import isqrt
 
+from oddsig import polyring
+from oddsig.errors import InternalInconsistency, VariableCountMismatch, ZeroPolynomial
 from oddsig.exactnum import CyclotomicElement, common_order
 from oddsig.plane import ProjMap
 from oddsig.polyring import SparsePoly
@@ -68,6 +70,38 @@ def evaluate(poly: SparsePoly, point) -> CyclotomicElement:
             coeff = coeff * x ** e
         total = total + coeff
     return total
+
+
+def uni_squarefree(a):
+    """Squarefree part a / gcd(a, a') of a dense list, in characteristic
+    zero, through polyring's list layer."""
+    a = polyring.uni_trim(list(a))
+    if not a:
+        raise ZeroPolynomial("zero polynomial has no squarefree part")
+    if len(a) == 1:
+        return polyring.uni_monic(a)
+    g = polyring.uni_gcd(a, polyring.uni_derivative(a))
+    q, r = polyring.uni_divmod(a, g)
+    if r:
+        raise InternalInconsistency("gcd(a, a') does not divide a")
+    return polyring.uni_monic(q)
+
+
+def distinct_root_count(form: SparsePoly) -> int:
+    """Number of distinct projective roots of a nonzero binary form, exactly:
+    criterion 10b checks against it the root clustering that the geometric
+    fixed-point oracle of criterion 10c runs on."""
+    if form.nvars != 2:
+        raise VariableCountMismatch("binary form must have exactly two variables")
+    if form.is_zero():
+        raise ZeroPolynomial("zero form has no root count")
+    if not form.is_homogeneous():
+        raise ValueError("form must be homogeneous")
+    # root at [1:0] iff the second variable divides the form
+    at_infinity = 1 if min(e[1] for e in form.terms) >= 1 else 0
+    # finite roots [x:1]: distinct roots of form(x, 1)
+    dense = polyring.poly_to_uni(polyring.dehomogenize(form, 1))
+    return at_infinity + len(uni_squarefree(dense)) - 1
 
 
 def cyclic_subgroup(a: ProjMap, bound: int = 360) -> frozenset:

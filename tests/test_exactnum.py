@@ -16,6 +16,8 @@ from oddsig.exactnum import (
     cyclotomic_polynomial,
     euler_phi,
     is_prime,
+    residues,
+    split_prime,
 )
 from oddsig.plane import ProjMap
 from oracles import to_complex
@@ -40,7 +42,7 @@ def test_is_prime_matches_a_sieve_and_known_pseudoprimes():
 
 def test_euler_phi_small():
     assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
-    # the one factoriser behind euler_phi, _mobius and polyring._split_prime
+    # the one factoriser behind euler_phi, _mobius and split_prime
     for n in range(1, 400):
         factors = exactnum._factorize(n)
         assert math.prod(p ** k for p, k in factors) == n
@@ -57,6 +59,75 @@ def test_cyclotomic_polynomials():
     assert as_ints(4) == [1, 0, 1]
     assert as_ints(7) == [1, 1, 1, 1, 1, 1, 1]
     assert as_ints(12) == [1, 0, -1, 0, 1]
+
+
+def test_split_prime_root_has_exact_order():
+    for order in range(1, 121):
+        p, w = split_prime(order)
+        assert p > 2**31 and p % order == 1 % order and is_prime(p)
+        assert not any(is_prime(r) for r in range(p - order, 2**31, -order))
+        assert pow(w, order, p) == 1
+        assert all(pow(w, d, p) != 1 for d in range(1, order) if order % d == 0)
+        # w is a root of Phi_order mod p, so zeta |-> w is a ring map
+        assert sum(int(c) * pow(w, i, p) for i, c in enumerate(cyclotomic_polynomial(order))) % p == 0
+
+
+def image_mod_p(a: Cyc, p: int, w: int) -> int:
+    """a under zeta |-> w in F_p, coordinate by coordinate from the Fractions."""
+    return sum(c.numerator * pow(c.denominator, -1, p) * pow(w, i, p) for i, c in enumerate(a.coords)) % p
+
+
+@pytest.mark.parametrize("order", [1, 3, 4, 7, 12, 60])
+def test_residues_match_an_independent_evaluation(order):
+    rng = random.Random(7000 + order)
+    p, w = split_prime(order)
+    phi = euler_phi(order)
+
+    def draw():
+        return Cyc(order, [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 10, 49)))
+                           for _ in range(phi)])
+
+    special = [Cyc.zero(order), Cyc.one(order), Cyc.zeta(order),
+               Cyc.from_rational(p, order), Cyc.from_rational(Fraction(1, p - 1), order)]
+    elements = [draw() for _ in range(40)] + special
+    images = residues(elements)
+    assert images == [image_mod_p(a, p, w) for a in elements]
+    assert images[40:] == [0, 1, w, 0, p - 1]
+    # a ring map: sums and products go to sums and products mod p
+    for a, b in zip(elements[:20], elements[20:40]):
+        ra, rb = residues([a, b])
+        assert residues([a + b, a * b, -a]) == [(ra + rb) % p, ra * rb % p, -ra % p]
+    assert residues([]) == []
+
+
+@pytest.mark.parametrize("order", [1, 3, 4, 7, 12, 60])
+def test_residues_are_none_exactly_when_p_divides_a_denominator(order):
+    rng = random.Random(7100 + order)
+    p, w = split_prime(order)
+    phi = euler_phi(order)
+    for _ in range(30):
+        coords = [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 5))) for _ in range(phi)]
+        if rng.random() < 0.5:
+            coords[rng.randrange(phi)] = Fraction(rng.randint(1, 5), rng.choice((p, 3 * p, p * p)))
+        a = Cyc(order, coords)
+        divisible = any(c.denominator % p == 0 for c in a.coords)
+        batch = [Cyc.one(order), a, Cyc.zeta(order)]
+        assert (residues(batch) is None) == divisible
+        if not divisible:
+            assert residues(batch)[1] == image_mod_p(a, p, w)
+    # p in a numerator is a zero residue, not a missing one
+    assert residues([Cyc.from_rational(Fraction(p, 7), order)]) == [0]
+    if order > 2:
+        with pytest.raises(OrderMismatch):
+            residues([Cyc.one(order), Cyc.one(1)])
+
+
+def test_is_integral_is_a_denominator_of_one():
+    assert Cyc(12, [1, -2, 0, 5]).is_integral() and Cyc.zero(7).is_integral()
+    assert not Cyc(12, [1, Fraction(1, 2), 0, 0]).is_integral()
+    assert not Cyc.from_rational(Fraction(3, 5), 4).is_integral()
+    # 1/(1 - zeta_3) is not an algebraic integer: its norm is 1/3
+    assert not (Cyc.one(3) / (1 - Cyc.zeta(3))).is_integral()
 
 
 def test_basic_identities():

@@ -291,7 +291,7 @@ def test_group_tables_on_small_groups(generators, size):
         assert (group[a] @ group[group.inv[a]]).is_identity()
         for b in range(size):
             assert group[group.mul[a][b]] == group[a] @ group[b]
-    assert group.generators == [g.lift_to(group[0].order) for g in generators()]
+    assert [group[i] for i in group.gens] == [g.lift_to(group[0].order) for g in generators()]
     first = cyclic_subgroups(group)
     for sub, gen in first.items():
         assert frozenset(group[i] for i in sub) == cyclic_subgroup(group[gen])

@@ -8,22 +8,19 @@ import pytest
 from oddsig import polyring, serialize
 from oddsig.errors import (BoundExceeded, InternalInconsistency, SchemaError,
                            VariableCountMismatch, ZeroPolynomial)
-from oddsig.exactnum import CyclotomicElement as Cyc, cyclotomic_polynomial, euler_phi, is_prime
+from oddsig.exactnum import CyclotomicElement as Cyc, euler_phi, split_prime
 from oddsig.polyring import (
     MAX_DEGREE,
     SparsePoly,
-    _split_prime,
-    distinct_root_count,
     poly_as_ylists,
     poly_to_uni,
     resultant,
     uni_coprime_mod_p,
     uni_derivative,
     uni_gcd,
-    uni_squarefree,
     uni_xgcd,
 )
-from oracles import evaluate, product, to_complex
+from oracles import distinct_root_count, evaluate, product, to_complex, uni_squarefree
 
 
 def P(order, nvars, entries):
@@ -360,17 +357,6 @@ def test_degree_above_the_cap_is_refused():
     assert serialize.read_poly(doc((MAX_DEGREE, 0), (0, 0))).total_degree() == MAX_DEGREE
 
 
-def test_split_prime_root_has_exact_order():
-    for order in range(1, 121):
-        p, w = _split_prime(order)
-        assert p > 2**31 and p % order == 1 % order and is_prime(p)
-        assert not any(is_prime(r) for r in range(p - order, 2**31, -order))
-        assert pow(w, order, p) == 1
-        assert all(pow(w, d, p) != 1 for d in range(1, order) if order % d == 0)
-        # w is a root of Phi_order mod p, so zeta |-> w is a ring map
-        assert sum(int(c) * pow(w, i, p) for i, c in enumerate(cyclotomic_polynomial(order))) % p == 0
-
-
 def test_coprime_certificate_is_sound(monkeypatch):
     # the exact verdict is Euclid's: uni_gcd with its certificate switched off
     monkeypatch.setattr(polyring, "uni_coprime_mod_p", lambda a, b: False)
@@ -407,7 +393,8 @@ LIST_OPERANDS = {                           # E empty, C constant, U, G and S un
          "S": [[0, 0, -1, 0], [0, -2, 1, 0], [-1, 2, 0, 0], 1, 0]},
 }
 # (function, order, operands, result): the results of the helpers when they
-# still took the field order as an argument (uni_xgcd's cofactor t dropped)
+# still took the field order as an argument (uni_xgcd's cofactor t dropped);
+# uni_squarefree is the oracle the tests keep, run on the same operands
 LIST_LAYER = [
     ("uni_add", 1, "EE", []),
     ("uni_add", 1, "EC", [3]),
@@ -488,11 +475,12 @@ def as_list(order, coeffs):
 @pytest.mark.parametrize("name, order, operands, expected", LIST_LAYER)
 def test_list_layer_on_empty_constant_and_untrimmed_operands(name, order, operands, expected):
     args = [as_list(order, LIST_OPERANDS[order][o]) for o in operands]
+    fn = uni_squarefree if name == "uni_squarefree" else getattr(polyring, name)
     if isinstance(expected, type):
         with pytest.raises(expected):
-            getattr(polyring, name)(*args)
+            fn(*args)
         return
-    got = getattr(polyring, name)(*args)
+    got = fn(*args)
     if isinstance(expected, tuple):
         assert got == tuple(as_list(order, e) for e in expected)
     else:
@@ -529,7 +517,7 @@ def test_xgcd_cofactor_inverts_modulo_b():
 
 
 def test_list_layer_takes_no_order():
-    names = ["uni_add", "uni_sub", "uni_mul", "uni_divmod", "uni_gcd", "uni_xgcd", "uni_squarefree",
+    names = ["uni_add", "uni_sub", "uni_mul", "uni_divmod", "uni_gcd", "uni_xgcd",
              "uni_coprime_mod_p", "_bareiss_det"]
     functions = [getattr(polyring, name) for name in names]
     for fn in functions:
@@ -540,7 +528,7 @@ def test_uni_gcd_matches_euclid_without_the_certificate(monkeypatch):
     pairs = list(random_pairs(random.Random(1202), 12, 30)) + list(random_pairs(random.Random(1203), 1, 15))
     # p in a denominator, or p as a leading coefficient: no image in F_p
     for order in (1, 12):
-        p, _ = _split_prime(order)
+        p, _ = split_prime(order)
         for scale, root in ((p, 1), (1, Fraction(1, p))):
             squarefree = as_list(order, [1, root, 0, 0, scale])
             repeated = polyring.uni_mul(as_list(order, [root * root, -2 * root, 1]), as_list(order, [scale] * 3))

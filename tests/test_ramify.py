@@ -61,9 +61,12 @@ def quartic_family(a, b, c, order=1):
     return PlaneCurve(P(order, 3, [t for t in items if t[0] != 0]))
 
 
+def sign_generators(order=1):
+    return [ProjMap.diagonal(order, -1, 1, 1), ProjMap.diagonal(order, 1, -1, 1)]
+
+
 def sign_group(order=1):
-    return closure([ProjMap.diagonal(order, -1, 1, 1),
-                    ProjMap.diagonal(order, 1, -1, 1)])
+    return closure(sign_generators(order))
 
 
 def test_signature_value_object():
@@ -120,9 +123,10 @@ def test_fixed_point_error_paths():
         fixed_point_count(curve, shear)
     with pytest.raises(NotAnAutomorphism):
         signature(curve, [ProjMap.identity(4), shear])
-    # a closed group is verified through its generators
+    # every generator is verified, not only the first
     with pytest.raises(NotAnAutomorphism):
-        signature(quartic_family(1, 3, 5), closure([ProjMap.permutation(1, [1, 0, 2])]))
+        signature(quartic_family(1, 3, 5),
+                  [ProjMap.diagonal(1, -1, 1, 1), ProjMap.permutation(1, [1, 0, 2])])
 
 
 def test_eigenspace_ledger_failure_is_typed(monkeypatch):
@@ -188,10 +192,9 @@ def count_fixed_point_calls(monkeypatch):
 
 def test_fermat_signature(monkeypatch):
     curve = fermat_quartic()
-    group = closure(fermat_generators())
-    assert len(group) == 96
+    assert len(closure(fermat_generators())) == 96
     calls = count_fixed_point_calls(monkeypatch)
-    sig = signature(curve, group)
+    sig = signature(curve, fermat_generators())
     assert sig == Signature(0, (2, 3, 8))
     assert odd_signature_verdict(sig) == "ODD"
     # one count per conjugacy class of nontrivial cyclic subgroups
@@ -200,10 +203,9 @@ def test_fermat_signature(monkeypatch):
 
 def test_klein_signature(monkeypatch):
     curve = klein_quartic()
-    group = closure(klein_generators())
-    assert len(group) == 168
+    assert len(closure(klein_generators())) == 168
     calls = count_fixed_point_calls(monkeypatch)
-    sig = signature(curve, group)
+    sig = signature(curve, klein_generators())
     assert sig == Signature(0, (2, 3, 7))
     assert odd_signature_verdict(sig) == "ODD"
     assert len(calls) == 4
@@ -279,9 +281,8 @@ def quartic_quotient_rows():
 def test_quartic_quotient_rows(case):
     curve, gens, size, expected = quartic_quotient_rows()[case]
     assert is_smooth(curve)
-    group = closure(gens)
-    assert len(group) == size
-    assert signature(curve, group) == expected
+    assert len(closure(gens)) == size
+    assert signature(curve, gens) == expected
 
 
 def test_signature_conjugation_equivariance():
@@ -300,14 +301,15 @@ def test_fixed_point_ledger_matches_branch_data():
     # the branch data predicts the total number of fixed points of
     # nontrivial elements: sum over indices c of (|G|/c)(c-1)
     cases = [
-        (fermat_quartic(), closure(fermat_generators()), 196),
-        (quartic_family(1, 3, 5), sign_group(), 12),
+        (fermat_quartic(), fermat_generators(), 196),
+        (quartic_family(1, 3, 5), sign_generators(), 12),
     ]
-    for curve, group, expected in cases:
+    for curve, gens, expected in cases:
+        group = closure(gens)
         total = sum(fixed_point_count(curve, g)
                     for g in group if not g.is_identity())
         assert total == expected
-        sig = signature(curve, group)
+        sig = signature(curve, gens)
         predicted = sum((len(group) // c) * (c - 1) for c in sig.indices)
         assert predicted == expected
 
@@ -372,9 +374,9 @@ def test_plane_quartic_stratum_catalog():
     assert len(PLANE_QUARTIC_STRATA) == 12
     odd = set()
     for label, stem, size, expected in PLANE_QUARTIC_STRATA:
-        group = closure(fixture(f"{stem}_gens"))
-        sig = signature(fixture(stem), group)
-        assert (len(group), sig) == (size, expected), label
+        gens = fixture(f"{stem}_gens")
+        sig = signature(fixture(stem), gens)
+        assert (len(closure(gens)), sig) == (size, expected), label
         total = size * (2 * sig.quotient_genus - 2)
         total += sum((size // c) * (c - 1) for c in sig.indices)
         assert total == 4

@@ -19,9 +19,9 @@ from oddsig.errors import (
     SchemaError,
     ShapeViolation,
 )
-from oddsig.exactnum import CyclotomicElement as Cyc, common_order, euler_phi
-from oddsig.polyring import (MAX_DEGREE, _split_prime, uni_add, uni_coprime_mod_p, uni_derivative,
-                             uni_divmod, uni_mul, uni_trim)
+from oddsig.exactnum import CyclotomicElement as Cyc, common_order, euler_phi, split_prime
+from oddsig.polyring import (MAX_DEGREE, uni_add, uni_coprime_mod_p, uni_derivative, uni_divmod,
+                             uni_mul, uni_trim)
 from oddsig.ramify import Signature, is_odd_signature
 from oddsig.superell import (
     QGonalCurve,
@@ -635,7 +635,7 @@ def certificate_verdicts(monkeypatch) -> list:
 
 @pytest.mark.parametrize("order", [1, 12])
 def test_certificate_fallback_keeps_the_exact_verdict(order, monkeypatch):
-    p, _ = _split_prime(order)
+    p, _ = split_prime(order)
     verdicts = certificate_verdicts(monkeypatch)
     # a leading coefficient p, or a coefficient with p in its denominator, has
     # no image in F_p

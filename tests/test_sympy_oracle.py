@@ -11,11 +11,10 @@ import pytest
 from oddsig.errors import NotSquarefree
 from oddsig.exactnum import CyclotomicElement, cyclotomic_polynomial
 from oddsig.plane import PlaneCurve, ProjMap, has_common_affine_zero, is_smooth
-from oddsig.polyring import (SparsePoly, distinct_root_count, poly_as_ylists, resultant,
-                             uni_coprime_mod_p, uni_derivative)
+from oddsig.polyring import SparsePoly, poly_as_ylists, resultant, uni_coprime_mod_p, uni_derivative
 from oddsig.serialize import parse_input
 from oddsig.superell import genus_qgonal
-from oracles import product
+from oracles import distinct_root_count, product
 
 sympy = pytest.importorskip("sympy")
 
