@@ -134,8 +134,10 @@ def _cmd_signature(args):
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
+    """Comma-separated branch indices; a blank text is the empty list, and
+    an empty entry is refused."""
     try:
-        values = tuple(int(part) for part in text.split(",") if part.strip())
+        values = tuple(int(part) for part in text.split(",")) if text.strip() else ()
     except ValueError as exc:
         raise SchemaError(f"bad index list {text!r}") from exc
     if any(v < 2 for v in values):

@@ -11,19 +11,25 @@ instead of 9. A product is normalized without re-coercing its entries, and
 every map, products included, is checked to be invertible.
 
 Smoothness is decided exactly: a curve is singular iff its three partial
-derivatives share a projective zero. The line z = 0 is checked through
-binary-form gcds. Once it is clear, (0 : 1 : 0) is no common zero, so some
-partial has a y^(d-1) term: its chart polynomial f (z = 1) has y-degree
-n = d - 1 and a constant leading coefficient in y. For the other two chart
-partials g and h, R(x, u) = Res_y(f, g + u h) is at each x0 a constant
-times the product of g(x0, y_i) + u h(x0, y_i) over the n roots y_i of
-f(x0, y): a polynomial of degree at most n in u, zero for every u exactly
+derivatives share a projective zero. Each partial P of degree e goes to the
+list layer in one step, read off its terms. On the line z = 0 its terms
+(a, e - a, 0) are the x-list of P(x, 1, 0): one gcd of these lists decides
+the points (x : 1 : 0), and (1 : 0 : 0) is a common zero exactly when no
+list keeps its x^e term. Once the line is clear, (0 : 1 : 0) is no common zero,
+so some partial has a y^(d-1) term: its chart polynomial f (z = 1) has
+y-degree n = d - 1 and a constant leading coefficient in y. For the other
+two chart partials g and h, R(x, u) = Res_y(f, g + u h) is at each x0 a
+constant times the product of g(x0, y_i) + u h(x0, y_i) over the n roots y_i
+of f(x0, y): a polynomial of degree at most n in u, zero for every u exactly
 when some y_i zeroes both g and h, and so zero for every u as soon as it
-vanishes at u = 0, ..., n. The affine chart is therefore decided by one
-gcd in K[x], of the partials free of y and of R(x, 0), ..., R(x, n): the
+vanishes at u = 0, ..., n. The affine chart is therefore decided by one gcd
+in K[x], of the partials free of y and of R(x, 0), ..., R(x, n): the
 elimination device behind the Extension Theorem (Cox, Little and O'Shea,
-Ideals, Varieties, and Algorithms, ch. 3). Each live chart partial becomes
-a y-list, a polynomial in y over K[x] as dense lists, exactly once.
+Ideals, Varieties, and Algorithms, ch. 3). In the chart the terms (a, b, c)
+of a partial are the coefficients of x^a y^b, since c = e - a - b:
+polyring.poly_as_ylists reads each live partial as a y-list, a polynomial in
+y over K[x] as dense lists, exactly once, with no 2-variable polynomial in
+between.
 plane reaches polyring as a module, so a command that uses only maps, such
 as group-closure, never runs it.
 require_verdict_curve refuses, before any verdict, a curve outside the
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from . import polyring
 from .errors import (
@@ -271,31 +277,37 @@ def require_isomorphism(source: PlaneCurve, target: PlaneCurve, mapping: ProjMap
 
 # smoothness ------------------------------------------------------------------
 
-def _set_var_zero(poly: polyring.SparsePoly, var: int) -> polyring.SparsePoly:
-    terms = {tuple(e for i, e in enumerate(exps) if i != var): coeff
-             for exps, coeff in poly.terms.items() if exps[var] == 0}
-    return polyring.SparsePoly(poly.order, poly.nvars - 1, terms)
+def _share_a_root(lists) -> bool:
+    """Do the nonzero x-lists among lists share a root over the algebraic
+    closure? True when none is nonzero; stops at the first gcd of degree 0."""
+    d: list[CyclotomicElement] = []
+    for c in lists:
+        if c:
+            d = polyring.uni_gcd(d, c) if d else c
+            if len(d) == 1:
+                return False
+    return True
 
 
-def _binary_common_root(forms: list[polyring.SparsePoly]) -> bool:
-    """Do nonzero binary forms share a projective root? (empty list: the whole line)"""
-    forms = [f for f in forms if not f.is_zero()]
-    if not forms:
-        return True
-    # [1:0] is a root of a form of degree d exactly when its x^d term is absent
-    if all((f.total_degree(), 0) not in f.terms for f in forms):
-        return True
-    g: Optional[list[CyclotomicElement]] = None
-    for f in forms:
-        dense = polyring.poly_to_uni(polyring.dehomogenize(f, 1))
-        g = dense if g is None else polyring.uni_gcd(g, dense)
-        if len(g) == 1:
-            return False
-    return len(g) > 1
+def _line_common_zero(partials: list[polyring.SparsePoly], e: int) -> bool:
+    """Do the partials, forms of degree e, share a zero on the line z = 0?
+
+    The terms (a, e - a, 0) of a partial P are the x-list of P(x, 1, 0), so
+    the points (x : 1 : 0) are decided by one gcd of such lists, and
+    (1 : 0 : 0) is a common zero exactly when no list keeps its x^e term."""
+    xlists = []
+    for p in partials:
+        row = [CyclotomicElement.zero(p.order)] * (e + 1)
+        for (a, _, c), coeff in p.terms.items():
+            if not c:
+                row[a] = coeff
+        xlists.append(polyring.uni_trim(row))
+    return all(len(row) <= e for row in xlists) or _share_a_root(xlists)
 
 
-def has_common_affine_zero(polys: list[polyring.SparsePoly]) -> bool:
-    """Do polynomials in x and y share a zero over the algebraic closure?
+def has_common_affine_zero(forms: list[polyring.SparsePoly]) -> bool:
+    """Do forms in x, y and z, read in the chart z = 1, share a zero there
+    over the algebraic closure?
 
     Precondition: some input has positive y-degree and a constant leading
     coefficient in y; is_smooth meets it once the line z = 0 is clear. f is
@@ -304,12 +316,11 @@ def has_common_affine_zero(polys: list[polyring.SparsePoly]) -> bool:
     becomes Res_y(f, g_1 + u g_2 + ... + u^(k-1) g_k), of degree at most
     n(k - 1) in u; the chart partials have k <= 2 and take at most n + 1
     resultants."""
-    live = [p for p in polys if not p.is_zero()]
-    if not live:
+    ylists = [polyring.poly_as_ylists(p) for p in forms if not p.is_zero()]
+    if not ylists:
         return True
-    if any(p.total_degree() == 0 for p in live):
+    if any(len(g) == 1 and len(g[0]) == 1 for g in ylists):
         return False
-    ylists = [polyring.poly_as_ylists(p) for p in live]
     constant_lead = [g for g in ylists if len(g) > 1 and len(g[-1]) == 1]
     if not constant_lead:
         raise InternalInconsistency("no input has positive y-degree and a constant leading coefficient in y")
@@ -317,13 +328,7 @@ def has_common_affine_zero(polys: list[polyring.SparsePoly]) -> bool:
     others = [g for g in ylists if len(g) > 1 and g is not f]
     pencils = (_pencil(others, u) for u in range((len(f) - 1) * (len(others) - 1) + 1))
     resultants = (polyring.resultant(f, pencil) for pencil in pencils if pencil)
-    d: list[CyclotomicElement] = []  # the gcd so far; [] is the zero polynomial
-    for c in itertools.chain((g[0] for g in ylists if len(g) == 1), resultants):
-        if c:
-            d = polyring.uni_gcd(d, c) if d else polyring.uni_monic(c)
-            if len(d) == 1:
-                return False
-    return True
+    return _share_a_root(itertools.chain((g[0] for g in ylists if len(g) == 1), resultants))
 
 
 def _pencil(ylists: list, u: int) -> list:
@@ -339,15 +344,8 @@ def _pencil(ylists: list, u: int) -> list:
 
 def is_smooth(curve: PlaneCurve) -> bool:
     """Exact smoothness test for a plane projective curve."""
-    f = curve.poly
-    partials = [f.derivative(v) for v in range(3)]
-    # the line z = 0
-    line_forms = [_set_var_zero(p, 2) for p in partials]
-    if _binary_common_root(line_forms):
-        return False
-    # the affine chart z = 1
-    chart = [polyring.dehomogenize(p, 2) for p in partials]
-    return not has_common_affine_zero(chart)
+    partials = [curve.poly.derivative(v) for v in range(3)]
+    return not (_line_common_zero(partials, curve.degree - 1) or has_common_affine_zero(partials))
 
 
 def require_verdict_curve(curve: PlaneCurve) -> None:

@@ -9,16 +9,18 @@ it builds each power of a substituted linear form once, multiplies term
 dicts through _term_product, and sums into one dict. The algorithms
 run on one layer of univariate helpers (dense coefficient lists, low degree
 first): division, the gcd and the resultant.
-poly_to_uni is the one step from a one-variable SparsePoly into that layer,
-and no step leads back: superell holds a cover's f as a list from the start.
-The module reads no document: serialize holds a document term, and
-superell.build_family a family member, to MAX_DEGREE through check_degree.
-poly_as_ylists turns a polynomial in x and y into a y-list, a list indexed
-by the degree in y of dense x-lists; the resultant takes two y-lists and
-returns Res_y as an x-list, eliminating y from the Sylvester matrix by
-fraction-free (Bareiss) elimination over K[x], each division by the previous
-pivot an exact uni_divmod. plane.is_smooth decides the affine chart by the
-gcd of a pencil of such resultants, so no arithmetic over K[x]/(m) is needed.
+poly_as_ylists reads a ternary form in the chart z = 1 straight off its
+terms as a y-list, a list indexed by the degree in y of dense x-lists, and
+plane.is_smooth reads the line z = 0 off the terms the same way; no step
+leads back from a list to a SparsePoly. superell holds a cover's f as a
+list from the start, and serialize reads it as one. The module reads no
+document: serialize holds a document term, and superell.build_family a
+family member, to MAX_DEGREE through check_degree. The resultant takes two
+y-lists and returns Res_y as an x-list, eliminating y from the Sylvester
+matrix by fraction-free (Bareiss) elimination over K[x], each division by
+the previous pivot an exact uni_divmod. plane.is_smooth decides the affine
+chart by the gcd of a pencil of such resultants, so no arithmetic over
+K[x]/(m) is needed.
 uni_gcd first runs uni_coprime_mod_p, which proves gcd(a, b) = 1 from the
 images in F_p[x] (Langemyr and McCallum, J. Symbolic Comput. 8, 1989) and
 never disproves it; Euclid runs only when it cannot. The images come from
@@ -337,44 +339,22 @@ def uni_derivative(a: Sequence[CyclotomicElement]) -> list[CyclotomicElement]:
     return uni_trim([a[i] * i for i in range(1, len(a))])
 
 
-def poly_to_uni(p: SparsePoly) -> list[CyclotomicElement]:
-    """Dense coefficient list of a polynomial in one variable."""
-    if p.nvars != 1:
-        raise VariableCountMismatch(f"a univariate list needs a polynomial in one variable, not {p.nvars}")
-    if p.is_zero():
-        return []
-    out = [CyclotomicElement.zero(p.order) for _ in range(p.degree_in(0) + 1)]
-    for (e,), coeff in p.terms.items():
-        out[e] = coeff
-    return out
-
-
 def poly_as_ylists(p: SparsePoly) -> list[list[CyclotomicElement]]:
-    """A nonzero p in x and y (variables 0 and 1) as a y-list, a polynomial
-    in y over K[x]: a list indexed by the degree in y of trimmed dense
-    x-lists (zero rows are []). The resultant and plane.is_smooth's pencil
-    of resultants work on this layout."""
-    if p.nvars != 2:
-        raise VariableCountMismatch("y-lists take polynomials in exactly two variables")
+    """A nonzero form p(x, y, z) read in the chart z = 1 as a y-list, a
+    polynomial in y over K[x]: a list indexed by the degree in y of trimmed
+    dense x-lists (zero rows are []). The term (a, b, c) of p is the
+    coefficient of x^a y^b there, since c = deg p - a - b. The resultant and
+    plane.is_smooth's pencil of resultants work on this layout."""
+    if p.nvars != 3 or not p.is_homogeneous():
+        raise VariableCountMismatch("y-lists take homogeneous forms in x, y and z")
     zero = CyclotomicElement.zero(p.order)
     rows: list[list[CyclotomicElement]] = [[] for _ in range(p.degree_in(1) + 1)]
-    for (ex, ey), coeff in p.terms.items():
+    for (ex, ey, _), coeff in p.terms.items():
         row = rows[ey]
         if len(row) <= ex:
             row.extend([zero] * (ex + 1 - len(row)))
         row[ex] = coeff
     return rows
-
-
-# binary forms ---------------------------------------------------------------
-
-def dehomogenize(poly: SparsePoly, var: int) -> SparsePoly:
-    """Set variable var to 1 and drop it."""
-    terms: dict[tuple[int, ...], CyclotomicElement] = {}
-    for exps, coeff in poly.terms.items():
-        key = exps[:var] + exps[var + 1:]
-        terms[key] = terms[key] + coeff if key in terms else coeff
-    return SparsePoly(poly.order, poly.nvars - 1, terms)
 
 
 # resultants -----------------------------------------------------------------

@@ -152,8 +152,14 @@ def _load_qgonal_curve(obj: dict) -> superell.QGonalCurve:
     for label, value in (("m", m), ("n", n)):
         if value is not None and type(value) is not int:
             raise SchemaError(f"'{label}' must be an integer")
+    if poly.nvars != 1:
+        raise SchemaError("not a cyclic cover: a univariate list needs a polynomial in one "
+                          f"variable, not {poly.nvars}")
+    zero = exactnum.CyclotomicElement.zero(poly.order)
+    degree = max((e for (e,) in poly.terms), default=-1)
+    coeffs = [poly.terms.get((e,), zero) for e in range(degree + 1)]
     try:
-        return superell.QGonalCurve(q, polyring.poly_to_uni(poly), m, n)
+        return superell.QGonalCurve(q, coeffs, m, n)
     except (InputError, ValueError) as exc:
         raise SchemaError(f"not a cyclic cover: {exc}") from exc
 

@@ -72,6 +72,25 @@ def evaluate(poly: SparsePoly, point) -> CyclotomicElement:
     return total
 
 
+def homogenize(poly: SparsePoly) -> SparsePoly:
+    """The form of a polynomial in x and y in x, y and z, of its total
+    degree, whose chart z = 1 is poly: the tests write chart polynomials in
+    two variables and hand the library forms."""
+    if poly.nvars != 2:
+        raise VariableCountMismatch("homogenize takes a polynomial in x and y")
+    degree = max((sum(e) for e in poly.terms), default=0)
+    return SparsePoly(poly.order, 3, {(a, b, degree - a - b): c for (a, b), c in poly.terms.items()})
+
+
+def uni_list(poly: SparsePoly) -> list[CyclotomicElement]:
+    """The dense list, low degree first, of a polynomial in one variable or
+    of a binary form at y = 1, read off the first exponent of each term."""
+    out = [CyclotomicElement.zero(poly.order)] * (max((e[0] for e in poly.terms), default=-1) + 1)
+    for exps, coeff in poly.terms.items():
+        out[exps[0]] = coeff
+    return out
+
+
 def uni_squarefree(a):
     """Squarefree part a / gcd(a, a') of a dense list, in characteristic
     zero, through polyring's list layer."""
@@ -100,8 +119,7 @@ def distinct_root_count(form: SparsePoly) -> int:
     # root at [1:0] iff the second variable divides the form
     at_infinity = 1 if min(e[1] for e in form.terms) >= 1 else 0
     # finite roots [x:1]: distinct roots of form(x, 1)
-    dense = polyring.poly_to_uni(polyring.dehomogenize(form, 1))
-    return at_infinity + len(uni_squarefree(dense)) - 1
+    return at_infinity + len(uni_squarefree(uni_list(form))) - 1
 
 
 def cyclic_subgroup(a: ProjMap, bound: int = 360) -> frozenset:

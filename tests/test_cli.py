@@ -1001,6 +1001,16 @@ def test_odd_signature_literal(capsys):
     assert code == 2
 
 
+def test_odd_signature_refuses_an_empty_index_entry(capsys):
+    # an empty entry is a typo, not a skipped index; a blank list stays empty
+    for indices in ("2,,3,7", "2,3,7,", ",2,3,7"):
+        code, out, err = run(capsys, "odd-signature", "--quotient-genus", "0", "--indices", indices)
+        assert (code, out) == (2, ""), indices
+        assert err == f"input error: bad index list {indices!r}\n", indices
+    code, out, err = run(capsys, "odd-signature", "--quotient-genus", "0", "--indices", "")
+    assert code == 2 and "signature (0) is not hyperbolic" in err
+
+
 def test_odd_signature_from_curve(capsys):
     report = run_structured(capsys, "odd-signature",
                             "--curve", fx("quartic_c2c2"),

@@ -11,8 +11,8 @@ from oddsig.exactnum import CyclotomicElement, cyclotomic_polynomial, euler_phi
 from oddsig.plane import (PlaneCurve, ProjMap, _canonical, has_common_affine_zero,
                           is_automorphism, is_isomorphism_onto, is_smooth, matrix_product,
                           require_isomorphism)
-from oddsig.polyring import SparsePoly, dehomogenize
-from oracles import apply, product
+from oddsig.polyring import SparsePoly
+from oracles import apply, homogenize, product
 
 
 def P(order, nvars, items):
@@ -312,6 +312,38 @@ def test_smooth_singularity_on_line_at_infinity():
     assert is_smooth(quartic_family(1, 3, 5))
 
 
+def partials(curve):
+    return [curve.poly.derivative(v) for v in range(3)]
+
+
+def test_smooth_node_at_1_0_0():
+    # x^2 (y^2 - z^2) + y^4 + z^4: on z = 0 no partial keeps an x^3 term, and
+    # the node (1 : 0 : 0) is the only singular point, outside the chart z = 1
+    curve = PlaneCurve(P(1, 3, [(1, (2, 2, 0)), (-1, (2, 0, 2)), (1, (0, 4, 0)), (1, (0, 0, 4))]))
+    assert not is_smooth(curve)
+    assert not has_common_affine_zero(partials(curve))
+
+
+def test_smooth_singular_point_at_1_1_0(monkeypatch):
+    # F(x, y, 0) = (x - y)^2 (x^2 - 2xy + 2y^2), and (1 : 1 : 0) is the only
+    # singular point, outside the chart z = 1
+    curve = PlaneCurve(P(1, 3, [(1, (4, 0, 0)), (-4, (3, 1, 0)), (7, (2, 2, 0)), (-6, (1, 3, 0)),
+                                (2, (0, 4, 0)), (-1, (0, 2, 2)), (1, (0, 0, 4))]))
+    calls, original = [], polyring.uni_gcd
+
+    def spy(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(polyring, "uni_gcd", spy)
+    assert not is_smooth(curve)
+    # the line's first gcd takes F_x(x, 1, 0) and F_y(x, 1, 0), up to scalars
+    fx = [rational(1, c) for c in (-6, 14, -12, 4)]
+    fy = [rational(1, c) for c in (8, -18, 14, -4)]
+    assert [polyring.uni_monic(c) for c in calls[0]] == [polyring.uni_monic(fx), polyring.uni_monic(fy)]
+    assert not has_common_affine_zero(partials(curve))
+
+
 def test_smooth_matches_family_criterion():
     rng = random.Random(192837)
     triples = [(1, 1, -1), (3, 3, 7), (2, 0, 0), (0, 2, 0), (0, 0, -2),
@@ -350,7 +382,8 @@ def test_smooth_drawn_curves_are_proven_in_f_p(order, d, monkeypatch):
 
 
 def biv(order, items):
-    return P(order, 2, items)
+    """The form in x, y and z whose chart z = 1 is the polynomial of items."""
+    return homogenize(P(order, 2, items))
 
 
 def test_has_common_affine_zero_basics():
@@ -360,7 +393,7 @@ def test_has_common_affine_zero_basics():
     unit = biv(1, [(1, (0, 0))])
     assert not has_common_affine_zero([unit, y_minus_x])
     assert has_common_affine_zero([])
-    assert has_common_affine_zero([SparsePoly(1, 2, {})])
+    assert has_common_affine_zero([SparsePoly(1, 3, {})])
     assert has_common_affine_zero([y_minus_x])
 
 
@@ -430,15 +463,11 @@ def test_pencil_needs_its_third_resultant(monkeypatch):
     assert len(results) == 3
 
 
-def chart_partials(form):
-    return [dehomogenize(form.derivative(v), 2) for v in range(3)]
-
-
 def test_has_common_affine_zero_shared_factor_split():
     # -y^2 z^2 + x y^3 - 2 x^2 y^2 - 3 x^3 y: F_x and F_z share the factor y,
     # the partials have no common zero on z = 0, and all three vanish at (0, 0)
     form = P(1, 3, [(-1, (0, 2, 2)), (1, (1, 3, 0)), (-2, (2, 2, 0)), (-3, (3, 1, 0))])
-    assert has_common_affine_zero(chart_partials(form))
+    assert has_common_affine_zero(partials(PlaneCurve(form)))
     # coprime polynomials with inconsistent constraints
     x_minus_3 = biv(1, [(1, (1, 0)), (-3, (0, 0))])
     a2 = biv(1, [(1, (0, 1)), (1, (1, 0)), (1, (0, 0))])

@@ -13,14 +13,14 @@ from oddsig.polyring import (
     MAX_DEGREE,
     SparsePoly,
     poly_as_ylists,
-    poly_to_uni,
     resultant,
     uni_coprime_mod_p,
     uni_derivative,
     uni_gcd,
     uni_xgcd,
 )
-from oracles import distinct_root_count, evaluate, product, to_complex, uni_squarefree
+from oracles import (distinct_root_count, evaluate, homogenize, product, to_complex, uni_list,
+                     uni_squarefree)
 
 
 def P(order, nvars, entries):
@@ -213,7 +213,37 @@ def test_distinct_root_count_numeric_oracle():
 
 def Y(order, entries):
     """The y-list of the polynomial in x and y built from entries."""
-    return poly_as_ylists(P(order, 2, entries))
+    return poly_as_ylists(homogenize(P(order, 2, entries)))
+
+
+def test_poly_as_ylists_reads_the_chart_z_1_off_a_form():
+    """On drawn ternary forms the y-list is F(x, y, 1): the two agree on a
+    grid of (e + 1)^2 points, as two polynomials of degree at most e in each
+    variable do only when they are equal. Rows are trimmed and the top row
+    is nonzero. A 2-variable or non-homogeneous input is refused."""
+    rng = random.Random(2718)
+    checked = 0
+    for order in (1, 3, 7):
+        zeta = Cyc.zeta(order, 1)
+        for e in range(1, 6):
+            form = SparsePoly(order, 3, {(a, b, e - a - b): zeta * rng.randint(-2, 2) + rng.randint(-2, 2)
+                                         for a in range(e + 1) for b in range(e + 1 - a) if rng.random() < 0.5})
+            if form.is_zero():
+                continue
+            rows = poly_as_ylists(form)
+            assert len(rows) == form.degree_in(1) + 1 and rows[-1]
+            assert all(not row or not row[-1].is_zero() for row in rows)
+            for x0 in range(e + 1):
+                for y0 in range(e + 1):
+                    chart = sum((c * (x0 ** i * y0 ** j) for j, row in enumerate(rows) for i, c in enumerate(row)),
+                                Cyc.zero(order))
+                    assert chart == evaluate(form, [Cyc.from_rational(v, order) for v in (x0, y0, 1)])
+            checked += 1
+    assert checked >= 12
+    with pytest.raises(VariableCountMismatch):
+        poly_as_ylists(P(1, 2, [(1, (0, 1)), (-1, (1, 0))]))
+    with pytest.raises(VariableCountMismatch):
+        poly_as_ylists(P(1, 3, [(1, (0, 1, 0)), (-1, (1, 0, 1))]))
 
 
 def test_resultant_examples():
@@ -276,7 +306,7 @@ def test_resultant_complex_sylvester_oracle_over_cyclotomic_fields():
     for order in (3, 4, 7):
         for _ in range(8):
             f, g = draw(order, 1), draw(order, 0)
-            res = resultant(poly_as_ylists(f), poly_as_ylists(g))
+            res = resultant(poly_as_ylists(homogenize(f)), poly_as_ylists(homogenize(g)))
             assert all(c.order == order for c in res)
             for x0 in (-2, -1, 0, 1, 3):
                 fc, gc = y_coeffs(f, x0), y_coeffs(g, x0)
@@ -297,8 +327,8 @@ def test_resultant_guards_are_typed(monkeypatch):
     f = Y(1, [(1, (0, 2)), (1, (1, 0))])
     g = Y(1, [(1, (0, 2)), (-1, (2, 1)), (3, (0, 0))])
     assert resultant(f, g)
-    # y-lists take polynomials in x and y only
-    for nvars in (1, 3):
+    # y-lists take forms in x, y and z only
+    for nvars in (1, 2):
         with pytest.raises(VariableCountMismatch):
             poly_as_ylists(P(1, nvars, [(1, (1,) * nvars)]))
     original = polyring.uni_divmod
@@ -317,7 +347,7 @@ def test_resultant_vanishes_iff_common_root():
     # f = (y - x), g = (y - x)(y + 2x): share a root for every x
     f = P(1, 2, [(1, (0, 1)), (-1, (1, 0))])
     g = product(f, P(1, 2, [(1, (0, 1)), (2, (1, 0))]))
-    assert resultant(poly_as_ylists(f), poly_as_ylists(g)) == []
+    assert resultant(poly_as_ylists(homogenize(f)), poly_as_ylists(homogenize(g))) == []
 
 
 def test_galois_poly_and_lift():
@@ -380,7 +410,7 @@ def test_coprime_certificate_is_sound(monkeypatch):
 def test_squarefree_of_a_sparse_univariate():
     x_minus_1, x_plus_2 = P(1, 1, [(1, (1,)), (-1, (0,))]), P(1, 1, [(1, (1,)), (2, (0,))])
     f = product(x_minus_1, x_minus_1, x_plus_2)
-    assert uni_squarefree(poly_to_uni(f)) == poly_to_uni(product(x_minus_1, x_plus_2))
+    assert uni_squarefree(uni_list(f)) == uni_list(product(x_minus_1, x_plus_2))
 
 
 # the list layer reads its field from its coefficients ------------------------
