@@ -9,6 +9,7 @@ resource bound is exceeded.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from fractions import Fraction
@@ -25,11 +26,16 @@ _ODD_CITATION = ("odd-signature criterion: rational quotient with some "
                  "field of moduli is a field of definition")
 _GROUP_ASSUMPTION = ("the supplied generators are taken to generate the "
                      "full automorphism group")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _read_document(path: str, kinds: tuple[str, ...]):
+    with open(path, "rb") as handle:
+        data = handle.read(serialize.MAX_DOCUMENT_BYTES + 1)
+    if len(data) > serialize.MAX_DOCUMENT_BYTES:
+        raise BoundExceeded(f"{path}: longer than {serialize.MAX_DOCUMENT_BYTES} bytes")
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     doc = serialize.parse_input(text)
@@ -133,11 +139,19 @@ def _cmd_signature(args):
     return result, [_GROUP_ASSUMPTION], [_SIGNATURE_CITATION, _ODD_CITATION], lines
 
 
+def integer(text: str) -> int:
+    """An integer option or index entry in the documents' ASCII grammar; int()
+    alone also reads "1_0", surrounding whitespace and non-ASCII digits."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_indices(text: str) -> tuple[int, ...]:
     """Comma-separated branch indices; a blank text is the empty list, and
     an empty entry is refused."""
     try:
-        values = tuple(int(part) for part in text.split(",")) if text.strip() else ()
+        values = tuple(integer(part) for part in text.split(",")) if text.strip() else ()
     except ValueError as exc:
         raise SchemaError(f"bad index list {text!r}") from exc
     if any(v < 2 for v in values):
@@ -333,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("group-closure", parents=[common],
                        help="close a generator set in PGL(3)")
     p.add_argument("--group", required=True)
-    p.add_argument("--bound", type=int,
+    p.add_argument("--bound", type=integer,
                    help="group closure size bound, at most matgroup.DEFAULT_BOUND (the default)")
     p.set_defaults(handler=_cmd_group_closure)
 
@@ -348,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "or a literal signature")
     p.add_argument("--curve")
     p.add_argument("--group")
-    p.add_argument("--quotient-genus", type=int)
+    p.add_argument("--quotient-genus", type=integer)
     p.add_argument("--indices", help="comma-separated branch indices")
     p.set_defaults(handler=_cmd_odd_signature)
 
@@ -370,24 +384,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = qsub.add_parser("signature", parents=[common],
                         help="quotient signature from the branch shape")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--q", type=integer, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--shape", choices=("N0", "N1", "N2"), required=True)
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=integer, required=True)
     p.set_defaults(handler=_cmd_qgonal_signature)
 
     p = qsub.add_parser("family", parents=[common],
                         help="build the two-parameter descent family")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--q", type=integer, required=True)
+    p.add_argument("--m", type=integer, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.set_defaults(handler=_cmd_qgonal_family)
 
     p = qsub.add_parser("descend", parents=[common],
                         help="real-descent analysis of a family member")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--q", type=integer, required=True)
+    p.add_argument("--m", type=integer, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.set_defaults(handler=_cmd_qgonal_descend)
 
     qf = sub.add_parser("quartic-family",

@@ -110,7 +110,7 @@ class ImpossibleCase(InputError):
     pass
 
 
-class CocycleFailure(OddsigError):
+class CocycleFailure(InternalInconsistency):
     pass
 
 

@@ -36,6 +36,10 @@ from .errors import (BoundExceeded, InternalInconsistency, InvalidExponent, NotA
 # trial division; every order a fixture, report or test uses is far below this.
 MAX_ORDER = 1024
 
+# polyring's cap on dense lists, here so that superell reads it without running
+# polyring; the largest degree in use is 98 (the q-gonal member m = n = 7)
+MAX_DEGREE = 128
+
 _PHI_CACHE: dict[int, int] = {}
 
 

@@ -4,8 +4,9 @@ closure returns a FiniteGroup: a sequence of ProjMap values in the order
 breadth-first closure discovers them, so reports stay deterministic, with
 the identity at index 0. Alongside the elements it keeps the index of each
 lifted generator and integer tables for the product and the inverse, filled
-from the products closure computes anyway. Cyclic subgroups and conjugation
-are integer work on those tables; only closure multiplies maps.
+from the products closure computes anyway. Cyclic subgroups, and their
+conjugacy classes as integer rows (order, size, generator), come from those
+tables; only closure multiplies maps.
 element_order, which no library path calls, raises the stored
 representative to powers with the same sparse product, unnormalized, to
 read off the scalar A^n = c * I. Closure refuses a generator that fails a
@@ -19,7 +20,7 @@ caller that checks each generator runs first.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from .errors import BoundExceeded, HypothesisViolation
 from .exactnum import CyclotomicElement, common_order, euler_phi, galois_exponents
@@ -173,29 +174,17 @@ def cyclic_subgroups(group: FiniteGroup) -> dict[frozenset[int], int]:
     return first
 
 
-def subgroup_conjugacy_classes(group: FiniteGroup,
-                               subgroups: Iterable[frozenset[int]]) -> list[list[frozenset[int]]]:
-    """Partition of the given subgroups, which must be closed under
-    conjugation, into conjugacy classes. Classes and their members keep the
-    order of subgroups, so each class starts with its first appearance."""
+def cyclic_subgroup_classes(group: FiniteGroup) -> list[tuple[int, int, int]]:
+    """One row (order, size, generator) per conjugacy class of nontrivial
+    cyclic subgroups, in order of first appearance: the order of the
+    subgroups, how many the class holds, and the generator cyclic_subgroups
+    gives its first member."""
     mul, inv = group.mul, group.inv
-    position = {sub: k for k, sub in enumerate(subgroups)}
-    classes: list[list[frozenset[int]]] = []
+    rows: list[tuple[int, int, int]] = []
     done: set[frozenset[int]] = set()
-    for rep in subgroups:
-        if rep in done:
-            continue
-        # the generators generate the group, so their conjugation closes the orbit
-        orbit = {rep}
-        frontier = [rep]
-        while frontier:
-            sub = frontier.pop()
-            for g in group.gens:
-                row, g_inv = mul[g], inv[g]
-                image = frozenset(mul[row[x]][g_inv] for x in sub)
-                if image not in orbit:
-                    orbit.add(image)
-                    frontier.append(image)
-        done |= orbit
-        classes.append(sorted(orbit, key=position.__getitem__))
-    return classes
+    for rep, generator in cyclic_subgroups(group).items():
+        if len(rep) > 1 and rep not in done:
+            orbit = {frozenset(mul[mul[h][x]][inv[h]] for x in rep) for h in range(len(group))}
+            done |= orbit
+            rows.append((len(rep), len(orbit), generator))
+    return rows

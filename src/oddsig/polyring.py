@@ -41,13 +41,9 @@ from .errors import (
     VariableCountMismatch,
     ZeroPolynomial,
 )
-from .exactnum import CyclotomicElement, as_element, residues, split_prime
+from .exactnum import MAX_DEGREE, CyclotomicElement, as_element, residues, split_prime
 
 Coeff = Union[int, Fraction, CyclotomicElement]
-
-# Dense coefficient lists grow with the degree; the largest degree a fixture,
-# report, test or benchmark case uses is 98 (the q-gonal family member m = n = 7).
-MAX_DEGREE = 128
 
 
 def check_degree(degree: int, what: str) -> None:

@@ -14,12 +14,12 @@ plane.require_verdict_curve, a curve that is singular or of degree outside
 matgroup.require_closure_work, and checks that each generator is an
 automorphism: the closure of automorphisms consists of automorphisms.
 Conjugate elements have equally many fixed points, Fix(h g h^-1) = h Fix(g),
-so it counts fixed points once per conjugacy class of nontrivial cyclic
-subgroups, at the first generator of the class, and gives that count to every
-subgroup in the class. Counts of points with stabilizer exactly C come from
-Moebius inversion over the poset of cyclic subgroups, branch points of each
-index follow by orbit counting, and the quotient genus comes out of
-Riemann-Hurwitz. The verdict is ODD exactly when the quotient is rational and
+so it counts them once per row of matgroup.cyclic_subgroup_classes, times
+the class size. A point stabilizer is cyclic and holds one subgroup of each
+order dividing its own, so inverting over the divisors of the orders gives
+the points with stabilizer order exactly c; branch points of each index
+follow by orbit counting, and the quotient genus from Riemann-Hurwitz.
+The verdict is ODD exactly when the quotient is rational and
 some branch index appears an odd number of times.
 """
 
@@ -131,35 +131,24 @@ def signature(curve: plane.PlaneCurve, generators: Sequence[plane.ProjMap]) -> S
             raise NotAnAutomorphism("group element does not preserve the curve")
     group = matgroup.closure(generators)
     size = len(group)
-    genus_top = curve.genus()
-    if size == 1:
-        return Signature(genus_top, ())
-    subgroups = matgroup.cyclic_subgroups(group)
-    count_of: dict[frozenset[int], int] = {}
-    for cls in matgroup.subgroup_conjugacy_classes(group, subgroups):
-        if len(cls[0]) > 1:
-            count = fixed_point_count(curve, group[subgroups[cls[0]]])
-            count_of.update((sub, count) for sub in cls)
-    # a point fixed by one generator of a cyclic subgroup is fixed by all of them
-    fixed = {sub: count_of[sub] for sub in subgroups if len(sub) > 1}
-    exact: dict[frozenset, int] = {}
-    for sub in sorted(fixed, key=len, reverse=True):
-        above = sum(exact[other] for other in exact if sub < other)
-        exact[sub] = fixed[sub] - above
-        if exact[sub] < 0:
-            raise InternalInconsistency("negative stabilizer count in the Moebius inversion")
-    totals: Counter[int] = Counter()
-    for sub, value in exact.items():
-        totals[len(sub)] += value
+    # fixed[k] counts the points whose stabilizer order k divides
+    fixed: Counter[int] = Counter()
+    for order, count, generator in matgroup.cyclic_subgroup_classes(group):
+        fixed[order] += count * fixed_point_count(curve, group[generator])
+    exact: dict[int, int] = {}
+    for c in sorted(fixed, reverse=True):
+        exact[c] = fixed[c] - sum(value for k, value in exact.items() if k % c == 0)
+        if exact[c] < 0:
+            raise InternalInconsistency(f"negative count of points with stabilizer order {c}")
     indices: list[int] = []
-    for c in sorted(totals):
-        points, rem = divmod(totals[c] * c, size)
+    for c in sorted(exact):
+        points, rem = divmod(exact[c] * c, size)
         if rem:
             raise NonIntegerBranchCount(
-                f"index {c} stabilizer total {totals[c]} is not a multiple of {size // c}")
+                f"index {c} stabilizer total {exact[c]} is not a multiple of {size // c}")
         indices.extend([c] * points)
     ramification = sum((size // c) * (c - 1) for c in indices)
-    numerator = 2 * genus_top - 2 - ramification
+    numerator = 2 * curve.genus() - 2 - ramification
     twice, rem = divmod(numerator, size)
     if rem:
         raise NonIntegerGenus("Riemann-Hurwitz count is not divisible by the group order")

@@ -29,6 +29,10 @@ from .errors import BoundExceeded, InputError, ParseError, SchemaError
 
 PLANE_VARIABLES = ("x", "y", "z")
 
+# the CLI refuses a longer document file unread; the largest one the resource
+# bound checks write, the dense degree-128 curve, is 425 281 bytes
+MAX_DOCUMENT_BYTES = 16 * 2**20
+
 # [0-9], not \d, which also matches non-ASCII digits
 _RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+)")
 

@@ -52,7 +52,7 @@ from .errors import (
     PropertyViolation,
     ShapeViolation,
 )
-from .exactnum import MAX_ORDER, CyclotomicElement, as_element, common_order, is_prime
+from .exactnum import MAX_DEGREE, MAX_ORDER, CyclotomicElement, as_element, common_order, is_prime
 from .ramify import Signature, is_odd_signature, odd_signature_verdict
 
 SHAPES = ("N0", "N1", "N2")
@@ -186,7 +186,8 @@ def qgonal_signature(q: int, n: int, shape: str, g: int) -> Signature:
     automorphism group is cyclic of order n, from the branch shape.
 
     The shape encodes how many branch indices differ from q: none (N0),
-    one of index nq (N1), or two of index nq (N2)."""
+    one of index nq (N1), or two of index nq (N2). More than MAX_DEGREE
+    branch points of index q raise BoundExceeded before the list is built."""
     if shape not in SHAPES:
         raise ShapeViolation(f"unknown shape {shape!r}")
     if not _is_prime_degree(q) or n < 2 or g < 2:
@@ -202,6 +203,8 @@ def qgonal_signature(q: int, n: int, shape: str, g: int) -> Signature:
     if rem:
         raise NonIntegerCount(
             f"branch count ({numerator})/({scale}) is not an integer")
+    if t > MAX_DEGREE:
+        raise BoundExceeded(f"{t} branch points of index {q} exceed the bound {MAX_DEGREE}")
     if t < 1:
         raise ShapeViolation("no branch points of the generic index")
     nt = n * t

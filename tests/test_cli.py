@@ -942,6 +942,50 @@ def test_undecodable_input_file_exits_2(tmp_path, capsys):
     assert err.startswith("input error:") and len(err.strip().splitlines()) == 1
 
 
+def test_long_document_file_exits_3(monkeypatch, tmp_path, capsys):
+    # the reader stops one byte past the cap, so a file that never ends
+    # (/dev/zero) is refused as well as a long one
+    size = Path(fx("fermat_quartic")).stat().st_size
+    assert Path(fx("sign_flip_x")).stat().st_size < size
+    monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", size)
+    code, out, err = run(capsys, "aut-check", "--curve", fx("fermat_quartic"), "--map", fx("sign_flip_x"))
+    assert code == 0, err
+    monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", size - 1)
+    with pytest.raises(BoundExceeded, match=f"longer than {size - 1} bytes"):
+        cli._read_document(fx("fermat_quartic"), ("plane_curve",))
+    code, out, err = run(capsys, "aut-check", "--curve", fx("fermat_quartic"), "--map", fx("sign_flip_x"))
+    assert code == 3 and out == ""
+    assert err.startswith("resource bound exceeded:") and len(err.splitlines()) == 1
+    # invalid UTF-8 under the cap is still a parse error
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "aut-check", "--curve", str(bad), "--map", fx("fermat_quartic"))
+    assert code == 2 and "not UTF-8" in err
+
+
+def test_integer_options_read_one_ascii_grammar(capsys):
+    # int() reads "1_0", surrounding whitespace and non-ASCII digits; the
+    # command line refuses them, as the documents do
+    for bad in ("1_0", "\u0667", "\uff17", " 7", "7 ", "", "+", "0x7", "7.0"):
+        code, out, err = run(capsys, "odd-signature", "--quotient-genus", "0", "--indices", f"2,3,{bad}")
+        assert (code, out) == (2, ""), bad
+        assert err == f"input error: bad index list {f'2,3,{bad}'!r}\n", bad
+        for argv in (["odd-signature", "--quotient-genus", bad, "--indices", "2,3,7"],
+                     ["qgonal", "signature", "--q", bad, "--n", "2", "--shape", "N0", "--genus", "4"],
+                     ["qgonal", "signature", "--q", "3", "--n", "2", "--shape", "N0", "--genus", bad],
+                     ["qgonal", "family", "--q", "3", "--m", bad, "--n", "2"],
+                     ["qgonal", "descend", "--q", "3", "--m", "3", "--n", bad],
+                     ["group-closure", "--group", fx("fermat_quartic_gens"), "--bound", bad]):
+            with pytest.raises(SystemExit) as info:
+                run_command(argv)
+            assert info.value.code == 2, argv
+            assert "invalid integer value" in capsys.readouterr().err, argv
+    report = run_structured(capsys, "odd-signature", "--quotient-genus", "+0", "--indices", "+2,03,7")
+    assert report["result"]["signature"]["display"] == "(0; 2, 3, 7)"
+    code, out, err = run(capsys, "qgonal", "signature", "--q", "3", "--n", "+2", "--shape", "N0", "--genus", "04")
+    assert code == 0 and "signature: (0; 2, 2, 3, 3, 3)" in out
+
+
 def test_unwritable_out_path_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "odd-signature", "--quotient-genus", "0", "--indices", "2,3,7",
                          "--out", str(tmp_path))

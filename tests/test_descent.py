@@ -1,10 +1,11 @@
 """Order-2 descent on plane curves and the symmetric quartic family."""
 
 import random
+from pathlib import Path
 
 import pytest
 
-from oddsig.cli import _verdict_payload
+from oddsig.cli import _verdict_payload, run_command
 from oddsig.descent import (
     CYCLE,
     DescentVerdict,
@@ -26,11 +27,13 @@ from oddsig.descent import (
 )
 from oddsig.errors import (
     BoundExceeded,
+    CocycleFailure,
     DegenerateTriple,
     GenusTooSmall,
     HypothesisViolation,
     ImageTooLarge,
     ImpossibleCase,
+    InternalInconsistency,
     NotAnIsomorphism,
 )
 from oddsig.exactnum import CyclotomicElement
@@ -40,6 +43,7 @@ from oddsig.polyring import SparsePoly
 from oddsig.ramify import Signature, signature
 
 I = CyclotomicElement.zeta(4, 1)
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def quartic_nu():
@@ -408,3 +412,38 @@ def test_aut_generators_are_automorphisms():
     for g in gens:
         ok, lam = is_automorphism(curve, g)
         assert ok and lam.is_one()
+
+
+# the engines' self-checks -------------------------------------------------------
+
+def test_defect_outside_the_group_is_typed(monkeypatch, capsys):
+    # every defect conj(phi) o phi of a verified isomorphism is an
+    # automorphism; an is_automorphism that refuses it trips the self-check
+    from oddsig import plane
+    monkeypatch.setattr(plane, "is_automorphism", lambda curve, mapping: (False, None))
+    with pytest.raises(InternalInconsistency, match="fell outside the automorphism group"):
+        weil_descent_order2(quartic_fixture(), quartic_mu(), [quartic_nu()])
+    code = run_command(["descend-real", "--curve", str(FIXTURES / "bielliptic_quartic.json"),
+                        "--mu", str(FIXTURES / "bielliptic_quartic_mu.json")])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("internal inconsistency:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+def test_cocycle_failure_is_typed(monkeypatch, capsys):
+    # an assignment that gives every field automorphism the same transposition
+    # breaks the cocycle identity at (k, l) = (1, 1): the swap squared is the
+    # identity, not the swap assigned to 1
+    from oddsig import descent
+    assert issubclass(CocycleFailure, InternalInconsistency)
+    swap = next(m for m in family_symmetries() if m.plain() and m.perm == (0, 2, 1))
+    monkeypatch.setattr(descent, "family_isomorphic", lambda t, t2, field_contains_i=True: swap)
+    with pytest.raises(CocycleFailure, match=r"exponents \(1, 1\)"):
+        family_rational_descent(FamilyTriple(1, 3, 5))
+    code = run_command(["quartic-family", "rational-descend",
+                        "--triple", str(FIXTURES / "triple_135.json")])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("internal inconsistency: cocycle identity fails") and "Traceback" not in err
+    assert len(err.splitlines()) == 1

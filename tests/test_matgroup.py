@@ -7,8 +7,8 @@ import pytest
 from oddsig import matgroup, serialize
 from oddsig.errors import BoundExceeded, HypothesisViolation
 from oddsig.exactnum import CyclotomicElement, common_order
-from oddsig.matgroup import (DEFAULT_BOUND, MAX_CLOSURE_WORK, closure, cyclic_subgroups,
-                             element_order, subgroup_conjugacy_classes)
+from oddsig.matgroup import (DEFAULT_BOUND, MAX_CLOSURE_WORK, closure, cyclic_subgroup_classes,
+                             cyclic_subgroups, element_order)
 from oddsig.plane import ProjMap
 from oracles import cyclic_subgroup, is_group
 
@@ -239,21 +239,31 @@ def test_subgroup_conjugacy_classes_symmetric_group():
     # permutation matrices give S_3: three conjugate involutions, one 3-cycle class
     group = closure([ProjMap.permutation(1, [1, 0, 2]), ProjMap.permutation(1, [2, 0, 1])])
     assert len(group) == 6
-    subs = cyclic_subgroups(group)
-    classes = subgroup_conjugacy_classes(group, list(subs))
-    sizes = sorted((len(cls), len(cls[0])) for cls in classes)
-    # one trivial class, one class of three order-2 subgroups, one order-3 subgroup
-    assert sizes == [(1, 1), (1, 3), (3, 2)]
-    assert_classes_match_matrix_conjugation(group, classes)
+    rows = cyclic_subgroup_classes(group)
+    sizes = sorted((size, order) for order, size, _ in rows)
+    # one class of three order-2 subgroups, one order-3 subgroup; the trivial
+    # subgroup has no row
+    assert sizes == [(1, 3), (3, 2)]
+    assert_rows_match_matrix_conjugation(group, rows)
 
 
-def assert_classes_match_matrix_conjugation(group, classes):
-    """Each class is the orbit of its first member under conjugation by
-    every element, computed with matrices."""
-    for cls in classes:
-        rep = [group[i] for i in cls[0]]
+def assert_rows_match_matrix_conjugation(group, rows):
+    """Each row's class is the orbit of the subgroup its generator generates
+    under conjugation by every element, computed with matrices, with the
+    row's order and size. The classes are disjoint and cover the nontrivial
+    cyclic subgroups, and each generator is the first element that generates
+    a member of its class, so the rows come in order of first appearance."""
+    seen = set()
+    for order, size, gen in rows:
+        rep = cyclic_subgroup(group[gen])
         orbit = {frozenset(h @ g @ h.inverse() for g in rep) for h in group}
-        assert orbit == {frozenset(group[i] for i in sub) for sub in cls}
+        assert (len(rep), len(orbit)) == (order, size)
+        assert seen.isdisjoint(orbit)
+        seen |= orbit
+        assert gen == next(a for a, g in enumerate(group) if cyclic_subgroup(g) in orbit)
+    assert seen == {cyclic_subgroup(g) for g in group if not g.is_identity()}
+    gens = [gen for _, _, gen in rows]
+    assert gens == sorted(gens)
 
 
 def s4_generators():
@@ -295,7 +305,7 @@ def test_group_tables_on_small_groups(generators, size):
     first = cyclic_subgroups(group)
     for sub, gen in first.items():
         assert frozenset(group[i] for i in sub) == cyclic_subgroup(group[gen])
-    assert_classes_match_matrix_conjugation(group, subgroup_conjugacy_classes(group, list(first)))
+    assert_rows_match_matrix_conjugation(group, cyclic_subgroup_classes(group))
 
 
 @pytest.mark.parametrize("generators, seed", [(fermat_generators, 11), (klein_generators, 12)])
@@ -318,10 +328,20 @@ def test_cyclic_subgroup_classes_of_large_groups(generators, subgroups, classes)
     assert len(first) == subgroups
     for sub, gen in first.items():
         assert frozenset(group[i] for i in sub) == cyclic_subgroup(group[gen])
-    found = subgroup_conjugacy_classes(group, list(first))
-    assert len(found) == classes
-    members = [sub for cls in found for sub in cls]
-    assert len(members) == len(first) and set(members) == set(first)
+    rows = cyclic_subgroup_classes(group)
+    # the trivial subgroup is a class of its own, and has no row
+    assert len(rows) == classes - 1
+    # each row's class, conjugated by every element through the tables,
+    # partitions the nontrivial cyclic subgroups
+    mul, inv = group.mul, group.inv
+    members = []
+    for order, size, gen in rows:
+        rep = next(sub for sub, a in first.items() if a == gen)
+        orbit = {frozenset(mul[mul[h][x]][inv[h]] for x in rep) for h in range(len(group))}
+        assert len(rep) == order and len(orbit) == size
+        members += orbit
+    assert len(members) == len(first) - 1
+    assert set(members) == {sub for sub in first if len(sub) > 1}
 
 
 def test_is_group_rejects_broken_sets():

@@ -122,6 +122,20 @@ def test_quotient_signature_guards():
         qgonal_signature(6, 3, "N0", 16)
 
 
+def test_quotient_signature_bounds_its_branch_count():
+    # N0 has t = (2g + 4) / 4 branch points of index 3 for q = 3, n = 2, and
+    # 3 must divide 2t: t = 126 passes, t = 129 > MAX_DEGREE = 128 stops
+    # before the list is built, and so does a genus near 10^9
+    assert qgonal_signature(3, 2, "N0", 250) == Signature(0, (2, 2) + (3,) * 126)
+    for genus in (256, 10**9, 10**30):
+        started = time.perf_counter()
+        with pytest.raises(BoundExceeded, match=f"exceed the bound {MAX_DEGREE}"):
+            qgonal_signature(3, 2, "N0", genus)
+        assert time.perf_counter() - started < 0.1
+    with pytest.raises(BoundExceeded):
+        qgonal_signature(3, 2, "N2", 2 * (MAX_DEGREE + 1))
+
+
 def test_build_family_quartic_twist():
     f = build_family(2, 4)
     factors = [U(4, [Cyc.zeta(4, 1) * -2, 0, 0, 0, 1]),
