@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import descent, exactnum, matgroup, plane, ramify, serialize, superell
 from .errors import (BoundExceeded, HypothesisViolation, InputError, InternalInconsistency,
-                     OddsigError, ParseError, ResourceError, SchemaError)
+                     OddsigError, ParseError, ResourceError, SchemaError, UsageError)
 
 _SIGNATURE_CITATION = ("quotient signature from exact fixed-point counts "
                        "and the Riemann-Hurwitz ledger")
@@ -326,13 +326,19 @@ def _cmd_family_rational_descend(args):
 
 # parser --------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    # a refused command line ends in one stderr line; subparsers inherit the class
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the structured report to a file")
     common.add_argument("--format", choices=("text", "structured"),
                         default="text", help="stdout format")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oddsig",
         description="Exact quotient signatures and Galois descent checks "
                     "for curves over cyclotomic fields.")
@@ -455,10 +461,9 @@ def run_command(argv=None) -> int:
             # handler runs or any --out file is opened
             print(f"input error: argument {arg!r} is not valid UTF-8", file=sys.stderr)
             return 2
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    started = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
+        started = time.perf_counter()
         result, assumptions, citations, lines = args.handler(args)
         report = {
             "command": argv,

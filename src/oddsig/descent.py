@@ -2,9 +2,9 @@
 
 The conjugation case of Weil's criterion: a curve X with X isomorphic to its
 conjugate descends to the reals exactly when some isomorphism phi onto the
-conjugate curve has identity cocycle defect conj(phi) o phi. The candidate
-isomorphisms form a single orbit under Aut(X), so the check is a finite
-enumeration once the automorphisms are known.
+conjugate curve has identity cocycle defect conj(phi) o phi. The candidates
+are mu o alpha for alpha in the closed group G of the supplied automorphisms;
+every defect is an automorphism, so one outside G refuses the input.
 
 The second half implements the quartic family
 
@@ -30,7 +30,6 @@ from .errors import (
     HypothesisViolation,
     ImageTooLarge,
     ImpossibleCase,
-    InternalInconsistency,
 )
 from .exactnum import CyclotomicElement, as_element, common_order, galois_exponents
 
@@ -73,47 +72,34 @@ _ORDER2_CITATION = ("Weil cocycle criterion for the order-2 Galois action: "
                     "identity defect conj(phi) o phi")
 
 
-def isomorphism_orbit(curve: plane.PlaneCurve, mu: plane.ProjMap,
-                      aut_generators: Sequence[plane.ProjMap]) -> list[plane.ProjMap]:
-    """All isomorphisms onto the conjugate curve: the orbit mu o Aut(X).
-
-    Complete exactly when the generators produce the full automorphism
-    group; the supplied isomorphism comes first, the rest follow in a
-    canonical order. A generator list that closure would refuse is refused
-    by matgroup.require_closure_work before any map is checked."""
-    matgroup.require_closure_work(len(aut_generators))
-    twin = curve.conjugate()
-    plane.require_isomorphism(curve, twin, mu)
-    order = common_order(curve.order, mu.order,
-                         *[g.order for g in aut_generators])
-    if aut_generators:
-        for g in aut_generators:
-            plane.require_isomorphism(curve, curve, g)
-        group = matgroup.closure([g.lift_to(order) for g in aut_generators])
-    else:
-        group = [plane.ProjMap.identity(order)]
-    lifted = mu.lift_to(order)
-    # mu o alpha is distinct for distinct alpha, and group[0] is the identity
-    return [lifted] + sorted((lifted @ alpha for alpha in group[1:]), key=plane.ProjMap.key)
-
-
 def weil_descent_order2(curve: plane.PlaneCurve, mu: plane.ProjMap,
                         aut_generators: Sequence[plane.ProjMap]) -> DescentVerdict:
     """Decide real definability given one isomorphism onto the conjugate.
 
-    Every candidate differs from mu by an automorphism, so the verdict does
-    not depend on which isomorphism is supplied. The list of candidates is
-    complete only for a curve that passes plane.require_verdict_curve."""
+    The candidates are mu o alpha for alpha in the closed group G of the
+    verified generators, so the verdict does not depend on the mu supplied.
+    A defect outside G is an automorphism that G lacks, which disproves the
+    stated assumption, so the input is refused. The list is complete only
+    for a curve that passes plane.require_verdict_curve."""
     plane.require_verdict_curve(curve)
-    candidates = isomorphism_orbit(curve, mu, aut_generators)
-    lifted = curve.lift_to(candidates[0].order) if candidates else curve
+    matgroup.require_closure_work(len(aut_generators))
+    plane.require_isomorphism(curve, curve.conjugate(), mu)
+    for g in aut_generators:
+        plane.require_isomorphism(curve, curve, g)
+    order = common_order(curve.order, mu.order, *[g.order for g in aut_generators])
+    group = matgroup.closure([g.lift_to(order) for g in aut_generators]
+                             or [plane.ProjMap.identity(order)])
+    members = set(group)
+    mu = mu.lift_to(order)
+    # mu o alpha is distinct for distinct alpha, and group[0] is the identity
+    candidates = [mu] + sorted((mu @ alpha for alpha in group[1:]), key=plane.ProjMap.key)
     defects = []
     witness = None
     for phi in candidates:
         defect = phi.conjugate() @ phi
-        ok, _ = plane.is_automorphism(lifted, defect)
-        if not ok:
-            raise InternalInconsistency("cocycle defect fell outside the automorphism group")
+        if defect not in members:
+            raise HypothesisViolation("a cocycle defect lies outside the group of the supplied "
+                                      "generators, so they miss an automorphism")
         if defect.is_identity() and witness is None:
             witness = phi
         defects.append((phi, defect))
@@ -312,34 +298,29 @@ def family_real_definability(t: FamilyTriple,
     With case given, insists the conjugate triple matches that one
     generator; the pure cycle case is impossible, since it forces
     a = b = c real against the distinct-squares requirement."""
-    twin = t.conjugate()
+    if case == CYCLE:
+        raise ImpossibleCase(
+            "conjugation matching the pure cycle forces a = b = c real, "
+            "excluded by the distinct-squares requirement")
+    move = family_isomorphic(t, t.conjugate(), field_contains_i=True)
     if case is not None:
-        if case == CYCLE:
-            raise ImpossibleCase(
-                "conjugation matching the pure cycle forces a = b = c real, "
-                "excluded by the distinct-squares requirement")
         gens = _generator_moves()
         if case not in gens:
             raise HypothesisViolation(f"unknown case {case!r}")
-        move = gens[case]
-        if move.apply(t) != twin:
+        if move is None or move.key() != gens[case].key():
             raise HypothesisViolation(
                 f"conjugate triple does not match the {case} move")
-    else:
-        move = family_isomorphic(t, twin, field_contains_i=True)
-        if move is None:
-            return DescentVerdict(
-                status=INCONCLUSIVE,
-                witness=None,
-                defects=(),
-                assumptions=("no family symmetry carries the triple to its "
-                             "conjugate, so the real moduli field is larger "
-                             "than the reals and descent is not the question",),
-                citation="family classification by sign-and-permutation moves",
-            )
-    curve = family_curve(t)
-    return weil_descent_order2(curve, move.map.lift_to(common_order(t.order, 4)),
-                               family_aut_generators(t.order))
+    if move is None:
+        return DescentVerdict(
+            status=INCONCLUSIVE,
+            witness=None,
+            defects=(),
+            assumptions=("no family symmetry carries the triple to its "
+                         "conjugate, so the real moduli field is larger "
+                         "than the reals and descent is not the question",),
+            citation="family classification by sign-and-permutation moves",
+        )
+    return weil_descent_order2(family_curve(t), move.map, family_aut_generators(t.order))
 
 
 def family_moduli_field(t: FamilyTriple, field_contains_i: bool = True) -> dict:

@@ -123,5 +123,9 @@ class ParseError(InputError):
     pass
 
 
+class UsageError(InputError):
+    pass
+
+
 class SchemaError(InputError):
     pass

@@ -604,10 +604,7 @@ def test_cli_fuzz_exits_0_2_or_3(command_line):
             argv += [name, value]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = run_command(argv)
-            except SystemExit as exc:  # argparse refuses the command line
-                code = exc.code
+            code = run_command(argv)
     assert code in (0, 2, 3), (argv, err.getvalue())
     if code:
         assert out.getvalue() == "", argv
@@ -785,10 +782,20 @@ def test_only_group_closure_takes_bound(capsys):
                  ["odd-signature", "--curve", fx("quartic_c2c2"), "--group", fx("quartic_c2c2_gens")],
                  ["descend-real", "--curve", fx("bielliptic_quartic"),
                   "--mu", fx("bielliptic_quartic_mu")]):
+        code, out, err = run(capsys, *argv, "--bound", "400")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --bound" in err
+        assert len(err.splitlines()) == 1
+
+
+def test_help_still_exits_0(capsys):
+    # argparse refusals are input errors, but --help is no refusal
+    for argv in (["--help"], ["qgonal", "signature", "--help"]):
         with pytest.raises(SystemExit) as info:
-            run_command(argv + ["--bound", "400"])
-        assert info.value.code == 2
-        assert "unrecognized arguments: --bound" in capsys.readouterr().err
+            run_command(argv)
+        assert info.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: oddsig") and err == ""
 
 
 def test_readme_cli_usage_commands_exit_0(monkeypatch, capsys):
@@ -976,10 +983,10 @@ def test_integer_options_read_one_ascii_grammar(capsys):
                      ["qgonal", "family", "--q", "3", "--m", bad, "--n", "2"],
                      ["qgonal", "descend", "--q", "3", "--m", "3", "--n", bad],
                      ["group-closure", "--group", fx("fermat_quartic_gens"), "--bound", bad]):
-            with pytest.raises(SystemExit) as info:
-                run_command(argv)
-            assert info.value.code == 2, argv
-            assert "invalid integer value" in capsys.readouterr().err, argv
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "invalid integer value" in err, argv
+            assert len(err.splitlines()) == 1, argv
     report = run_structured(capsys, "odd-signature", "--quotient-genus", "+0", "--indices", "+2,03,7")
     assert report["result"]["signature"]["display"] == "(0; 2, 3, 7)"
     code, out, err = run(capsys, "qgonal", "signature", "--q", "3", "--n", "+2", "--shape", "N0", "--genus", "04")

@@ -22,7 +22,6 @@ from oddsig.descent import (
     family_rational_descent,
     family_real_definability,
     family_symmetries,
-    isomorphism_orbit,
     weil_descent_order2,
 )
 from oddsig.errors import (
@@ -65,6 +64,10 @@ def fermat_quartic(order=4):
         (one, (4, 0, 0)), (one, (0, 4, 0)), (one, (0, 0, 4))]))
 
 
+FERMAT_GENERATORS = [ProjMap.diagonal(4, I, 1, 1), ProjMap.diagonal(4, 1, I, 1),
+                     ProjMap.permutation(4, [2, 0, 1]), ProjMap.permutation(4, [1, 0, 2])]
+
+
 def test_bielliptic_quartic_shape():
     curve = quartic_fixture()
     assert curve.degree == 4
@@ -83,27 +86,31 @@ def test_quartic_involution_and_signature():
     assert signature(curve, group) == Signature(1, (2, 2, 2, 2))
 
 
+def candidates(verdict):
+    return [phi for phi, _ in verdict.defects]
+
+
 def test_isomorphism_orbit_lists_supplied_map_first():
     curve = quartic_fixture()
     mu, nu = quartic_mu(), quartic_nu()
-    orbit = isomorphism_orbit(curve, mu, [nu])
+    orbit = candidates(weil_descent_order2(curve, mu, [nu]))
     assert orbit[0] == mu
     assert set(phi.key() for phi in orbit) == {mu.key(), (mu @ nu).key()}
     twin = curve.conjugate()
     for phi in orbit:
         require_isomorphism(curve, twin, phi)
-    assert isomorphism_orbit(curve, mu, []) == [mu]
+    # no generators close to the identity alone, so mu is the only candidate
+    mu = ProjMap.diagonal(4, 1, 1, I)
+    assert candidates(weil_descent_order2(fermat_quartic(), mu, [])) == [mu]
 
 
 def test_isomorphism_orbit_of_a_large_group_is_distinct_and_sorted():
     # the Fermat quartic is real, so each of its 96 automorphisms is also an
     # isomorphism onto the conjugate curve
     curve = PlaneCurve(SparsePoly.build(4, 3, [(1, (4, 0, 0)), (1, (0, 4, 0)), (1, (0, 0, 4))]))
-    gens = [ProjMap.diagonal(4, I, 1, 1), ProjMap.diagonal(4, 1, I, 1),
-            ProjMap.permutation(4, [2, 0, 1]), ProjMap.permutation(4, [1, 0, 2])]
     mu = ProjMap.diagonal(4, 1, 1, I)
-    orbit = isomorphism_orbit(curve, mu, gens)
-    group = closure(gens)
+    orbit = candidates(weil_descent_order2(curve, mu, FERMAT_GENERATORS))
+    group = closure(FERMAT_GENERATORS)
     assert len(orbit) == len(set(orbit)) == 96
     assert orbit[0] == mu
     assert [phi.key() for phi in orbit[1:]] == sorted(phi.key() for phi in orbit[1:])
@@ -143,7 +150,7 @@ def test_not_an_isomorphism_on_perturbed_map():
     curve = quartic_fixture()
     skew = ProjMap(4, [[0, 0, -1], [0, 1, 0], [1, 0, 0]])
     with pytest.raises(NotAnIsomorphism):
-        isomorphism_orbit(curve, skew, [quartic_nu()])
+        weil_descent_order2(curve, skew, [quartic_nu()])
 
 
 def test_rational_curve_descends_with_identity():
@@ -416,19 +423,55 @@ def test_aut_generators_are_automorphisms():
 
 # the engines' self-checks -------------------------------------------------------
 
-def test_defect_outside_the_group_is_typed(monkeypatch, capsys):
-    # every defect conj(phi) o phi of a verified isomorphism is an
-    # automorphism; an is_automorphism that refuses it trips the self-check
-    from oddsig import plane
-    monkeypatch.setattr(plane, "is_automorphism", lambda curve, mapping: (False, None))
-    with pytest.raises(InternalInconsistency, match="fell outside the automorphism group"):
-        weil_descent_order2(quartic_fixture(), quartic_mu(), [quartic_nu()])
+def test_defect_outside_the_group_is_typed(capsys):
+    # the only defect of the bielliptic pair is nu; without --aut the group
+    # is the identity alone, and a defect outside it refuses the input
+    with pytest.raises(HypothesisViolation, match="outside the group"):
+        weil_descent_order2(quartic_fixture(), quartic_mu(), [])
     code = run_command(["descend-real", "--curve", str(FIXTURES / "bielliptic_quartic.json"),
                         "--mu", str(FIXTURES / "bielliptic_quartic_mu.json")])
     out, err = capsys.readouterr()
-    assert code == 1 and out == ""
-    assert err.startswith("internal inconsistency:") and "Traceback" not in err
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "outside the group" in err
     assert len(err.splitlines()) == 1
+
+
+def test_defect_outside_a_subgroup_refuses_the_input():
+    # mu = swap(x, y) o diag(i, 1, 1) has defect diag(i, -i, 1), an
+    # automorphism of the Fermat quartic that <diag(i, 1, 1)> lacks
+    swap = ProjMap.permutation(4, [1, 0, 2])
+    defect = ProjMap.diagonal(4, I, -I, 1)
+    phi = swap @ ProjMap.diagonal(4, I, 1, 1)
+    assert phi.conjugate() @ phi == defect and is_automorphism(fermat_quartic(), defect)[0]
+    with pytest.raises(HypothesisViolation, match="outside the group"):
+        weil_descent_order2(fermat_quartic(), swap, [ProjMap.diagonal(4, I, 1, 1)])
+    verdict = weil_descent_order2(fermat_quartic(), swap, FERMAT_GENERATORS)
+    assert verdict.status == "DEFINABLE" and verdict.witness == swap
+    assert len(verdict.defects) == 96
+
+
+def test_shipped_descent_inputs_keep_defects_in_the_group():
+    # oracle: every defect is an automorphism by substitution, and an element
+    # of the closure of the generators the verdict was computed with
+    from oddsig.serialize import parse_input
+
+    def read(name):
+        return parse_input((FIXTURES / name).read_text(encoding="utf-8")).value
+
+    curve, nu = read("bielliptic_quartic.json"), read("bielliptic_quartic_nu.json")
+    cases = [(curve, nu, weil_descent_order2(curve, read("bielliptic_quartic_mu.json"), nu))]
+    for path in sorted(FIXTURES.glob("triple_*.json")):
+        t = read(path.name)
+        gens = family_aut_generators(t.order)
+        cases.append((family_curve(t), gens, family_real_definability(t)))
+    seen = 0
+    for curve, gens, verdict in cases:
+        group = set(closure([g.lift_to(4) for g in gens]))
+        for _, defect in verdict.defects:
+            assert defect in group
+            assert is_automorphism(curve, defect)[0]
+            seen += 1
+    assert seen == 2 + 4 * 4
 
 
 def test_cocycle_failure_is_typed(monkeypatch, capsys):
