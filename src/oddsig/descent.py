@@ -3,8 +3,9 @@
 The conjugation case of Weil's criterion: a curve X with X isomorphic to its
 conjugate descends to the reals exactly when some isomorphism phi onto the
 conjugate curve has identity cocycle defect conj(phi) o phi. The candidates
-are mu o alpha for alpha in the closed group G of the supplied automorphisms;
-every defect is an automorphism, so one outside G refuses the input.
+are mu o alpha for alpha in the group G that matgroup.automorphism_group
+closes from the supplied automorphisms; every defect is an automorphism, so
+one outside G refuses the input.
 
 The second half implements the quartic family
 
@@ -21,6 +22,7 @@ moduli field and the refused cycle case run none of them.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple, Optional, Sequence
 
 from . import matgroup, plane, polyring
@@ -76,21 +78,17 @@ def weil_descent_order2(curve: plane.PlaneCurve, mu: plane.ProjMap,
                         aut_generators: Sequence[plane.ProjMap]) -> DescentVerdict:
     """Decide real definability given one isomorphism onto the conjugate.
 
-    The candidates are mu o alpha for alpha in the closed group G of the
-    verified generators, so the verdict does not depend on the mu supplied.
-    A defect outside G is an automorphism that G lacks, which disproves the
-    stated assumption, so the input is refused. The list is complete only
-    for a curve that passes plane.require_verdict_curve."""
-    plane.require_verdict_curve(curve)
-    matgroup.require_closure_work(len(aut_generators))
+    The candidates are mu o alpha for alpha in the group G that
+    matgroup.automorphism_group closes over the field of the curve, mu and
+    the generators, so the verdict does not depend on the mu supplied; G's
+    curve check makes the list complete. A defect outside G is an
+    automorphism that G lacks, which disproves the stated assumption, so
+    the input is refused."""
+    curve = curve.lift_to(common_order(curve.order, mu.order))
+    group = matgroup.automorphism_group(curve, aut_generators)
     plane.require_isomorphism(curve, curve.conjugate(), mu)
-    for g in aut_generators:
-        plane.require_isomorphism(curve, curve, g)
-    order = common_order(curve.order, mu.order, *[g.order for g in aut_generators])
-    group = matgroup.closure([g.lift_to(order) for g in aut_generators]
-                             or [plane.ProjMap.identity(order)])
     members = set(group)
-    mu = mu.lift_to(order)
+    mu = mu.lift_to(group[0].order)
     # mu o alpha is distinct for distinct alpha, and group[0] is the identity
     candidates = [mu] + sorted((mu @ alpha for alpha in group[1:]), key=plane.ProjMap.key)
     defects = []
@@ -247,26 +245,26 @@ def _generator_moves() -> dict[str, TripleMove]:
     }
 
 
-_MOVES: list[TripleMove] = []
+@functools.cache
+def _moves() -> tuple[TripleMove, ...]:
+    gens = list(_generator_moves().values())
+    identity = TripleMove((0, 1, 2), (1, 1, 1), plane.ProjMap.identity(4))
+    seen = {identity.key(): identity}
+    queue = [identity]
+    while queue:
+        cur = queue.pop(0)
+        for gen in gens:
+            nxt = gen.compose(cur)
+            if nxt.key() not in seen:
+                seen[nxt.key()] = nxt
+                queue.append(nxt)
+    return tuple(seen[k] for k in sorted(seen))
 
 
 def family_symmetries() -> list[TripleMove]:
     """The 24 triple moves, sorted by key; the 6 with plain() true are the
     pure permutations."""
-    if not _MOVES:
-        gens = list(_generator_moves().values())
-        identity = TripleMove((0, 1, 2), (1, 1, 1), plane.ProjMap.identity(4))
-        seen = {identity.key(): identity}
-        queue = [identity]
-        while queue:
-            cur = queue.pop(0)
-            for gen in gens:
-                nxt = gen.compose(cur)
-                if nxt.key() not in seen:
-                    seen[nxt.key()] = nxt
-                    queue.append(nxt)
-        _MOVES.extend(seen[k] for k in sorted(seen))
-    return list(_MOVES)
+    return list(_moves())
 
 
 def family_isomorphic(t: FamilyTriple, t2: FamilyTriple,
@@ -278,7 +276,7 @@ def family_isomorphic(t: FamilyTriple, t2: FamilyTriple,
     coefficient field lacks i."""
     order = common_order(t.order, t2.order)
     t, t2 = t.lift_to(order), t2.lift_to(order)
-    for move in family_symmetries():
+    for move in _moves():
         if (field_contains_i or move.plain()) and move.apply(t) == t2:
             return move
     return None

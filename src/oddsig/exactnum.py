@@ -24,6 +24,7 @@ polyring's gcd certificate runs on.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from operator import mul
@@ -39,8 +40,6 @@ MAX_ORDER = 1024
 # polyring's cap on dense lists, here so that superell reads it without running
 # polyring; the largest degree in use is 98 (the q-gonal member m = n = 7)
 MAX_DEGREE = 128
-
-_PHI_CACHE: dict[int, int] = {}
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -61,19 +60,15 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
+@functools.cache
 def euler_phi(n: int) -> int:
     """Euler totient of a field order; an order above MAX_ORDER raises
     BoundExceeded before any factoring."""
-    cached = _PHI_CACHE.get(n)
-    if cached is not None:
-        return cached
     if n < 1:
         raise ValueError("order must be positive")
     if n > MAX_ORDER:
         raise BoundExceeded(f"field order {n} exceeds the bound {MAX_ORDER}")
-    result = math.prod((p - 1) * p ** (k - 1) for p, k in _factorize(n))
-    _PHI_CACHE[n] = result
-    return result
+    return math.prod((p - 1) * p ** (k - 1) for p, k in _factorize(n))
 
 
 # Miller-Rabin on the first 13 primes as bases has no strong pseudoprime below
@@ -116,16 +111,11 @@ def _mobius(m: int) -> int:
     return 0 if any(k > 1 for _, k in factors) else (-1) ** len(factors)
 
 
-_CYCLO_CACHE: dict[int, tuple[Fraction, ...]] = {}
-
-
+@functools.cache
 def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
     """Phi_n as monic coefficients low to high: the product of (x^d - 1)^mu(n/d)
     over the divisors d of n, in integers. Every factor with mu = 1 is
     multiplied in first, so each division by x^d - 1 is exact."""
-    cached = _CYCLO_CACHE.get(n)
-    if cached is not None:
-        return cached
     exponents = [(d, _mobius(n // d)) for d in range(1, n + 1) if n % d == 0]
     poly = [1]
     for d, mu in exponents:
@@ -139,9 +129,7 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
             if [a - b for a, b in zip([0] * d + quot, quot + [0] * d)] != poly:
                 raise InternalInconsistency(f"x^{d} - 1 does not divide the product for Phi_{n} exactly")
             poly = quot
-    result = tuple(Fraction(c) for c in poly)
-    _CYCLO_CACHE[n] = result
-    return result
+    return tuple(Fraction(c) for c in poly)
 
 
 class _Field:
@@ -172,14 +160,7 @@ class _Field:
         self.half_units = tuple(k for k in range(2, (n + 1) // 2) if math.gcd(k, n) == 1)
 
 
-_FIELD_CACHE: dict[int, _Field] = {}
-
-
-def _field(n: int) -> _Field:
-    field = _FIELD_CACHE.get(n)
-    if field is None:
-        field = _FIELD_CACHE[n] = _Field(n)
-    return field
+_field = functools.cache(_Field)
 
 
 def _mul_ints(a, b, field: _Field) -> list[int]:
@@ -462,29 +443,27 @@ def common_order(*orders: int) -> int:
 
 # reduction to F_p --------------------------------------------------------------
 
-# (p, w, the powers w^i mod p for i < phi(order)), built on first use of the order
-_SPLIT_PRIMES: dict[int, tuple[int, int, tuple[int, ...]]] = {}
+@functools.cache
+def _split(order: int) -> tuple[int, int, tuple[int, ...]]:
+    """split_prime's (p, w) and the powers w^i mod p for i < phi(order)."""
+    p = (2**31 // order + 1) * order + 1
+    while not is_prime(p):
+        p += order
+    factors = [r for r, _ in _factorize(order)]
+    h = 2
+    while True:
+        w = pow(h, (p - 1) // order, p)
+        if all(pow(w, order // r, p) != 1 for r in factors):
+            break
+        h += 1
+    return p, w, tuple(pow(w, i, p) for i in range(euler_phi(order)))
 
 
 def split_prime(order: int) -> tuple[int, int]:
     """The first prime p = 1 (mod order) above 2^31, and an element w of
     exact order `order` in F_p, so a root of Phi_order mod p: zeta |-> w is
     a ring map from Z[zeta][1/den] onto F_p for every den prime to p."""
-    cached = _SPLIT_PRIMES.get(order)
-    if cached is None:
-        p = (2**31 // order + 1) * order + 1
-        while not is_prime(p):
-            p += order
-        factors = [r for r, _ in _factorize(order)]
-        h = 2
-        while True:
-            w = pow(h, (p - 1) // order, p)
-            if all(pow(w, order // r, p) != 1 for r in factors):
-                break
-            h += 1
-        powers = tuple(pow(w, i, p) for i in range(euler_phi(order)))
-        cached = _SPLIT_PRIMES[order] = p, w, powers
-    return cached[:2]
+    return _split(order)[:2]
 
 
 def residues(elements: Sequence[CyclotomicElement]) -> Optional[list[int]]:
@@ -493,8 +472,7 @@ def residues(elements: Sequence[CyclotomicElement]) -> Optional[list[int]]:
     if not elements:
         return []
     order = elements[0].order
-    p, _ = split_prime(order)
-    powers = _SPLIT_PRIMES[order][2]
+    p, _, powers = _split(order)
     out = []
     for e in elements:
         if e.order != order:

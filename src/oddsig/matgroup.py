@@ -14,15 +14,18 @@ necessary test for finite order (integrality through
 CyclotomicElement.is_integral, and a trace bound) before it multiplies
 anything, and refuses to grow past a configurable bound instead of looping
 on an infinite group that passes the test; before either, it refuses more
-generators than that bound needs, through require_closure_work, which a
-caller that checks each generator runs first.
+generators than that bound needs, through require_closure_work.
+automorphism_group builds the group every verdict reads, the closure of
+checked automorphisms of a curve the theorem covers; ramify and descent
+call it and check nothing of their own before the closure.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import BoundExceeded, HypothesisViolation
+from . import plane
+from .errors import BoundExceeded, HypothesisViolation, NotAnAutomorphism
 from .exactnum import CyclotomicElement, common_order, euler_phi, galois_exponents
 from .plane import ProjMap, char_poly, matrix_product
 
@@ -90,8 +93,8 @@ def _require_finite_order(a: ProjMap) -> None:
 
 
 def require_closure_work(count: int, bound: int = DEFAULT_BOUND) -> None:
-    """Refuse count generators that closure up to bound would not take: a
-    caller that checks each generator first runs this before the checks."""
+    """Refuse count generators that closure up to bound would not take:
+    automorphism_group runs this before it checks any generator."""
     if count * bound > MAX_CLOSURE_WORK:
         raise BoundExceeded(
             f"{count} generators with bound {bound} exceed the closure work bound "
@@ -133,6 +136,25 @@ def closure(generators: Sequence[ProjMap], bound: int = DEFAULT_BOUND) -> Finite
         mul.append(row)
     inv = [row.index(0) for row in mul]
     return FiniteGroup(tuple(out), tuple(right[0]), mul, inv)
+
+
+def automorphism_group(curve: plane.PlaneCurve, generators: Sequence[ProjMap]) -> FiniteGroup:
+    """The group a verdict reads: the closure of checked automorphisms of a
+    curve the theorem covers, over Q(zeta_N) with N the lcm of the curve's
+    and the generators' orders; no generators close to the trivial group.
+
+    In this order: a curve that fails plane.require_verdict_curve is
+    refused; require_closure_work refuses too many generators before any
+    is checked; a generator that is not an automorphism raises
+    NotAnAutomorphism. The closure of automorphisms consists of
+    automorphisms, and on such a curve every automorphism is linear."""
+    plane.require_verdict_curve(curve)
+    require_closure_work(len(generators))
+    for g in generators:
+        if not plane.is_automorphism(curve, g)[0]:
+            raise NotAnAutomorphism("group element does not preserve the curve")
+    order = common_order(curve.order, *[g.order for g in generators])
+    return closure([g.lift_to(order) for g in generators] or [ProjMap.identity(order)])
 
 
 def _raw_scalar(m) -> CyclotomicElement | None:

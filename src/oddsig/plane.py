@@ -57,8 +57,9 @@ from .exactnum import CyclotomicElement, as_element, common_order
 
 Entry = Union[int, Fraction, CyclotomicElement]
 
-# the largest degree a verdict accepts: the exact is_smooth grows about 4x
-# per degree on dense curves, and every fixture and benchmark curve is a quartic
+# the largest degree a verdict or an isomorphism test accepts: the exact
+# is_smooth grows about 4x per degree on dense curves, F o A about as d^4.6,
+# and every fixture and benchmark curve is a quartic
 MAX_PLANE_DEGREE = 7
 
 
@@ -237,6 +238,8 @@ class PlaneCurve(_PlaneCurveFields):
         return (d - 1) * (d - 2) // 2
 
     def lift_to(self, order: int) -> "PlaneCurve":
+        if order == self.order:
+            return self
         return PlaneCurve(self.poly.lift_to(order))
 
     def galois(self, exponent: int) -> "PlaneCurve":
@@ -247,7 +250,11 @@ class PlaneCurve(_PlaneCurveFields):
 
 
 def is_isomorphism_onto(source: PlaneCurve, target: PlaneCurve, mapping: ProjMap):
-    """Test F_target o A = lambda * F_source; returns (bool, lambda or None)."""
+    """Test F_target o A = lambda * F_source; returns (bool, lambda or None).
+    A curve of degree above MAX_PLANE_DEGREE raises BoundExceeded before
+    any substitution."""
+    _require_degree_bound(source)
+    _require_degree_bound(target)
     order = common_order(source.order, target.order, mapping.order)
     f = source.poly.lift_to(order)
     g = target.poly.lift_to(order)
@@ -261,6 +268,11 @@ def is_isomorphism_onto(source: PlaneCurve, target: PlaneCurve, mapping: ProjMap
         if composed.terms[e] != c * lam:
             return False, None
     return True, lam
+
+
+def _require_degree_bound(curve: PlaneCurve) -> None:
+    if curve.degree > MAX_PLANE_DEGREE:
+        raise BoundExceeded(f"plane curve degree {curve.degree} exceeds the bound {MAX_PLANE_DEGREE}")
 
 
 def is_automorphism(curve: PlaneCurve, mapping: ProjMap):
@@ -358,10 +370,8 @@ def require_verdict_curve(curve: PlaneCurve) -> None:
     Checked cheapest first: degree above MAX_PLANE_DEGREE raises
     BoundExceeded, degree below 4 GenusTooSmall, a singular curve
     HypothesisViolation."""
-    degree = curve.degree
-    if degree > MAX_PLANE_DEGREE:
-        raise BoundExceeded(f"plane curve degree {degree} exceeds the bound {MAX_PLANE_DEGREE}")
-    if degree < 4:
-        raise GenusTooSmall(f"plane curve of degree {degree} has genus {curve.genus()} < 2")
+    _require_degree_bound(curve)
+    if curve.degree < 4:
+        raise GenusTooSmall(f"plane curve of degree {curve.degree} has genus {curve.genus()} < 2")
     if not is_smooth(curve):
         raise HypothesisViolation("plane curve is singular")

@@ -8,17 +8,14 @@ lies in Q(zeta_N) and no eigenvalue is ever computed. The formula needs a
 smooth curve; signature establishes that before it counts.
 
 signature assembles the quotient data. Its one input shape is a curve and
-a list of generators; it closes the group itself. It always refuses, through
-plane.require_verdict_curve, a curve that is singular or of degree outside
-4..MAX_PLANE_DEGREE, refuses more generators than closure takes through
-matgroup.require_closure_work, and checks that each generator is an
-automorphism: the closure of automorphisms consists of automorphisms.
-Conjugate elements have equally many fixed points, Fix(h g h^-1) = h Fix(g),
-so it counts them once per row of matgroup.cyclic_subgroup_classes, times
-the class size. A point stabilizer is cyclic and holds one subgroup of each
-order dividing its own, so inverting over the divisors of the orders gives
-the points with stabilizer order exactly c; branch points of each index
-follow by orbit counting, and the quotient genus from Riemann-Hurwitz.
+a list of generators, and matgroup.automorphism_group checks both and
+closes the group. Conjugate elements have equally many fixed points,
+Fix(h g h^-1) = h Fix(g), so it counts them once per row of
+matgroup.cyclic_subgroup_classes, times the class size. A point stabilizer
+is cyclic and holds one subgroup of each order dividing its own, so
+inverting over the divisors of the orders gives the points with stabilizer
+order exactly c; branch points of each index follow by orbit counting, and
+the quotient genus from Riemann-Hurwitz.
 The verdict is ODD exactly when the quotient is rational and
 some branch index appears an odd number of times.
 """
@@ -67,7 +64,7 @@ def fixed_point_count(curve: plane.PlaneCurve, mapping: plane.ProjMap) -> int:
     """Number of points of a smooth curve fixed by a nontrivial automorphism.
 
     Precondition: the curve is smooth of degree d >= 4. signature is the
-    caller that establishes it, through plane.require_verdict_curve; on a
+    caller that establishes it, through matgroup.automorphism_group; on a
     singular curve the formula below means nothing.
 
     With F o A = lambda * F and alpha the eigenvalues of A,
@@ -113,23 +110,10 @@ def fixed_point_count(curve: plane.PlaneCurve, mapping: plane.ProjMap) -> int:
 
 def signature(curve: plane.PlaneCurve, generators: Sequence[plane.ProjMap]) -> Signature:
     """Signature of the quotient of the curve by the group the generators
-    generate.
-
-    matgroup.require_closure_work refuses too many generators before the
-    first of them is verified as an automorphism; the verified list is then
-    closed by matgroup.closure. The curve must pass
-    plane.require_verdict_curve: smooth of degree 4 to MAX_PLANE_DEGREE,
-    where every automorphism is linear and the trace formula of
-    fixed_point_count holds."""
-    if len(generators) == 0:
-        raise ValueError("empty group")
-    plane.require_verdict_curve(curve)
-    matgroup.require_closure_work(len(generators))
-    for g in generators:
-        ok, _ = plane.is_automorphism(curve, g)
-        if not ok:
-            raise NotAnAutomorphism("group element does not preserve the curve")
-    group = matgroup.closure(generators)
+    generate, closed by matgroup.automorphism_group; its curve check is what
+    makes the trace formula of fixed_point_count hold. No generators give
+    the trivial quotient (g)."""
+    group = matgroup.automorphism_group(curve, generators)
     size = len(group)
     # fixed[k] counts the points whose stabilizer order k divides
     fixed: Counter[int] = Counter()

@@ -3,8 +3,8 @@
 The isomorphisms the family uses all respect the degree-q projection and
 are monomial: (x, y) -> (s x^e, c x^k y) with e = +-1. The deck
 transformation, the rotations and the mirror onto the conjugate curve have
-this form, and composition, inversion and Galois twisting keep it in closed
-form, so the order-2 Weil cocycle check never leaves the class. Whether such
+this form, and composition and Galois twisting keep it in closed form,
+so the order-2 Weil cocycle check never leaves the class. Whether such
 a map is an isomorphism is checked by substituting x -> s x^e into f in
 closed form, from the map's fields alone. QGonalMap holds exactly these
 five fields, and a curve holds f as its trimmed coefficient list, low
@@ -71,18 +71,13 @@ class QGonalMap(NamedTuple):
     """Monomial fibered map (x, y) -> (s x^e, c x^k y) between cyclic covers,
     with scale s, flip e = +-1, coefficient c and exponent k. The maps of the
     family (mirror, deck, rotation and their composites) all have this form,
-    which composition, inversion and Galois twisting keep."""
+    which composition and Galois twisting keep."""
 
     order: int
     scale: CyclotomicElement
     flip: int
     coeff: CyclotomicElement
     exponent: int
-
-    @classmethod
-    def identity(cls, order: int = 1) -> "QGonalMap":
-        one = CyclotomicElement.one(order)
-        return cls(order, one, 1, one, 0)
 
     def lift_to(self, order: int) -> "QGonalMap":
         if order == self.order:
@@ -102,12 +97,6 @@ class QGonalMap(NamedTuple):
         if not isinstance(other, QGonalMap):
             return NotImplemented
         return self.compose(other)
-
-    def inverse(self) -> "QGonalMap":
-        # x = s^-e X^e, and y = c^-1 x^-k Y = c^-1 s^(ek) X^(-ek) Y
-        e, k = self.flip, self.exponent
-        return QGonalMap(self.order, self.scale ** -e, e,
-                         self.coeff.inverse() * self.scale ** (e * k), -e * k)
 
     def galois(self, exponent: int) -> "QGonalMap":
         return QGonalMap(self.order, self.scale.galois(exponent), self.flip,
@@ -372,8 +361,8 @@ def qgonal_is_isomorphism(source: QGonalCurve, target: QGonalCurve,
     """Exact test of c^q x^(qk) f_source(x) = f_target(s x^e) for
     phi = (s x^e, c x^k y), with the denominators of both sides cleared:
     f_target(s x) has coefficients t_i s^i, and x^D f_target(s/x) is that
-    list reversed. Only phi's fields are read, never compose, inverse or
-    galois, so the test checks QGonalMap's closed-form rules independently."""
+    list reversed. Only phi's fields are read, never compose or galois, so
+    the test checks QGonalMap's closed-form rules independently."""
     if source.q != target.q:
         raise HypothesisViolation("covers have different degrees")
     q = source.q

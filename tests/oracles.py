@@ -157,6 +157,12 @@ def is_group(elements) -> bool:
     return True
 
 
+def qgonal_identity(order: int) -> QGonalMap:
+    """The identity cover map (x, y) -> (x, y) over Q(zeta_order)."""
+    one = CyclotomicElement.one(order)
+    return QGonalMap(order, one, 1, one, 0)
+
+
 def defect_twist_map(q: int, m: int, n: int, order=None) -> QGonalMap:
     """(x, y) -> (x, zeta_n^(mn/q) y): with rotation^(2k+1) it gives the
     closed form twist^(2k+1) rotation^(2k+1) of the cocycle defects of

@@ -38,9 +38,9 @@ from oddsig.ramify import (
     odd_signature_verdict,
     signature,
 )
-from oddsig.superell import QGonalMap, qgonal_real_descent, rotation_map
+from oddsig.superell import qgonal_real_descent, rotation_map
 from oracles import (PLANE_QUARTIC_STRATA, defect_twist_map, distinct_root_count,
-                     exceptional_qgonal_rows, power, product, to_complex)
+                     exceptional_qgonal_rows, power, product, qgonal_identity, to_complex)
 
 numpy = pytest.importorskip("numpy")
 
@@ -275,7 +275,7 @@ def test_criterion_05_odd_signature_sweep():
 
 def closed_form_defect(twist, rotation, k):
     """twist^(2k+1) rotation^(2k+1), the cocycle defect at rotation^k."""
-    one = QGonalMap.identity(twist.order)
+    one = qgonal_identity(twist.order)
     return power(twist, 2 * k + 1, one) @ power(rotation, 2 * k + 1, one)
 
 

@@ -385,6 +385,50 @@ def test_long_aut_list_is_refused_before_any_isomorphism_check(tmp_path, monkeyp
         assert checks == [], name
 
 
+def test_descend_real_checks_the_aut_generators_before_mu(capsys):
+    """An --aut map that is no automorphism is refused as a group element,
+    as signature refuses it, and before mu is checked: with a bad mu as well,
+    the generator's refusal is the one reported."""
+    for mu, aut in (("bielliptic_quartic_mu", "sign_flip_x"), ("sign_flip_x", "sign_flip_x"),
+                    ("sign_flip_x", "bielliptic_quartic_nu")):
+        code, out, err = run(capsys, "descend-real", "--curve", fx("bielliptic_quartic"),
+                             "--mu", fx(mu), "--aut", fx(aut))
+        assert (code, out) == (2, ""), (mu, aut)
+        assert err == ("input error: map does not carry the source curve onto the target curve\n"
+                       if aut == "bielliptic_quartic_nu" else
+                       "input error: group element does not preserve the curve\n"), (mu, aut)
+
+
+def test_aut_check_refuses_a_degree_above_the_plane_bound(tmp_path, monkeypatch, capsys):
+    """aut-check substitutes into a curve only up to MAX_PLANE_DEGREE = 7:
+    the Fermat octic and a dense curve of degree 128 under a dense map exit
+    3 at once, with no substitution."""
+    from oddsig import polyring
+    substitutions = []
+    real = polyring.SparsePoly.substitute_linear
+    monkeypatch.setattr(polyring.SparsePoly, "substitute_linear",
+                        lambda poly, rows: substitutions.append(poly) or real(poly, rows))
+    dense_map = tmp_path / "dense_map.json"
+    dense_map.write_text(json.dumps({"kind": "projective_map", "order": 1, "entries": [
+        [[str(v)] for v in row] for row in ((1, 1, 1), (1, 2, 3), (1, 3, 7))]}), encoding="utf-8")
+    for degree, dense in ((8, False), (128, True)):
+        exponents = ([(i, j, degree - i - j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+                     if dense else [(degree, 0, 0), (0, degree, 0), (0, 0, degree)])
+        curve = tmp_path / f"degree_{degree}.json"
+        curve.write_text(json.dumps({"kind": "plane_curve", "order": 1, "variables": ["x", "y", "z"],
+                                     "terms": [{"exponents": list(e), "coefficient": ["1"]}
+                                               for e in exponents]}), encoding="utf-8")
+        started = time.perf_counter()
+        code, out, err = run(capsys, "aut-check", "--curve", str(curve),
+                             "--map", str(dense_map) if dense else fx("sign_flip_x"))
+        assert time.perf_counter() - started < 5.0, degree
+        assert (code, out) == (3, ""), degree
+        assert err == f"resource bound exceeded: plane curve degree {degree} exceeds the bound 7\n"
+    assert substitutions == []
+    code, out, _ = run(capsys, "aut-check", "--curve", fx("fermat_quartic"), "--map", fx("sign_flip_x"))
+    assert code == 0 and "automorphism: yes" in out and len(substitutions) == 1
+
+
 def test_singular_map_exits_2(tmp_path, capsys):
     gens = json.loads(Path(fx("fermat_quartic_gens")).read_text(encoding="utf-8"))
     entries = gens["generators"][0]["entries"]

@@ -339,7 +339,7 @@ def test_minimal_field_edge_orders():
 def test_cyclotomic_division_failure_is_typed(monkeypatch):
     # with mu(6) = mu(3) = mu(2) = -1 the product for Phi_6 divides x^6 - 1
     # by x^3 - 1 and then x^3 + 1 by x^2 - 1, which leaves a remainder
-    monkeypatch.setattr(exactnum, "_CYCLO_CACHE", {})
+    cyclotomic_polynomial.cache_clear()
     monkeypatch.setattr(exactnum, "_mobius", lambda m: 1 if m == 1 else -1)
     with pytest.raises(InternalInconsistency):
         cyclotomic_polynomial(6)

@@ -4,12 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from oddsig import matgroup, serialize
-from oddsig.errors import BoundExceeded, HypothesisViolation
+from oddsig import matgroup, plane, serialize
+from oddsig.descent import weil_descent_order2
+from oddsig.errors import BoundExceeded, HypothesisViolation, NotAnAutomorphism, OddsigError
 from oddsig.exactnum import CyclotomicElement, common_order
 from oddsig.matgroup import (DEFAULT_BOUND, MAX_CLOSURE_WORK, closure, cyclic_subgroup_classes,
                              cyclic_subgroups, element_order)
-from oddsig.plane import ProjMap
+from oddsig.plane import PlaneCurve, ProjMap
+from oddsig.polyring import SparsePoly
+from oddsig.ramify import Signature, signature
 from oracles import cyclic_subgroup, is_group
 
 
@@ -364,3 +367,82 @@ def test_is_group_random_closed_subsets():
     for _ in range(10):
         g = group[rng.randrange(len(group))]
         assert is_group(sorted(cyclic_subgroup(g), key=lambda m: m.key()))
+
+
+# the group a verdict reads ---------------------------------------------------------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def fixture(stem):
+    return serialize.parse_input((FIXTURES / f"{stem}.json").read_text(encoding="utf-8")).value
+
+
+def fixture_pairs():
+    """(curve, generators) for every curve fixture with a group fixture."""
+    stems = sorted(p.name[:-len("_gens.json")] for p in FIXTURES.glob("*_gens.json"))
+    return ([(fixture(stem), fixture(f"{stem}_gens")) for stem in stems]
+            + [(fixture("bielliptic_quartic"), fixture("bielliptic_quartic_nu"))])
+
+
+def test_automorphism_group_is_the_closure_of_the_lifted_generators():
+    pairs = fixture_pairs()
+    assert len(pairs) == 13
+    for curve, gens in pairs:
+        group = matgroup.automorphism_group(curve, gens)
+        order = common_order(curve.order, *[g.order for g in gens])
+        expected = closure([g.lift_to(order) for g in gens])
+        assert (group.elements, group.mul, group.inv, group.gens) == (
+            expected.elements, expected.mul, expected.inv, expected.gens)
+    fermat = fixture("fermat_quartic")
+    trivial = matgroup.automorphism_group(fermat, [])
+    assert list(trivial) == [ProjMap.identity(fermat.order)]
+    assert signature(fermat, []) == Signature(3, ())
+
+
+def _four_lines():
+    # x^4 + y^4 + z^4 - 2(x^2 y^2 + y^2 z^2 + z^2 x^2), the lines x +- y +- z = 0
+    terms = [(1, (4, 0, 0)), (1, (0, 4, 0)), (1, (0, 0, 4)),
+             (-2, (2, 2, 0)), (-2, (0, 2, 2)), (-2, (2, 0, 2))]
+    return PlaneCurve(SparsePoly.build(1, 3, terms))
+
+
+def _refusal_inputs(case):
+    """(curve, mu, generators) that both verdict engines must refuse alike."""
+    swap = ProjMap.permutation(1, [1, 0, 2])
+    if case == "degree 8":
+        octic = PlaneCurve(SparsePoly.build(1, 3, [(1, (8, 0, 0)), (1, (0, 8, 0)), (1, (0, 0, 8))]))
+        return octic, ProjMap.identity(1), [swap]
+    if case == "singular":
+        return _four_lines(), ProjMap.identity(1), [swap]
+    nu, flip = fixture("bielliptic_quartic_nu")[0], fixture("sign_flip_x")
+    gens = [flip] + [nu] * 8 if case == "nine generators" else [nu, flip]
+    return fixture("bielliptic_quartic"), fixture("bielliptic_quartic_mu"), gens
+
+
+@pytest.mark.parametrize("case, error, message, checked", [
+    ("degree 8", BoundExceeded, "plane curve degree 8 exceeds the bound 7", False),
+    ("singular", HypothesisViolation, "plane curve is singular", False),
+    ("nine generators", BoundExceeded, "9 generators with bound 360 exceed the closure work "
+                                       "bound 2880 (generators times bound); drop redundant "
+                                       "generators", False),
+    ("not an automorphism", NotAnAutomorphism, "group element does not preserve the curve", True),
+])
+def test_verdict_engines_refuse_their_group_alike(case, error, message, checked, monkeypatch):
+    """signature and weil_descent_order2 build their group through
+    automorphism_group, so each refuses these inputs with the same class and
+    message; only the last input reaches a generator check."""
+    curve, mu, gens = _refusal_inputs(case)
+    checks, real = [], plane.is_isomorphism_onto
+
+    def spy(source, target, mapping):
+        checks.append(mapping)
+        return real(source, target, mapping)
+
+    monkeypatch.setattr(plane, "is_isomorphism_onto", spy)
+    for engine in (lambda: signature(curve, gens), lambda: weil_descent_order2(curve, mu, gens)):
+        checks.clear()
+        with pytest.raises(OddsigError) as info:
+            engine()
+        assert (type(info.value), str(info.value)) == (error, message)
+        assert bool(checks) == checked

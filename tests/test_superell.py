@@ -39,7 +39,7 @@ from oddsig.superell import (
     qgonal_signature,
     rotation_map,
 )
-from oracles import defect_twist_map, exceptional_qgonal_rows, power, to_complex
+from oracles import defect_twist_map, exceptional_qgonal_rows, power, qgonal_identity, to_complex
 
 
 def U(order, coeffs):
@@ -48,7 +48,7 @@ def U(order, coeffs):
 
 
 def map_power(phi, k):
-    return power(phi, k, QGonalMap.identity(phi.order))
+    return power(phi, k, qgonal_identity(phi.order))
 
 
 def mobius(phi):
@@ -209,7 +209,7 @@ def test_moebius_root_check():
 
 
 def test_map_identity_and_scaling():
-    ident = QGonalMap.identity(12)
+    ident = qgonal_identity(12)
     assert ident.is_identity()
     # a Moebius matrix is a document shape: read up to a scalar, written normalised
     assert read_map(12, [[2, 0], [0, 2]]) == ident
@@ -238,7 +238,7 @@ def test_deck_and_rotation_commute():
     assert iota @ nu == nu @ iota
     assert map_power(iota @ nu, 6).is_identity()
     assert not map_power(iota @ nu, 3).is_identity()
-    ident = QGonalMap.identity(6)
+    ident = qgonal_identity(6)
     assert ident @ nu == nu and nu @ ident == nu
 
 
@@ -256,12 +256,8 @@ def test_map_group_laws_randomized():
     for _ in range(25):
         a, b, c = (rand_map(rng, 12) for _ in range(3))
         assert (a @ b) @ c == a @ (b @ c)
-        assert (a @ a.inverse()).is_identity()
-        assert (a.inverse() @ a).is_identity()
-        assert a.inverse().inverse() == a
         assert (a @ b).galois(5) == a.galois(5) @ b.galois(5)
         assert map_power(a, 3) == a @ a @ a
-        assert map_power(a.inverse(), 3) == map_power(a, 3).inverse()
         assert a.conjugate().conjugate() == a
 
 
@@ -296,7 +292,6 @@ def test_map_algebra_against_pointwise_evaluation():
         point = (x0, Cyc(12, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)]))
         image = apply_map(psi, point)
         assert apply_map(phi @ psi, point) == apply_map(phi, image)
-        assert apply_map(phi.inverse(), apply_map(phi, point)) == point
         assert apply_views(phi, point) == apply_map(phi, point)
         for k in (5, 7, 11):
             moved = tuple(v.galois(k) for v in point)
@@ -330,7 +325,7 @@ def test_generated_symmetry_group_size():
     for q, n in [(3, 2), (3, 3)]:
         o = lcm(q, n)
         gens = [deck_map(q, o), rotation_map(n, o)]
-        seen = {QGonalMap.identity(o)}
+        seen = {qgonal_identity(o)}
         frontier = list(seen)
         while frontier:
             nxt = []
@@ -355,12 +350,12 @@ def test_isomorphism_recognition():
         mirror = mirror_map(q, m, n)
         assert qgonal_is_isomorphism(curve, twin, mirror)
         assert qgonal_is_isomorphism(curve, twin, deck_map(q) @ mirror)
-        assert not qgonal_is_isomorphism(curve, twin, QGonalMap.identity(curve.order))
+        assert not qgonal_is_isomorphism(curve, twin, qgonal_identity(curve.order))
         skewed = mirror._replace(exponent=mirror.exponent - 1)
         assert not qgonal_is_isomorphism(curve, twin, skewed)
     with pytest.raises(HypothesisViolation):
         qgonal_is_isomorphism(family_curve(3, 3, 2), family_curve(5, 2, 2),
-                              QGonalMap.identity(1))
+                              qgonal_identity(1))
 
 
 def test_family_signatures_match_quotient_shape():
@@ -605,7 +600,7 @@ def test_isomorphism_check_matches_dense_oracle(qmn, flip, data):
     order = common_order(curve.order, 2 * n, 2 * q)
     # a cocycle candidate (flip -1) or an automorphism (flip 1), then one
     # field changed half of the time, so both answers occur
-    start = mirror_map(q, m, n, order) if flip == -1 else QGonalMap.identity(order)
+    start = mirror_map(q, m, n, order) if flip == -1 else qgonal_identity(order)
     phi = (start @ map_power(deck_map(q, order), data.draw(st.integers(0, q - 1)))
            @ map_power(rotation_map(n, order), data.draw(st.integers(0, n - 1))))
     change = data.draw(st.sampled_from((None, None, "scale", "coeff", "exponent")))
