@@ -2,6 +2,8 @@
 
 Subcommands read JSON documents (see serialize), dispatch to the library,
 and emit either human-readable text or a canonical structured report.
+Documents reach the library at their own field orders, since each entry
+point lifts its inputs to the lcm of their orders.
 Exit codes: 0 for any computed verdict, 2 for input errors, 3 when a
 resource bound is exceeded.
 """
@@ -45,18 +47,6 @@ def _read_document(path: str, kinds: tuple[str, ...]):
     return doc
 
 
-def _lift_common(*items):
-    """Lift every input into the single field Q(zeta_lcm) up front."""
-    orders = []
-    for item in items:
-        group = item if isinstance(item, list) else [item]
-        orders.extend(x.order for x in group)
-    order = exactnum.common_order(*orders)
-    lifted = [[x.lift_to(order) for x in item] if isinstance(item, list)
-              else item.lift_to(order) for item in items]
-    return order, lifted
-
-
 def _fmt_element(value: exactnum.CyclotomicElement) -> str:
     if value.is_rational():
         return str(value.as_rational())
@@ -86,7 +76,6 @@ def _verdict_payload(verdict: descent.DescentVerdict) -> dict:
 def _cmd_aut_check(args):
     curve = _read_document(args.curve, ("plane_curve",)).value
     mapping = _read_document(args.map, ("projective_map",)).value
-    _, (curve, mapping) = _lift_common(curve, mapping)
     ok, lam = plane.is_automorphism(curve, mapping)
     result = {"is_automorphism": ok,
               "lambda": None if lam is None else serialize.element_document(lam)}
@@ -99,7 +88,6 @@ def _cmd_aut_check(args):
 
 def _cmd_group_closure(args):
     generators = _read_document(args.group, ("group",)).value
-    _, (generators,) = _lift_common(generators)
     bound = matgroup.DEFAULT_BOUND if args.bound is None else args.bound
     if bound < 1:
         raise SchemaError(f"the closure bound must be at least 1, got {bound}")
@@ -127,7 +115,6 @@ def _group_order(sig: ramify.Signature, genus: int) -> int:
 def _cmd_signature(args):
     curve = _read_document(args.curve, ("plane_curve",)).value
     generators = _read_document(args.group, ("group",)).value
-    _, (curve, generators) = _lift_common(curve, generators)
     # signature checks the curve and the generators before it closes them
     sig = ramify.signature(curve, generators)
     order = _group_order(sig, curve.genus())
@@ -197,7 +184,6 @@ def _cmd_descend_real(args):
     if args.aut:
         doc = _read_document(args.aut, ("group", "projective_map"))
         aut = doc.value if doc.kind == "group" else [doc.value]
-    _, (curve, mu, aut) = _lift_common(curve, mu, aut)
     verdict = descent.weil_descent_order2(curve, mu, aut)
     result = _verdict_payload(verdict)
     lines = [f"verdict: {verdict.status}"]

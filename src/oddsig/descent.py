@@ -176,11 +176,12 @@ class FamilyTriple(_TripleFields):
     def order(self) -> int:
         return self.a.order
 
+    # an injective ring map keeps the checks of __new__, so _make skips them
     def lift_to(self, order: int) -> "FamilyTriple":
-        return FamilyTriple(*[v.lift_to(order) for v in self])
+        return FamilyTriple._make(v.lift_to(order) for v in self)
 
     def galois(self, exponent: int) -> "FamilyTriple":
-        return FamilyTriple(*[v.galois(exponent) for v in self])
+        return FamilyTriple._make(v.galois(exponent) for v in self)
 
     def conjugate(self) -> "FamilyTriple":
         return self.galois(-1)
@@ -215,8 +216,8 @@ class TripleMove(NamedTuple):
     map: plane.ProjMap
 
     def apply(self, t: FamilyTriple) -> FamilyTriple:
-        vals = [t[self.perm[i]] * self.signs[i] for i in range(3)]
-        return FamilyTriple(*vals)
+        # a move keeps a triple valid, see _generator_moves
+        return FamilyTriple._make(t[p] if s == 1 else -t[p] for p, s in zip(self.perm, self.signs))
 
     def compose(self, other: "TripleMove") -> "TripleMove":
         """self applied after other."""
@@ -236,6 +237,8 @@ class TripleMove(NamedTuple):
 
 
 def _generator_moves() -> dict[str, TripleMove]:
+    # each flips no sign or two, so all 24 moves flip an even number: a move
+    # permutes the squares and keeps abc and a^2 + b^2 + c^2 - abc
     i = CyclotomicElement.zeta(4, 1)
     return {
         SWAP: TripleMove((1, 0, 2), (1, 1, 1), plane.ProjMap.permutation(4, [0, 2, 1])),

@@ -9,15 +9,15 @@ conjugacy classes as integer rows (order, size, generator), come from those
 tables; only closure multiplies maps.
 element_order, which no library path calls, raises the stored
 representative to powers with the same sparse product, unnormalized, to
-read off the scalar A^n = c * I. Closure refuses a generator that fails a
-necessary test for finite order (integrality through
-CyclotomicElement.is_integral, and a trace bound) before it multiplies
-anything, and refuses to grow past a configurable bound instead of looping
-on an infinite group that passes the test; before either, it refuses more
-generators than that bound needs, through require_closure_work.
-automorphism_group builds the group every verdict reads, the closure of
-checked automorphisms of a curve the theorem covers; ramify and descent
-call it and check nothing of their own before the closure.
+read off the scalar A^n = c * I. Closure lifts its generators to their
+lcm field, refuses one that fails a necessary test for finite order
+(integrality through CyclotomicElement.is_integral, and a trace bound)
+before it multiplies anything, and refuses to grow past a configurable
+bound instead of looping on an infinite group that passes the test; before
+all this, it refuses more generators than that bound needs, through
+require_closure_work. automorphism_group builds the group every verdict
+reads, the closure of checked automorphisms of a curve the theorem covers;
+ramify and descent call it and check nothing of their own before it.
 """
 
 from __future__ import annotations
@@ -106,10 +106,10 @@ def closure(generators: Sequence[ProjMap], bound: int = DEFAULT_BOUND) -> Finite
     if not generators:
         raise ValueError("need at least one generator")
     require_closure_work(len(generators), bound)
-    for g in generators:
-        _require_finite_order(g)
     order = common_order(*[g.order for g in generators])
     gens = [g.lift_to(order) for g in generators]
+    for g in gens:
+        _require_finite_order(g)
     out = [ProjMap.identity(order)]
     index = {out[0]: 0}
     right: list[list[int]] = []   # right[x][s] = index of out[x] @ gens[s]
@@ -143,17 +143,19 @@ def automorphism_group(curve: plane.PlaneCurve, generators: Sequence[ProjMap]) -
     curve the theorem covers, over Q(zeta_N) with N the lcm of the curve's
     and the generators' orders; no generators close to the trivial group.
 
-    In this order: a curve that fails plane.require_verdict_curve is
+    In this order: lifting the curve to Q(zeta_N) refuses an N above
+    exactnum.MAX_ORDER; a curve that fails plane.require_verdict_curve is
     refused; require_closure_work refuses too many generators before any
     is checked; a generator that is not an automorphism raises
     NotAnAutomorphism. The closure of automorphisms consists of
     automorphisms, and on such a curve every automorphism is linear."""
+    order = common_order(curve.order, *[g.order for g in generators])
+    curve = curve.lift_to(order)
     plane.require_verdict_curve(curve)
     require_closure_work(len(generators))
     for g in generators:
         if not plane.is_automorphism(curve, g)[0]:
             raise NotAnAutomorphism("group element does not preserve the curve")
-    order = common_order(curve.order, *[g.order for g in generators])
     return closure([g.lift_to(order) for g in generators] or [ProjMap.identity(order)])
 
 

@@ -7,8 +7,10 @@ ProjMap and PlaneCurve are NamedTuple records compared field by field, so a
 value and its lift to a larger field are unequal.
 The product and the determinant multiply only nonzero entries: for monomial
 maps a product costs 3 field multiplications instead of 27, a determinant 2
-instead of 9. A product is normalized without re-coercing its entries, and
-every map, products included, is checked to be invertible.
+instead of 9. ProjMap(order, rows) alone coerces and checks invertibility:
+products and inverses of maps are only normalized, and lift_to and galois
+(injective field maps fixing 0 and 1) build canonical images unchecked, as
+PlaneCurve's do.
 
 Smoothness is decided exactly: a curve is singular iff its three partial
 derivatives share a projective zero. Each partial P of degree e goes to the
@@ -76,7 +78,12 @@ class ProjMap(_ProjMapFields):
     def __new__(cls, order: int, entries: Sequence[Sequence[Entry]]):
         if len(entries) != 3 or any(len(row) != 3 for row in entries):
             raise VariableCountMismatch("projective map needs a 3x3 matrix")
-        return _canonical(order, [[as_element(e, order) for e in row] for row in entries])
+        rows = [[as_element(e, order) for e in row] for row in entries]
+        if all(c.is_zero() for row in rows for c in row):
+            raise ValueError("zero matrix is not a projective map")
+        if matrix_det(rows).is_zero():
+            raise ValueError("projective map must be invertible")
+        return _canonical(order, rows)
 
     @classmethod
     def identity(cls, order: int) -> "ProjMap":
@@ -119,7 +126,7 @@ class ProjMap(_ProjMapFields):
              m[0][1] * m[2][0] - m[0][0] * m[2][1],
              m[0][0] * m[1][1] - m[0][1] * m[1][0]],
         ]
-        return ProjMap(self.order, cof)
+        return _canonical(self.order, cof)
 
     def is_identity(self) -> bool:
         # canonical form scales the first nonzero entry to 1, so a scalar
@@ -128,7 +135,7 @@ class ProjMap(_ProjMapFields):
                    for r, row in enumerate(self.entries) for c, e in enumerate(row))
 
     def galois(self, exponent: int) -> "ProjMap":
-        return ProjMap(self.order, [[c.galois(exponent) for c in row] for row in self.entries])
+        return ProjMap._make((self.order, tuple(tuple(c.galois(exponent) for c in r) for r in self.entries)))
 
     def conjugate(self) -> "ProjMap":
         return self.galois(-1)
@@ -136,7 +143,7 @@ class ProjMap(_ProjMapFields):
     def lift_to(self, order: int) -> "ProjMap":
         if order == self.order:
             return self
-        return ProjMap(order, [[c.lift_to(order) for c in row] for row in self.entries])
+        return ProjMap._make((order, tuple(tuple(c.lift_to(order) for c in r) for r in self.entries)))
 
     def key(self) -> tuple:
         return (self.order, tuple(tuple(c.coords for c in row) for row in self.entries))
@@ -189,19 +196,15 @@ def char_poly(m) -> tuple[CyclotomicElement, CyclotomicElement, CyclotomicElemen
 
 
 def _canonical(order: int, rows) -> ProjMap:
-    """The ProjMap of rows whose entries already lie in Q(zeta_order), such
-    as a product of two maps, scaled so the first nonzero entry is 1: no
-    coercion pass, and ValueError unless the rows form an invertible matrix."""
-    pivot = next((c for row in rows for c in row if not c.is_zero()), None)
-    if pivot is None:
-        raise ValueError("zero matrix is not a projective map")
+    """The ProjMap of an invertible matrix whose entries already lie in
+    Q(zeta_order), such as a product of two maps, scaled so the first
+    nonzero entry is 1. No coercion pass and no determinant: the caller
+    vouches that the rows are invertible."""
+    pivot = next(c for row in rows for c in row if not c.is_zero())
     if not pivot.is_one():
         inv = pivot.inverse()
         rows = [[c if c.is_zero() else c * inv for c in row] for row in rows]
-    entries = tuple(tuple(row) for row in rows)
-    if matrix_det(entries).is_zero():
-        raise ValueError("projective map must be invertible")
-    return ProjMap._make((order, entries))
+    return ProjMap._make((order, tuple(tuple(row) for row in rows)))
 
 
 class _PlaneCurveFields(NamedTuple):
@@ -240,10 +243,10 @@ class PlaneCurve(_PlaneCurveFields):
     def lift_to(self, order: int) -> "PlaneCurve":
         if order == self.order:
             return self
-        return PlaneCurve(self.poly.lift_to(order))
+        return PlaneCurve._make((self.poly.lift_to(order),))
 
     def galois(self, exponent: int) -> "PlaneCurve":
-        return PlaneCurve(self.poly.galois(exponent))
+        return PlaneCurve._make((self.poly.galois(exponent),))
 
     def conjugate(self) -> "PlaneCurve":
         return self.galois(-1)

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -164,9 +165,10 @@ def test_field_order_above_the_cap_exits_3(tmp_path, capsys):
 
 
 def test_field_orders_whose_lcm_passes_the_cap_exit_3_up_front(tmp_path, capsys):
-    """Inputs over Q(zeta_1024) and Q(zeta_3) need Q(zeta_3072). Each command
-    lifts its inputs into one field before any exact work, so it stops at
-    once; a smoothness test of the dense quartic alone takes far longer."""
+    """Inputs over Q(zeta_1024) and Q(zeta_3) need Q(zeta_3072). Each library
+    entry point lifts its inputs into one field before any exact work, so it
+    stops at once; a smoothness test of the dense quartic alone takes far
+    longer."""
     rng = random.Random(1024)
     zeta = CyclotomicElement.zeta(1024)
     dense = SparsePoly.build(1024, 3, [(rng.randint(-2, 2) + rng.randint(-2, 2) * zeta, (i, j, 4 - i - j))
@@ -194,6 +196,81 @@ def test_field_orders_whose_lcm_passes_the_cap_exit_3_up_front(tmp_path, capsys)
         code, out, err = run(capsys, *map(str, argv))
         assert code == 3 and out == "" and "field order 3072 exceeds the bound 1024" in err, (argv, err)
         assert time.perf_counter() - started < 1.0, argv
+
+
+def _value(stem):
+    return serialize.parse_input(Path(fx(stem)).read_text(encoding="utf-8")).value
+
+
+def test_lcm_above_the_cap_exits_3_before_any_exact_work(tmp_path, monkeypatch, capsys):
+    """A curve over Q(zeta_1024) with a generator over Q(zeta_1023) needs
+    Q(zeta_1047552): signature refuses it before its smoothness test, and
+    group-closure before its finite-order test."""
+    from oddsig import matgroup, plane
+    work = []
+    monkeypatch.setattr(plane, "is_smooth", lambda curve: work.append(curve))
+    monkeypatch.setattr(matgroup, "_require_finite_order", lambda g: work.append(g))
+    flip = _value("sign_flip_x").lift_to(1023)
+    docs = {"curve": _value("fermat_quartic").lift_to(1024), "group": [flip],
+            "mixed": [ProjMap.diagonal(1024, CyclotomicElement.zeta(1024), 1, 1), flip]}
+    for name, value in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(serialize.to_document(value)), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for argv in (["signature", "--curve", "curve.json", "--group", "group.json"],
+                 ["group-closure", "--group", "mixed.json"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", "resource bound exceeded: field order 1047552 "
+                                           "exceeds the bound 1024\n"), argv
+    assert work == []
+
+
+def _own_order_inputs():
+    """(argv, {file name: value}) for the commands that read maps and plane
+    curves, each value at its own field order; a group is a list of maps.
+    The bielliptic involution nu is rational, so it is written over Q."""
+    klein_gens = _value("klein_quartic_gens")
+    nu = _value("bielliptic_quartic_nu")[0]
+    nu_over_q = ProjMap(1, [[c.as_rational() for c in row] for row in nu.entries])
+    assert nu_over_q.lift_to(nu.order) == nu
+    pairs = [(["aut-check", "--curve", "curve.json", "--map", "map.json"],
+              {"curve.json": _value("klein_quartic"), "map.json": klein_gens[2]}),
+             (["aut-check", "--curve", "curve.json", "--map", "map.json"],
+              {"curve.json": _value("fermat_quartic"), "map.json": klein_gens[0]}),
+             (["group-closure", "--group", "group.json"],
+              {"group.json": [_value("sign_flip_x")] + _value("fermat_quartic_gens")}),
+             (["descend-real", "--curve", "curve.json", "--mu", "mu.json", "--aut", "aut.json"],
+              {"curve.json": _value("bielliptic_quartic"),
+               "mu.json": _value("bielliptic_quartic_mu"), "aut.json": [nu_over_q]})]
+    for stem in ("klein_quartic", "fermat_quartic", "quartic_c4_a4", "quartic_c2c2"):
+        for command in ("signature", "odd-signature"):
+            pairs.append(([command, "--curve", "curve.json", "--group", "group.json"],
+                          {"curve.json": _value(stem), "group.json": _value(f"{stem}_gens")}))
+    return pairs
+
+
+def test_reports_do_not_depend_on_the_documents_field_orders(tmp_path, monkeypatch, capsys):
+    """The library lifts its inputs to the lcm of their orders, so documents
+    at their own orders and the same documents lifted to the lcm print the
+    same reports, apart from timing_seconds."""
+    timing = re.compile(r'"timing_seconds": [^,\n]*')
+    for n, (argv, values) in enumerate(_own_order_inputs()):
+        flat = [v for value in values.values() for v in (value if isinstance(value, list) else [value])]
+        lcm = exactnum.common_order(*[v.order for v in flat])
+        assert any(v.order != lcm for v in flat), argv
+        outputs = []
+        for lifted in (False, True):
+            where = tmp_path / f"{n}-{lifted}"
+            where.mkdir()
+            for name, value in values.items():
+                if lifted:
+                    value = [g.lift_to(lcm) for g in value] if isinstance(value, list) else value.lift_to(lcm)
+                (where / name).write_text(json.dumps(serialize.to_document(value)), encoding="utf-8")
+            monkeypatch.chdir(where)
+            for fmt in ("text", "structured"):
+                code, out, err = run(capsys, *argv, "--format", fmt)
+                assert code == 0, (argv, err)
+                outputs.append(timing.sub("", out))
+        assert outputs[:2] == outputs[2:], argv
 
 
 def test_oversized_qgonal_inputs_exit_3(tmp_path, capsys):
@@ -855,6 +932,17 @@ def test_readme_cli_usage_commands_exit_0(monkeypatch, capsys):
     for argv in commands:
         code, _, err = run(capsys, *argv[1:])
         assert code == 0, (argv, err)
+
+
+def test_readme_library_quick_tour_prints_its_comments():
+    """The README's "Library quick tour" block runs and prints the values its
+    comments promise."""
+    readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick tour", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(block, "README.md", "exec"), {})
+    assert printed.getvalue().splitlines() == ["96", "(0; 2, 3, 8)", "DEFINABLE Q"]
 
 
 def test_signature_fermat(capsys):

@@ -35,7 +35,7 @@ from oddsig.errors import (
     InternalInconsistency,
     NotAnIsomorphism,
 )
-from oddsig.exactnum import CyclotomicElement
+from oddsig.exactnum import CyclotomicElement, galois_exponents
 from oddsig.matgroup import closure
 from oddsig.plane import PlaneCurve, ProjMap, is_automorphism, is_smooth, require_isomorphism
 from oddsig.polyring import SparsePoly
@@ -324,6 +324,47 @@ def test_family_isomorphic_matches_moves_exactly():
         # trivial stabilizer: only the identity fixes a valid triple
         fixers = [u for u in moves if u.apply(t) == t]
         assert len(fixers) == 1 and fixers[0].is_identity()
+
+
+def test_triple_images_equal_the_door():
+    """Lifts, Galois images and moves of a valid triple skip the validity
+    checks, so each must equal FamilyTriple(*values): on the fixture
+    triples and 20 drawn valid ones."""
+    from oddsig.serialize import parse_input
+    rng = random.Random(1207)
+    z = CyclotomicElement.zeta(12, 1)
+    pool = [1, 3, -2, 5, z, z * 2 + 1, z * z * z, 1 - z * z, z + 3, 2 - z * 3]
+    triples = [parse_input(path.read_text(encoding="utf-8")).value
+               for path in sorted(FIXTURES.glob("triple_*.json"))]
+    triples += [random_triple(rng) for _ in range(10)]
+    while len(triples) < 25:
+        try:
+            triples.append(FamilyTriple(*(rng.choice(pool) for _ in range(3))))
+        except DegenerateTriple:
+            continue
+    assert {t.order for t in triples} == {1, 4, 12}
+    for t in triples:
+        order = t.order
+        assert t.lift_to(2 * order) == FamilyTriple(*[v.lift_to(2 * order) for v in t])
+        for k in galois_exponents(order):
+            assert t.galois(k) == FamilyTriple(*[v.galois(k) for v in t])
+        for move in family_symmetries():
+            assert move.apply(t) == FamilyTriple(*[t[p] * s for p, s in zip(move.perm, move.signs)])
+
+
+def test_family_isomorphic_validates_no_triple(monkeypatch):
+    """The two lifts and the 24 moves of family_isomorphic build their
+    triples unchecked; each used to re-run the validity checks of
+    FamilyTriple."""
+    from oddsig.serialize import parse_input
+    t135, off = (parse_input((FIXTURES / f"{stem}.json").read_text(encoding="utf-8")).value
+                 for stem in ("triple_135", "triple_off_orbit"))
+    built = []
+    real = FamilyTriple.__new__
+    monkeypatch.setattr(FamilyTriple, "__new__",
+                        staticmethod(lambda cls, *values: built.append(values) or real(cls, *values)))
+    assert family_isomorphic(t135, off) is None
+    assert built == []
 
 
 def test_real_descent_swap_case():

@@ -7,10 +7,10 @@ import pytest
 from oddsig import matgroup, plane, serialize
 from oddsig.descent import weil_descent_order2
 from oddsig.errors import BoundExceeded, HypothesisViolation, NotAnAutomorphism, OddsigError
-from oddsig.exactnum import CyclotomicElement, common_order
+from oddsig.exactnum import CyclotomicElement, common_order, galois_exponents
 from oddsig.matgroup import (DEFAULT_BOUND, MAX_CLOSURE_WORK, closure, cyclic_subgroup_classes,
                              cyclic_subgroups, element_order)
-from oddsig.plane import PlaneCurve, ProjMap
+from oddsig.plane import PlaneCurve, ProjMap, matrix_product
 from oddsig.polyring import SparsePoly
 from oddsig.ramify import Signature, signature
 from oracles import cyclic_subgroup, is_group
@@ -181,8 +181,8 @@ def test_element_order_matches_dense_powers():
             assert element_order(g) == dense_element_order(g)
 
 
-def test_closure_multiplies_only_nonzero_entries(monkeypatch):
-    gens = fermat_generators()
+def count_multiplications(monkeypatch, run):
+    """run() and the number of CyclotomicElement products it made."""
     calls = []
     original = CyclotomicElement.__mul__
 
@@ -192,11 +192,19 @@ def test_closure_multiplies_only_nonzero_entries(monkeypatch):
 
     monkeypatch.setattr(CyclotomicElement, "__mul__", counted)
     monkeypatch.setattr(CyclotomicElement, "__rmul__", counted)
-    group = closure(gens)
+    result = run()
+    monkeypatch.undo()
+    return result, len(calls)
+
+
+def test_closure_multiplies_only_nonzero_entries(monkeypatch):
+    gens = fermat_generators()
+    group, count = count_multiplications(monkeypatch, lambda: closure(gens))
     assert len(group) == 96
-    # a product of two monomial maps makes 3 entry products, 2 determinant
-    # products and at most 2 scalings; the dense kernel made 17 298 here
-    assert len(calls) <= 2300
+    # a product of two monomial maps makes 3 entry products and at most 2
+    # scalings, and takes no determinant; with a determinant per product the
+    # count was 2 290, and the dense kernel made 17 298 here
+    assert count <= 1522
 
 
 def test_element_order_scalar_witness():
@@ -446,3 +454,38 @@ def test_verdict_engines_refuse_their_group_alike(case, error, message, checked,
             engine()
         assert (type(info.value), str(info.value)) == (error, message)
         assert bool(checks) == checked
+
+
+def test_trusted_paths_equal_the_door():
+    """Products, inverses, lifts and Galois images of maps skip the
+    determinant and the coercion pass, so each must equal ProjMap(order,
+    raw entries) built through the checked constructor: on every element of
+    the 13 fixture closures, for every unit k, and on 20 seeded products of
+    each closure."""
+    rng = random.Random(2023)
+    for curve, gens in fixture_pairs():
+        order = common_order(curve.order, *[g.order for g in gens])
+        group = closure([g.lift_to(order) for g in gens])
+        for x, a in enumerate(group):
+            raw = a.entries
+            assert not a.det().is_zero() and ProjMap(order, raw) == a
+            assert a.inverse() == ProjMap(order, a.inverse().entries) == group[group.inv[x]]
+            assert a.lift_to(2 * order) == ProjMap(2 * order, raw)
+            for k in galois_exponents(order):
+                assert a.galois(k) == ProjMap(order, [[c.galois(k) for c in row] for row in raw])
+        for _ in range(20):
+            a, b = rng.choice(group), rng.choice(group)
+            assert a @ b == ProjMap(order, matrix_product(a.entries, b.entries, order))
+
+
+@pytest.mark.parametrize("stem, display, most", [
+    ("klein_quartic", "(0; 2, 3, 7)", 10900),
+    ("fermat_quartic", "(0; 2, 3, 8)", 1850),
+])
+def test_signature_takes_no_determinant_per_product(stem, display, most, monkeypatch):
+    """The verdict's group is closed from checked automorphisms, so no
+    product is checked again: with a determinant per product, Klein made
+    14 910 multiplications and Fermat 2 572."""
+    curve, gens = fixture(stem), fixture(f"{stem}_gens")
+    sig, count = count_multiplications(monkeypatch, lambda: signature(curve, gens))
+    assert str(sig) == display and count <= most

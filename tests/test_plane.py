@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from oddsig import plane, polyring, serialize
 from oddsig.errors import (InternalInconsistency, NotAnIsomorphism, OrderMismatch, SchemaError,
                            VariableCountMismatch, ZeroPolynomial)
-from oddsig.exactnum import CyclotomicElement, cyclotomic_polynomial, euler_phi
+from oddsig.exactnum import CyclotomicElement, cyclotomic_polynomial, euler_phi, galois_exponents
 from oddsig.plane import (PlaneCurve, ProjMap, _canonical, has_common_affine_zero,
                           is_automorphism, is_isomorphism_onto, is_smooth, matrix_product,
                           require_isomorphism)
@@ -192,9 +193,8 @@ def test_kernel_matches_dense_reference(order, data):
     rows = as_elements(order, expected)
     assert matrix_product(as_elements(order, a), as_elements(order, b), order) == rows
     if not any(ref_det(expected, order)):
-        # a singular product, also one with a zero row, is refused by both routes
-        with pytest.raises(ValueError):
-            _canonical(order, rows)
+        # a singular product, also one with a zero row, is refused at the door;
+        # _canonical trusts its caller and takes no determinant
         with pytest.raises(ValueError):
             ProjMap(order, rows)
         return
@@ -219,6 +219,22 @@ def test_plane_curve_validation_and_genus():
     septic = PlaneCurve(P(1, 3, [(1, (7, 0, 0)), (1, (0, 7, 0)), (1, (0, 0, 7))]))
     assert septic.genus() == 15
     assert fermat_quartic().degree == 4
+
+
+def test_plane_curve_images_equal_the_door():
+    """A field embedding or automorphism keeps a form nonzero, homogeneous
+    and of its degree, so PlaneCurve's lifts and Galois images skip the
+    constructor's checks; each must equal PlaneCurve(poly)."""
+    root = Path(__file__).resolve().parent.parent / "fixtures"
+    curves = [serialize.parse_input(path.read_text(encoding="utf-8")).value
+              for path in sorted(root.glob("*.json"))]
+    curves = [c for c in curves if isinstance(c, PlaneCurve)] + [fermat_quartic(), klein_quartic()]
+    assert len({c.order for c in curves}) >= 5
+    for curve in curves:
+        order = curve.order
+        assert curve.lift_to(3 * order) == PlaneCurve(curve.poly.lift_to(3 * order))
+        for k in galois_exponents(order):
+            assert curve.galois(k) == PlaneCurve(curve.poly.galois(k))
 
 
 def test_conjugate_curve():
