@@ -1,5 +1,6 @@
 """Order-2 descent on plane curves and the symmetric quartic family."""
 
+import json
 import random
 from pathlib import Path
 
@@ -40,6 +41,8 @@ from oddsig.matgroup import closure
 from oddsig.plane import PlaneCurve, ProjMap, is_automorphism, is_smooth, require_isomorphism
 from oddsig.polyring import SparsePoly
 from oddsig.ramify import Signature, signature
+from oddsig.serialize import family_triple_document, parse_input
+from test_matgroup import count_multiplications
 
 I = CyclotomicElement.zeta(4, 1)
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -445,6 +448,39 @@ def test_rational_descent_real_triple():
     assert verdict.status == "DEFINABLE" and verdict.field == "Q"
     assert verdict.witness.is_identity()
     assert all(m.is_identity() for _, m in verdict.assignment)
+
+
+def test_rational_descent_bounds_the_cocycle_table(monkeypatch, tmp_path, capsys):
+    # the cocycle table checks and reports phi(N)^2 pairs of exponents:
+    # Q(zeta_60) has 256 and keeps its verdict, Q(zeta_256) has 16 384 and is
+    # refused before any Galois image
+    verdict = family_rational_descent(FamilyTriple(1, 3, 5).lift_to(60))
+    assert verdict.status == "DEFINABLE" and len(verdict.defects) == 256
+
+    def no_image(self, exponent):
+        raise AssertionError("a Galois image was taken")
+
+    monkeypatch.setattr(FamilyTriple, "galois", no_image)
+    triple = FamilyTriple(1, 3, 5).lift_to(256)
+    with pytest.raises(BoundExceeded, match="16384 pairs"):
+        family_rational_descent(triple)
+    path = tmp_path / "triple_256.json"
+    path.write_text(json.dumps(family_triple_document(triple)), encoding="utf-8")
+    code = run_command(["quartic-family", "rational-descend", "--triple", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "16384 pairs" in err and len(err.splitlines()) == 1
+
+
+def test_rational_descent_inverts_with_sparse_cofactors(monkeypatch):
+    # each of the 4 pairs over Q(i) inverts a permutation map through its
+    # three nonzero cofactors; the dense adjugate made 462 multiplications
+    # here, with the 24 family moves built afresh
+    from oddsig import descent
+    t = parse_input((FIXTURES / "triple_conjugate_swap.json").read_text(encoding="utf-8")).value
+    descent._moves.cache_clear()
+    verdict, count = count_multiplications(monkeypatch, lambda: family_rational_descent(t))
+    assert verdict.status == "DEFINABLE" and count <= 405
 
 
 def test_rational_descent_inconclusive_off_orbit():

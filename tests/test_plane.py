@@ -9,7 +9,7 @@ from oddsig import plane, polyring, serialize
 from oddsig.errors import (InternalInconsistency, NotAnIsomorphism, OrderMismatch, SchemaError,
                            VariableCountMismatch, ZeroPolynomial)
 from oddsig.exactnum import CyclotomicElement, cyclotomic_polynomial, euler_phi, galois_exponents
-from oddsig.plane import (PlaneCurve, ProjMap, _canonical, has_common_affine_zero,
+from oddsig.plane import (PlaneCurve, ProjMap, _canonical, char_poly, has_common_affine_zero,
                           is_automorphism, is_isomorphism_onto, is_smooth, matrix_product,
                           require_isomorphism)
 from oddsig.polyring import SparsePoly
@@ -150,13 +150,34 @@ def ref_product(a, b, order):
              for c in range(3)] for r in range(3)]
 
 
+def ref_minor(m, rows, cols, order):
+    """The 2x2 minor of m on two rows and two columns, each in increasing order."""
+    (i, j), (k, l) = rows, cols
+    return ref_sub(ref_mul(m[i][k], m[j][l], order), ref_mul(m[i][l], m[j][k], order))
+
+
 def ref_det(m, order):
     """The dense cofactor formula along row 0."""
-    def minor(j, k):
-        return ref_sub(ref_mul(m[1][j], m[2][k], order), ref_mul(m[1][k], m[2][j], order))
-    return ref_add(ref_mul(m[0][0], minor(1, 2), order),
-                   tuple(-c for c in ref_mul(m[0][1], minor(0, 2), order)),
-                   ref_mul(m[0][2], minor(0, 1), order))
+    return ref_add(ref_mul(m[0][0], ref_minor(m, (1, 2), (1, 2), order), order),
+                   tuple(-c for c in ref_mul(m[0][1], ref_minor(m, (1, 2), (0, 2), order), order)),
+                   ref_mul(m[0][2], ref_minor(m, (1, 2), (0, 1), order), order))
+
+
+def ref_char_poly(m, order):
+    """The trace, the sum of the three principal 2x2 minors and ref_det."""
+    pairs = ((0, 1), (0, 2), (1, 2))
+    return (ref_add(m[0][0], m[1][1], m[2][2]),
+            ref_add(*(ref_minor(m, pair, pair, order) for pair in pairs)),
+            ref_det(m, order))
+
+
+def ref_adjugate(m, order):
+    """The dense adjugate: entry (c, r) is (-1)^(r + c) times the minor of m
+    without row r and column c."""
+    def cofactor(r, c):
+        minor = ref_minor(m, [i for i in range(3) if i != r], [j for j in range(3) if j != c], order)
+        return minor if (r + c) % 2 == 0 else tuple(-x for x in minor)
+    return [[cofactor(r, c) for r in range(3)] for c in range(3)]
 
 
 @st.composite
@@ -192,6 +213,12 @@ def test_kernel_matches_dense_reference(order, data):
     expected = ref_product(a, b, order)
     rows = as_elements(order, expected)
     assert matrix_product(as_elements(order, a), as_elements(order, b), order) == rows
+    for m in (a, b, expected):
+        assert tuple(e.coords for e in char_poly(as_elements(order, m))) == ref_char_poly(m, order)
+        if any(ref_det(m, order)):
+            p = ProjMap(order, as_elements(order, m))
+            assert p.inverse() == ProjMap(order, as_elements(order, ref_adjugate(m, order)))
+            assert (p @ p.inverse()).is_identity()
     if not any(ref_det(expected, order)):
         # a singular product, also one with a zero row, is refused at the door;
         # _canonical trusts its caller and takes no determinant
